@@ -8,7 +8,7 @@
 #                                          # the batch/sweep tests
 #   ./scripts/check.sh --labels unit       # only tests with a matching
 #                                          # ctest label (unit|integration|
-#                                          # golden|faults|perf|chaos|diag|
+#                                          # golden|faults|chaos|diag|
 #                                          # simcore|pop|popobs|origin;
 #                                          # regex accepted)
 #   BUILD_DIR=out ./scripts/check.sh       # custom build directory

@@ -84,56 +84,29 @@ std::vector<Dimension> dimensions(const SweepMetrics& metrics) {
           {"by fault", "fault", &metrics.by_fault}};
 }
 
-std::string html_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
+Table dimension_table(const Dimension& dim) {
+  Table table(headline_header());
+  for (const Rollup& rollup : *dim.rollups) table.add_row(headline_row(rollup));
+  return table;
 }
 
-void append_html_table(std::string& out,
-                       const std::vector<std::string>& header,
-                       const std::vector<std::vector<std::string>>& rows) {
-  out += "<table><tr>";
-  for (const std::string& cell : header) {
-    out += "<th>" + html_escape(cell) + "</th>";
-  }
-  out += "</tr>\n";
-  for (const std::vector<std::string>& row : rows) {
-    out += "<tr>";
-    for (const std::string& cell : row) {
-      out += "<td>" + html_escape(cell) + "</td>";
-    }
-    out += "</tr>\n";
-  }
-  out += "</table>\n";
-}
-
-std::vector<std::vector<std::string>> overall_rows(
-    const obs::MetricsSnapshot& snapshot) {
-  std::vector<std::vector<std::string>> rows;
+Table overall_table(const obs::MetricsSnapshot& snapshot) {
+  Table table({"metric", "type", "count", "value", "mean", "p50", "p90", "p99",
+               "max"});
   for (const obs::MetricsSnapshot::Entry& entry : snapshot.entries) {
     switch (entry.type) {
       case obs::MetricsSnapshot::Type::kCounter:
-        rows.push_back({entry.name, "counter",
+        table.add_row({entry.name, "counter",
                         format("%lld", static_cast<long long>(entry.count)),
                         "-", "-", "-", "-", "-", "-"});
         break;
       case obs::MetricsSnapshot::Type::kGauge:
-        rows.push_back({entry.name, "gauge", "-",
+        table.add_row({entry.name, "gauge", "-",
                         format("%.3f", entry.value), "-", "-", "-", "-",
                         "-"});
         break;
       case obs::MetricsSnapshot::Type::kHistogram:
-        rows.push_back({entry.name, "histogram",
+        table.add_row({entry.name, "histogram",
                         format("%lld", static_cast<long long>(entry.count)),
                         format("%.3f", entry.value),
                         format("%.3f", entry.mean),
@@ -143,7 +116,7 @@ std::vector<std::vector<std::string>> overall_rows(
         break;
     }
   }
-  return rows;
+  return table;
 }
 
 }  // namespace
@@ -205,11 +178,7 @@ std::string report_text(const SweepMetrics& metrics) {
   }
   for (const Dimension& dim : dimensions(metrics)) {
     out += format("\n== %s ==\n", dim.title);
-    Table table(headline_header());
-    for (const Rollup& rollup : *dim.rollups) {
-      table.add_row(headline_row(rollup));
-    }
-    out += table.render();
+    out += dimension_table(dim).render();
   }
   return out;
 }
@@ -257,19 +226,8 @@ std::string report_jsonl(const SweepResult& result,
 }
 
 std::string report_html(const SweepMetrics& metrics) {
-  std::string out =
-      "<!doctype html><html><head><meta charset=\"utf-8\">"
-      "<title>vodx sweep report</title><style>\n"
-      "body{font:14px/1.4 system-ui,sans-serif;margin:2em;color:#222}\n"
-      "h1{font-size:1.4em}h2{font-size:1.1em;margin-top:1.5em}\n"
-      "table{border-collapse:collapse;margin:.5em 0}\n"
-      "th,td{border:1px solid #ccc;padding:3px 9px;text-align:right;"
-      "font-variant-numeric:tabular-nums}\n"
-      "th{background:#f0f0f0}\n"
-      "th:first-child,td:first-child{text-align:left;font-family:monospace}\n"
-      "</style></head><body>\n";
-  out += format("<h1>vodx sweep report</h1>\n"
-                "<p>%d cells (%d failed, %d quarantined), %d merged into "
+  std::string out = html_page_start("vodx sweep report");
+  out += format("<p>%d cells (%d failed, %d quarantined), %d merged into "
                 "the rollups below.</p>\n",
                 metrics.total_cells, metrics.failed, metrics.quarantined,
                 metrics.overall.cells);
@@ -289,17 +247,10 @@ std::string report_html(const SweepMetrics& metrics) {
     out += "</ul>\n";
   }
   out += "<h2>overall</h2>\n";
-  append_html_table(out,
-                    {"metric", "type", "count", "value", "mean", "p50",
-                     "p90", "p99", "max"},
-                    overall_rows(metrics.overall.metrics));
+  out += overall_table(metrics.overall.metrics).html();
   for (const Dimension& dim : dimensions(metrics)) {
     out += format("<h2>%s</h2>\n", dim.title);
-    std::vector<std::vector<std::string>> rows;
-    for (const Rollup& rollup : *dim.rollups) {
-      rows.push_back(headline_row(rollup));
-    }
-    append_html_table(out, headline_header(), rows);
+    out += dimension_table(dim).html();
   }
   out += "</body></html>\n";
   return out;

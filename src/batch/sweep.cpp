@@ -6,6 +6,7 @@
 #include "batch/thread_pool.h"
 #include "net/simulator.h"
 #include "common/strings.h"
+#include "obs/export.h"
 #include "obs/profiler.h"
 #include "core/qoe.h"
 #include "core/report.h"
@@ -270,21 +271,15 @@ std::string sweep_jsonl(const SweepResult& result) {
     out += format(
         R"({"service":"%s","profile":%d,"seed":%llu,"fault":"%s",)"
         R"("origin":"%s",)",
-        cell.service.c_str(), cell.profile_id,
-        static_cast<unsigned long long>(cell.seed), cell.fault.c_str(),
-        cell.origin.c_str());
+        obs::json_escape(cell.service).c_str(), cell.profile_id,
+        static_cast<unsigned long long>(cell.seed),
+        obs::json_escape(cell.fault).c_str(),
+        obs::json_escape(cell.origin).c_str());
     if (!cell.ok) {
-      // Error text is free-form; escape the two characters that can break
-      // a JSON string literal coming from our own error messages.
-      std::string escaped;
-      for (char c : cell.error) {
-        if (c == '"' || c == '\\') escaped += '\\';
-        escaped += c;
-      }
       out += format(R"("ok":false,"quarantined":%s,"attempts":%d,)"
                     R"("error":"%s"})",
                     cell.quarantined ? "true" : "false", cell.attempts,
-                    escaped.c_str());
+                    obs::json_escape(cell.error).c_str());
     } else {
       const core::QoeReport& q = cell.result.qoe;
       out += format(

@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/strings.h"
+#include "obs/export.h"
 
 namespace vodx::chaos {
 
@@ -14,25 +15,19 @@ namespace {
 
 // --- Emission --------------------------------------------------------------
 
-std::string escape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
+using obs::json_escape;
 
 std::string match_json(const faults::Match& match) {
   return format(R"({"url_contains":"%s","start":%.6g,"end":%.6g})",
-                escape(match.url_contains).c_str(), match.start, match.end);
+                json_escape(match.url_contains).c_str(), match.start,
+                match.end);
 }
 
 // --- Parsing ---------------------------------------------------------------
 // A minimal recursive-descent JSON reader: objects, arrays, strings,
 // numbers, true/false/null. It exists to read artifacts *we* emitted (plus
-// hand-edits), not arbitrary JSON — no \uXXXX escapes, no exponent-free
-// validation subtleties.
+// hand-edits), not arbitrary JSON: \uXXXX decodes to UTF-8 but surrogate
+// pairs are not joined, and numbers are whatever strtod accepts.
 
 struct Json {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -155,18 +150,48 @@ class Parser {
     out.type = Json::Type::kString;
     expect('"');
     while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("dangling escape");
-        c = text_[pos_++];
-        if (c == 'n') c = '\n';
-        if (c == 't') c = '\t';
+      const char c = text_[pos_++];
+      if (c != '\\') {
+        out.string += c;
+        continue;
       }
-      out.string += c;
+      if (pos_ >= text_.size()) fail("dangling escape");
+      switch (const char e = text_[pos_++]) {
+        case 'n': out.string += '\n'; break;
+        case 't': out.string += '\t'; break;
+        case 'r': out.string += '\r'; break;
+        case 'b': out.string += '\b'; break;
+        case 'f': out.string += '\f'; break;
+        case 'u': append_utf8(parse_hex4(), &out.string); break;
+        default: out.string += e; break;  // \" \\ \/
+      }
     }
     if (pos_ >= text_.size()) fail("unterminated string");
     ++pos_;  // closing quote
     return out;
+  }
+
+  unsigned parse_hex4() {
+    const std::string hex = text_.substr(pos_, 4);
+    if (hex.size() != 4) fail("truncated \\u escape");
+    for (const char h : hex) {
+      if (!std::isxdigit(static_cast<unsigned char>(h))) fail("bad \\u escape");
+    }
+    pos_ += 4;
+    return static_cast<unsigned>(std::stoul(hex, nullptr, 16));
+  }
+
+  static void append_utf8(unsigned code, std::string* out) {
+    if (code < 0x80) {
+      out->push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    }
   }
 
   Json parse_number() {
@@ -225,17 +250,18 @@ std::string ReproArtifact::cli_line(const std::string& path) const {
 std::string to_json(const ReproArtifact& artifact) {
   const faults::FaultPlan& plan = artifact.plan;
   std::string out = "{\n";
-  out += format("  \"service\": \"%s\",\n", escape(artifact.service).c_str());
+  out += format("  \"service\": \"%s\",\n",
+                json_escape(artifact.service).c_str());
   out += format("  \"profile\": %d,\n", artifact.profile_id);
   out += format("  \"duration_s\": %.6g,\n", artifact.duration);
   out += format("  \"chaos_seed\": %llu,\n",
                 static_cast<unsigned long long>(artifact.chaos_seed));
   out += format("  \"invariants\": \"%s\",\n",
-                escape(artifact.invariants).c_str());
+                json_escape(artifact.invariants).c_str());
   out += format("  \"origin_mode\": \"%s\",\n",
-                escape(artifact.origin_mode).c_str());
+                json_escape(artifact.origin_mode).c_str());
   out += format("  \"plan\": {\n    \"name\": \"%s\",\n    \"seed\": %llu,\n",
-                escape(plan.name).c_str(),
+                json_escape(plan.name).c_str(),
                 static_cast<unsigned long long>(plan.seed));
 
   out += "    \"latency\": [";

@@ -99,4 +99,19 @@ std::string format_bps(double bps) {
   return format("%.0f bps", bps);
 }
 
+std::string html_escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (char c : raw) {
+    switch (c) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"': out += "&quot;"; break;
+      default: out.push_back(c);
+    }
+  }
+  return out;
+}
+
 }  // namespace vodx

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/error.h"
+#include "common/strings.h"
 
 namespace vodx {
 
@@ -45,5 +46,35 @@ std::string Table::render() const {
 }
 
 void Table::print() const { std::fputs(render().c_str(), stdout); }
+
+std::string Table::html() const {
+  std::string out = "<table><tr>";
+  for (const std::string& cell : header_) {
+    out += "<th>" + html_escape(cell) + "</th>";
+  }
+  out += "</tr>\n";
+  for (const auto& row : rows_) {
+    out += "<tr>";
+    for (const std::string& cell : row) {
+      out += "<td>" + html_escape(cell) + "</td>";
+    }
+    out += "</tr>\n";
+  }
+  out += "</table>\n";
+  return out;
+}
+
+std::string html_page_start(const std::string& title) {
+  return "<!doctype html><html><head><meta charset=\"utf-8\">"
+         "<title>" + title + "</title><style>\n"
+         "body{font:14px/1.4 system-ui,sans-serif;margin:2em;color:#222}\n"
+         "h1{font-size:1.4em}h2{font-size:1.1em;margin-top:1.5em}\n"
+         "table{border-collapse:collapse;margin:.5em 0}\n"
+         "th,td{border:1px solid #ccc;padding:3px 9px;text-align:right;"
+         "font-variant-numeric:tabular-nums}\n"
+         "th{background:#f0f0f0}\n"
+         "th:first-child,td:first-child{text-align:left;font-family:monospace}\n"
+         "</style></head><body>\n<h1>" + title + "</h1>\n";
+}
 
 }  // namespace vodx

@@ -56,37 +56,10 @@ std::vector<std::string> diag_row(const DiagRollup& rollup) {
   return row;
 }
 
-std::string html_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-void append_html_table(std::string& out,
-                       const std::vector<std::string>& header,
-                       const std::vector<std::vector<std::string>>& rows) {
-  out += "<table><tr>";
-  for (const std::string& cell : header) {
-    out += "<th>" + html_escape(cell) + "</th>";
-  }
-  out += "</tr>\n";
-  for (const std::vector<std::string>& row : rows) {
-    out += "<tr>";
-    for (const std::string& cell : row) {
-      out += "<td>" + html_escape(cell) + "</td>";
-    }
-    out += "</tr>\n";
-  }
-  out += "</table>\n";
+Table dimension_table(const Dimension& dim) {
+  Table table(diag_header());
+  for (const DiagRollup& rollup : *dim.rollups) table.add_row(diag_row(rollup));
+  return table;
 }
 
 }  // namespace
@@ -183,11 +156,7 @@ std::string diag_text(const SweepDiagnosis& diagnosis) {
   out += overall.render();
   for (const Dimension& dim : dimensions(diagnosis)) {
     out += format("\n== %s ==\n", dim.title);
-    Table table(diag_header());
-    for (const DiagRollup& rollup : *dim.rollups) {
-      table.add_row(diag_row(rollup));
-    }
-    out += table.render();
+    out += dimension_table(dim).render();
   }
   return out;
 }
@@ -239,14 +208,12 @@ std::string diag_html_section(const SweepDiagnosis& diagnosis) {
         "partial.</p>\n",
         static_cast<unsigned long long>(o.trace_dropped));
   }
-  append_html_table(out, diag_header(), {diag_row(o)});
+  Table overall(diag_header());
+  overall.add_row(diag_row(o));
+  out += overall.html();
   for (const Dimension& dim : dimensions(diagnosis)) {
     out += format("<h3>%s</h3>\n", dim.title);
-    std::vector<std::vector<std::string>> rows;
-    for (const DiagRollup& rollup : *dim.rollups) {
-      rows.push_back(diag_row(rollup));
-    }
-    append_html_table(out, diag_header(), rows);
+    out += dimension_table(dim).html();
   }
   out += "<h3>cause taxonomy</h3>\n<ul>\n";
   for (Cause cause : all_causes()) {
@@ -260,17 +227,7 @@ std::string diag_html_section(const SweepDiagnosis& diagnosis) {
 }
 
 std::string diag_html(const SweepDiagnosis& diagnosis) {
-  std::string out =
-      "<!doctype html><html><head><meta charset=\"utf-8\">"
-      "<title>vodx root-cause report</title><style>\n"
-      "body{font:14px/1.4 system-ui,sans-serif;margin:2em;color:#222}\n"
-      "h1{font-size:1.4em}h2{font-size:1.1em;margin-top:1.5em}\n"
-      "table{border-collapse:collapse;margin:.5em 0}\n"
-      "th,td{border:1px solid #ccc;padding:3px 9px;text-align:right;"
-      "font-variant-numeric:tabular-nums}\n"
-      "th{background:#f0f0f0}\n"
-      "th:first-child,td:first-child{text-align:left;font-family:monospace}\n"
-      "</style></head><body>\n<h1>vodx root-cause report</h1>\n";
+  std::string out = html_page_start("vodx root-cause report");
   out += diag_html_section(diagnosis);
   out += "</body></html>\n";
   return out;

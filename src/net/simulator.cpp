@@ -59,18 +59,9 @@ void Simulator::cancel(std::uint64_t id) {
   if (cancelled_metric_ != nullptr) cancelled_metric_->add();
 }
 
-void Simulator::on_tick(std::function<void(Seconds)> fn) {
-  Handler handler;
-  handler.legacy = std::move(fn);
-  handlers_.push_back(std::move(handler));
-  ++legacy_handler_count_;
-}
-
 void Simulator::add_tick_client(TickClient* client) {
   VODX_ASSERT(client != nullptr, "null tick client");
-  Handler handler;
-  handler.client = client;
-  handlers_.push_back(handler);
+  clients_.push_back(client);
 }
 
 void Simulator::fire_due_events() {
@@ -106,9 +97,8 @@ Seconds Simulator::earliest_wake() {
   // A cancelled event still in the heap reports its (dead) due time: the
   // skip just stops early and the tick that pops it is a cheap no-op.
   Seconds wake = queue_.empty() ? TickClient::kNeverWakes : queue_.top().due;
-  for (Handler& handler : handlers_) {
-    if (handler.client == nullptr) continue;
-    wake = std::min(wake, handler.client->next_wake(now_));
+  for (TickClient* client : clients_) {
+    wake = std::min(wake, client->next_wake(now_));
     if (wake <= now_) break;  // already dense; no point asking the rest
   }
   return wake;
@@ -122,9 +112,7 @@ void Simulator::run_until(Seconds end) {
   const auto started = wall_budget_ > 0
                            ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
-  // A legacy on_tick handler is a black box that may do observable work on
-  // any tick, so its presence pins the run to dense ticking.
-  const bool can_skip = core_ == SimCore::kEvent && legacy_handler_count_ == 0;
+  const bool can_skip = core_ == SimCore::kEvent;
   int steps_since_check = 0;
   while (now_ + tick_ <= end + 1e-12) {
     if (can_skip) {
@@ -150,9 +138,9 @@ void Simulator::run_until(Seconds end) {
         // Indexed with a snapshotted bound: a client registered from inside
         // a callback (a population arrival spawning a session) must not
         // invalidate this traversal, and first participates next tick.
-        const std::size_t n_clients = handlers_.size();
+        const std::size_t n_clients = clients_.size();
         for (std::size_t i = 0; i < n_clients; ++i) {
-          handlers_[i].client->fast_forward(now_, tick_, skipped);
+          clients_[i]->fast_forward(now_, tick_, skipped);
         }
         if (now_ + tick_ > end + 1e-12) break;  // window fully consumed
       }
@@ -162,15 +150,8 @@ void Simulator::run_until(Seconds end) {
     ++ticks_executed_;
     if (ticks_metric_ != nullptr) ticks_metric_->add();
     fire_due_events();
-    const std::size_t n_handlers = handlers_.size();
-    for (std::size_t i = 0; i < n_handlers; ++i) {
-      Handler& handler = handlers_[i];
-      if (handler.client != nullptr) {
-        handler.client->tick(now_, tick_);
-      } else {
-        handler.legacy(tick_);
-      }
-    }
+    const std::size_t n_clients = clients_.size();
+    for (std::size_t i = 0; i < n_clients; ++i) clients_[i]->tick(now_, tick_);
     if (wall_budget_ > 0 && ++steps_since_check >= 64) {
       steps_since_check = 0;
       const std::chrono::duration<double> elapsed =

@@ -19,10 +19,9 @@
 //     span proven inert (position += dt and friends) in one tight loop.
 //   * run_until() advances tick by tick, but first skips every grid tick
 //     that is *provably* a no-op: no event due, every client's wake beyond
-//     it, no legacy on_tick handlers. Skipped ticks still advance now_ by
-//     the exact += tick recurrence and still count into the sim.ticks
-//     metric, so the observable record of a skipped span is byte-identical
-//     to having executed it.
+//     it. Skipped ticks still advance now_ by the exact += tick recurrence
+//     and still count into the sim.ticks metric, so the observable record
+//     of a skipped span is byte-identical to having executed it.
 //
 // The safety rule for skipping is one-sided: clients may report a wake that
 // is *earlier* than their real need (the tick executes and does nothing —
@@ -65,9 +64,9 @@ enum class SimCore {
   kFixedTickReference,  ///< execute every grid tick (legacy fixed-tick core)
 };
 
-/// A fluid component advanced on the tick grid. tick() is the legacy
-/// per-tick handler; the two extra hooks are what lets the event core skip
-/// dead time without changing a single observable float.
+/// A fluid component advanced on the tick grid. tick() is the per-tick
+/// body; the two extra hooks are what lets the event core skip dead time
+/// without changing a single observable float.
 class TickClient {
  public:
   /// Sentinel wake for a dormant client.
@@ -76,8 +75,8 @@ class TickClient {
 
   virtual ~TickClient() = default;
 
-  /// One grid tick ending at `now` (identical semantics to the old on_tick
-  /// handler; clients run in registration order, after due events fire).
+  /// One grid tick ending at `now` (clients run in registration order,
+  /// after due events fire).
   virtual void tick(Seconds now, Seconds dt) = 0;
 
   /// Earliest simulated time at which this client could next perform
@@ -126,16 +125,8 @@ class Simulator {
   /// Cancels a pending event; cancelling an already-fired id is a no-op.
   void cancel(std::uint64_t id);
 
-  /// Registers a handler invoked every tick with the tick duration.
-  /// Handlers run in registration order and live for the simulator's life.
-  /// Legacy interface: any registered on_tick handler pins the event core
-  /// to dense ticking (every tick executes), since a blind handler can do
-  /// observable work on any tick.
-  void on_tick(std::function<void(Seconds dt)> fn);
-
   /// Registers a skip-aware tick client (not owned; must outlive the
-  /// simulator's runs). Clients and on_tick handlers share one registration
-  /// order.
+  /// simulator's runs). Clients run in registration order.
   void add_tick_client(TickClient* client);
 
   /// Runs until simulated time reaches `end` (inclusive of events due then).
@@ -194,20 +185,13 @@ class Simulator {
     }
   };
 
-  /// One registration-ordered entry: exactly one of {client, legacy} set.
-  struct Handler {
-    TickClient* client = nullptr;
-    std::function<void(Seconds)> legacy;
-  };
-
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   void fire_due_events();
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   /// Earliest instant anything observable can happen: queue head or a
-  /// client wake. Legacy handlers are handled by the caller (they disable
-  /// skipping wholesale).
+  /// client wake.
   Seconds earliest_wake();
 
   Seconds tick_;
@@ -223,8 +207,7 @@ class Simulator {
       queue_;
   std::vector<std::uint64_t> cancelled_;
 
-  std::vector<Handler> handlers_;
-  int legacy_handler_count_ = 0;
+  std::vector<TickClient*> clients_;
 
   std::uint64_t ticks_covered_ = 0;
   std::uint64_t ticks_executed_ = 0;

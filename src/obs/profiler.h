@@ -4,7 +4,7 @@
 // are part of the deterministic output — the profiler measures how long the
 // simulator itself takes on real hardware. It never feeds a value back into
 // sim logic, so determinism is untouched by construction; the reports it
-// produces (bench_perf, BENCH_PERF.json) are explicitly wall-clock and
+// produces (vodxbench's per-layer zones) are explicitly wall-clock and
 // machine-dependent.
 //
 // Usage: drop `VODX_PROFILE_ZONE("tcp.advance");` at the top of a scope.
@@ -13,10 +13,8 @@
 // no locking on the hot path.
 //
 // Cost contract:
-//   * compiled out (cmake -DVODX_PROFILER=OFF): zero — the macro expands to
-//     a no-op object;
-//   * compiled in, disabled (the default): one relaxed atomic load and a
-//     predictable branch per zone;
+//   * disabled (the default): one relaxed atomic load and a predictable
+//     branch per zone;
 //   * enabled: two steady_clock reads plus a small linear table update per
 //     zone (~50 ns), all thread-local.
 //
@@ -90,7 +88,6 @@ void profiler_reset();
 /// RAII scoped timer — prefer the VODX_PROFILE_ZONE macro.
 class ProfileZone {
  public:
-#ifndef VODX_PROFILER_DISABLED
   explicit ProfileZone(const char* name) {
     if (profiling_enabled()) {
       active_ = true;
@@ -100,17 +97,12 @@ class ProfileZone {
   ~ProfileZone() {
     if (active_) internal::ThreadProfiler::instance().leave();
   }
-#else
-  explicit ProfileZone(const char*) {}
-#endif
 
   ProfileZone(const ProfileZone&) = delete;
   ProfileZone& operator=(const ProfileZone&) = delete;
 
  private:
-#ifndef VODX_PROFILER_DISABLED
   bool active_ = false;
-#endif
 };
 
 #define VODX_PROFILE_CAT2(a, b) a##b

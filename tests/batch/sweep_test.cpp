@@ -115,6 +115,24 @@ TEST(SweepEngine, JsonlCarriesErrorsWithCoordinates) {
   EXPECT_EQ(error_lines, 2);
 }
 
+TEST(SweepEngine, JsonlEscapesQuotesAndControlCharacters) {
+  // An unknown scenario name fails its cells; the name lands in both the
+  // fault field and the error text, and must stay valid JSON in each.
+  SweepConfig config = small_grid({1});
+  config.fault_scenarios = {"bad\"name\x01"};
+  SweepResult result = run_sweep(config);
+  EXPECT_EQ(result.failed, 2);
+  const std::vector<std::string> lines = split_lines(sweep_jsonl(result));
+  ASSERT_EQ(lines.size(), 2u);
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.find(R"("fault":"bad\"name\u0001")"), std::string::npos)
+        << line;
+    EXPECT_NE(line.find(R"("error":")"), std::string::npos) << line;
+    EXPECT_EQ(line.find('\x01'), std::string::npos) << line;
+    EXPECT_EQ(line.find("bad\"name"), std::string::npos) << line;
+  }
+}
+
 TEST(SweepEngine, ObserverCallbackRunsInGridOrderWithPopulatedTraces) {
   SweepConfig config = small_grid({1, 7});
   config.jobs = 4;

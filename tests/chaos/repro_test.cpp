@@ -92,6 +92,25 @@ TEST(Repro, EscapesQuotesAndBackslashesInStrings) {
   artifact.plan.name = "odd \"name\" with \\ backslash";
   const ReproArtifact parsed = parse_repro(to_json(artifact));
   EXPECT_EQ(parsed.plan.name, artifact.plan.name);
+
+  // Control characters round-trip through their escaped form and never
+  // appear raw in the artifact.
+  artifact.plan.name = "tab\tnl\ncr\rbs\bff\fsoh\x01us\x1f";
+  const std::string json = to_json(artifact);
+  EXPECT_NE(json.find(R"(tab\tnl\ncr\rbs\u0008ff\u000csoh\u0001us\u001f)"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(parse_repro(json).plan.name, artifact.plan.name);
+  EXPECT_EQ(to_json(parse_repro(json)), json);
+}
+
+TEST(Repro, ReadsEveryJsonStringEscape) {
+  const ReproArtifact a = parse_repro(
+      R"({"service": "a\rb\bc\fd\/e\u0041\u00e9", "plan": {}})");
+  EXPECT_EQ(a.service, "a\rb\bc\fd/eA\xc3\xa9");
+  EXPECT_THROW(parse_repro(R"({"service": "\u00g1", "plan": {}})"),
+               ParseError);
+  EXPECT_THROW(parse_repro(R"({"service": "\u00)"), ParseError);
 }
 
 TEST(Repro, CliLineNamesTheReplayCommand) {

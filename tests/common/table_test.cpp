@@ -27,6 +27,15 @@ TEST(Table, EmptyTableStillRendersHeader) {
   EXPECT_NE(out.find("col1"), std::string::npos);
 }
 
+TEST(Table, HtmlEscapesEveryCell) {
+  Table t({"a&b", "c"});
+  t.add_row({"<x>", "say \"hi\""});
+  EXPECT_EQ(t.html(),
+            "<table><tr><th>a&amp;b</th><th>c</th></tr>\n"
+            "<tr><td>&lt;x&gt;</td><td>say &quot;hi&quot;</td></tr>\n"
+            "</table>\n");
+}
+
 TEST(TableDeathTest, RowArityMismatchAborts) {
   Table t({"a", "b"});
   EXPECT_DEATH(t.add_row({"only-one"}), "arity");

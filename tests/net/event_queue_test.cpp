@@ -160,16 +160,6 @@ TEST(EventQueue, EventCoreSkipsInertTicksTheReferenceExecutes) {
   EXPECT_EQ(event_sim.ticks_executed(), 1u);
 }
 
-TEST(EventQueue, LegacyOnTickHandlersPinTheRunDense) {
-  Simulator sim(0.01);
-  sim.set_core(SimCore::kEvent);
-  int ticks = 0;
-  sim.on_tick([&](Seconds) { ++ticks; });
-  sim.run_until(1.0);
-  EXPECT_EQ(ticks, 100);
-  EXPECT_EQ(sim.ticks_executed(), sim.ticks_covered());
-}
-
 // A TickClient whose wake is always "far in the future": the run loop may
 // skip every tick, but fast_forward must still account the skipped span.
 class DormantClient : public TickClient {

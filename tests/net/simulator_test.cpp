@@ -54,16 +54,22 @@ TEST(Simulator, EventsScheduledFromEventsFire) {
 }
 
 TEST(Simulator, TickHandlersSeeTickDuration) {
+  // Always due, so the event core executes every tick.
+  struct DenseClient : TickClient {
+    void tick(Seconds, Seconds dt) override {
+      ++ticks;
+      total += dt;
+    }
+    Seconds next_wake(Seconds now) override { return now; }
+    int ticks = 0;
+    Seconds total = 0;
+  };
   Simulator sim(0.02);
-  int ticks = 0;
-  Seconds total = 0;
-  sim.on_tick([&](Seconds dt) {
-    ++ticks;
-    total += dt;
-  });
+  DenseClient client;
+  sim.add_tick_client(&client);
   sim.run_until(1.0);
-  EXPECT_EQ(ticks, 50);
-  EXPECT_NEAR(total, 1.0, 1e-9);
+  EXPECT_EQ(client.ticks, 50);
+  EXPECT_NEAR(client.total, 1.0, 1e-9);
 }
 
 TEST(Simulator, RunForIsRelative) {

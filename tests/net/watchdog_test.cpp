@@ -52,12 +52,17 @@ TEST(Watchdog, WallBudgetAbortsARunThatBurnsRealTime) {
   sim.set_wall_budget(0.05);
   // Each tick burns ~2 ms of real time; the budget dies long before the
   // simulated hour does.
-  sim.on_tick([](Seconds) {
-    const auto until =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
-    while (std::chrono::steady_clock::now() < until) {
+  struct SlowClient : TickClient {
+    void tick(Seconds, Seconds) override {
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
+      while (std::chrono::steady_clock::now() < until) {
+      }
     }
-  });
+    Seconds next_wake(Seconds now) override { return now; }
+  };
+  SlowClient client;
+  sim.add_tick_client(&client);
   EXPECT_THROW(sim.run_until(3600), WatchdogError);
   EXPECT_LT(sim.now(), 3600);
 }

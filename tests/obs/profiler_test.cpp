@@ -8,8 +8,6 @@
 
 #include "obs/profiler.h"
 
-#ifndef VODX_PROFILER_DISABLED
-
 namespace vodx::obs {
 namespace {
 
@@ -125,5 +123,3 @@ TEST_F(ProfilerTest, DisableMidZoneStillClosesTheFrame) {
 
 }  // namespace
 }  // namespace vodx::obs
-
-#endif  // VODX_PROFILER_DISABLED

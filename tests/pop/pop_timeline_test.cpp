@@ -167,6 +167,29 @@ TEST(PopulationTimeline, DiagBudgetBoundsDiagnosedSessions) {
             report.total_sessions);
 }
 
+TEST(PopulationTimeline, SamplerForcesExactlyOneTickPerBin) {
+  // An idle tower on a constant trace has nothing else to wake for, so
+  // every executed tick is a bin close the sampler asked for.
+  const net::BandwidthTrace trace = net::BandwidthTrace::constant(6e6, 600);
+  net::Simulator sim(0.01);
+  net::Link link(sim, trace);
+  obs::Timeline timeline = make_tower_timeline(10, 60, false);
+  TowerSampler sampler(timeline, link, [] { return LiveSample{}; });
+  sim.add_tick_client(&sampler);
+  sim.run_until(60);
+  sampler.finalize(60);
+  EXPECT_EQ(sampler.bins_closed(), 6);
+  EXPECT_EQ(sim.ticks_executed(), 6u);
+  EXPECT_EQ(sim.ticks_covered(), 6000u);
+}
+
+TEST(PopulationTimeline, SamplingLeavesThePopulationReportUnchanged) {
+  PopulationConfig config = telemetry_config();
+  const std::string with_timeline = population_text(run_population(config));
+  config.collect_timeline = false;
+  EXPECT_EQ(population_text(run_population(config)), with_timeline);
+}
+
 TEST(PopulationTimeline, HtmlDashboardHasOneRowPerTowerPlusPopulation) {
   const PopulationReport report = run_population(telemetry_config());
   const std::string html = population_timeline_html(report);
