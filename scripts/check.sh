@@ -33,11 +33,12 @@ while [[ $# -gt 0 ]]; do
     --tsan)
       # Thread-safety proof for the multi-threaded engines: build
       # everything under ThreadSanitizer and run the batch/sweep suites
-      # plus the population runner (one worker thread per tower).
+      # (shared-title first builds included) plus the population runner
+      # (one worker thread per tower).
       BUILD_DIR="${BUILD_DIR}-tsan"
       CMAKE_ARGS+=(-DVODX_SANITIZE=thread)
       export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-      NAME_FILTER='^(BatchPool|SweepEngine|SweepDeterminism|SeedSensitivity|FaultSweepDeterminism|PopulationDeterminism|PopulationTimeline|PopulationOriginStopRace)'
+      NAME_FILTER='^(BatchPool|SweepEngine|SweepTitles|SweepDeterminism|SeedSensitivity|FaultSweepDeterminism|PopulationDeterminism|PopulationTimeline|PopulationOriginStopRace)'
       ;;
     --labels)
       [[ $# -ge 2 ]] || { echo "error: --labels needs a regex" >&2; exit 2; }

@@ -1,7 +1,9 @@
 #include "batch/sweep.h"
 
 #include <algorithm>
+#include <map>
 #include <mutex>
+#include <tuple>
 
 #include "batch/thread_pool.h"
 #include "net/simulator.h"
@@ -12,6 +14,7 @@
 #include "core/report.h"
 #include "core/session_factory.h"
 #include "faults/fault_plan.h"
+#include "services/content_factory.h"
 
 namespace vodx::batch {
 
@@ -25,6 +28,49 @@ std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 31;
   return x;
 }
+
+/// The sweep's titles: one per (service index, content seed, content
+/// duration), built on first use. Each title builds under its own
+/// std::call_once, so distinct titles build in parallel on different
+/// workers while the first users of one title wait for its single build;
+/// the mutex only guards the slot lookup.
+class SweepTitles {
+ public:
+  std::shared_ptr<const http::OriginServer> get(
+      int service_index, const core::SessionConfig& session) {
+    Slot* slot = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      std::unique_ptr<Slot>& entry = slots_[Key{
+          service_index, session.content_seed, session.content_duration}];
+      if (entry == nullptr) entry = std::make_unique<Slot>();
+      slot = entry.get();
+    }
+    std::call_once(slot->once, [&] {
+      slot->title = std::make_shared<const http::OriginServer>(
+          services::make_origin(session.spec, session.content_duration,
+                                session.content_seed));
+    });
+    return slot->title;
+  }
+
+  /// Titles built so far; call once the workers have joined.
+  int built() const {
+    return static_cast<int>(std::count_if(
+        slots_.begin(), slots_.end(),
+        [](const auto& entry) { return entry.second->title != nullptr; }));
+  }
+
+ private:
+  using Key = std::tuple<int, std::uint64_t, Seconds>;
+  struct Slot {
+    std::once_flag once;
+    std::shared_ptr<const http::OriginServer> title;
+  };
+
+  std::mutex mutex_;
+  std::map<Key, std::unique_ptr<Slot>> slots_;
+};
 
 }  // namespace
 
@@ -112,6 +158,7 @@ SweepResult run_sweep(const SweepConfig& config) {
   factory.wall_budget = config.cell_wall_budget;
   factory.max_events_per_instant = config.cell_max_events_per_instant;
 
+  SweepTitles titles;
   std::mutex progress_mutex;
   std::size_t done = 0;
 
@@ -182,6 +229,8 @@ SweepResult run_sweep(const SweepConfig& config) {
                 static_cast<std::uint64_t>(cell.cell.origin_index));
           }
           if (config.prepare) config.prepare(cell.cell, session);
+          // Resolved after the hook, keyed on what it left in the config.
+          session.title = titles.get(cell.cell.service_index, session);
           if (!observers.empty()) {
             // A retry must not fold the aborted attempt's counters into the
             // final snapshot; give the cell a fresh observer.
@@ -220,6 +269,7 @@ SweepResult run_sweep(const SweepConfig& config) {
     }
   });
 
+  out.titles = titles.built();
   for (const CellResult& cell : out.cells) {
     if (!cell.ok) ++out.failed;
     if (cell.quarantined) ++out.quarantined;

@@ -10,11 +10,13 @@
 //   * Ordered aggregation: results are collected into grid order
 //     (service-major, then profile, then seed), so serialized output from
 //     `--jobs N` is byte-identical to `--jobs 1`.
-//   * Isolation: every cell builds its own net::Simulator, origin, proxy,
-//     player and (optionally) obs::Observer. Nothing mutable is shared
-//     across cells; the only cross-thread state is the engine's own work
-//     cursor. Shared inputs (services::catalog(), profile definitions) are
-//     immutable after initialisation and are warmed before workers spawn.
+//   * Isolation: every cell builds its own net::Simulator, proxy, player
+//     and (optionally) obs::Observer. Nothing mutable is shared across
+//     cells; the cross-thread state is the engine's work cursor and its
+//     title slots. Shared inputs (services::catalog(), profile definitions)
+//     are immutable after initialisation and are warmed before workers
+//     spawn; titles (encoded asset + rendered manifests) are immutable once
+//     built, and each is built once per sweep under its own std::call_once.
 //   * Failure containment: a cell that cannot run (bad profile id, config
 //     error, session exception) yields a CellResult with ok=false and its
 //     coordinates; the rest of the grid still runs.
@@ -172,6 +174,12 @@ struct SweepConfig {
   /// attempt, after the engine has filled the SessionConfig. Lets tests
   /// sabotage one coordinate deterministically (e.g. inflate a cell's
   /// duration so its wall budget trips). Must be thread-safe.
+  ///
+  /// The cell's title (SessionConfig::title) is resolved after this hook,
+  /// from the sweep's shared titles keyed on (service index, content_seed,
+  /// content_duration) as the hook leaves them: a hook that changes either
+  /// field streams a title built for the new values. The hook must not
+  /// change `spec` — the title key names the service by its index.
   std::function<void(const Cell&, core::SessionConfig&)> prepare;
 };
 
@@ -180,6 +188,9 @@ struct SweepResult {
   int failed = 0;                 ///< number of cells with ok == false
   int quarantined = 0;            ///< subset of failed: watchdog quarantines
   int retried = 0;                ///< cells that needed more than one attempt
+  /// Distinct titles built, each shared by every cell streaming it: one per
+  /// (service, content seed, content duration), not one per cell.
+  int titles = 0;
 };
 
 /// Expands the grid and runs every cell, honouring the guarantees above.

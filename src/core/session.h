@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,6 +38,12 @@ struct SessionConfig {
   Seconds tick = 0.01;
   Seconds rtt = 0.07;
   std::uint64_t content_seed = 42;
+
+  /// The title this session streams: services::make_origin(spec,
+  /// content_duration, content_seed), built once by the caller and shared
+  /// read-only by every session of that title (DESIGN.md §14). Null = the
+  /// session builds its own. A given title must match those three fields.
+  std::shared_ptr<const http::OriginServer> title;
 
   /// Simulator advancement core. kEvent (default) skips provably-inert grid
   /// ticks; kFixedTickReference executes every tick — the retained reference

@@ -59,9 +59,13 @@ player::PlayerConfig player_config_for(const SessionConfig& config) {
 HostedSession::HostedSession(net::Simulator& sim, net::Link& link,
                              const SessionConfig& config)
     : qoe_options_(config.qoe_options),
-      origin_(services::make_origin(config.spec, config.content_duration,
-                                    config.content_seed)),
-      proxy_(origin_),
+      title_(config.title != nullptr
+                 ? config.title
+                 : std::make_shared<const http::OriginServer>(
+                       services::make_origin(config.spec,
+                                             config.content_duration,
+                                             config.content_seed))),
+      proxy_(*title_),
       player_(sim, link, proxy_, config.spec.protocol,
               player_config_for(config)) {
   // The origin tier goes first: its cache can short-circuit the whole chain
@@ -95,7 +99,7 @@ HostedSession::HostedSession(net::Simulator& sim, net::Link& link,
   });
 }
 
-void HostedSession::start() { player_.start(origin_.manifest_url()); }
+void HostedSession::start() { player_.start(title_->manifest_url()); }
 
 void HostedSession::stop() { player_.stop(); }
 

@@ -19,6 +19,14 @@
 //    one on a private pair. Construction order and wiring are identical to
 //    the historical run_session body — single-session outputs are
 //    byte-identical by contract.
+//
+//    The origin (the title: encoded asset plus rendered manifest bytes) is
+//    immutable and shared: the session holds a shared_ptr<const
+//    OriginServer>. A sweep or tower that streams one title many times
+//    builds it once and passes it in SessionConfig::title; without one the
+//    session builds a private title (run_session, chaos, blackbox probes).
+//    Everything mutable — proxy, wire log, origin tier, player — stays per
+//    session.
 #pragma once
 
 #include <memory>
@@ -125,7 +133,7 @@ class HostedSession {
 
  private:
   QoeOptions qoe_options_;
-  http::OriginServer origin_;
+  std::shared_ptr<const http::OriginServer> title_;
   http::Proxy proxy_;
   std::shared_ptr<origin::OriginTier> origin_tier_;
   std::shared_ptr<faults::FaultInjector> injector_;

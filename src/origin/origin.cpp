@@ -124,6 +124,33 @@ void OriginState::Totals::merge_from(const Totals& other) {
   errors += other.errors;
 }
 
+void OriginState::touch(Entries::iterator it) {
+  auto node = lru_index.extract(it->second.lru);
+  it->second.lru = ++lru_tick;
+  node.key() = it->second.lru;
+  lru_index.insert(lru_index.end(), std::move(node));
+}
+
+void OriginState::fill(const std::string& key, Entry entry,
+                       std::size_t capacity) {
+  auto [it, inserted] = entries.try_emplace(key);
+  if (!inserted) lru_index.erase(it->second.lru);
+  it->second = std::move(entry);
+  it->second.lru = ++lru_tick;
+  lru_index.emplace_hint(lru_index.end(), it->second.lru, it);
+  while (entries.size() > capacity) erase(lru_index.begin()->second);
+}
+
+void OriginState::erase(Entries::iterator it) {
+  lru_index.erase(it->second.lru);
+  entries.erase(it);
+}
+
+void OriginState::clear() {
+  entries.clear();
+  lru_index.clear();
+}
+
 std::uint64_t response_digest(const http::Response& response) {
   std::uint64_t h = 0xCBF29CE484222325ull;
   auto mix = [&h](std::uint64_t v) {
@@ -235,7 +262,7 @@ void OriginTier::apply_flushes(Seconds now) {
   for (const faults::CacheFlushFault& flush : flushes_) {
     if (flush.at > now) break;
     if (flush.at <= state_->last_flush) continue;
-    state_->entries.clear();
+    state_->clear();
     state_->last_flush = flush.at;
     ++state_->totals.flushes;
     count(c_flushes_);
@@ -268,17 +295,8 @@ void OriginTier::fill_cache(const std::string& key,
   entry.digest = response_digest(canonical);
   entry.expires = now + options_.cache_ttl_s;
   entry.ready_at = ready_at;
-  entry.lru = ++state_->lru_tick;
-  state_->entries[key] = std::move(entry);
-  while (state_->entries.size() >
-         static_cast<std::size_t>(options_.cache_capacity)) {
-    auto victim = state_->entries.begin();
-    for (auto it = state_->entries.begin(); it != state_->entries.end();
-         ++it) {
-      if (it->second.lru < victim->second.lru) victim = it;
-    }
-    state_->entries.erase(victim);
-  }
+  state_->fill(key, std::move(entry),
+               static_cast<std::size_t>(options_.cache_capacity));
 }
 
 void OriginTier::serve_secondary(const http::Request& request,
@@ -315,7 +333,7 @@ std::optional<http::Response> OriginTier::on_request(
 
   OriginState::Entry& entry = it->second;
   if (now >= entry.expires) {
-    state_->entries.erase(it);
+    state_->erase(it);
     ++state_->totals.expired;
     count(c_expired_);
     return std::nullopt;  // stale: refill like any other miss
@@ -324,7 +342,7 @@ std::optional<http::Response> OriginTier::on_request(
   if (now >= entry.ready_at) {
     // Plain edge hit: short-circuits the origin *and* any later request
     // stage (injected origin errors never touch edge-served bytes).
-    entry.lru = ++state_->lru_tick;
+    state_->touch(it);
     ++state_->totals.hits;
     count(c_hits_);
     verify_consistency(request, entry, now);
@@ -337,7 +355,7 @@ std::optional<http::Response> OriginTier::on_request(
   // A fill for this key is still in flight (its bytes reach the edge at
   // ready_at).
   if (options_.coalesce) {
-    entry.lru = ++state_->lru_tick;
+    state_->touch(it);
     ++state_->totals.coalesced;
     count(c_coalesced_);
     verify_consistency(request, entry, now);

@@ -118,11 +118,22 @@ struct OriginState {
     std::uint64_t digest = 0;
     Seconds expires = 0;
     Seconds ready_at = 0;  ///< the edge has the bytes from here on
-    std::uint64_t lru = 0;
+    std::uint64_t lru = 0;  ///< last-use tick; this entry's key in lru_index
   };
+  using Entries = std::map<std::string, Entry>;
+
+  OriginState() = default;
+  // lru_index points into `entries`; a copy would point into the original.
+  OriginState(const OriginState&) = delete;
+  OriginState& operator=(const OriginState&) = delete;
 
   Totals totals;
-  std::map<std::string, Entry> entries;
+  Entries entries;
+  /// Every entry by its last-use tick, so the eviction victim (the smallest
+  /// tick) is begin() and a touch re-keys one node: no scan of `entries`.
+  /// Change `entries` only through touch/fill/erase/clear, which keep the
+  /// two in step.
+  std::map<std::uint64_t, Entries::iterator> lru_index;
   std::uint64_t lru_tick = 0;
   Seconds last_flush = -1;  ///< cache-flush schedule high-water mark
 
@@ -132,6 +143,14 @@ struct OriginState {
   Seconds opened_at = 0;
   int consecutive_failures = 0;
   int max_consecutive_failures = 0;
+
+  /// Marks `it` most recently used.
+  void touch(Entries::iterator it);
+  /// Inserts or replaces `key` as the most recently used entry, then evicts
+  /// least recently used entries until at most `capacity` remain.
+  void fill(const std::string& key, Entry entry, std::size_t capacity);
+  void erase(Entries::iterator it);
+  void clear();
 };
 
 /// FNV-1a digest of a response's identity (status, content type, body,

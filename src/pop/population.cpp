@@ -16,6 +16,7 @@
 #include "obs/profiler.h"
 #include "player/player.h"
 #include "pop/pop_timeline.h"
+#include "services/content_factory.h"
 #include "services/service_catalog.h"
 #include "trace/cellular_profiles.h"
 
@@ -133,6 +134,32 @@ std::vector<Arrival> tower_arrivals(const PopulationConfig& config,
   return arrivals;
 }
 
+TowerTitles::TowerTitles(const PopulationConfig& config,
+                         const std::vector<services::ServiceSpec>& pool,
+                         int tower_index)
+    : pool_(pool),
+      content_duration_(config.content_duration),
+      shared_content_(config.shared_content),
+      tower_content_seed_(batch::derive_seed(
+          config.seed, kContentTag, static_cast<std::uint64_t>(tower_index))) {}
+
+std::uint64_t TowerTitles::content_seed(const Arrival& arrival) const {
+  return shared_content_ ? tower_content_seed_ : arrival.content_seed;
+}
+
+std::shared_ptr<const http::OriginServer> TowerTitles::title(
+    const Arrival& arrival) {
+  const std::uint64_t seed = content_seed(arrival);
+  std::shared_ptr<const http::OriginServer>& title =
+      titles_[{arrival.service_index, seed}];
+  if (title == nullptr) {
+    title = std::make_shared<const http::OriginServer>(services::make_origin(
+        pool_[static_cast<std::size_t>(arrival.service_index)],
+        content_duration_, seed));
+  }
+  return title;
+}
+
 namespace {
 
 TowerReport run_tower(const PopulationConfig& config, int tower_index,
@@ -166,12 +193,12 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   // One origin state per tower: every session the tower hosts shares this
   // edge cache and breaker (the tower's simulator is single-threaded, so
   // the sharing is race-free by construction). shared_content collapses the
-  // tower onto one title so the cache sees real cross-session hits.
+  // tower onto one title per service so the cache sees real cross-session
+  // hits, and the tower builds each such title once.
   const bool with_origin = config.origin.mode != origin::Mode::kNone;
   std::shared_ptr<origin::OriginState> origin_state;
   if (with_origin) origin_state = std::make_shared<origin::OriginState>();
-  const std::uint64_t tower_content_seed = batch::derive_seed(
-      config.seed, kContentTag, static_cast<std::uint64_t>(tower_index));
+  TowerTitles titles(config, pool, tower_index);
 
   struct Hosted {
     std::unique_ptr<core::HostedSession> session;
@@ -200,8 +227,8 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       core::SessionConfig session_config = factory.config(
           pool[static_cast<std::size_t>(arr.service_index)],
           net::BandwidthTrace());  // the shared link already embodies it
-      session_config.content_seed =
-          config.shared_content ? tower_content_seed : arr.content_seed;
+      session_config.content_seed = titles.content_seed(arr);
+      session_config.title = titles.title(arr);
       session_config.tick = config.tick;
       session_config.rtt = config.rtt;
       if (with_origin) {

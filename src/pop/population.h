@@ -18,16 +18,21 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
 #include "common/units.h"
 #include "faults/fault_plan.h"
+#include "http/origin_server.h"
 #include "net/simulator.h"
 #include "obs/timeline.h"
 #include "origin/origin.h"
 #include "pop/pop_diag.h"
+#include "services/service_catalog.h"
 
 namespace vodx::pop {
 
@@ -126,6 +131,35 @@ struct Arrival {
 std::vector<Arrival> tower_arrivals(const PopulationConfig& config,
                                     int tower_index, int service_count,
                                     int* capped = nullptr);
+
+/// A tower's titles (DESIGN.md §14): every arrival streaming the same
+/// (pool service index, content seed) shares one immutable title, built on
+/// that title's first arrival and held for the tower's run. Single-threaded,
+/// like the tower that owns it.
+class TowerTitles {
+ public:
+  /// `pool` is the resolved service pool arrivals index into; it must
+  /// outlive this object.
+  TowerTitles(const PopulationConfig& config,
+              const std::vector<services::ServiceSpec>& pool,
+              int tower_index);
+
+  /// The content seed `arrival` streams: the tower's one seed under
+  /// shared_content, else the arrival's own.
+  std::uint64_t content_seed(const Arrival& arrival) const;
+
+  /// `arrival`'s title, built on first use.
+  std::shared_ptr<const http::OriginServer> title(const Arrival& arrival);
+
+ private:
+  const std::vector<services::ServiceSpec>& pool_;
+  Seconds content_duration_;
+  bool shared_content_;
+  std::uint64_t tower_content_seed_;
+  std::map<std::pair<int, std::uint64_t>,
+           std::shared_ptr<const http::OriginServer>>
+      titles_;
+};
 
 /// Per-session ground-truth outcome, folded into the distributions.
 struct SessionOutcome {

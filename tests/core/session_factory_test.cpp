@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "batch/sweep.h"
 #include "common/error.h"
+#include "common/strings.h"
+#include "core/report.h"
+#include "services/content_factory.h"
 #include "trace/cellular_profiles.h"
 
 namespace vodx::core {
@@ -83,6 +89,50 @@ TEST(HostedSession, MatchesRunSessionOnPrivateWorld) {
   EXPECT_DOUBLE_EQ(actual.qoe.startup_delay, expected.qoe.startup_delay);
   EXPECT_EQ(actual.events.displayed.size(), expected.events.displayed.size());
   EXPECT_EQ(actual.events.stalls.size(), expected.events.stalls.size());
+}
+
+TEST(HostedSession, PrebuiltTitleMatchesPrivateTitle) {
+  // A shared title changes who builds the origin, not what the session
+  // sees: handed a prebuilt title, a session serves from it and finishes
+  // exactly like one that builds its own.
+  SessionFactory factory;
+  factory.session_duration = 120;
+  factory.content_duration = 120;
+  for (const char* name : {"H1", "D1", "D3", "S1"}) {
+    SCOPED_TRACE(name);
+    const SessionConfig own = factory.config(
+        name, 7, batch::trace_seed_for(0), batch::content_seed_for(0));
+    SessionConfig prebuilt = own;
+    prebuilt.title = std::make_shared<const http::OriginServer>(
+        services::make_origin(own.spec, own.content_duration,
+                              own.content_seed));
+
+    auto run = [](const SessionConfig& config,
+                  const http::OriginServer** origin) {
+      net::Simulator sim(config.tick);
+      net::Link link(sim, config.trace, config.rtt);
+      HostedSession session(sim, link, config);
+      *origin = &session.proxy().origin();
+      session.start();
+      sim.run_until(config.session_duration);
+      const SessionResult result = session.finish(sim.now());
+      return qoe_csv_row(config.spec.name, result) +
+             format("%.9g,%.9g,%lld,%zu,%zu,%zu,%.9g\n",
+                    result.ground_truth.startup_delay,
+                    result.ground_truth.total_stall,
+                    static_cast<long long>(result.ground_truth.total_bytes),
+                    result.events.displayed.size(),
+                    result.events.stalls.size(), result.buffer.size(),
+                    result.final_position);
+    };
+    const http::OriginServer* own_origin = nullptr;
+    const http::OriginServer* shared_origin = nullptr;
+    const std::string expected = run(own, &own_origin);
+    const std::string actual = run(prebuilt, &shared_origin);
+    EXPECT_EQ(shared_origin, prebuilt.title.get());
+    EXPECT_NE(own_origin, prebuilt.title.get());
+    EXPECT_EQ(actual, expected);
+  }
 }
 
 TEST(HostedSession, TwoSessionsShareOneLink) {

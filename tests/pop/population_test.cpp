@@ -8,6 +8,8 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "core/session_factory.h"
+#include "net/link.h"
 #include "services/service_catalog.h"
 
 namespace vodx::pop {
@@ -104,6 +106,57 @@ TEST(TowerArrivals, DiurnalModulationShiftsMass) {
       [&](const Arrival& a) { return a.at < config.horizon / 2; });
   EXPECT_GT(static_cast<double>(split),
             0.75 * static_cast<double>(arrivals.size()));
+}
+
+/// The origin a HostedSession built from `arrival` serves from, hosted the
+/// way run_population hosts it.
+const http::OriginServer* hosted_origin(
+    const PopulationConfig& config,
+    const std::vector<services::ServiceSpec>& pool, TowerTitles& titles,
+    const Arrival& arrival) {
+  core::SessionFactory factory;
+  factory.session_duration = config.horizon;
+  factory.content_duration = config.content_duration;
+  core::SessionConfig session = factory.config(
+      pool[static_cast<std::size_t>(arrival.service_index)],
+      net::BandwidthTrace());
+  session.content_seed = titles.content_seed(arrival);
+  session.title = titles.title(arrival);
+  net::Simulator sim(config.tick);
+  net::Link link(sim, net::BandwidthTrace::constant(4e6, 600), config.rtt);
+  core::HostedSession hosted(sim, link, session);
+  return &hosted.proxy().origin();
+}
+
+TEST(TowerTitles, ArrivalsOfOneServiceAndSeedShareOneOrigin) {
+  PopulationConfig config = small_config();
+  config.content_duration = 60;
+  const std::vector<services::ServiceSpec> pool = {services::service("H1"),
+                                                   services::service("D1")};
+  Arrival first;
+  first.service_index = 0;
+  first.content_seed = 5;
+  Arrival second = first;
+  second.content_seed = 6;
+  Arrival other_service = first;
+  other_service.service_index = 1;
+
+  // shared_content: both H1 arrivals stream the tower's one H1 title.
+  config.shared_content = true;
+  TowerTitles shared(config, pool, 0);
+  const http::OriginServer* a = hosted_origin(config, pool, shared, first);
+  EXPECT_EQ(hosted_origin(config, pool, shared, second), a);
+  EXPECT_NE(hosted_origin(config, pool, shared, other_service), a);
+  EXPECT_EQ(shared.content_seed(first), shared.content_seed(second));
+
+  // Per-arrival titles: same service, different seeds, different titles;
+  // an arrival repeating a (service, seed) pair still shares.
+  config.shared_content = false;
+  TowerTitles own(config, pool, 0);
+  const http::OriginServer* b = hosted_origin(config, pool, own, first);
+  EXPECT_NE(b, a);
+  EXPECT_NE(hosted_origin(config, pool, own, second), b);
+  EXPECT_EQ(hosted_origin(config, pool, own, first), b);
 }
 
 TEST(PopulationDeterminism, JobsOneAndEightAreByteIdentical) {
