@@ -154,9 +154,7 @@ SweepResult run_sweep(const SweepConfig& config) {
   factory.session_duration = config.session_duration;
   factory.content_duration = config.content_duration;
   factory.qoe_options = config.qoe_options;
-  factory.sim_core = config.sim_core;
-  factory.wall_budget = config.cell_wall_budget;
-  factory.max_events_per_instant = config.cell_max_events_per_instant;
+  factory.sim_settings() = config.sim_settings();
 
   SweepTitles titles;
   std::mutex progress_mutex;

@@ -111,7 +111,11 @@ struct CellResult {
   std::string coordinates() const;
 };
 
-struct SweepConfig {
+/// The inherited net::SimSettings are forwarded whole to every cell. Its
+/// wall_budget bounds each cell *attempt* (`vodx sweep --cell-budget`): a
+/// cell that exhausts it is aborted and quarantined instead of hanging the
+/// sweep, and a cell that finishes within it is untouched.
+struct SweepConfig : net::SimSettings {
   std::vector<services::ServiceSpec> services;
   std::vector<int> profiles;               ///< 1-based Fig.-3 profile ids
   std::vector<std::uint64_t> seeds = {0};  ///< 0 = paper-default seeds
@@ -135,11 +139,6 @@ struct SweepConfig {
   /// every value.
   int jobs = 1;
 
-  /// Simulator core every cell runs on (forwarded to SessionConfig). The
-  /// event core and the fixed-tick reference produce identical cells by
-  /// contract; the differential test harness sweeps both and compares.
-  net::SimCore sim_core = net::SimCore::kEvent;
-
   /// Capture a per-cell MetricsSnapshot into CellResult::metrics. Each cell
   /// gets its own registry (event tracing stays off unless `observe` is also
   /// set); snapshots are taken in the worker at session end, which is safe —
@@ -158,14 +157,6 @@ struct SweepConfig {
       progress;
 
   // --- Self-healing (vodx::chaos) ---------------------------------------
-  /// Wall-clock budget per cell *attempt* in seconds (0 = unlimited). A
-  /// cell that exhausts it is aborted via net::WatchdogError instead of
-  /// hanging the whole sweep. Abort-only: a cell that finishes within
-  /// budget is untouched, so determinism of successful output holds.
-  Seconds cell_wall_budget = 0;
-  /// Bound on events fired at one simulated instant per cell (0 = off);
-  /// deterministic livelock detector, forwarded to SessionConfig.
-  std::uint64_t cell_max_events_per_instant = 0;
   /// Extra attempts after a watchdog abort before the cell is quarantined.
   /// Only watchdog aborts are retried — deterministic failures (bad config,
   /// session exceptions) would fail identically again.

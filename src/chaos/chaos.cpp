@@ -50,14 +50,10 @@ core::SessionConfig make_session(const std::string& service, int profile_id,
   return session;
 }
 
-CheckedRun run_checked(core::SessionConfig config,
-                       const CheckOptions& options) {
+CheckedRun run_checked(core::SessionConfig config, const TestHook& hook) {
   CheckedRun out;
   obs::Observer local;
   if (config.observer == nullptr) config.observer = &local;
-  config.wall_budget = options.wall_budget;
-  config.max_events_per_instant = options.max_events_per_instant;
-  config.sim_core = options.sim_core;
   try {
     out.result = core::run_session(config);
   } catch (const net::WatchdogError& e) {
@@ -74,9 +70,7 @@ CheckedRun run_checked(core::SessionConfig config,
     return out;
   }
   out.report = check_invariants(config, out.result, *config.observer);
-  if (options.test_hook) {
-    options.test_hook(config, out.result, *config.observer, out.report);
-  }
+  if (hook) hook(config, out.result, *config.observer, out.report);
   return out;
 }
 
@@ -101,11 +95,15 @@ ChaosReport run_chaos(const ChaosConfig& config) {
     if (id >= 1 && id <= trace::kProfileCount) trace::profile_mean(id);
   }
 
-  CheckOptions check;
-  check.wall_budget = config.wall_budget;
-  check.max_events_per_instant = config.max_events_per_instant;
-  check.sim_core = config.sim_core;
-  check.test_hook = config.test_hook;
+  // One cell session: the seed's draws plus the campaign's sim settings.
+  const auto cell_session = [&](const ChaosRow& row,
+                                const faults::FaultPlan& plan) {
+    core::SessionConfig session =
+        make_session(row.service, row.profile_id, config.duration, row.seed,
+                     plan, config.origin);
+    session.sim_settings() = config.sim_settings();
+    return session;
+  };
 
   ChaosReport report;
   report.rows = batch::parallel_map<ChaosRow>(
@@ -123,10 +121,8 @@ ChaosReport run_chaos(const ChaosConfig& config) {
         row.faults = fault_count(plan);
         row.plan = plan_summary(plan);
 
-        const CheckedRun run = run_checked(
-            make_session(row.service, row.profile_id, config.duration, seed,
-                         plan, config.origin),
-            check);
+        const CheckedRun run =
+            run_checked(cell_session(row, plan), config.test_hook);
         row.ok = run.ok();
         row.watchdog = run.watchdog;
 
@@ -158,10 +154,8 @@ ChaosReport run_chaos(const ChaosConfig& config) {
             original.insert(v.invariant);
           }
           const auto still_fails = [&](const faults::FaultPlan& candidate) {
-            const CheckedRun probe = run_checked(
-                make_session(row.service, row.profile_id, config.duration,
-                             seed, candidate, config.origin),
-                check);
+            const CheckedRun probe =
+                run_checked(cell_session(row, candidate), config.test_hook);
             if (probe.watchdog) return false;
             for (const Violation& v : probe.report.violations) {
               if (original.count(v.invariant) > 0) return true;
@@ -188,12 +182,14 @@ ChaosReport run_chaos(const ChaosConfig& config) {
   return report;
 }
 
-CheckedRun replay(const ReproArtifact& artifact, const CheckOptions& options) {
-  return run_checked(make_session(artifact.service, artifact.profile_id,
-                                  artifact.duration, artifact.chaos_seed,
-                                  artifact.plan,
-                                  origin::parse_mode(artifact.origin_mode)),
-                     options);
+CheckedRun replay(const ReproArtifact& artifact,
+                  const net::SimSettings& settings, const TestHook& hook) {
+  core::SessionConfig session = make_session(
+      artifact.service, artifact.profile_id, artifact.duration,
+      artifact.chaos_seed, artifact.plan,
+      origin::parse_mode(artifact.origin_mode));
+  session.sim_settings() = settings;
+  return run_checked(std::move(session), hook);
 }
 
 std::string chaos_report_text(const ChaosReport& report) {

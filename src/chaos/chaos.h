@@ -37,20 +37,6 @@ using TestHook = std::function<void(const core::SessionConfig&,
                                     const core::SessionResult&,
                                     const obs::Observer&, InvariantReport&)>;
 
-struct CheckOptions {
-  /// Wall-clock budget per session; exceeded => the run is reported as a
-  /// watchdog abort (0 = no budget).
-  Seconds wall_budget = 0;
-  /// Max events fired at one simulated instant (0 = unbounded). Unlike the
-  /// wall budget this is fully deterministic.
-  std::uint64_t max_events_per_instant = 0;
-  /// Simulator core the session runs on. Fuzzing both cores with the same
-  /// pinned seed budget (chaos_smoke.sh) is the fuzz-scale differential
-  /// check: reports must be byte-identical across cores.
-  net::SimCore sim_core = net::SimCore::kEvent;
-  TestHook test_hook;
-};
-
 /// One session run under watchdogs + invariant checking.
 struct CheckedRun {
   bool watchdog = false;        ///< aborted by a watchdog (result invalid)
@@ -76,13 +62,20 @@ core::SessionConfig make_session(const std::string& service, int profile_id,
                                  const faults::FaultPlan& plan,
                                  origin::Mode origin = origin::Mode::kNone);
 
-/// Runs one session under the watchdogs in `options` and checks the
-/// invariant catalog. Forces an Observer (the evidence source) if the
-/// config doesn't carry one.
-CheckedRun run_checked(core::SessionConfig config,
-                       const CheckOptions& options = {});
+/// Runs one session under its own simulator settings (watchdogs, core) and
+/// checks the invariant catalog, then `hook` when set. Forces an Observer
+/// (the evidence source) if the config doesn't carry one.
+CheckedRun run_checked(core::SessionConfig config, const TestHook& hook = {});
 
-struct ChaosConfig {
+/// The inherited net::SimSettings apply to every cell. Fuzzing both cores
+/// with the same pinned seed budget (chaos_smoke.sh) is the fuzz-scale
+/// differential check: reports must be byte-identical across cores.
+struct ChaosConfig : net::SimSettings {
+  /// Watchdogs on by default. A healthy 120 s sim session finishes in well
+  /// under a second, so the 60 s wall budget only ever fires on a genuine
+  /// hang; 100000 events at one instant bounds zero-delay livelock.
+  ChaosConfig() : net::SimSettings{net::SimCore::kEvent, 60, 100000} {}
+
   std::vector<std::uint64_t> seeds;  ///< one cell per fuzz seed
 
   /// Service-name pool cells draw from (empty = the whole catalog).
@@ -95,16 +88,6 @@ struct ChaosConfig {
 
   GenOptions gen;  ///< fault-plan generator knobs
 
-  /// Per-session wall-clock budget in seconds (0 = unlimited). Generous by
-  /// default: a healthy 120 s sim session finishes in well under a second,
-  /// so the budget only ever fires on a genuine hang.
-  Seconds wall_budget = 60;
-  /// Per-instant event bound (livelock detector).
-  std::uint64_t max_events_per_instant = 100000;
-
-  /// Simulator core every cell runs on (see CheckOptions::sim_core).
-  net::SimCore sim_core = net::SimCore::kEvent;
-
   /// Origin-tier preset every cell streams behind (kNone = no tier). Pair
   /// with gen.origin_faults so generated plans draw the cache-flush /
   /// DC-blackout windows that exercise it.
@@ -113,7 +96,7 @@ struct ChaosConfig {
   bool minimize = true;  ///< shrink violating plans before emitting repros
   MinimizeOptions minimize_options;
 
-  TestHook test_hook;  ///< forwarded to every cell's CheckOptions
+  TestHook test_hook;  ///< forwarded to every cell's run_checked
 };
 
 /// One row per fuzz seed, in seed order.
@@ -147,9 +130,12 @@ struct ChaosReport {
 /// => identical report.
 ChaosReport run_chaos(const ChaosConfig& config);
 
-/// Replays a repro artifact under the same derivations the engine used.
+/// Replays a repro artifact under the same derivations the engine used,
+/// with the simulator `settings` the caller chooses (the CLI passes its
+/// ChaosConfig's).
 CheckedRun replay(const ReproArtifact& artifact,
-                  const CheckOptions& options = {});
+                  const net::SimSettings& settings = {},
+                  const TestHook& hook = {});
 
 /// Human-readable fixed-width report; byte-stable (no wall-clock content).
 std::string chaos_report_text(const ChaosReport& report);

@@ -129,20 +129,15 @@ void emit_session_summary(obs::Observer* obs, const SessionResult& result,
 }  // namespace
 
 SessionResult run_session(const SessionConfig& config) {
-  net::Simulator sim(config.tick);
-  sim.set_core(config.sim_core);
-  sim.set_wall_budget(config.wall_budget);
-  sim.set_max_events_per_instant(config.max_events_per_instant);
+  net::Simulator sim(config.sim_settings());
   // Blackout windows act on the link, not the proxy: the trace the session
   // actually runs over has them carved out.
   const bool has_blackouts =
       config.fault_plan && !config.fault_plan->blackouts.empty();
-  net::Link link(sim,
-                 has_blackouts
-                     ? faults::apply_blackouts(config.trace,
-                                               config.fault_plan->blackouts)
-                     : config.trace,
-                 config.rtt);
+  net::Link link(sim, has_blackouts
+                          ? faults::apply_blackouts(
+                                config.trace, config.fault_plan->blackouts)
+                          : config.trace);
   obs::Observer* obs = config.observer;
   int session_track = 0;
   if (obs != nullptr) {

@@ -30,13 +30,17 @@
 
 namespace vodx::core {
 
-struct SessionConfig {
+/// The simulator settings (core, wall budget, per-instant event bound) are
+/// the inherited net::SimSettings; run_session applies them to its
+/// simulator. The grid tick and RTT are the fixed net::kTick and net::kRtt.
+struct SessionConfig : net::SimSettings {
+  static constexpr Seconds tick = net::kTick;
+  static constexpr Seconds rtt = net::kRtt;
+
   services::ServiceSpec spec;
   net::BandwidthTrace trace;
   Seconds content_duration = 600;
   Seconds session_duration = 600;  ///< the paper runs 10-minute sessions
-  Seconds tick = 0.01;
-  Seconds rtt = 0.07;
   std::uint64_t content_seed = 42;
 
   /// The title this session streams: services::make_origin(spec,
@@ -44,12 +48,6 @@ struct SessionConfig {
   /// read-only by every session of that title (DESIGN.md §14). Null = the
   /// session builds its own. A given title must match those three fields.
   std::shared_ptr<const http::OriginServer> title;
-
-  /// Simulator advancement core. kEvent (default) skips provably-inert grid
-  /// ticks; kFixedTickReference executes every tick — the retained reference
-  /// implementation the differential harness compares against. Outputs are
-  /// identical by contract (see DESIGN.md §13).
-  net::SimCore sim_core = net::SimCore::kEvent;
 
   /// Interceptors registered on the proxy in order (black-box probe hooks,
   /// middleware). Each is attach()ed to the live proxy before the session
@@ -71,15 +69,6 @@ struct SessionConfig {
   std::shared_ptr<origin::OriginState> origin_state;
 
   QoeOptions qoe_options;
-
-  // --- Watchdogs (vodx::chaos; both default off / inert) -----------------
-  /// Wall-clock budget for the whole simulated run; when exceeded,
-  /// run_session throws net::WatchdogError instead of hanging the harness
-  /// (0 = no budget). Abort-only: it never changes a run that finishes.
-  Seconds wall_budget = 0;
-  /// Bound on events fired at a single simulated instant (0 = unbounded);
-  /// trips net::WatchdogError on zero-delay event livelock.
-  std::uint64_t max_events_per_instant = 0;
 
   /// Optional observability context. When set, run_session wires it through
   /// the whole stack (simulator, link, TCP, HTTP, player) and additionally

@@ -22,9 +22,7 @@ SessionConfig SessionFactory::config(const services::ServiceSpec& spec,
   session.session_duration = session_duration;
   session.content_duration = content_duration;
   session.qoe_options = qoe_options;
-  session.sim_core = sim_core;
-  session.wall_budget = wall_budget;
-  session.max_events_per_instant = max_events_per_instant;
+  session.sim_settings() = sim_settings();
   session.origin = origin;
   return session;
 }

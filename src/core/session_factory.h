@@ -4,9 +4,10 @@
 // and be re-implemented by every caller that needed a session:
 //
 //  - SessionFactory: the single SessionConfig construction path. Shared
-//    knobs (durations, QoE options, simulator core, watchdogs) are fields
-//    set once; config() resolves a service + trace (given explicitly, or
-//    drawn from a cellular profile + seed) into a ready SessionConfig.
+//    knobs (durations, QoE options, origin preset, and the inherited
+//    net::SimSettings) are fields set once; config() resolves a service +
+//    trace (given explicitly, or drawn from a cellular profile + seed) into
+//    a ready SessionConfig.
 //    chaos::make_session, batch::run_sweep's cell setup and the blackbox
 //    probes all construct through here, so a new SessionConfig field is
 //    threaded in exactly one place.
@@ -43,14 +44,12 @@
 
 namespace vodx::core {
 
-struct SessionFactory {
-  // Shared knobs, threaded into every SessionConfig this factory produces.
+/// Shared knobs, threaded into every SessionConfig this factory produces;
+/// the simulator settings are the inherited net::SimSettings.
+struct SessionFactory : net::SimSettings {
   Seconds session_duration = 600;
   Seconds content_duration = 600;
   QoeOptions qoe_options;
-  net::SimCore sim_core = net::SimCore::kEvent;
-  Seconds wall_budget = 0;
-  std::uint64_t max_events_per_instant = 0;
   /// Origin tier preset applied to every session (mode kNone = disabled).
   origin::OriginOptions origin;
 

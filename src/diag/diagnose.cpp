@@ -5,6 +5,7 @@
 
 #include "common/strings.h"
 #include "common/table.h"
+#include "net/simulator.h"
 
 namespace vodx::diag {
 
@@ -68,7 +69,7 @@ EvidenceIndex build_index(const core::SessionResult& result,
                           const std::optional<faults::FaultPlan>& plan,
                           const DiagOptions& options) {
   EvidenceIndex index;
-  const Seconds ramp = options.restart_ramp_rtts * options.rtt;
+  const Seconds ramp = options.restart_ramp_rtts * net::kRtt;
 
   // Open tcp.transfer spans per track (transfers never nest on a track).
   std::vector<std::pair<int, TransferSpan>> open;
@@ -176,7 +177,7 @@ EvidenceIndex build_index(const core::SessionResult& result,
     const Seconds wait_end =
         t.wait_s >= 0 ? std::min(t.begin_t + t.wait_s, t.end_t) : t.end_t;
     if (wait_end > t.begin_t) {
-      const bool injected = t.extra_wait_s > options.rtt;
+      const bool injected = t.extra_wait_s > net::kRtt;
       index.spans.push_back(
           {t.begin_t, wait_end, Cause::kOriginLatency,
            injected ? 0.9 : 0.6,

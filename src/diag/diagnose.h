@@ -33,10 +33,9 @@ namespace vodx::diag {
 struct DiagOptions {
   /// How long a fired fault keeps explaining problem time after its event.
   Seconds fault_influence = 8.0;
-  /// Length of the cwnd re-ramp window charged to a restart, in RTTs.
+  /// Length of the cwnd re-ramp window charged to a restart, in RTTs of the
+  /// emulated path (net::kRtt).
   double restart_ramp_rtts = 24;
-  /// RTT used to size the ramp window (SessionConfig default).
-  Seconds rtt = 0.07;
   /// Capacity must cover bitrate * headroom before a rung counts as
   /// sustainable (protocol + container overhead allowance).
   double deficit_headroom = 1.05;

@@ -42,7 +42,7 @@ class Link : public TickClient {
  public:
   /// Registers itself as a tick client of `sim`. The link must outlive the
   /// simulator run.
-  Link(Simulator& sim, BandwidthTrace trace, Seconds rtt = 0.07);
+  Link(Simulator& sim, BandwidthTrace trace, Seconds rtt = kRtt);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;

@@ -12,6 +12,12 @@ Simulator::Simulator(Seconds tick) : tick_(tick) {
   VODX_ASSERT(tick > 0, "tick must be positive");
 }
 
+Simulator::Simulator(const SimSettings& settings) : Simulator(kTick) {
+  core_ = settings.sim_core;
+  wall_budget_ = settings.wall_budget;
+  max_events_per_instant_ = settings.max_events_per_instant;
+}
+
 void Simulator::set_observer(obs::Observer* observer) {
   obs_ = observer;
   if (obs_ == nullptr) {

@@ -1,6 +1,6 @@
 // Event-driven simulator core over a fixed tick grid.
 //
-// Simulated time lives on a 10 ms (configurable) grid: every observable
+// Simulated time lives on a 10 ms (kTick) grid: every observable
 // instant is a grid point, reached by the same `now += tick` float
 // recurrence the original fixed-tick loop used, so timestamps — and every
 // float derived from them — are bit-identical to the historical core. What
@@ -64,6 +64,34 @@ enum class SimCore {
   kFixedTickReference,  ///< execute every grid tick (legacy fixed-tick core)
 };
 
+/// The grid tick and the emulated path's round-trip time. The paper varies
+/// one input between runs, the bandwidth trace, over one emulated path, so
+/// every session, sweep cell, chaos cell and tower runs on these two values.
+inline constexpr Seconds kTick = 0.01;
+inline constexpr Seconds kRtt = 0.07;
+
+/// The simulator settings a run can choose, declared once. Every config that
+/// configures a simulation (core::SessionConfig, core::SessionFactory,
+/// batch::SweepConfig, chaos::ChaosConfig, pop::PopulationConfig) inherits
+/// it, so a new knob touches this struct alone and each hop copies the whole
+/// slice in one statement: `next.sim_settings() = sim_settings();`.
+struct SimSettings {
+  /// Advancement core. Outputs are identical on both by contract; the
+  /// fixed-tick reference is what the differential harness compares against
+  /// (DESIGN.md §13).
+  SimCore sim_core = SimCore::kEvent;
+  /// Wall-clock watchdog per simulated run, in seconds (<= 0 = no budget).
+  /// Abort-only: exceeding it throws WatchdogError, and a run that finishes
+  /// within it is untouched.
+  Seconds wall_budget = 0;
+  /// Bound on events fired at one simulated instant (0 = unbounded); trips
+  /// WatchdogError on zero-delay event livelock. Fully deterministic.
+  std::uint64_t max_events_per_instant = 0;
+
+  SimSettings& sim_settings() { return *this; }
+  const SimSettings& sim_settings() const { return *this; }
+};
+
 /// A fluid component advanced on the tick grid. tick() is the per-tick
 /// body; the two extra hooks are what lets the event core skip dead time
 /// without changing a single observable float.
@@ -98,7 +126,10 @@ class TickClient {
 
 class Simulator {
  public:
-  explicit Simulator(Seconds tick = 0.01);
+  explicit Simulator(Seconds tick = kTick);
+  /// A simulator on the kTick grid configured with `settings`: the one place
+  /// a config's SimSettings reach the simulator.
+  explicit Simulator(const SimSettings& settings);
 
   Seconds now() const { return now_; }
   Seconds tick_duration() const { return tick_; }

@@ -20,12 +20,13 @@
 #include <string>
 
 #include "common/units.h"
+#include "net/simulator.h"
 #include "obs/observer.h"
 
 namespace vodx::net {
 
 struct TcpConfig {
-  Seconds rtt = 0.07;            ///< round-trip time to the origin
+  Seconds rtt = kRtt;            ///< round-trip time to the origin
   Bytes mss = 1460;              ///< segment size for CA growth
   Bytes initial_cwnd = 14600;    ///< RFC 6928 IW10
   double queue_headroom = 1.5;   ///< cwnd cap = headroom * fair-share BDP

@@ -169,17 +169,12 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       config.towers[static_cast<std::size_t>(tower_index)];
   core::SessionFactory::validate_profile(profile_id);
 
-  net::Simulator sim(config.tick);
-  sim.set_core(config.sim_core);
-  sim.set_wall_budget(config.wall_budget);
-  sim.set_max_events_per_instant(config.max_events_per_instant);
+  net::Simulator sim(config.sim_settings());
   net::Link link(
-      sim,
-      trace::cellular_profile(
-          profile_id,
-          batch::derive_seed(config.seed, kTraceTag,
-                             static_cast<std::uint64_t>(tower_index))),
-      config.rtt);
+      sim, trace::cellular_profile(
+               profile_id,
+               batch::derive_seed(config.seed, kTraceTag,
+                                  static_cast<std::uint64_t>(tower_index))));
 
   int capped = 0;
   const std::vector<Arrival> arrivals = tower_arrivals(
@@ -188,7 +183,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   core::SessionFactory factory;
   factory.session_duration = config.horizon;
   factory.content_duration = config.content_duration;
-  factory.sim_core = config.sim_core;
+  factory.sim_settings() = config.sim_settings();
 
   // One origin state per tower: every session the tower hosts shares this
   // edge cache and breaker (the tower's simulator is single-threaded, so
@@ -229,8 +224,6 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
           net::BandwidthTrace());  // the shared link already embodies it
       session_config.content_seed = titles.content_seed(arr);
       session_config.title = titles.title(arr);
-      session_config.tick = config.tick;
-      session_config.rtt = config.rtt;
       if (with_origin) {
         session_config.origin = config.origin;
         // Per-session jitter stream, keyed like every other pop draw.
@@ -348,8 +341,6 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   if (diagnose) {
     const std::vector<obs::Event> capacity_events =
         fair_share_capacity_events(timeline);
-    diag::DiagOptions options;
-    options.rtt = config.rtt;
     for (std::size_t i = 0; i < hosted.size(); ++i) {
       if (hosted[i].session == nullptr) continue;
       if (observers[i] == nullptr) {
@@ -362,7 +353,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       // whether diagnosis is on or off.
       const core::SessionResult full = hosted[i].session->finish(sim.now());
       const diag::Diagnosis diagnosis =
-          diagnose_session(full, *observers[i], capacity_events, options);
+          diagnose_session(full, *observers[i], capacity_events, {});
       fold_diagnosis(report.diag, diagnosis);
       fold_blame_bins(timeline, diagnosis);
     }

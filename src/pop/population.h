@@ -51,7 +51,13 @@ struct ArrivalProcess {
   int flash_arrivals = 0;
 };
 
-struct PopulationConfig {
+/// The inherited net::SimSettings configure each tower's simulator (the
+/// watchdogs bound one tower run); sessions run on the fixed net::kTick
+/// grid over a net::kRtt path.
+struct PopulationConfig : net::SimSettings {
+  static constexpr Seconds tick = net::kTick;
+  static constexpr Seconds rtt = net::kRtt;
+
   /// Service-name pool sessions draw from (empty = the whole catalog).
   std::vector<std::string> services;
   /// One entry per tower: the 1-based cellular profile its link follows.
@@ -70,12 +76,6 @@ struct PopulationConfig {
   int max_sessions_per_tower = 0;
   /// Worker threads across towers (0 = hardware); output invariant.
   int jobs = 1;
-  net::SimCore sim_core = net::SimCore::kEvent;
-  Seconds tick = 0.01;
-  Seconds rtt = 0.07;
-  // Watchdogs, per tower run (see core::SessionConfig).
-  Seconds wall_budget = 0;
-  std::uint64_t max_events_per_instant = 0;
 
   // --- Telemetry (DESIGN.md §15) -----------------------------------------
   /// Sample every tower into an obs::Timeline (per-bin concurrency, stall /

@@ -106,9 +106,7 @@ TEST(ChaosEngine, HookViolationIsMinimizedAndReplaysFromArtifact) {
   const ReproArtifact artifact = parse_repro(to_json(row.artifact));
   EXPECT_EQ(artifact.chaos_seed, seed);
   EXPECT_EQ(artifact.service, row.service);
-  CheckOptions options;
-  options.test_hook = hook;
-  const CheckedRun replayed = replay(artifact, options);
+  const CheckedRun replayed = replay(artifact, {}, hook);
   EXPECT_FALSE(replayed.ok());
   ASSERT_FALSE(replayed.report.violations.empty());
   EXPECT_EQ(replayed.report.violations[0].invariant, "hook.reset_latency");

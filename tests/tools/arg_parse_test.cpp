@@ -1,11 +1,14 @@
-// Strict CLI parsing: negative numeric values are values, not flags, and
-// integer lists accept "lo-hi" / "lo..hi" ranges.
+// Strict CLI parsing: negative numeric values are values, not flags,
+// integer lists accept "lo-hi" / "lo..hi" ranges, and --core accepts only
+// its two names.
 #include "arg_parse.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
+
+#include "common/error.h"
 
 namespace vodx::tools {
 namespace {
@@ -123,6 +126,23 @@ TEST(ArgParse, IntListSkipsMalformedTokens) {
 TEST(ArgParse, IntListSupportsNegativeEndpointsViaDotDot) {
   const std::vector<std::int64_t> got = parse_int_list("-2..1", 0, 0, "delta");
   EXPECT_EQ(got, (std::vector<std::int64_t>{-2, -1, 0, 1}));
+}
+
+TEST(ArgParse, SimCoreNamesMapToTheirCores) {
+  EXPECT_EQ(parse_sim_core("event"), net::SimCore::kEvent);
+  EXPECT_EQ(parse_sim_core("fixed"), net::SimCore::kFixedTickReference);
+}
+
+TEST(ArgParse, UnknownSimCoreThrowsNamingTheChoices) {
+  for (const char* bad : {"bogus", "", "Event", "fixed "}) {
+    try {
+      parse_sim_core(bad);
+      ADD_FAILURE() << "accepted --core '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("unknown --core '") + bad + "' (event|fixed)");
+    }
+  }
 }
 
 }  // namespace

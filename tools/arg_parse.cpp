@@ -91,6 +91,13 @@ std::vector<std::string> parse_name_list(
   return out;
 }
 
+net::SimCore parse_sim_core(const char* text) {
+  const std::string core = text;
+  if (core == "event") return net::SimCore::kEvent;
+  if (core == "fixed") return net::SimCore::kFixedTickReference;
+  throw Error(format("unknown --core '%s' (event|fixed)", text));
+}
+
 bool ObsOutputs::parse(Args& args) {
   if (const char* v = args.value("--trace-out")) {
     chrome_trace_path = v;

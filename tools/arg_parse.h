@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "net/simulator.h"
 #include "obs/observer.h"
 
 namespace vodx::tools {
@@ -82,6 +83,10 @@ std::vector<std::int64_t> parse_int_list(const std::string& text,
 /// `all_names`.
 std::vector<std::string> parse_name_list(
     const std::string& text, const std::vector<std::string>& all_names);
+
+/// Parses a `--core` value: "event" or "fixed". Anything else throws Error
+/// naming the accepted values.
+net::SimCore parse_sim_core(const char* text);
 
 /// Observability outputs requested on the command line. The observer is
 /// created lazily by the caller: a session without any -out flag runs

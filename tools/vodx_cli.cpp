@@ -44,6 +44,7 @@
 #include "core/radio_energy.h"
 #include "core/report.h"
 #include "core/session.h"
+#include "core/session_factory.h"
 #include "diag/diagnose.h"
 #include "diag/rollup.h"
 #include "diag/validate.h"
@@ -197,6 +198,14 @@ int cmd_list() {
   return 0;
 }
 
+/// A positional profile id, range-checked before it reaches
+/// trace::cellular_profile (out of range throws ConfigError).
+int parse_profile(const char* v) {
+  const int id = std::atoi(v);
+  core::SessionFactory::validate_profile(id);
+  return id;
+}
+
 core::SessionResult run(const services::ServiceSpec& spec,
                         net::BandwidthTrace trace,
                         obs::Observer* observer = nullptr) {
@@ -224,7 +233,7 @@ int cmd_play(const std::string& service, Args& args) {
     } else if (outputs.parse(args)) {
       // consumed a --*-out flag and its value
     } else if (const char* profile = args.positional()) {
-      trace = trace::cellular_profile(std::atoi(profile));
+      trace = trace::cellular_profile(parse_profile(profile));
     } else {
       args.unknown();
     }
@@ -406,7 +415,7 @@ struct GridFlags {
     } else if (const char* v = args.value("--cell-budget")) {
       // Per-cell wall-clock budget in seconds; <= 0 (e.g. "-1") = unlimited.
       const double budget = parse_double(v);
-      config.cell_wall_budget = budget <= 0 ? 0 : budget;
+      config.wall_budget = budget <= 0 ? 0 : budget;
     } else if (const char* v = args.value("--cell-retries")) {
       config.cell_retries = std::atoi(v);
     } else if (const char* v = args.value("--csv")) {
@@ -694,7 +703,7 @@ int cmd_diagnose(Args& args) {
     } else if (const char* v = args.value("--jobs")) {
       config.jobs = std::atoi(v);
     } else if (const char* v = args.value("--duration")) {
-      config.session_duration = parse_double(v);
+      config.session_duration = parse_positive(v, "--duration");
       config.content_duration = config.session_duration;
     } else if (const char* v = args.value("--out")) {
       text_path = v;
@@ -706,7 +715,7 @@ int cmd_diagnose(Args& args) {
       if (service.empty()) {
         service = p;
       } else {
-        profile = std::atoi(p);
+        profile = parse_profile(p);
       }
     } else {
       args.unknown();
@@ -800,14 +809,7 @@ int cmd_pop(Args& args) {
     } else if (const char* v = args.value("--jobs")) {
       config.jobs = std::atoi(v);
     } else if (const char* v = args.value("--core")) {
-      const std::string core = v;
-      if (core == "event") {
-        config.sim_core = net::SimCore::kEvent;
-      } else if (core == "fixed") {
-        config.sim_core = net::SimCore::kFixedTickReference;
-      } else {
-        throw Error(format("unknown --core '%s' (event|fixed)", v));
-      }
+      config.sim_core = tools::parse_sim_core(v);
     } else if (const char* v = args.value("--out")) {
       out_path = v;
     } else if (const char* v = args.value("--jsonl")) {
@@ -1071,21 +1073,14 @@ int cmd_chaos(Args& args) {
         config.profiles.push_back(static_cast<int>(id));
       }
     } else if (const char* v = args.value("--duration")) {
-      config.duration = parse_double(v);
+      config.duration = parse_positive(v, "--duration");
     } else if (const char* v = args.value("--jobs")) {
       config.jobs = std::atoi(v);
     } else if (const char* v = args.value("--budget")) {
       budget = parse_double(v);  // "-1" = unlimited; parses as a value, not
                                  // a flag (tools::Args numeric-token rule)
     } else if (const char* v = args.value("--core")) {
-      const std::string core = v;
-      if (core == "event") {
-        config.sim_core = net::SimCore::kEvent;
-      } else if (core == "fixed") {
-        config.sim_core = net::SimCore::kFixedTickReference;
-      } else {
-        throw Error(format("unknown --core '%s' (event|fixed)", v));
-      }
+      config.sim_core = tools::parse_sim_core(v);
     } else if (args.flag("--minimize")) {
       config.minimize = true;
     } else if (args.flag("--no-minimize")) {
@@ -1131,11 +1126,8 @@ int cmd_chaos(Args& args) {
                 static_cast<unsigned long long>(artifact.chaos_seed));
     std::printf("recorded violation: %s\n", artifact.invariants.c_str());
 
-    chaos::CheckOptions options;
-    options.wall_budget = config.wall_budget;
-    options.max_events_per_instant = config.max_events_per_instant;
-    options.sim_core = config.sim_core;
-    const chaos::CheckedRun run = chaos::replay(artifact, options);
+    const chaos::CheckedRun run =
+        chaos::replay(artifact, config.sim_settings());
     if (run.watchdog) {
       std::printf("replay: WATCHDOG — %s\n", run.watchdog_detail.c_str());
       return 1;
@@ -1190,10 +1182,10 @@ int main(int argc, char** argv) {
     }
     if (command == "dissect" && argc >= 3) return cmd_dissect(argv[2]);
     if (command == "trace" && argc >= 3) {
-      return cmd_trace(std::atoi(argv[2]), argc >= 4 ? argv[3] : nullptr);
+      return cmd_trace(parse_profile(argv[2]), argc >= 4 ? argv[3] : nullptr);
     }
     if (command == "energy" && argc >= 3) {
-      return cmd_energy(argv[2], argc >= 4 ? std::atoi(argv[3]) : 7);
+      return cmd_energy(argv[2], argc >= 4 ? parse_profile(argv[3]) : 7);
     }
     if (command == "sweep") {
       Args args(argc - 2, argv + 2);
