@@ -34,11 +34,12 @@ while [[ $# -gt 0 ]]; do
       # Thread-safety proof for the multi-threaded engines: build
       # everything under ThreadSanitizer and run the batch/sweep suites
       # (shared-title first builds included) plus the population runner
-      # (one worker thread per tower).
+      # (one worker thread per tower; the pop core differential frees
+      # departed sessions mid-run on two such threads).
       BUILD_DIR="${BUILD_DIR}-tsan"
       CMAKE_ARGS+=(-DVODX_SANITIZE=thread)
       export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-      NAME_FILTER='^(BatchPool|SweepEngine|SweepTitles|SweepDeterminism|SeedSensitivity|FaultSweepDeterminism|PopulationDeterminism|PopulationTimeline|PopulationOriginStopRace)'
+      NAME_FILTER='^(BatchPool|SweepEngine|SweepTitles|SweepDeterminism|SeedSensitivity|FaultSweepDeterminism|PopulationDeterminism|PopulationTimeline|PopulationOriginStopRace|PopCoreDifferential|TowerWorkCounters)'
       ;;
     --labels)
       [[ $# -ge 2 ]] || { echo "error: --labels needs a regex" >&2; exit 2; }

@@ -85,11 +85,16 @@ struct SessionFactory : net::SimSettings {
 /// Lifecycle: construct (wires everything, registers tick clients), then
 /// start(); the session advances as the caller runs the simulator. stop()
 /// departs early: in-flight transfers abort, the HTTP client detaches from
-/// the link (its share redistributes next tick) and the player parks in
-/// kEnded. finish()/finish_light() assemble the SessionResult.
+/// the link (its share redistributes next tick), the player parks in
+/// kEnded and deregisters from the simulator. finish()/finish_light()
+/// assemble the SessionResult.
 ///
 /// Must outlive neither the simulator nor the link; destroy sessions before
-/// the pair (or after run_until returns, as run_session does).
+/// the pair. A live session is destroyed only between runs (after
+/// run_until returns, as run_session does); a stopped one holds nothing
+/// the simulator or link still reach, so it may be destroyed mid-run, even
+/// from an event callback, while the pair runs on with other sessions (the
+/// population runner frees each departed session this way).
 class HostedSession {
  public:
   HostedSession(net::Simulator& sim, net::Link& link,

@@ -70,6 +70,13 @@ void Simulator::add_tick_client(TickClient* client) {
   clients_.push_back(client);
 }
 
+void Simulator::remove_tick_client(TickClient* client) {
+  auto it = std::find(clients_.begin(), clients_.end(), client);
+  if (it == clients_.end()) return;
+  *it = nullptr;
+  has_tombstones_ = true;
+}
+
 void Simulator::fire_due_events() {
   std::uint64_t fired_this_instant = 0;
   while (!queue_.empty() && queue_.top().due <= now_ + 1e-12) {
@@ -104,6 +111,7 @@ Seconds Simulator::earliest_wake() {
   // skip just stops early and the tick that pops it is a cheap no-op.
   Seconds wake = queue_.empty() ? TickClient::kNeverWakes : queue_.top().due;
   for (TickClient* client : clients_) {
+    if (client == nullptr) continue;
     wake = std::min(wake, client->next_wake(now_));
     if (wake <= now_) break;  // already dense; no point asking the rest
   }
@@ -121,6 +129,12 @@ void Simulator::run_until(Seconds end) {
   const bool can_skip = core_ == SimCore::kEvent;
   int steps_since_check = 0;
   while (now_ + tick_ <= end + 1e-12) {
+    if (has_tombstones_) {
+      // Between ticks no client loop is open, so the vector may shift.
+      clients_.erase(std::remove(clients_.begin(), clients_.end(), nullptr),
+                     clients_.end());
+      has_tombstones_ = false;
+    }
     if (can_skip) {
       // Skip every grid tick that provably precedes the next observable
       // instant. The 1e-9 slack matches the loosest consumer epsilon (the
@@ -143,10 +157,13 @@ void Simulator::run_until(Seconds end) {
         }
         // Indexed with a snapshotted bound: a client registered from inside
         // a callback (a population arrival spawning a session) must not
-        // invalidate this traversal, and first participates next tick.
+        // invalidate this traversal, and first participates next tick. A
+        // client deregistered mid-loop leaves a tombstone, skipped here.
         const std::size_t n_clients = clients_.size();
         for (std::size_t i = 0; i < n_clients; ++i) {
-          clients_[i]->fast_forward(now_, tick_, skipped);
+          if (clients_[i] != nullptr) {
+            clients_[i]->fast_forward(now_, tick_, skipped);
+          }
         }
         if (now_ + tick_ > end + 1e-12) break;  // window fully consumed
       }
@@ -157,7 +174,13 @@ void Simulator::run_until(Seconds end) {
     if (ticks_metric_ != nullptr) ticks_metric_->add();
     fire_due_events();
     const std::size_t n_clients = clients_.size();
-    for (std::size_t i = 0; i < n_clients; ++i) clients_[i]->tick(now_, tick_);
+    std::uint64_t ticked = 0;
+    for (std::size_t i = 0; i < n_clients; ++i) {
+      if (clients_[i] == nullptr) continue;
+      clients_[i]->tick(now_, tick_);
+      ++ticked;
+    }
+    client_ticks_ += ticked;
     if (wall_budget_ > 0 && ++steps_since_check >= 64) {
       steps_since_check = 0;
       const std::chrono::duration<double> elapsed =

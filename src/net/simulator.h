@@ -17,6 +17,10 @@
 //     work (rate change, trace bandwidth step, playback boundary, 1 Hz
 //     emission); fast_forward() replays the per-tick float recurrences of a
 //     span proven inert (position += dt and friends) in one tight loop.
+//     A client leaves with remove_tick_client() (a departed population
+//     session), which tombstones its slot; tombstones are compacted away
+//     between ticks without reordering the survivors, because client
+//     order is tick order.
 //   * run_until() advances tick by tick, but first skips every grid tick
 //     that is *provably* a no-op: no event due, every client's wake beyond
 //     it. Skipped ticks still advance now_ by the exact += tick recurrence
@@ -157,8 +161,17 @@ class Simulator {
   void cancel(std::uint64_t id);
 
   /// Registers a skip-aware tick client (not owned; must outlive the
-  /// simulator's runs). Clients run in registration order.
+  /// simulator's runs or deregister first). Clients run in registration
+  /// order.
   void add_tick_client(TickClient* client);
+
+  /// Deregisters `client`: it is never ticked, fast-forwarded or polled
+  /// again. Idempotent, and a no-op for a client that was never registered.
+  /// Safe from inside an event callback or another client's tick(): the
+  /// slot becomes a tombstone that every client loop skips, and tombstones
+  /// are compacted away between ticks by an order-keeping remove, so the
+  /// remaining clients keep their relative tick order.
+  void remove_tick_client(TickClient* client);
 
   /// Runs until simulated time reaches `end` (inclusive of events due then).
   /// Throws WatchdogError when a configured watchdog trips.
@@ -172,6 +185,9 @@ class Simulator {
   /// Grid ticks that actually executed handlers; the skip win is
   /// ticks_covered() - ticks_executed().
   std::uint64_t ticks_executed() const { return ticks_executed_; }
+  /// TickClient::tick calls so far, summed over executed ticks: the
+  /// per-tick work a registered client costs whether or not it has any.
+  std::uint64_t client_ticks() const { return client_ticks_; }
 
   // --- Watchdogs (vodx::chaos; both default off) -------------------------
 
@@ -238,10 +254,14 @@ class Simulator {
       queue_;
   std::vector<std::uint64_t> cancelled_;
 
+  /// Registration order; nullptr marks a deregistered client (a tombstone)
+  /// until the next compaction.
   std::vector<TickClient*> clients_;
+  bool has_tombstones_ = false;
 
   std::uint64_t ticks_covered_ = 0;
   std::uint64_t ticks_executed_ = 0;
+  std::uint64_t client_ticks_ = 0;
 
   obs::Observer* obs_ = nullptr;
   // Cached metric handles (name lookup is too slow for per-tick updates).

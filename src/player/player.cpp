@@ -60,7 +60,7 @@ Player::Player(net::Simulator& sim, net::Link& link, http::Proxy& proxy,
   sim_.add_tick_client(this);
 }
 
-Player::~Player() = default;
+Player::~Player() { sim_.remove_tick_client(this); }
 
 void Player::set_observer(obs::Observer* observer) {
   obs_ = observer;
@@ -157,6 +157,10 @@ void Player::start(const std::string& manifest_url) {
 }
 
 void Player::stop() {
+  // Stopped is final (start() requires kIdle) and a stopped player's tick,
+  // next_wake and fast_forward are no-ops, so leaving the simulator changes
+  // nothing observable, and lets the owner destroy it mid-run.
+  sim_.remove_tick_client(this);
   if (finished() && client_->shut_down()) return;
   // Abort through the player path first so every transfer is logged as an
   // abort with its partial bytes, then shut the client down for good (which

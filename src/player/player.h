@@ -119,7 +119,9 @@ class Player : public net::TickClient {
   /// fetch, closes any open stall at the current instant, parks the state
   /// machine in kEnded and permanently shuts the HTTP client down — the
   /// link redistributes this session's share on its next allocation pass.
-  /// Idempotent; safe in any state, including a never-started player.
+  /// The player also deregisters from the simulator, so a stopped player
+  /// may be destroyed while the simulator keeps running. Idempotent; safe
+  /// in any state, including a never-started player.
   void stop();
 
   /// The user pauses/resumes playback. While paused the position freezes

@@ -162,6 +162,18 @@ std::shared_ptr<const http::OriginServer> TowerTitles::title(
 
 namespace {
 
+/// Adds one session's state to a bin sample; an ended session adds nothing.
+void add_to_sample(LiveSample& sample, const core::HostedSession::Sample& s) {
+  if (s.state == player::PlayerState::kEnded) return;
+  ++sample.concurrent;
+  if (s.state == player::PlayerState::kRebuffering) ++sample.stalled;
+  if (s.state == player::PlayerState::kResolving ||
+      s.state == player::PlayerState::kStartup) {
+    ++sample.in_startup;
+  }
+  if (s.rung >= 0) ++sample.rung[std::min(s.rung, kRungBuckets - 1)];
+}
+
 TowerReport run_tower(const PopulationConfig& config, int tower_index,
                       const std::vector<services::ServiceSpec>& pool) {
   VODX_PROFILE_ZONE("pop.tower");
@@ -195,12 +207,25 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   if (with_origin) origin_state = std::make_shared<origin::OriginState>();
   TowerTitles titles(config, pool, tower_index);
 
+  // A session is hosted from its arrival event. An undiagnosed session is
+  // folded and destroyed at its departure, so a tower holds only its live
+  // sessions; diagnosed ones (at most diag_session_budget) and those still
+  // live at the horizon fold after the run.
   struct Hosted {
     std::unique_ptr<core::HostedSession> session;
     Seconds departure = 0;  ///< min(arrival + watch, horizon)
+    bool arrived = false;
   };
   std::vector<Hosted> hosted(arrivals.size());
-  int live = 0;
+  std::vector<SessionOutcome> outcomes(arrivals.size());  ///< by arrival
+  // Arrival indices of the sessions between arrival and departure: the
+  // sampler's walk. Its order is irrelevant, the sample is integer counts.
+  std::vector<std::size_t> live;
+  // A departed session's sample is frozen, so its share of every later bin
+  // is counted once, at departure. stop() parks a player in kEnded, which
+  // counts nothing, unless it had already failed: a failed session has
+  // always stayed in the bin counts after departure.
+  LiveSample departed;
   int peak = 0;
   Seconds peak_time = 0;
 
@@ -213,6 +238,28 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   const auto diagnosed_ordinal = [&](std::size_t i) {
     return diagnose && (config.diag_session_budget <= 0 ||
                         static_cast<int>(i) < config.diag_session_budget);
+  };
+
+  // Ground truth only: the ordinal is assigned in arrival order after the
+  // run, over the sessions that arrived.
+  const auto fold_outcome = [&](std::size_t i, Seconds session_end) {
+    const Arrival& a = arrivals[i];
+    const core::SessionResult result =
+        hosted[i].session->finish_light(session_end);
+    SessionOutcome& outcome = outcomes[i];
+    outcome.tower = tower_index;
+    outcome.arrival = a.at;
+    outcome.departure = hosted[i].departure;
+    outcome.service = pool[static_cast<std::size_t>(a.service_index)].name;
+    outcome.startup_delay = result.ground_truth.startup_delay;
+    outcome.stall_time = result.ground_truth.total_stall;
+    outcome.stall_count = result.ground_truth.stall_count;
+    outcome.total_bytes = result.ground_truth.total_bytes;
+    const Seconds active =
+        std::max(config.tick, outcome.departure - outcome.arrival);
+    outcome.mbps =
+        static_cast<double>(outcome.total_bytes) * 8.0 / active / 1e6;
+    outcome.final_state = player::to_string(result.final_state);
   };
 
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
@@ -252,16 +299,22 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       slot.session =
           std::make_unique<core::HostedSession>(sim, link, session_config);
       slot.session->start();
-      ++live;
-      if (live > peak) {
-        peak = live;
+      slot.arrived = true;
+      live.push_back(i);
+      if (static_cast<int>(live.size()) > peak) {
+        peak = static_cast<int>(live.size());
         peak_time = sim.now();
       }
       slot.departure = std::min(arr.at + arr.watch, config.horizon);
       if (slot.departure < config.horizon) {
         sim.schedule(std::max(0.0, slot.departure - sim.now()), [&, i] {
-          hosted[i].session->stop();
-          --live;
+          Hosted& h = hosted[i];
+          h.session->stop();  // also leaves the simulator's client list
+          std::erase(live, i);
+          add_to_sample(departed, h.session->sample());
+          if (diagnosed_ordinal(i)) return;  // diagnosis needs it after
+          fold_outcome(i, config.horizon);
+          h.session.reset();
         });
       }
     });
@@ -279,18 +332,9 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
     record_schedule(timeline, arrivals, config.horizon);
     record_capacity(timeline, link.trace(), config.horizon);
     sampler = std::make_unique<TowerSampler>(timeline, link, [&] {
-      LiveSample sample;
-      for (const Hosted& h : hosted) {
-        if (h.session == nullptr) continue;
-        const core::HostedSession::Sample s = h.session->sample();
-        if (s.state == player::PlayerState::kEnded) continue;  // departed
-        ++sample.concurrent;
-        if (s.state == player::PlayerState::kRebuffering) ++sample.stalled;
-        if (s.state == player::PlayerState::kResolving ||
-            s.state == player::PlayerState::kStartup) {
-          ++sample.in_startup;
-        }
-        if (s.rung >= 0) ++sample.rung[std::min(s.rung, kRungBuckets - 1)];
+      LiveSample sample = departed;
+      for (std::size_t i : live) {
+        add_to_sample(sample, hosted[i].session->sample());
       }
       return sample;
     });
@@ -305,33 +349,20 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   report.capped_arrivals = capped;
   report.peak_concurrent = peak;
   report.time_of_peak = peak_time;
+  report.ticks_covered = sim.ticks_covered();
+  report.ticks_executed = sim.ticks_executed();
+  report.client_ticks = sim.client_ticks();
 
+  // Fold in arrival order, so every sum below runs in the same order
+  // however the sessions departed.
   std::vector<double> startups;
   std::vector<double> stalls;
   std::vector<double> rates;
   for (std::size_t i = 0; i < hosted.size(); ++i) {
-    if (hosted[i].session == nullptr) continue;  // arrival beyond the run
-    const Arrival& a = arrivals[i];
-    const core::SessionResult result =
-        hosted[i].session->finish_light(sim.now());
-
-    SessionOutcome outcome;
-    outcome.tower = tower_index;
+    if (!hosted[i].arrived) continue;  // arrival beyond the run
+    if (hosted[i].session != nullptr) fold_outcome(i, sim.now());
+    SessionOutcome& outcome = outcomes[i];
     outcome.ordinal = static_cast<int>(report.outcomes.size());
-    outcome.arrival = a.at;
-    outcome.departure = hosted[i].departure;
-    outcome.service =
-        pool[static_cast<std::size_t>(a.service_index)].name;
-    outcome.startup_delay = result.ground_truth.startup_delay;
-    outcome.stall_time = result.ground_truth.total_stall;
-    outcome.stall_count = result.ground_truth.stall_count;
-    outcome.total_bytes = result.ground_truth.total_bytes;
-    const Seconds active =
-        std::max(config.tick, outcome.departure - outcome.arrival);
-    outcome.mbps =
-        static_cast<double>(outcome.total_bytes) * 8.0 / active / 1e6;
-    outcome.final_state = player::to_string(result.final_state);
-
     if (outcome.startup_delay >= 0) startups.push_back(outcome.startup_delay);
     stalls.push_back(outcome.stall_time);
     rates.push_back(outcome.mbps);
@@ -342,7 +373,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
     const std::vector<obs::Event> capacity_events =
         fair_share_capacity_events(timeline);
     for (std::size_t i = 0; i < hosted.size(); ++i) {
-      if (hosted[i].session == nullptr) continue;
+      if (!hosted[i].arrived) continue;
       if (observers[i] == nullptr) {
         ++report.diag.sessions_skipped;
         continue;
@@ -361,8 +392,9 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   report.timeline = std::move(timeline);
   if (with_origin) report.origin_totals = origin_state->totals;
 
-  // Sessions must be destroyed before sim + link leave scope; explicit for
-  // clarity (the vector would go out of scope in the right order anyway).
+  // The sessions still held (diagnosed, or live at the horizon) must be
+  // destroyed before sim + link leave scope; explicit for clarity (the
+  // vector would go out of scope in the right order anyway).
   hosted.clear();
 
   report.sessions = static_cast<int>(report.outcomes.size());
@@ -539,9 +571,12 @@ std::string population_jsonl(const PopulationReport& report) {
     const TowerReport& t = report.towers[i];
     out += format(
         R"({"type":"tower","tower":%zu,"profile":%d,"sessions":%d,)"
-        R"("capped_arrivals":%d,"peak_concurrent":%d,"time_of_peak_s":%.3f})",
+        R"("capped_arrivals":%d,"peak_concurrent":%d,"time_of_peak_s":%.3f,)"
+        R"("ticks_covered":%llu,"ticks_executed":%llu,"client_ticks":%llu})",
         i, t.profile_id, t.sessions, t.capped_arrivals, t.peak_concurrent,
-        t.time_of_peak);
+        t.time_of_peak, static_cast<unsigned long long>(t.ticks_covered),
+        static_cast<unsigned long long>(t.ticks_executed),
+        static_cast<unsigned long long>(t.client_ticks));
     out += '\n';
   }
   for (const TowerReport& tower : report.towers) {

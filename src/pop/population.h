@@ -197,6 +197,11 @@ struct TowerReport {
   TowerDiag diag;
   /// The tower's shared origin-tier totals (zero unless origin enabled).
   origin::OriginState::Totals origin_totals;
+  /// Simulator work counters (net::Simulator): grid ticks covered (equal
+  /// on both cores), ticks executed, and TickClient::tick calls.
+  std::uint64_t ticks_covered = 0;
+  std::uint64_t ticks_executed = 0;
+  std::uint64_t client_ticks = 0;
 };
 
 /// The population axis of the paper's per-service tables: Table 2's issue
@@ -236,8 +241,9 @@ PopulationReport run_population(const PopulationConfig& config);
 /// Fixed-width human-readable rollup; byte-stable. Capped towers draw a
 /// warning line; diagnosed runs append the stall-blame table.
 std::string population_text(const PopulationReport& report);
-/// Per-tower summary objects (type "tower") followed by one JSON object per
-/// session, tower-index then arrival order.
+/// Per-tower summary objects (type "tower", with the simulator work
+/// counters) followed by one JSON object per session, tower-index then
+/// arrival order.
 std::string population_jsonl(const PopulationReport& report);
 /// Per-session CSV with header, same order as the jsonl's session lines.
 std::string population_csv(const PopulationReport& report);
