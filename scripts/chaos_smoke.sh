@@ -63,5 +63,16 @@ if ! cmp -s "$TMP/origin1.txt" "$TMP/origin4.txt"; then
   exit 1
 fi
 
+# ... and core-independent: origin retries, failover and coalesced fills
+# reach sleeping players only through completion pokes.
+"$VODX" chaos --seeds "$SEEDS" --duration "$DURATION" --jobs 4 \
+  --origin hardened --core fixed --out "$TMP/origin_fixed.txt"
+
+if ! cmp -s "$TMP/origin4.txt" "$TMP/origin_fixed.txt"; then
+  echo "chaos_smoke: origin report differs between --core event and --core fixed" >&2
+  diff "$TMP/origin4.txt" "$TMP/origin_fixed.txt" >&2 || true
+  exit 1
+fi
+
 echo "chaos_smoke: $SEEDS clean, jobs-independent and core-independent"
-echo "chaos_smoke: origin leg ($SEEDS, hardened tier) clean and jobs-independent"
+echo "chaos_smoke: origin leg ($SEEDS, hardened tier) clean, jobs-independent and core-independent"

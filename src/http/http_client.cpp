@@ -62,6 +62,7 @@ net::TcpConnection* HttpClient::acquire_connection() {
     auto connection = std::make_unique<net::TcpConnection>(
         options_.tcp, format("conn%zu", connections_.size()));
     connection->set_observer(obs_);
+    connection->set_delivery_tally(&deliveries_);
     link_.attach(connection.get());
     connections_.push_back(std::move(connection));
     return connections_.back().get();

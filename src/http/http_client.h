@@ -68,6 +68,10 @@ class HttpClient {
   /// connections — the input for a player-wide bandwidth meter.
   Bytes total_delivered() const;
 
+  /// The grid ticks in which any of this client's connections delivered
+  /// payload: the meter's busy time, readable by a player that slept.
+  const net::DeliveryTally& deliveries() const { return deliveries_; }
+
  private:
   struct Pending {
     net::TcpConnection* connection = nullptr;
@@ -95,6 +99,7 @@ class HttpClient {
   std::vector<std::unique_ptr<net::TcpConnection>> connections_;
   std::map<net::TcpConnection*, ConnectionUsage> usage_;
   std::map<int, Pending> in_flight_;
+  net::DeliveryTally deliveries_;
   bool shut_down_ = false;
 
   obs::Observer* obs_ = nullptr;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "obs/profiler.h"
 
 namespace vodx::net {
 
@@ -68,12 +69,14 @@ void Link::attach(TcpConnection* connection) {
                   connections_.end(),
               "connection attached twice");
   connections_.push_back(connection);
+  connection->link_ = this;
 }
 
 void Link::detach(TcpConnection* connection) {
   auto it = std::find(connections_.begin(), connections_.end(), connection);
   if (it == connections_.end()) return;
   delivered_by_detached_ += connection->lifetime_delivered();
+  connection->link_ = nullptr;
   connections_.erase(it);
   ++detach_epoch_;
 }
@@ -85,6 +88,7 @@ Bytes Link::total_delivered() const {
 }
 
 void Link::tick(Seconds now, Seconds dt) {
+  VODX_PROFILE_ZONE_IF("sim.link", sim_.profiled_tick());
   // Snapshot: completion callbacks inside advance() may attach/detach
   // connections; newly attached ones start participating next tick.
   scratch_snapshot_.assign(connections_.begin(), connections_.end());
@@ -147,10 +151,12 @@ Seconds Link::next_wake(Seconds now) {
 
 void Link::fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) {
   (void)ticks;
-  // Every connection is idle or closed over a skipped span (a busy one pins
-  // next_wake to `now`), so the only per-tick effect advance() would have
-  // had is resetting the instrumentation-only last-granted rate — which is
-  // idempotent, so one zero-grant advance replays any number of ticks.
+  // Every connection is idle or closed over a slept span (a busy one pins
+  // next_wake to `now`, and a transfer start pokes before it begins), so
+  // the only per-tick effect advance() would have had is resetting the
+  // instrumentation-only last-granted rate — which is idempotent, so one
+  // zero-grant advance replays any number of ticks. Attach and detach need
+  // no poke: an idle connection's replay is that same reset.
   for (TcpConnection* c : connections_) {
     c->advance(now, dt, /*granted=*/0, /*saturated=*/false);
   }

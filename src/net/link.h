@@ -12,6 +12,7 @@
 // active-count emission, so next_wake() points the simulator at the next
 // bandwidth-trace step (BandwidthTrace::next_change_after) — which also
 // guarantees the obs capacity timeline records every trace step losslessly.
+// An attached connection starting a transfer pokes the link awake.
 #pragma once
 
 #include <vector>
@@ -67,9 +68,6 @@ class Link : public TickClient {
   const BandwidthTrace& trace() const { return trace_; }
   Seconds rtt() const { return rtt_; }
 
-  /// Capacity at current simulated time.
-  Bps capacity_now() const { return trace_.at(sim_.now()); }
-
   /// Total payload bytes the link has carried (for conservation checks).
   Bytes total_delivered() const;
 
@@ -79,6 +77,11 @@ class Link : public TickClient {
   void fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) override;
 
  private:
+  friend class TcpConnection;
+  /// An attached connection is about to start a transfer: catch up on the
+  /// ticks slept through while every connection was idle, then run.
+  void wake_for_transfer() { sim_.poke(this); }
+
   Simulator& sim_;
   BandwidthTrace trace_;
   Seconds rtt_;

@@ -65,16 +65,108 @@ void Simulator::cancel(std::uint64_t id) {
   if (cancelled_metric_ != nullptr) cancelled_metric_->add();
 }
 
+void Simulator::set_core(SimCore core) {
+  if (core == core_) return;
+  core_ = core;
+  // The fixed core keeps no wake heap: on the way back, every client names
+  // its wake afresh.
+  fresh_.insert(fresh_.end(), order_.begin(), order_.end());
+}
+
 void Simulator::add_tick_client(TickClient* client) {
   VODX_ASSERT(client != nullptr, "null tick client");
-  clients_.push_back(client);
+  VODX_ASSERT(client->sim_slot_ == TickClient::kUnregistered,
+              "tick client registered twice");
+  std::uint32_t slot;
+  if (!free_clients_.empty()) {
+    slot = free_clients_.back();
+    free_clients_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(clients_.size());
+    clients_.emplace_back();
+  }
+  ClientSlot& s = clients_[slot];
+  s.client = client;
+  s.seq = next_seq_++;
+  // The tick in progress (or the last one covered) predates the client.
+  s.synced = ticks_covered_;
+  s.wake = TickClient::kNeverWakes;
+  s.queued = false;
+  client->sim_slot_ = slot;
+  order_.push_back(slot);
+  fresh_.push_back(slot);
 }
 
 void Simulator::remove_tick_client(TickClient* client) {
-  auto it = std::find(clients_.begin(), clients_.end(), client);
-  if (it == clients_.end()) return;
-  *it = nullptr;
-  has_tombstones_ = true;
+  if (client == nullptr || client->sim_slot_ == TickClient::kUnregistered) {
+    return;
+  }
+  ClientSlot& s = clients_[client->sim_slot_];
+  if (s.client != client) return;
+  s.client = nullptr;
+  ++s.gen;  // its wake-heap entry goes stale; a queued run is skipped
+  client->sim_slot_ = TickClient::kUnregistered;
+  has_departed_ = true;
+}
+
+void Simulator::poke(TickClient* client) {
+  if (core_ == SimCore::kFixedTickReference ||
+      client->sim_slot_ == TickClient::kUnregistered) {
+    return;
+  }
+  const std::uint32_t slot = client->sim_slot_;
+  if (clients_[slot].seq <= passed_through_) {
+    // The sweep is past this client's slot: it has lived through the
+    // current tick and runs on the next one.
+    catch_up(slot, ticks_covered_);
+    rewake(slot, now_ + tick_);
+    return;
+  }
+  // Mid-tick, ahead of the sweep: it has lived through the previous tick
+  // and runs in this one.
+  catch_up(slot, ticks_covered_ - 1);
+  ClientSlot& s = clients_[slot];
+  if (s.queued) return;
+  s.queued = true;
+  s.wake = TickClient::kNeverWakes;
+  ++s.gen;
+  run_queue_.push(RunEntry{s.seq, slot});
+}
+
+void Simulator::rewake(std::uint32_t slot, Seconds wake) {
+  ClientSlot& s = clients_[slot];
+  if (!(wake < s.wake)) return;
+  s.wake = wake;
+  ++s.gen;
+  wake_heap_.push(WakeEntry{wake, s.seq, slot, s.gen});
+}
+
+void Simulator::catch_up(std::uint32_t slot, std::uint64_t target) {
+  ClientSlot& s = clients_[slot];
+  if (target <= s.synced) return;
+  const std::uint64_t slept = target - s.synced;
+  s.synced = target;
+  ++client_fast_forwards_;
+  s.client->fast_forward(target == ticks_covered_ ? now_ : prev_now_, tick_,
+                         slept);
+}
+
+void Simulator::settle_clients() {
+  if (core_ == SimCore::kEvent) {
+    for (std::uint32_t slot : fresh_) {
+      ClientSlot& s = clients_[slot];
+      if (s.client != nullptr) rewake(slot, s.client->next_wake(now_));
+    }
+  }
+  fresh_.clear();
+  if (!has_departed_) return;
+  // Order-keeping removal: the survivors keep their registration order.
+  std::erase_if(order_, [&](std::uint32_t slot) {
+    if (clients_[slot].client != nullptr) return false;
+    free_clients_.push_back(slot);
+    return true;
+  });
+  has_departed_ = false;
 }
 
 void Simulator::fire_due_events() {
@@ -106,16 +198,53 @@ void Simulator::fire_due_events() {
   }
 }
 
-Seconds Simulator::earliest_wake() {
-  // A cancelled event still in the heap reports its (dead) due time: the
-  // skip just stops early and the tick that pops it is a cheap no-op.
-  Seconds wake = queue_.empty() ? TickClient::kNeverWakes : queue_.top().due;
-  for (TickClient* client : clients_) {
-    if (client == nullptr) continue;
-    wake = std::min(wake, client->next_wake(now_));
-    if (wake <= now_) break;  // already dense; no point asking the rest
+void Simulator::run_fixed_tick() {
+  // Snapshot before events: a client registered by an event (a population
+  // arrival) first runs on the next tick, as on the event core.
+  const std::size_t n_clients = order_.size();
+  fire_due_events();
+  VODX_PROFILE_ZONE_IF("sim.clients", profiled_tick());
+  for (std::size_t i = 0; i < n_clients; ++i) {
+    ClientSlot& s = clients_[order_[i]];
+    if (s.client == nullptr) continue;
+    s.synced = ticks_covered_;  // read again if the core switches back
+    s.client->tick(now_, tick_);
+    ++client_ticks_;
   }
-  return wake;
+}
+
+void Simulator::run_due_clients() {
+  passed_through_ = 0;
+  fire_due_events();
+  VODX_PROFILE_ZONE_IF("sim.clients", profiled_tick());
+  while (!wake_heap_.empty() && wake_heap_.top().wake <= now_ + 1e-9) {
+    const WakeEntry entry = wake_heap_.top();
+    wake_heap_.pop();
+    ClientSlot& s = clients_[entry.slot];
+    if (entry.gen != s.gen) continue;  // superseded or deregistered
+    s.wake = TickClient::kNeverWakes;
+    ++s.gen;
+    s.queued = true;
+    run_queue_.push(RunEntry{s.seq, entry.slot});
+  }
+  // Pokes made while the queue drains add clients whose slot is still
+  // ahead, so registration order holds across them.
+  while (!run_queue_.empty()) {
+    const RunEntry entry = run_queue_.top();
+    run_queue_.pop();
+    ClientSlot& s = clients_[entry.slot];
+    if (s.seq != entry.seq || s.client == nullptr) continue;  // departed
+    s.queued = false;
+    passed_through_ = s.seq;
+    catch_up(entry.slot, ticks_covered_ - 1);
+    s.synced = ticks_covered_;
+    TickClient* client = s.client;
+    client->tick(now_, tick_);  // may register clients: `s` can dangle
+    ++client_ticks_;
+    if (clients_[entry.slot].client == client) {
+      rewake(entry.slot, client->next_wake(now_));
+    }
+  }
 }
 
 void Simulator::run_until(Seconds end) {
@@ -128,59 +257,56 @@ void Simulator::run_until(Seconds end) {
                            : std::chrono::steady_clock::time_point{};
   const bool can_skip = core_ == SimCore::kEvent;
   int steps_since_check = 0;
+  // Between ticks every slot counts as passed, also after a throw.
+  struct SweepReset {
+    std::uint64_t& passed;
+    ~SweepReset() { passed = kAllPassed; }
+  } sweep_reset{passed_through_};
   while (now_ + tick_ <= end + 1e-12) {
-    if (has_tombstones_) {
-      // Between ticks no client loop is open, so the vector may shift.
-      clients_.erase(std::remove(clients_.begin(), clients_.end(), nullptr),
-                     clients_.end());
-      has_tombstones_ = false;
-    }
+    settle_clients();
     if (can_skip) {
-      // Skip every grid tick that provably precedes the next observable
-      // instant. The 1e-9 slack matches the loosest consumer epsilon (the
+      // Skip every grid tick that precedes the next due event or client
+      // wake. The 1e-9 slack matches the loosest consumer epsilon (the
       // player's kEps): a wake within slack of a tick keeps that tick
       // executing, so conservative wakes only ever cost a no-op tick,
-      // never miss one.
-      const Seconds wake = earliest_wake();
+      // never miss one. A cancelled event still in the queue reports its
+      // (dead) due time: the skip just stops early.
+      while (!wake_heap_.empty() &&
+             wake_heap_.top().gen != clients_[wake_heap_.top().slot].gen) {
+        wake_heap_.pop();
+      }
+      Seconds wake = queue_.empty() ? TickClient::kNeverWakes
+                                    : queue_.top().due;
+      if (!wake_heap_.empty()) wake = std::min(wake, wake_heap_.top().wake);
       std::uint64_t skipped = 0;
       for (;;) {
         const Seconds next_tick = now_ + tick_;
         if (next_tick > end + 1e-12) break;
         if (wake <= next_tick + 1e-9) break;
+        prev_now_ = now_;
         now_ = next_tick;  // the exact recurrence executed ticks use
         ++skipped;
       }
       if (skipped > 0) {
+        // Sleeping clients replay the span when they next run or are poked.
         ticks_covered_ += skipped;
         if (ticks_metric_ != nullptr) {
           ticks_metric_->add(static_cast<std::int64_t>(skipped));
         }
-        // Indexed with a snapshotted bound: a client registered from inside
-        // a callback (a population arrival spawning a session) must not
-        // invalidate this traversal, and first participates next tick. A
-        // client deregistered mid-loop leaves a tombstone, skipped here.
-        const std::size_t n_clients = clients_.size();
-        for (std::size_t i = 0; i < n_clients; ++i) {
-          if (clients_[i] != nullptr) {
-            clients_[i]->fast_forward(now_, tick_, skipped);
-          }
-        }
         if (now_ + tick_ > end + 1e-12) break;  // window fully consumed
       }
     }
+    prev_now_ = now_;
     now_ += tick_;
     ++ticks_covered_;
     ++ticks_executed_;
     if (ticks_metric_ != nullptr) ticks_metric_->add();
-    fire_due_events();
-    const std::size_t n_clients = clients_.size();
-    std::uint64_t ticked = 0;
-    for (std::size_t i = 0; i < n_clients; ++i) {
-      if (clients_[i] == nullptr) continue;
-      clients_[i]->tick(now_, tick_);
-      ++ticked;
+    if (can_skip) {
+      run_due_clients();
+    } else {
+      run_fixed_tick();
     }
-    client_ticks_ += ticked;
+    passed_through_ = kAllPassed;
     if (wall_budget_ > 0 && ++steps_since_check >= 64) {
       steps_since_check = 0;
       const std::chrono::duration<double> elapsed =
@@ -191,6 +317,11 @@ void Simulator::run_until(Seconds end) {
                    wall_budget_, now_));
       }
     }
+  }
+  // Every client leaves caught up to now(): readers of position-dependent
+  // state see exactly what the fixed core would show them.
+  for (std::uint32_t slot : order_) {
+    if (clients_[slot].client != nullptr) catch_up(slot, ticks_covered_);
   }
 }
 

@@ -4,34 +4,44 @@
 // instant is a grid point, reached by the same `now += tick` float
 // recurrence the original fixed-tick loop used, so timestamps — and every
 // float derived from them — are bit-identical to the historical core. What
-// changed is *which* grid ticks execute work:
+// changed is *which* clients run on which grid ticks:
 //
 //   * One-shot events (schedule/cancel) live in an arena of reusable slots;
 //     the priority queue orders plain {due, id, slot} records, so heap
 //     operations never move a std::function and firing an event never
 //     allocates. An event due at time D fires at the first executed tick T
 //     with D <= T + 1e-12, FIFO among equals — exactly the old contract.
-//   * Fluid components (Link, Player) register as TickClients instead of
-//     blind per-tick handlers. A client's tick() is the old handler body;
-//     next_wake() names the earliest instant it could next do observable
-//     work (rate change, trace bandwidth step, playback boundary, 1 Hz
-//     emission); fast_forward() replays the per-tick float recurrences of a
-//     span proven inert (position += dt and friends) in one tight loop.
-//     A client leaves with remove_tick_client() (a departed population
-//     session), which tombstones its slot; tombstones are compacted away
-//     between ticks without reordering the survivors, because client
-//     order is tick order.
-//   * run_until() advances tick by tick, but first skips every grid tick
-//     that is *provably* a no-op: no event due, every client's wake beyond
-//     it. Skipped ticks still advance now_ by the exact += tick recurrence
-//     and still count into the sim.ticks metric, so the observable record
-//     of a skipped span is byte-identical to having executed it.
+//   * Fluid components (Link, Player) register as TickClients. A client's
+//     tick() is the old per-tick handler body; next_wake() names the
+//     earliest instant it could next do observable work *on its own* (rate
+//     change, trace bandwidth step, playback boundary, 1 Hz emission,
+//     deadline); fast_forward() replays the per-tick float recurrences of
+//     ticks it slept through (position += dt and friends) in one tight loop.
+//   * Clients sit in a wake heap keyed by (wake, registration sequence). A
+//     grid tick executes when an event is due or some client's wake falls
+//     on it; every other tick is skipped with the exact += tick recurrence
+//     (and still counts into ticks_covered and the sim.ticks metric). On an
+//     executed tick only the clients that are due run, in registration
+//     order; the rest keep sleeping.
+//   * Anything that calls into a client from outside that client's own
+//     tick() — an HTTP completion, a transfer start, a user action, a
+//     population arrival or departure — first calls poke(client). The poked
+//     client catches up: fast_forward replays the ticks it slept through,
+//     up to the last tick whose registration slot the sweep has already
+//     passed. It then runs at the first slot not yet passed: this tick if
+//     its slot is still ahead, otherwise the next one. So a sleeping
+//     client observes exactly the state the dense loop would have shown it.
+//   * A client leaves with remove_tick_client() (a departed population
+//     session) and is never ticked, fast-forwarded or polled again. A
+//     client registered mid-run first runs on the next tick (unless poked).
+//   * run_until() returns with every client caught up to now().
 //
-// The safety rule for skipping is one-sided: clients may report a wake that
-// is *earlier* than their real need (the tick executes and does nothing —
-// exactly what the old core did every tick), never later. Any uncertainty
-// must resolve to "wake now". SimCore::kFixedTickReference disables
-// skipping entirely and is the retained fixed-tick reference
+// The safety rule is one-sided: a wake may be *earlier* than the client's
+// real need (it runs and does nothing — what the old core did every tick),
+// never later. Any uncertainty must resolve to "wake now". Between its wake
+// and a poke a client must be inert apart from what fast_forward replays.
+// SimCore::kFixedTickReference disables skipping and sleeping entirely: it
+// ticks every client on every tick and is the retained fixed-tick reference
 // implementation; the differential harness (tests/testing/differential.h)
 // holds the two cores equal over the experiment grid.
 //
@@ -97,7 +107,7 @@ struct SimSettings {
 };
 
 /// A fluid component advanced on the tick grid. tick() is the per-tick
-/// body; the two extra hooks are what lets the event core skip dead time
+/// body; the two extra hooks are what lets the event core let it sleep
 /// without changing a single observable float.
 class TickClient {
  public:
@@ -107,25 +117,32 @@ class TickClient {
 
   virtual ~TickClient() = default;
 
-  /// One grid tick ending at `now` (clients run in registration order,
+  /// One grid tick ending at `now` (due clients run in registration order,
   /// after due events fire).
   virtual void tick(Seconds now, Seconds dt) = 0;
 
   /// Earliest simulated time at which this client could next perform
-  /// observable work. Must err early (cheap: one no-op tick), never late
-  /// (a correctness bug); return `now` when unsure and kNeverWakes when
-  /// dormant. Called between ticks — never re-entered from tick().
+  /// observable work unprompted (anything a poke brings need not be
+  /// foreseen). Must err early (cheap: one no-op tick), never late (a
+  /// correctness bug); return `now` when unsure and kNeverWakes when
+  /// dormant. Called right after the client's own tick() (and once after
+  /// registration) — never re-entered from tick().
   virtual Seconds next_wake(Seconds now) = 0;
 
-  /// `ticks` grid ticks of size dt ending at `now` were skipped as provably
-  /// inert. Replay internal per-tick float recurrences exactly as that many
-  /// tick() calls would have (and nothing else — the span is, by the
-  /// next_wake contract, free of observable work).
+  /// The client slept through `ticks` grid ticks of size dt ending at
+  /// `now`. Replay internal per-tick float recurrences exactly as that many
+  /// tick() calls would have (and nothing else — by the next_wake contract
+  /// and the poke rule, the span is free of observable work).
   virtual void fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) {
     (void)now;
     (void)dt;
     (void)ticks;
   }
+
+ private:
+  friend class Simulator;
+  static constexpr std::uint32_t kUnregistered = 0xffffffffu;
+  std::uint32_t sim_slot_ = kUnregistered;  ///< Simulator bookkeeping
 };
 
 class Simulator {
@@ -139,10 +156,11 @@ class Simulator {
   Seconds tick_duration() const { return tick_; }
 
   /// Selects the advancement core. kEvent is the default; switching to
-  /// kFixedTickReference at any point (tests do it before run_until) makes
-  /// every subsequent grid tick execute, reproducing the historical
-  /// fixed-tick loop instruction for instruction.
-  void set_core(SimCore core) { core_ = core; }
+  /// kFixedTickReference makes every subsequent grid tick execute and tick
+  /// every client, reproducing the historical fixed-tick loop. Switch
+  /// between run_until calls (tests do it before the first), when every
+  /// client is caught up.
+  void set_core(SimCore core);
   SimCore core() const { return core_; }
 
   /// Attaches an observability context (nullable; default off). The
@@ -160,18 +178,27 @@ class Simulator {
   /// Cancels a pending event; cancelling an already-fired id is a no-op.
   void cancel(std::uint64_t id);
 
-  /// Registers a skip-aware tick client (not owned; must outlive the
-  /// simulator's runs or deregister first). Clients run in registration
-  /// order.
+  /// Registers a tick client (not owned; must outlive the simulator's runs
+  /// or deregister first; one simulator per client). Due clients run in
+  /// registration order. A client registered mid-run first runs on the next
+  /// tick, unless poked sooner; its next_wake() is first asked between
+  /// ticks.
   void add_tick_client(TickClient* client);
 
   /// Deregisters `client`: it is never ticked, fast-forwarded or polled
   /// again. Idempotent, and a no-op for a client that was never registered.
-  /// Safe from inside an event callback or another client's tick(): the
-  /// slot becomes a tombstone that every client loop skips, and tombstones
-  /// are compacted away between ticks by an order-keeping remove, so the
-  /// remaining clients keep their relative tick order.
+  /// Safe from inside an event callback or another client's tick(); the
+  /// remaining clients keep their relative order.
   void remove_tick_client(TickClient* client);
+
+  /// Tells the simulator that `client` is about to be called from outside
+  /// its own tick(). Call it *before* touching the client's state. The
+  /// client first catches up (fast_forward over the ticks it slept through,
+  /// up to the last tick whose registration slot has already been passed),
+  /// then is scheduled for the first slot not yet passed: this tick if its
+  /// slot is still ahead, otherwise the next one. No-op for an unregistered
+  /// client and on the fixed-tick core, where no client ever lags.
+  void poke(TickClient* client);
 
   /// Runs until simulated time reaches `end` (inclusive of events due then).
   /// Throws WatchdogError when a configured watchdog trips.
@@ -185,9 +212,22 @@ class Simulator {
   /// Grid ticks that actually executed handlers; the skip win is
   /// ticks_covered() - ticks_executed().
   std::uint64_t ticks_executed() const { return ticks_executed_; }
-  /// TickClient::tick calls so far, summed over executed ticks: the
-  /// per-tick work a registered client costs whether or not it has any.
+  /// TickClient::tick calls so far: on the event core only due and poked
+  /// clients run, on the fixed core every client runs on every tick.
   std::uint64_t client_ticks() const { return client_ticks_; }
+  /// TickClient::fast_forward calls so far: one per catch-up of a client
+  /// that slept through at least one tick (always 0 on the fixed core).
+  std::uint64_t client_fast_forwards() const { return client_fast_forwards_; }
+
+  /// Executed ticks whose per-tick profiler zones (sim.clients, sim.link)
+  /// are timed: one in this many. Two clock reads per zone cost as much as
+  /// a whole tick of a one-session run, so every tick would distort the
+  /// profile it is meant to explain.
+  static constexpr std::uint64_t kProfiledTickEvery = 64;
+  /// Whether the executing tick is one of those.
+  bool profiled_tick() const {
+    return ticks_executed_ % kProfiledTickEvery == 0;
+  }
 
   // --- Watchdogs (vodx::chaos; both default off) -------------------------
 
@@ -232,17 +272,60 @@ class Simulator {
     }
   };
 
+  /// One registered client. A slot is recycled once its client has left
+  /// and the registration-order list no longer names it.
+  struct ClientSlot {
+    TickClient* client = nullptr;  ///< nullptr once deregistered
+    std::uint64_t seq = 0;         ///< registration sequence (1, 2, ...)
+    std::uint64_t synced = 0;      ///< last tick index accounted for
+    Seconds wake = TickClient::kNeverWakes;  ///< key of its live heap entry
+    std::uint32_t gen = 0;         ///< bumped to invalidate older entries
+    bool queued = false;           ///< in the current tick's run queue
+  };
+
+  /// A client's wake; stale once the slot's generation has moved on.
+  struct WakeEntry {
+    Seconds wake;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    std::uint32_t gen;
+    bool operator>(const WakeEntry& other) const {
+      if (wake != other.wake) return wake > other.wake;
+      return seq > other.seq;
+    }
+  };
+
+  /// A client due in the current tick, ordered by registration.
+  struct RunEntry {
+    std::uint64_t seq;
+    std::uint32_t slot;
+    bool operator>(const RunEntry& other) const { return seq > other.seq; }
+  };
+
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// passed_through_ outside a tick's client sweep: every slot is passed.
+  static constexpr std::uint64_t kAllPassed = ~std::uint64_t{0};
+
+  template <typename T>
+  using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<>>;
 
   void fire_due_events();
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  /// Earliest instant anything observable can happen: queue head or a
-  /// client wake.
-  Seconds earliest_wake();
+
+  /// Asks fresh clients for their first wake and recycles the slots of
+  /// departed ones. Between ticks only.
+  void settle_clients();
+  /// Moves `slot`'s wake to `wake` if that is earlier than its current one.
+  void rewake(std::uint32_t slot, Seconds wake);
+  /// Replays `slot`'s slept ticks through tick index `target`.
+  void catch_up(std::uint32_t slot, std::uint64_t target);
+  void run_fixed_tick();
+  void run_due_clients();
 
   Seconds tick_;
   Seconds now_ = 0;
+  Seconds prev_now_ = 0;  ///< time of the tick before now_
   Seconds wall_budget_ = 0;
   std::uint64_t max_events_per_instant_ = 0;
   std::uint64_t next_id_ = 1;
@@ -250,18 +333,29 @@ class Simulator {
 
   std::vector<EventSlot> slots_;
   std::uint32_t free_head_ = kNoSlot;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
-      queue_;
+  MinHeap<QueueEntry> queue_;
   std::vector<std::uint64_t> cancelled_;
 
-  /// Registration order; nullptr marks a deregistered client (a tombstone)
-  /// until the next compaction.
-  std::vector<TickClient*> clients_;
-  bool has_tombstones_ = false;
+  std::vector<ClientSlot> clients_;
+  /// Live client slots in registration order; a deregistered one stays
+  /// until settle_clients() drops it and frees the slot.
+  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> free_clients_;
+  /// Registered (or re-armed by set_core) but not yet asked for a wake.
+  std::vector<std::uint32_t> fresh_;
+  bool has_departed_ = false;
+  std::uint64_t next_seq_ = 1;
+  MinHeap<WakeEntry> wake_heap_;
+  MinHeap<RunEntry> run_queue_;
+  /// Registration slots the current tick's sweep has passed: 0 while due
+  /// events fire, the running client's seq during the sweep, kAllPassed
+  /// between ticks.
+  std::uint64_t passed_through_ = kAllPassed;
 
   std::uint64_t ticks_covered_ = 0;
   std::uint64_t ticks_executed_ = 0;
   std::uint64_t client_ticks_ = 0;
+  std::uint64_t client_fast_forwards_ = 0;
 
   obs::Observer* obs_ = nullptr;
   // Cached metric handles (name lookup is too slow for per-tick updates).

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/error.h"
+#include "net/link.h"
 
 namespace vodx::net {
 
@@ -36,6 +37,7 @@ void TcpConnection::start_transfer(Seconds now, Bytes bytes,
                                    Seconds extra_wait) {
   VODX_ASSERT(!busy(), "transfer already in flight on " + label_);
   VODX_ASSERT(bytes > 0, "transfer needs payload");
+  if (link_ != nullptr) link_->wake_for_transfer();
   transfer_size_ = bytes;
   transfer_remaining_ = static_cast<double>(bytes);
   transfer_delivered_ = 0;
@@ -197,6 +199,7 @@ void TcpConnection::advance(Seconds now, Seconds dt, Bps granted,
       Bytes newly = whole - transfer_delivered_;
       transfer_delivered_ = whole;
       lifetime_delivered_ += newly;
+      if (newly > 0 && tally_ != nullptr) tally_->note(now);
       grow_cwnd(static_cast<Bytes>(delivered + 0.5), granted, saturated);
       const bool tracing = obs::trace_on(obs_, obs::Category::kTcp);
       if (tracing && now - last_cwnd_emit_ >= config_.rtt) {

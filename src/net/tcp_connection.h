@@ -36,6 +36,26 @@ struct TcpConfig {
   double handshake_rtts = 1.0;   ///< 1 for TCP, 3 for TCP+TLS1.2
 };
 
+class Link;
+
+/// Counts the grid ticks in which any of a group of connections delivered
+/// payload; several deliveries in one tick count once. A player's bandwidth
+/// meter reads it to account the busy ticks it slept through.
+struct DeliveryTally {
+  std::uint64_t ticks = 0;
+  Seconds last_at = -1;  ///< grid time of the latest counted tick
+
+  void note(Seconds now) {
+    if (now == last_at) return;
+    last_at = now;
+    ++ticks;
+  }
+  /// Ticks counted strictly before the grid tick at `now`.
+  std::uint64_t ticks_before(Seconds now) const {
+    return last_at == now ? ticks - 1 : ticks;
+  }
+};
+
 /// Observer for byte-level accounting (traffic logging, waste analysis).
 class TcpConnection {
  public:
@@ -54,12 +74,17 @@ class TcpConnection {
   /// — that overlay their own spans on this connection's timeline).
   int obs_track() const { return obs_track_; }
 
+  /// Ticks in which this connection delivers payload are noted in `tally`
+  /// (nullable; not owned).
+  void set_delivery_tally(DeliveryTally* tally) { tally_ = tally; }
+
   /// Starts fetching `bytes` of response payload. If the connection is
   /// closed a handshake is performed first; every request then waits one RTT
   /// for the first byte. `extra_wait` adds server-side first-byte latency on
   /// top of the protocol RTTs (fault injection). `on_complete` fires
   /// (synchronously, inside the link's tick) once the final byte arrives.
-  /// Must not be busy.
+  /// Must not be busy. Pokes the attached link first: a transfer is what
+  /// wakes a sleeping link.
   void start_transfer(Seconds now, Bytes bytes, CompletionFn on_complete,
                       Seconds extra_wait = 0);
 
@@ -130,8 +155,12 @@ class TcpConnection {
   std::vector<obs::Field> transfer_end_fields(Bytes delivered,
                                               bool aborted) const;
 
+  friend class Link;
+
   TcpConfig config_;
   std::string label_;
+  Link* link_ = nullptr;  ///< set while attached
+  DeliveryTally* tally_ = nullptr;
   Phase phase_ = Phase::kClosed;
   Seconds wait_remaining_ = 0;
   Bytes transfer_size_ = 0;

@@ -85,11 +85,11 @@ std::vector<ZoneStats> profiler_report();
 /// while no other thread is inside a zone.
 void profiler_reset();
 
-/// RAII scoped timer — prefer the VODX_PROFILE_ZONE macro.
+/// RAII scoped timer — prefer the VODX_PROFILE_ZONE macros.
 class ProfileZone {
  public:
-  explicit ProfileZone(const char* name) {
-    if (profiling_enabled()) {
+  explicit ProfileZone(const char* name, bool timed = true) {
+    if (timed && profiling_enabled()) {
       active_ = true;
       internal::ThreadProfiler::instance().enter(name);
     }
@@ -110,6 +110,14 @@ class ProfileZone {
 #define VODX_PROFILE_ZONE(name) \
   ::vodx::obs::ProfileZone VODX_PROFILE_CAT(vodx_profile_zone_, __LINE__) { \
     name                                                                    \
+  }
+
+/// A zone timed only when `timed` holds: for scopes entered so often (every
+/// simulator tick) that timing each entry would cost more than the work
+/// inside. Its count and times then cover the timed entries only.
+#define VODX_PROFILE_ZONE_IF(name, timed)                                    \
+  ::vodx::obs::ProfileZone VODX_PROFILE_CAT(vodx_profile_zone_, __LINE__) { \
+    name, timed                                                             \
   }
 
 }  // namespace vodx::obs

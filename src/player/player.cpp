@@ -146,20 +146,30 @@ void Player::sample_observability() {
 
 void Player::start(const std::string& manifest_url) {
   VODX_ASSERT(state_ == PlayerState::kIdle, "player already started");
+  sim_.poke(this);
   set_state(PlayerState::kResolving);
   events_.session_start = sim_.now();
   next_seekbar_at_ = sim_.now() + 1.0;
   next_obs_sample_at_ = sim_.now();
+  // The resolution callbacks arrive from the link's tick: poke first.
   media_source_->resolve(
       manifest_url,
-      [this](manifest::Presentation p) { on_manifest_ready(std::move(p)); },
-      [this](const std::string& reason) { on_manifest_error(reason); });
+      [this](manifest::Presentation p) {
+        sim_.poke(this);
+        on_manifest_ready(std::move(p));
+      },
+      [this](const std::string& reason) {
+        sim_.poke(this);
+        on_manifest_error(reason);
+      });
 }
 
 void Player::stop() {
-  // Stopped is final (start() requires kIdle) and a stopped player's tick,
-  // next_wake and fast_forward are no-ops, so leaving the simulator changes
-  // nothing observable, and lets the owner destroy it mid-run.
+  // Catch up first: the outcome folds read the position. Stopped is final
+  // (start() requires kIdle) and a stopped player's tick, next_wake and
+  // fast_forward are no-ops, so leaving the simulator changes nothing
+  // observable, and lets the owner destroy it mid-run.
+  sim_.poke(this);
   sim_.remove_tick_client(this);
   if (finished() && client_->shut_down()) return;
   // Abort through the player path first so every transfer is logged as an
@@ -181,15 +191,22 @@ void Player::stop() {
   client_->shutdown();
 }
 
-void Player::pause() { user_paused_ = true; }
+void Player::pause() {
+  sim_.poke(this);
+  user_paused_ = true;
+}
 
-void Player::resume() { user_paused_ = false; }
+void Player::resume() {
+  sim_.poke(this);
+  user_paused_ = false;
+}
 
 void Player::seek(Seconds target) {
   if (state_ != PlayerState::kStartup && state_ != PlayerState::kPlaying &&
       state_ != PlayerState::kRebuffering) {
     return;  // nothing to seek in
   }
+  sim_.poke(this);
   target = std::clamp(target, 0.0, presentation_duration_ - 0.5);
   events_.seeks.push_back(SeekEvent{sim_.now(), position_, target});
   if (obs::trace_on(obs_, obs::Category::kPlayer)) {
@@ -272,6 +289,10 @@ void Player::on_manifest_ready(manifest::Presentation presentation) {
     --startup_level_;
   }
   last_selected_level_ = startup_level_;
+  // The meter's first active tick counts the whole resolution phase as one
+  // busy tick, however many ticks delivered manifest bytes.
+  const std::uint64_t delivered = client_->deliveries().ticks;
+  if (delivered > meter_ticks_seen_) meter_ticks_seen_ = delivered - 1;
   set_state(PlayerState::kStartup);
   schedule_downloads();
 }
@@ -320,11 +341,7 @@ void Player::tick(Seconds /*now*/, Seconds dt) {
   // Meter "busy" time as ticks in which payload actually flowed; pure
   // protocol waits (handshakes, request RTTs) would bias the rate estimate
   // by an amount that varies with segment size.
-  const Bytes flowed = client_->total_delivered();
-  if (flowed != meter_last_seen_) {
-    meter_busy_time_ += dt;
-    meter_last_seen_ = flowed;
-  }
+  account_meter(client_->deliveries().ticks, dt);
   if (state_ == PlayerState::kPlaying && !user_paused_) advance_playback(dt);
   check_fetch_timeouts();
   update_state();
@@ -347,30 +364,33 @@ Seconds Player::next_wake(Seconds now) {
     case PlayerState::kRebuffering:
       break;
   }
-  // In-flight fetches complete inside the link's tick; stay dense.
-  if (!fetches_.empty()) return now;
-  // Bytes flowed since our last tick: the bandwidth meter must account the
-  // busy tick before anything can be skipped.
-  if (client_->total_delivered() != meter_last_seen_) return now;
   // The per-segment SR probe runs an ABR decision (counter + trace event)
   // every tick while future fetching is paused — never coast it.
   if (config_.sr == SrPolicy::kPerSegment) return now;
 
-  // A pipeline that could issue a fetch right now means no coasting. (With
-  // no fetches in flight this cannot normally happen — the previous tick
-  // would have issued it — but stay conservative.)
+  // Fetches in flight need no wake: their completions poke the player, and
+  // the meter replays the delivery ticks slept through. Whatever blocks a
+  // pipeline from fetching while one is in flight (busy connections, the
+  // parallelism cap, the A/V window) only lifts through a completion, a
+  // retry or a position crossing, all covered here. With nothing in flight,
+  // a pipeline that could issue a fetch right now means no coasting. (That
+  // cannot normally happen — this very tick would have issued it — but stay
+  // conservative.)
   const int video_count = static_cast<int>(video_track(0).segments.size());
-  if (!paused_[kVideoPipe] && next_index_[kVideoPipe] < video_count) {
-    return now;
-  }
-  int audio_count = 0;
-  if (presentation_.separate_audio()) {
-    audio_count = static_cast<int>(audio_track().segments.size());
+  const int audio_count =
+      presentation_.separate_audio()
+          ? static_cast<int>(audio_track().segments.size())
+          : 0;
+  if (fetches_.empty()) {
+    if (!paused_[kVideoPipe] && next_index_[kVideoPipe] < video_count) {
+      return now;
+    }
     if (!paused_[kAudioPipe] && next_index_[kAudioPipe] < audio_count) {
       return now;
     }
   }
 
+  const Seconds dt = sim_.tick_duration();
   Seconds wake = net::TickClient::kNeverWakes;
   if (seekbar_) wake = std::min(wake, next_seekbar_at_);
   if (obs::trace_on(obs_, obs::Category::kPlayer)) {
@@ -381,6 +401,13 @@ Seconds Player::next_wake(Seconds now) {
       wake = std::min(wake, std::max(now, retries_[pipe].front().eligible_at));
     }
   }
+  if (config_.fetch_timeout > 0) {
+    // check_fetch_timeouts compares issued_at <= now - fetch_timeout; the
+    // margin keeps float rounding from pushing the deadline tick past it.
+    for (const auto& [key, info] : fetches_) {
+      wake = std::min(wake, info.issued_at + config_.fetch_timeout - 2 * dt);
+    }
+  }
 
   if (state_ == PlayerState::kPlaying && !user_paused_) {
     // Playback advances: wake two ticks before the earliest position
@@ -389,6 +416,9 @@ Seconds Player::next_wake(Seconds now) {
     Seconds target = std::min(playable_end(), presentation_duration_);
     const BufferedSegment* current = video_buffer_.at_position(position_);
     if (current != nullptr) {
+      // A segment not yet displayed (playback just started or resumed)
+      // records its display event on the very next tick.
+      if (current->index != last_display_index_) return now;
       // Entering the next segment records a display event.
       target = std::min(target, current->start + current->duration);
     }
@@ -403,20 +433,37 @@ Seconds Player::next_wake(Seconds now) {
     if (presentation_.separate_audio()) {
       resume_crossing(kAudioPipe, audio_count);
     }
-    const Seconds dt = sim_.tick_duration();
     wake = std::min(wake, now + (target - position_) - 2 * dt);
   }
   return wake;
 }
 
+void Player::account_meter(std::uint64_t delivered_ticks, Seconds dt) {
+  // One add per tick, as the per-tick loop makes them, so the float sum is
+  // the same however the ticks were batched.
+  for (; meter_ticks_seen_ < delivered_ticks; ++meter_ticks_seen_) {
+    meter_busy_time_ += dt;
+  }
+}
+
 void Player::fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) {
   (void)now;
+  if (state_ != PlayerState::kStartup && state_ != PlayerState::kPlaying &&
+      state_ != PlayerState::kRebuffering) {
+    return;  // tick() does nothing in these states
+  }
+  // Each slept tick accounted at most one delivery tick, one dt each. The
+  // current tick's delivery, if any, is left to the next tick() or
+  // catch-up; the meter is read only in a completion, after the catch-up,
+  // so it reads the sum the per-tick loop had reached.
+  account_meter(client_->deliveries().ticks_before(sim_.now()), dt);
   if (state_ != PlayerState::kPlaying || user_paused_) return;
   // Replay advance_playback's position recurrence tick by tick. The limit
-  // is loop-invariant over a skipped span (no downloads complete, and the
-  // contiguous run containing the position cannot shrink ahead of it), and
-  // next_wake guarantees no display boundary or state threshold is crossed,
-  // so the clamped additions are the span's only effect.
+  // is loop-invariant over a slept span (a completing download pokes the
+  // player, which catches up before the segment lands, and the contiguous
+  // run containing the position cannot shrink ahead of it), and next_wake
+  // guarantees no display boundary or state threshold is crossed, so the
+  // clamped additions are the span's only effect.
   const Seconds limit = std::min(playable_end(), presentation_duration_);
   for (std::uint64_t i = 0; i < ticks; ++i) {
     position_ = std::min(position_ + dt, limit);
@@ -769,6 +816,7 @@ void Player::issue_segment_fetch(int pipeline, int index, int level,
   ++in_flight_count_[pipeline];
 
   auto deliver = [this, key](const http::Response& response) {
+    sim_.poke(this);
     on_segment_done(key, response);
   };
 

@@ -130,46 +130,52 @@ class Player : public net::TickClient {
   /// downloading continues up to the pausing threshold.
   void pause();
   void resume();
-  bool paused_by_user() const { return user_paused_; }
 
   /// 1 Hz playback-progress callback (the ProgressBar.setProgress analogue).
   using SeekbarFn = std::function<void(Seconds wall_time, int progress_sec)>;
   void set_seekbar_callback(SeekbarFn fn) { seekbar_ = std::move(fn); }
 
+  // --- Readers -------------------------------------------------------------
+  //
+  // On the event core a player sleeps between its wakes and catches up when
+  // poked (net::Simulator). What changes while it sleeps is its playback
+  // position and its bandwidth meter, so:
+  //   * state(), finished(), events(), presentation() and config() are valid
+  //     at any time, also mid-run from another client or an event (the tower
+  //     sampler reads state() and events() through HostedSession::sample);
+  //   * position(), video_buffered(), video_buffer() and
+  //     bandwidth_estimate() are valid only once the player is caught up:
+  //     between run_until calls, or from inside its own callbacks.
+
   PlayerState state() const { return state_; }
   bool finished() const {
     return state_ == PlayerState::kEnded || state_ == PlayerState::kFailed;
   }
-  Seconds position() const { return position_; }
   const PlayerEvents& events() const { return events_; }
   const manifest::Presentation& presentation() const { return presentation_; }
   const PlayerConfig& config() const { return config_; }
 
+  Seconds position() const { return position_; }
   Seconds video_buffered() const {
     return video_buffer_.buffered_ahead(position_);
   }
-  Seconds audio_buffered() const {
-    return audio_buffer_.buffered_ahead(position_);
-  }
   const PlaybackBuffer& video_buffer() const { return video_buffer_; }
-
-  /// Next video index the downloader will fetch (for experiments).
-  int next_video_index() const { return next_index_[0]; }
   Bps bandwidth_estimate() const { return estimator_.estimate(); }
 
   // --- net::TickClient ----------------------------------------------------
   void tick(Seconds now, Seconds dt) override;
-  /// Earliest instant the player could next do observable work. Dense while
-  /// anything is in flight; while coasting (playing out of a full buffer, or
-  /// parked in a terminal/stalled state) it is the min of the next seekbar /
-  /// obs-sample emission, the next retry-eligible time, and — when playback
-  /// advances — the next position crossing (segment display boundary,
-  /// pipeline resume threshold, underrun, end of content) with a two-tick
-  /// safety margin.
+  /// Earliest instant the player could next do observable work on its own.
+  /// Fetch completions poke it, so a fetch in flight does not keep it awake;
+  /// the wake is the min of the next seekbar / obs-sample emission, the next
+  /// retry-eligible time, the next fetch_timeout deadline, and — when
+  /// playback advances — the next position crossing (segment display
+  /// boundary, pipeline resume threshold, underrun, end of content), the
+  /// last two with a two-tick safety margin.
   Seconds next_wake(Seconds now) override;
-  /// Replays the per-tick playback-position recurrence over a skipped span
-  /// (exactly `ticks` clamped additions, so the float result is identical
-  /// to having executed the ticks).
+  /// Replays the ticks slept through: the bandwidth meter's busy time (one
+  /// dt per tick in which the HTTP client delivered payload) and the
+  /// playback-position recurrence (exactly `ticks` clamped additions, so
+  /// the float result is identical to having executed the ticks).
   void fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) override;
 
  private:
@@ -204,6 +210,9 @@ class Player : public net::TickClient {
   void end_stall();
   void sample_observability();
 
+  /// Adds one dt of meter busy time per delivery tick counted up to
+  /// `delivered_ticks` (a DeliveryTally reading) and not yet seen.
+  void account_meter(std::uint64_t delivered_ticks, Seconds dt);
   void advance_playback(Seconds dt);
   void update_state();
   void emit_seekbar();
@@ -268,9 +277,10 @@ class Player : public net::TickClient {
   int next_fetch_key_ = 0;
   Seconds next_seekbar_at_ = 0;
   int last_display_index_ = -1;
-  // Player-wide bandwidth meter state.
+  // Player-wide bandwidth meter state: busy time is one tick per grid tick
+  // in which the client delivered payload (client_->deliveries()).
   Bytes meter_bytes_anchor_ = 0;
-  Bytes meter_last_seen_ = 0;
+  std::uint64_t meter_ticks_seen_ = 0;
   Seconds meter_busy_time_ = 0;
 
   bool user_paused_ = false;

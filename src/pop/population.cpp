@@ -352,6 +352,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   report.ticks_covered = sim.ticks_covered();
   report.ticks_executed = sim.ticks_executed();
   report.client_ticks = sim.client_ticks();
+  report.client_fast_forwards = sim.client_fast_forwards();
 
   // Fold in arrival order, so every sum below runs in the same order
   // however the sessions departed.
@@ -572,11 +573,13 @@ std::string population_jsonl(const PopulationReport& report) {
     out += format(
         R"({"type":"tower","tower":%zu,"profile":%d,"sessions":%d,)"
         R"("capped_arrivals":%d,"peak_concurrent":%d,"time_of_peak_s":%.3f,)"
-        R"("ticks_covered":%llu,"ticks_executed":%llu,"client_ticks":%llu})",
+        R"("ticks_covered":%llu,"ticks_executed":%llu,"client_ticks":%llu,)"
+        R"("client_fast_forwards":%llu})",
         i, t.profile_id, t.sessions, t.capped_arrivals, t.peak_concurrent,
         t.time_of_peak, static_cast<unsigned long long>(t.ticks_covered),
         static_cast<unsigned long long>(t.ticks_executed),
-        static_cast<unsigned long long>(t.client_ticks));
+        static_cast<unsigned long long>(t.client_ticks),
+        static_cast<unsigned long long>(t.client_fast_forwards));
     out += '\n';
   }
   for (const TowerReport& tower : report.towers) {

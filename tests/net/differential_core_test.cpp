@@ -57,5 +57,26 @@ TEST(DifferentialCore, FaultScenariosMatch) {
             2u * 2u * faults::scenario_catalog().size());
 }
 
+TEST(DifferentialCore, HardenedPlayersUnderFaultsMatch) {
+  // Hardened players abort fetches that outlive fetch_timeout (12 s). A
+  // sleeping player with a fetch in flight wakes for that deadline; the
+  // 20 s blackout at 120 s makes the deadlines fire.
+  testing::DifferentialGrid grid;
+  grid.services = {"H1", "D1"};
+  grid.hardened = true;
+  grid.fault_scenarios = {"blackout", "flaky-origin", "resets"};
+  grid.duration = 150;
+  const testing::DifferentialResult result = testing::run_differential(grid);
+  EXPECT_TRUE(result.ok()) << result.summary();
+  std::int64_t failures = 0;
+  for (const batch::CellResult& cell : result.event.cells) {
+    if (cell.fault != "blackout") continue;
+    const obs::MetricsSnapshot::Entry* entry =
+        cell.metrics.find("player.fetch_failures");
+    if (entry != nullptr) failures += entry->count;
+  }
+  EXPECT_GT(failures, 0);
+}
+
 }  // namespace
 }  // namespace vodx

@@ -234,6 +234,172 @@ TEST(SimulatorClients, DoubleAndUnknownRemovalsAreNoOps) {
   EXPECT_EQ(sim.client_ticks(), 4u);
 }
 
+// --- The wake heap: due clients, pokes and catch-up ------------------------
+
+/// A client that sleeps until poked (or until `wake_at`) and records when
+/// it ran and how many slept ticks it was asked to replay.
+struct SleepyClient : TickClient {
+  explicit SleepyClient(std::vector<char>* log = nullptr, char name = '?')
+      : log(log), name(name) {}
+
+  void tick(Seconds now, Seconds) override {
+    ran_at.push_back(now);
+    if (log != nullptr) log->push_back(name);
+    if (on_tick) on_tick(now);
+  }
+  Seconds next_wake(Seconds) override {
+    const Seconds wake = wake_at;
+    wake_at = kNeverWakes;
+    return wake;
+  }
+  void fast_forward(Seconds, Seconds, std::uint64_t ticks) override {
+    ++fast_forwards;
+    replayed += ticks;
+  }
+
+  std::vector<char>* log;
+  char name;
+  Seconds wake_at = kNeverWakes;
+  std::function<void(Seconds)> on_tick;
+  std::vector<Seconds> ran_at;
+  int fast_forwards = 0;
+  std::uint64_t replayed = 0;
+};
+
+TEST(SimulatorWakeHeap, PokeFromAnEventRunsTheClientInThatTick) {
+  Simulator sim(0.01);
+  SleepyClient client;
+  sim.add_tick_client(&client);
+  sim.schedule(0.5, [&] { sim.poke(&client); });
+  sim.run_until(1.0);
+  ASSERT_EQ(client.ran_at.size(), 1u);
+  EXPECT_NEAR(client.ran_at[0], 0.5, 1e-9);
+  // Caught up over 0.01 .. 0.49 before running, then over 0.51 .. 1.0 when
+  // run_until returned.
+  EXPECT_EQ(client.replayed, 49u + 50u);
+  EXPECT_EQ(client.fast_forwards, 2);
+  EXPECT_EQ(sim.ticks_executed(), 1u);
+}
+
+TEST(SimulatorWakeHeap, PokeFromAClientsTickHonoursRegistrationSlots) {
+  Simulator sim(0.01);
+  std::vector<char> log;
+  SleepyClient early(&log, 'e'), link(&log, 'l'), late(&log, 'z');
+  sim.add_tick_client(&early);
+  sim.add_tick_client(&link);
+  sim.add_tick_client(&late);
+  link.wake_at = 0.5;
+  link.on_tick = [&](Seconds) {
+    // What a completion callback inside the link's tick does.
+    sim.poke(&late);
+    sim.poke(&early);
+  };
+  sim.run_until(1.0);
+  EXPECT_EQ(std::string(log.begin(), log.end()), "lze");
+  ASSERT_EQ(late.ran_at.size(), 1u);
+  ASSERT_EQ(early.ran_at.size(), 1u);
+  EXPECT_NEAR(late.ran_at[0], 0.5, 1e-9);   // slot still ahead: same tick
+  EXPECT_NEAR(early.ran_at[0], 0.51, 1e-9);  // slot passed: next tick
+  // The late client lived through 0.49 before the poke, the early one
+  // through 0.50 (its slot had passed); both end caught up to 1.0.
+  EXPECT_EQ(late.replayed, 49u + 50u);
+  EXPECT_EQ(early.replayed, 50u + 49u);
+}
+
+TEST(SimulatorWakeHeap, DueClientsRunInRegistrationOrder) {
+  Simulator sim(0.01);
+  std::vector<char> log;
+  SleepyClient a(&log, 'a'), b(&log, 'b'), c(&log, 'c');
+  sim.add_tick_client(&a);
+  sim.add_tick_client(&b);
+  sim.add_tick_client(&c);
+  // All three fall due on the 0.50 tick; the heap holds them in wake order
+  // c, b, a, but they run in registration order.
+  a.wake_at = 0.5;
+  b.wake_at = 0.4975;
+  c.wake_at = 0.495;
+  sim.run_until(1.0);
+  EXPECT_EQ(std::string(log.begin(), log.end()), "abc");
+  for (const SleepyClient* client : {&a, &b, &c}) {
+    ASSERT_EQ(client->ran_at.size(), 1u);
+    EXPECT_NEAR(client->ran_at[0], 0.5, 1e-9);
+  }
+}
+
+TEST(SimulatorWakeHeap, RemovedSleepingClientNeverTicksOrFastForwardsAgain) {
+  Simulator sim(0.01);
+  SleepyClient gone, stays;
+  sim.add_tick_client(&gone);
+  sim.add_tick_client(&stays);
+  gone.wake_at = 0.3;
+  stays.wake_at = 0.3;
+  sim.run_until(0.5);
+  ASSERT_EQ(gone.ran_at.size(), 1u);
+  const int fast_forwards = gone.fast_forwards;
+  const std::uint64_t replayed = gone.replayed;
+  // Removed while asleep with a wake still in the heap.
+  gone.wake_at = 0.8;
+  sim.poke(&gone);  // runs at 0.51 unless removed first
+  sim.remove_tick_client(&gone);
+  sim.poke(&gone);  // no-op for a client that left
+  stays.wake_at = 0.8;
+  sim.poke(&stays);
+  sim.run_until(2.0);
+  EXPECT_EQ(gone.ran_at.size(), 1u);
+  EXPECT_EQ(gone.fast_forwards, fast_forwards);
+  EXPECT_EQ(gone.replayed, replayed);
+  ASSERT_EQ(stays.ran_at.size(), 3u);
+  EXPECT_NEAR(stays.ran_at[1], 0.51, 1e-9);
+  EXPECT_NEAR(stays.ran_at[2], 0.8, 1e-9);
+}
+
+TEST(SimulatorWakeHeap, ClientRegisteredInAnEventFirstRunsOnTheNextTick) {
+  for (SimCore core : {SimCore::kEvent, SimCore::kFixedTickReference}) {
+    Simulator sim(0.01);
+    sim.set_core(core);
+    std::vector<char> log;
+    LoggingClient arrival(&log, 'n');
+    sim.schedule(0.5, [&] { sim.add_tick_client(&arrival); });
+    sim.run_until(0.5);
+    EXPECT_EQ(arrival.ticks, 0);
+    sim.run_until(0.53);
+    EXPECT_EQ(arrival.ticks, 3);  // 0.51, 0.52, 0.53
+    EXPECT_NEAR(arrival.next_due, 0.53, 1e-9);
+  }
+}
+
+/// One H1 session at 3 Mbps, stopped at `stops` in turn: its position and
+/// client-tick count at each stop.
+std::vector<std::string> positions_at(SimCore core,
+                                      const std::vector<Seconds>& stops) {
+  core::SessionFactory factory;
+  factory.session_duration = 90;
+  factory.content_duration = 90;
+  factory.sim_core = core;
+  const core::SessionConfig config = factory.config(
+      services::service("H1"), BandwidthTrace::constant(3e6, 600));
+  Simulator sim(config.sim_settings());
+  Link link(sim, BandwidthTrace::constant(3e6, 600), config.rtt);
+  core::HostedSession session(sim, link, config);
+  session.start();
+  std::vector<std::string> out;
+  for (Seconds stop : stops) {
+    sim.run_until(stop);
+    const Seconds position = session.finish_light(sim.now()).final_position;
+    out.push_back(format("%.17g", position));
+  }
+  return out;
+}
+
+TEST(SimulatorWakeHeap, SleepingPlayerIsCaughtUpWhenRunUntilReturns) {
+  std::vector<Seconds> stops;
+  for (Seconds t = 3.33; t < 90; t += 3.33) stops.push_back(t);
+  const std::vector<std::string> fixed =
+      positions_at(SimCore::kFixedTickReference, stops);
+  EXPECT_EQ(positions_at(SimCore::kEvent, stops), fixed);
+  EXPECT_NE(fixed.front(), fixed.back());  // playback did advance
+}
+
 /// The second of two sessions sharing one simulator and link, reduced to
 /// the fields a population outcome folds. The first session departs at
 /// 30 s; with `destroy_first` it is also destroyed there, mid-run.

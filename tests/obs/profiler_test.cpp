@@ -50,6 +50,17 @@ TEST_F(ProfilerTest, EnabledZonesCountEntries) {
   EXPECT_EQ(loop->total_ns, loop->self_ns);  // no children
 }
 
+TEST_F(ProfilerTest, ConditionalZonesTimeOnlyTheChosenEntries) {
+  set_profiling_enabled(true);
+  for (int i = 0; i < 10; ++i) {
+    VODX_PROFILE_ZONE_IF("test.sampled", i % 4 == 0);
+  }
+  const std::vector<ZoneStats> zones = profiler_report();
+  const ZoneStats* sampled = find_zone(zones, "test.sampled");
+  ASSERT_NE(sampled, nullptr);
+  EXPECT_EQ(sampled->count, 3u);  // i = 0, 4, 8
+}
+
 TEST_F(ProfilerTest, NestedZonesSplitSelfFromTotal) {
   set_profiling_enabled(true);
   {

@@ -6,13 +6,15 @@
 // stop and free them, and the telemetry sampler and diagnosis ride along.
 // This test runs such towers on SimCore::kEvent and on kFixedTickReference
 // and requires every population export to be byte-identical. The one output
-// the core choice is meant to change is the work it does: the executed-tick
-// and client-tick counters are compared apart from the exports.
+// the core choice is meant to change is the work it does: the executed-tick,
+// client-tick and fast-forward counters are compared apart from the exports.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <string>
 
+#include "diag/cause.h"
+#include "faults/fault_plan.h"
 #include "origin/origin.h"
 #include "pop/pop_timeline.h"
 #include "pop/population.h"
@@ -24,7 +26,7 @@ namespace {
 /// TSan leg sees sessions freed concurrently): ~180 arrivals per tower at
 /// 12/min watching 120 s each, so sessions arrive and depart throughout the
 /// run. Hardened origin, diagnosis and the timeline sampler are all on.
-PopulationConfig differential_towers(net::SimCore core) {
+PopulationConfig differential_towers() {
   PopulationConfig config;
   config.towers = {14, 14};
   config.jobs = 2;
@@ -37,18 +39,21 @@ PopulationConfig differential_towers(net::SimCore core) {
   config.origin.validate();
   config.diagnose = true;
   config.collect_timeline = true;
-  config.sim_core = core;
   return config;
 }
 
-TEST(PopCoreDifferential, TowerExportsAreByteIdenticalOnBothCores) {
-  PopulationReport event =
-      run_population(differential_towers(net::SimCore::kEvent));
-  PopulationReport fixed =
-      run_population(differential_towers(net::SimCore::kFixedTickReference));
-  ASSERT_EQ(event.towers.size(), 2u);
-  ASSERT_EQ(fixed.towers.size(), 2u);
-  ASSERT_GT(event.total_sessions, 200);
+/// Runs `config` on both cores, requires every export byte-identical and
+/// returns the event-core report. The work counters, which the core choice
+/// is meant to change, are checked for direction and then zeroed before
+/// the exports are compared.
+PopulationReport expect_identical_on_both_cores(PopulationConfig config) {
+  config.sim_core = net::SimCore::kEvent;
+  PopulationReport event = run_population(config);
+  config.sim_core = net::SimCore::kFixedTickReference;
+  PopulationReport fixed = run_population(config);
+  EXPECT_EQ(event.towers.size(), config.towers.size());
+  EXPECT_EQ(fixed.towers.size(), config.towers.size());
+  if (event.towers.size() != fixed.towers.size()) return event;
 
   for (std::size_t t = 0; t < event.towers.size(); ++t) {
     TowerReport& e = event.towers[t];
@@ -57,16 +62,55 @@ TEST(PopCoreDifferential, TowerExportsAreByteIdenticalOnBothCores) {
     EXPECT_EQ(f.ticks_executed, f.ticks_covered);
     EXPECT_LE(e.ticks_executed, f.ticks_executed);
     EXPECT_LE(e.client_ticks, f.client_ticks);
+    EXPECT_GT(e.client_fast_forwards, 0u);
+    EXPECT_EQ(f.client_fast_forwards, 0u);
     e.ticks_executed = f.ticks_executed = 0;
     e.client_ticks = f.client_ticks = 0;
+    e.client_fast_forwards = 0;
   }
 
-  EXPECT_GT(event.diag.sessions_diagnosed, 0);
-  EXPECT_GT(event.diag.sessions_skipped, 0);
   EXPECT_EQ(population_text(event), population_text(fixed));
   EXPECT_EQ(population_jsonl(event), population_jsonl(fixed));
   EXPECT_EQ(population_csv(event), population_csv(fixed));
   EXPECT_EQ(population_timeline_csv(event), population_timeline_csv(fixed));
+  return event;
+}
+
+TEST(PopCoreDifferential, TowerExportsAreByteIdenticalOnBothCores) {
+  const PopulationReport event =
+      expect_identical_on_both_cores(differential_towers());
+  EXPECT_GT(event.total_sessions, 200);
+  EXPECT_GT(event.diag.sessions_diagnosed, 0);
+  EXPECT_GT(event.diag.sessions_skipped, 0);
+}
+
+TEST(PopCoreDifferential, FaultedTowersAreByteIdenticalOnBothCores) {
+  // Latency, error and reset faults on every tower: retries, aborted and
+  // failed fetches cross the poke and catch-up path of sleeping players.
+  PopulationConfig config = differential_towers();
+  config.towers = {9, 14};
+  config.horizon = 600;
+  faults::FaultPlan plan;
+  plan.name = "pop-differential";
+  faults::LatencyFault latency;
+  latency.base = 0.3;
+  latency.jitter = 0.5;
+  latency.probability = 0.3;
+  plan.latency.push_back(latency);
+  faults::ErrorFault error;
+  error.match.url_contains = "seg";
+  error.probability = 0.1;
+  plan.errors.push_back(error);
+  faults::ResetFault reset;
+  reset.match.url_contains = "seg";
+  reset.probability = 0.1;
+  plan.resets.push_back(reset);
+  config.fault_plan = plan;
+  const PopulationReport event = expect_identical_on_both_cores(config);
+  EXPECT_GT(event.total_sessions, 100);
+  // The faults fired: diagnosis charges problem time to them.
+  EXPECT_GT(event.diag.blamed_s[static_cast<int>(diag::Cause::kFaultInjected)],
+            0);
 }
 
 }  // namespace

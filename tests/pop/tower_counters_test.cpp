@@ -32,7 +32,18 @@ TEST(TowerWorkCounters, EventCorePinsAllThreeCounters) {
   EXPECT_EQ(tower.sessions, 63);
   EXPECT_EQ(tower.ticks_covered, 60000u);
   EXPECT_EQ(tower.ticks_executed, 57841u);
-  EXPECT_EQ(tower.client_ticks, 456218u);
+  EXPECT_EQ(tower.client_ticks, 67719u);
+}
+
+TEST(TowerWorkCounters, SleepingPlayersCutClientTicksFivefold) {
+  // The link and the event queue decide which ticks execute; on those
+  // ticks the event core runs only the clients that are due or poked. A
+  // player downloading a segment sleeps until the completion pokes it.
+  const TowerReport event = small_tower(net::SimCore::kEvent);
+  const TowerReport fixed = small_tower(net::SimCore::kFixedTickReference);
+  EXPECT_LE(5 * event.client_ticks, fixed.client_ticks);
+  EXPECT_GT(event.client_fast_forwards, 0u);
+  EXPECT_EQ(fixed.client_fast_forwards, 0u);
 }
 
 TEST(TowerWorkCounters, BothCoresCoverTheSameTicks) {

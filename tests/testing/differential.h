@@ -20,6 +20,7 @@
 #include "batch/sweep.h"
 #include "common/strings.h"
 #include "core/qoe.h"
+#include "faults/fault_plan.h"
 
 namespace vodx::testing {
 
@@ -32,6 +33,9 @@ struct DifferentialGrid {
   std::vector<std::string> fault_scenarios = {"none"};
   Seconds duration = 60;  ///< content == session duration
   int jobs = 2;
+  /// Play faults::hardened players (fetch timeouts, jittered retries,
+  /// abandon-and-downswitch), as `vodx faults --hardened` does.
+  bool hardened = false;
 };
 
 struct DifferentialResult {
@@ -205,6 +209,10 @@ inline DifferentialResult run_differential(const DifferentialGrid& grid) {
   batch::SweepConfig config;
   for (const std::string& name : grid.services) {
     config.services.push_back(services::service(name));
+    if (grid.hardened) {
+      config.services.back().player = faults::hardened(
+          config.services.back().player, config.services.size());
+    }
   }
   config.profiles = grid.profiles;
   config.seeds = grid.seeds;
