@@ -90,35 +90,6 @@ Table dimension_table(const Dimension& dim) {
   return table;
 }
 
-Table overall_table(const obs::MetricsSnapshot& snapshot) {
-  Table table({"metric", "type", "count", "value", "mean", "p50", "p90", "p99",
-               "max"});
-  for (const obs::MetricsSnapshot::Entry& entry : snapshot.entries) {
-    switch (entry.type) {
-      case obs::MetricsSnapshot::Type::kCounter:
-        table.add_row({entry.name, "counter",
-                        format("%lld", static_cast<long long>(entry.count)),
-                        "-", "-", "-", "-", "-", "-"});
-        break;
-      case obs::MetricsSnapshot::Type::kGauge:
-        table.add_row({entry.name, "gauge", "-",
-                        format("%.3f", entry.value), "-", "-", "-", "-",
-                        "-"});
-        break;
-      case obs::MetricsSnapshot::Type::kHistogram:
-        table.add_row({entry.name, "histogram",
-                        format("%lld", static_cast<long long>(entry.count)),
-                        format("%.3f", entry.value),
-                        format("%.3f", entry.mean),
-                        format("%.3f", entry.p50), format("%.3f", entry.p90),
-                        format("%.3f", entry.p99),
-                        format("%.3f", entry.max)});
-        break;
-    }
-  }
-  return table;
-}
-
 }  // namespace
 
 SweepMetrics aggregate_metrics(const SweepResult& result) {
@@ -247,7 +218,7 @@ std::string report_html(const SweepMetrics& metrics) {
     out += "</ul>\n";
   }
   out += "<h2>overall</h2>\n";
-  out += overall_table(metrics.overall.metrics).html();
+  out += obs::metrics_table(metrics.overall.metrics).html();
   for (const Dimension& dim : dimensions(metrics)) {
     out += format("<h2>%s</h2>\n", dim.title);
     out += dimension_table(dim).html();

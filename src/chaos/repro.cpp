@@ -1,21 +1,14 @@
 #include "chaos/repro.h"
 
-#include <cctype>
-#include <cstdlib>
-#include <map>
-#include <vector>
-
 #include "common/error.h"
+#include "common/json.h"
 #include "common/strings.h"
-#include "obs/export.h"
 
 namespace vodx::chaos {
 
 namespace {
 
 // --- Emission --------------------------------------------------------------
-
-using obs::json_escape;
 
 std::string match_json(const faults::Match& match) {
   return format(R"({"url_contains":"%s","start":%.6g,"end":%.6g})",
@@ -24,212 +17,6 @@ std::string match_json(const faults::Match& match) {
 }
 
 // --- Parsing ---------------------------------------------------------------
-// A minimal recursive-descent JSON reader: objects, arrays, strings,
-// numbers, true/false/null. It exists to read artifacts *we* emitted (plus
-// hand-edits), not arbitrary JSON: \uXXXX decodes to UTF-8 but surrogate
-// pairs are not joined, and numbers are whatever strtod accepts.
-
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<Json> array;
-  std::map<std::string, Json> object;
-
-  const Json* find(const std::string& key) const {
-    auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-  double num_or(const std::string& key, double fallback) const {
-    const Json* j = find(key);
-    return j != nullptr && j->type == Type::kNumber ? j->number : fallback;
-  }
-  std::string str_or(const std::string& key, std::string fallback) const {
-    const Json* j = find(key);
-    return j != nullptr && j->type == Type::kString ? j->string : fallback;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Json parse() {
-    Json value = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    throw ParseError(format("repro json: %s at offset %zu", what.c_str(),
-                            pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(format("expected '%c'", c));
-    ++pos_;
-  }
-
-  Json parse_value() {
-    switch (peek()) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
-      case '"':
-        return parse_string();
-      case 't':
-      case 'f':
-        return parse_bool();
-      case 'n':
-        return parse_null();
-      default:
-        return parse_number();
-    }
-  }
-
-  Json parse_object() {
-    Json out;
-    out.type = Json::Type::kObject;
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      Json key = parse_string();
-      expect(':');
-      out.object[key.string] = parse_value();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return out;
-    }
-  }
-
-  Json parse_array() {
-    Json out;
-    out.type = Json::Type::kArray;
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      out.array.push_back(parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return out;
-    }
-  }
-
-  Json parse_string() {
-    Json out;
-    out.type = Json::Type::kString;
-    expect('"');
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      const char c = text_[pos_++];
-      if (c != '\\') {
-        out.string += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("dangling escape");
-      switch (const char e = text_[pos_++]) {
-        case 'n': out.string += '\n'; break;
-        case 't': out.string += '\t'; break;
-        case 'r': out.string += '\r'; break;
-        case 'b': out.string += '\b'; break;
-        case 'f': out.string += '\f'; break;
-        case 'u': append_utf8(parse_hex4(), &out.string); break;
-        default: out.string += e; break;  // \" \\ \/
-      }
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  unsigned parse_hex4() {
-    const std::string hex = text_.substr(pos_, 4);
-    if (hex.size() != 4) fail("truncated \\u escape");
-    for (const char h : hex) {
-      if (!std::isxdigit(static_cast<unsigned char>(h))) fail("bad \\u escape");
-    }
-    pos_ += 4;
-    return static_cast<unsigned>(std::stoul(hex, nullptr, 16));
-  }
-
-  static void append_utf8(unsigned code, std::string* out) {
-    if (code < 0x80) {
-      out->push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-  }
-
-  Json parse_number() {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start) fail("expected a value");
-    pos_ += static_cast<std::size_t>(end - start);
-    Json out;
-    out.type = Json::Type::kNumber;
-    out.number = value;
-    return out;
-  }
-
-  Json parse_bool() {
-    Json out;
-    out.type = Json::Type::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-    } else {
-      fail("expected true/false");
-    }
-    return out;
-  }
-
-  Json parse_null() {
-    if (text_.compare(pos_, 4, "null") != 0) fail("expected null");
-    pos_ += 4;
-    return Json{};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 faults::Match parse_match(const Json& json) {
   faults::Match match;
@@ -316,7 +103,7 @@ std::string to_json(const ReproArtifact& artifact) {
 }
 
 ReproArtifact parse_repro(const std::string& json) {
-  const Json root = Parser(json).parse();
+  const Json root = parse_json(json);
   if (root.type != Json::Type::kObject) {
     throw ParseError("repro json: top level is not an object");
   }

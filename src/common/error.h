@@ -21,13 +21,6 @@ class ParseError : public Error {
   explicit ParseError(const std::string& what) : Error("parse error: " + what) {}
 };
 
-/// A request that the peer cannot satisfy (unknown URL, bad range, ...).
-class ProtocolError : public Error {
- public:
-  explicit ProtocolError(const std::string& what)
-      : Error("protocol error: " + what) {}
-};
-
 /// Invalid configuration supplied by the caller.
 class ConfigError : public Error {
  public:

@@ -81,14 +81,22 @@ double parse_double(std::string_view text) {
 }
 
 std::string format(const char* fmt, ...) {
+  // One pass into a stack buffer fits nearly every call; longer output
+  // takes a second pass into an exactly sized string.
+  char buffer[256];
   std::va_list args;
   va_start(args, fmt);
   std::va_list args2;
   va_copy(args2, args);
-  int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  const int needed = std::vsnprintf(buffer, sizeof buffer, fmt, args);
   va_end(args);
-  std::string out(needed > 0 ? static_cast<std::size_t>(needed) : 0, '\0');
-  if (needed > 0) std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
+  std::string out;
+  if (needed > 0 && static_cast<std::size_t>(needed) < sizeof buffer) {
+    out.assign(buffer, static_cast<std::size_t>(needed));
+  } else if (needed > 0) {
+    out.resize(static_cast<std::size_t>(needed));
+    std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
+  }
   va_end(args2);
   return out;
 }

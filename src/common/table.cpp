@@ -4,11 +4,20 @@
 #include <cstdio>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/strings.h"
 
 namespace vodx {
 
-Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
+Table::Table(std::vector<std::string> header) {
+  add_columns(std::move(header));
+}
+
+void Table::add_columns(std::vector<std::string> names, Kind kind) {
+  VODX_ASSERT(rows_.empty(), "table columns added after the first row");
+  kinds_.insert(kinds_.end(), names.size(), kind);
+  for (std::string& name : names) header_.push_back(std::move(name));
+}
 
 void Table::add_row(std::vector<std::string> cells) {
   VODX_ASSERT(cells.size() == header_.size(), "table row arity mismatch");
@@ -61,6 +70,45 @@ std::string Table::html() const {
     out += "</tr>\n";
   }
   out += "</table>\n";
+  return out;
+}
+
+std::string Table::csv() const {
+  std::string out;
+  auto append_row = [&out](const std::vector<std::string>& row) {
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (i > 0) out += ',';
+      out += row[i];
+    }
+    out += '\n';
+  };
+  append_row(header_);
+  for (const auto& row : rows_) append_row(row);
+  return out;
+}
+
+std::string Table::jsonl(std::string_view type) const {
+  std::string lead = "{";
+  if (!type.empty()) lead += "\"type\":\"" + json_escape(type) + "\",";
+  std::vector<std::string> keys(header_.size());
+  for (std::size_t i = 0; i < header_.size(); ++i) {
+    keys[i] = (i > 0 ? ",\"" : "\"") + json_escape(header_[i]) + "\":";
+  }
+  std::string out;
+  for (const auto& row : rows_) {
+    out += lead;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      out += keys[i];
+      if (kinds_[i] == Kind::kText) {
+        out += '"';
+        out += json_escape(row[i]);
+        out += '"';
+      } else {
+        out += row[i];
+      }
+    }
+    out += "}\n";
+  }
   return out;
 }
 

@@ -23,12 +23,6 @@ namespace {
 /// manifest is unreadable: tracks this slow are audio.
 constexpr Bps kAudioBitrateCeiling = 192e3;
 
-Seconds sum(const std::vector<Seconds>& xs) {
-  Seconds total = 0;
-  for (Seconds x : xs) total += x;
-  return total;
-}
-
 /// Map from what is observable on the wire to segments.
 class RequestResolver {
  public:
@@ -418,8 +412,6 @@ LadderBuild build_smooth(const http::TransferRecord& manifest_record) {
 }
 
 }  // namespace
-
-Seconds AnalyzedTrack::duration() const { return sum(segment_durations); }
 
 Seconds AnalyzedTrack::segment_start(int index) const {
   VODX_ASSERT(index >= 0 &&

@@ -40,7 +40,6 @@ struct AnalyzedTrack {
   /// Exact sizes when the protocol exposes them (DASH); empty otherwise.
   std::vector<Bytes> segment_sizes;
 
-  Seconds duration() const;
   Seconds segment_start(int index) const;
   /// Median segment duration — the "segment duration" of Table 1.
   Seconds nominal_segment_duration() const;

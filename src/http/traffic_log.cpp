@@ -9,11 +9,6 @@ Seconds TransferRecord::finish_time() const {
   return completed_at;
 }
 
-Seconds TransferRecord::duration() const {
-  VODX_ASSERT(finished(), "duration() on an unfinished transfer");
-  return completed_at - requested_at;
-}
-
 int TrafficLog::open(Method method, const std::string& url,
                      const std::optional<manifest::ByteRange>& range,
                      Seconds now, const Response& response,

@@ -104,35 +104,15 @@ class TcpConnection {
 
   /// Bytes of the current transfer delivered so far.
   Bytes transfer_delivered() const { return transfer_delivered_; }
-  Bytes transfer_size() const { return transfer_size_; }
 
   /// Total payload bytes delivered over the connection's lifetime.
   Bytes lifetime_delivered() const { return lifetime_delivered_; }
 
-  /// Rate granted on the most recent tick (for instrumentation).
-  Bps last_granted() const { return last_granted_; }
-
-  // --- Per-transfer diagnosis markers ------------------------------------
-  //
-  // Exposed for root-cause attribution (vodx::diag): every tcp.transfer end
-  // event also carries these as fields, so a post-hoc trace walk can tell a
-  // slow-start restart from a sender-limited dribble without replaying the
-  // connection.
-
-  /// The current/last transfer re-paid the cwnd ramp: a handshake on a
-  /// previously-used connection (non-persistent reconnect, post-reset) or an
-  /// RFC 2861 idle restart.
-  bool transfer_restarted() const { return transfer_restart_; }
   /// First-byte wait of the current/last transfer (handshake + request RTT +
-  /// injected server latency); -1 while still waiting.
+  /// injected server latency); -1 while still waiting. Every tcp.transfer
+  /// end event carries it, with the restart and limiter markers, as fields
+  /// for root-cause attribution (vodx::diag).
   Seconds transfer_wait() const;
-  /// Injected server-side first-byte latency of the current/last transfer.
-  Seconds transfer_extra_wait() const { return transfer_extra_wait_; }
-  /// Streaming time where this connection was the limiter (the link had
-  /// spare capacity but cwnd did not cover it).
-  Seconds transfer_sender_limited() const { return sender_limited_s_; }
-  /// Streaming time where the bottleneck link was the limiter.
-  Seconds transfer_link_limited() const { return link_limited_s_; }
 
   Bytes cwnd() const { return cwnd_; }
   const TcpConfig& config() const { return config_; }
@@ -170,7 +150,6 @@ class TcpConnection {
   Bytes cwnd_ = 0;
   double ssthresh_ = 0;
   Seconds idle_since_ = 0;
-  Bps last_granted_ = 0;
   CompletionFn on_complete_;
 
   bool transfer_restart_ = false;

@@ -104,11 +104,4 @@ inline double field_num(const Event& event, std::string_view key,
   return (field != nullptr && !field->is_text) ? field->num : fallback;
 }
 
-/// Text field by key; empty when absent or numeric.
-inline std::string_view field_text(const Event& event, std::string_view key) {
-  const Field* field = find_field(event, key);
-  return (field != nullptr && field->is_text) ? std::string_view(field->text)
-                                              : std::string_view();
-}
-
 }  // namespace vodx::obs

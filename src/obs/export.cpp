@@ -55,27 +55,6 @@ const char* chrome_phase(EventKind kind) {
 
 }  // namespace
 
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += format("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 void write_jsonl(const TraceSink& sink, std::ostream& out) {
   sink.for_each([&out](const Event& event) {
     std::string line = format(

@@ -12,6 +12,7 @@
 #include <ostream>
 #include <string>
 
+#include "common/json.h"
 #include "common/table.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
@@ -43,7 +44,7 @@ std::string metrics_report(const MetricsSnapshot& snapshot);
 /// the sweep report JSONL compare and embed exactly this string.
 std::string metrics_json(const MetricsSnapshot& snapshot);
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& raw);
+/// The one escaper lives in common/json; exporters spell it obs::json_escape.
+using vodx::json_escape;
 
 }  // namespace vodx::obs

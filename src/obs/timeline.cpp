@@ -48,18 +48,6 @@ int Timeline::find(std::string_view name) const {
   return -1;
 }
 
-void Timeline::fold_value(int index, int bin, double v) {
-  double& slot = series_[index].bins[bin];
-  switch (series_[index].fold) {
-    case Fold::kSum:
-      slot += v;
-      break;
-    case Fold::kMax:
-      slot = std::max(slot, v);
-      break;
-  }
-}
-
 void Timeline::merge_from(const Timeline& other) {
   if (other.empty()) return;
   if (empty()) {
@@ -96,37 +84,6 @@ void Timeline::merge_from(const Timeline& other) {
 Timeline merge(const Timeline& a, const Timeline& b) {
   Timeline out = a;
   out.merge_from(b);
-  return out;
-}
-
-std::string timeline_csv(const Timeline& timeline) {
-  std::string out = "bin,t_start_s";
-  for (const Timeline::Series& series : timeline.all()) {
-    out += ',';
-    out += series.name;
-  }
-  out += '\n';
-  for (int bin = 0; bin < timeline.bin_count(); ++bin) {
-    out += format("%d,%.3f", bin, timeline.bin_start(bin));
-    for (const Timeline::Series& series : timeline.all()) {
-      out += format(",%.6g", series.bins[static_cast<std::size_t>(bin)]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-std::string timeline_jsonl(const Timeline& timeline) {
-  std::string out;
-  for (int bin = 0; bin < timeline.bin_count(); ++bin) {
-    out += format(R"({"bin":%d,"t_start_s":%.3f)", bin,
-                  timeline.bin_start(bin));
-    for (const Timeline::Series& series : timeline.all()) {
-      out += format(R"(,"%s":%.6g)", series.name.c_str(),
-                    series.bins[static_cast<std::size_t>(bin)]);
-    }
-    out += "}\n";
-  }
   return out;
 }
 

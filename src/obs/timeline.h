@@ -75,8 +75,6 @@ class Timeline {
   void add(int index, int bin, double delta) {
     series_[index].bins[bin] += delta;
   }
-  /// Folds `v` into the bin under the series' own fold kind.
-  void fold_value(int index, int bin, double v);
   void set(int index, int bin, double v) { series_[index].bins[bin] = v; }
 
   /// Folds `other` into this timeline (see the header comment): series are
@@ -94,12 +92,5 @@ class Timeline {
 
 /// Convenience: a ⊕ b without mutating either operand.
 Timeline merge(const Timeline& a, const Timeline& b);
-
-/// Generic flat export: header "bin,t_start_s,<series...>", one row per bin,
-/// values rendered %.6g. Byte-stable.
-std::string timeline_csv(const Timeline& timeline);
-
-/// One JSON object per bin, same fields as the CSV. Byte-stable.
-std::string timeline_jsonl(const Timeline& timeline);
 
 }  // namespace vodx::obs

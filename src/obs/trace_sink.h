@@ -34,11 +34,9 @@ class TraceSink {
     return enabled_ && (mask_ & bit(category)) != 0;
   }
   void set_enabled(bool on) { enabled_ = on; }
-  bool is_enabled() const { return enabled_; }
 
   /// Per-category mask; defaults to everything.
   void set_category_mask(std::uint32_t mask) { mask_ = mask; }
-  std::uint32_t category_mask() const { return mask_; }
   void enable(Category category) { mask_ |= bit(category); }
   void disable(Category category) { mask_ &= ~bit(category); }
 

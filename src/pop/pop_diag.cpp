@@ -20,12 +20,6 @@ void TowerDiag::merge_from(const TowerDiag& other) {
   trace_dropped += other.trace_dropped;
 }
 
-double TowerDiag::attributed_fraction() const {
-  if (problem_s <= 0) return 1.0;
-  return 1.0 -
-         blamed_s[static_cast<int>(diag::Cause::kUnknown)] / problem_s;
-}
-
 double TowerDiag::stall_attributed_fraction() const {
   if (stall_s <= 0) return 1.0;
   return 1.0 -

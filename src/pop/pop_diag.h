@@ -46,10 +46,8 @@ struct TowerDiag {
 
   void merge_from(const TowerDiag& other);
 
-  /// Share of problem time charged to a non-unknown cause (1 when there is
-  /// no problem time at all).
-  double attributed_fraction() const;
-  /// Same, restricted to stalls — the acceptance-gated number.
+  /// Share of stall time charged to a non-unknown cause (1 when there is no
+  /// stall time at all) — the acceptance-gated number.
   double stall_attributed_fraction() const;
 };
 

@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/strings.h"
+#include "common/table.h"
 #include "diag/cause.h"
 #include "pop/population.h"
 
@@ -145,26 +146,36 @@ void TowerSampler::finalize(Seconds end) {
 
 namespace {
 
-/// Derived ratios for one bin of one timeline; 0 on empty/idle bins.
-struct DerivedBin {
-  double stalled_frac = 0;
-  double utilization = 0;
+/// A series' bins, zeros when the timeline lacks it.
+std::vector<double> series_values(const obs::Timeline& timeline,
+                                  const char* name) {
+  const int index = timeline.find(name);
+  if (index < 0) return std::vector<double>(timeline.bin_count(), 0.0);
+  return timeline.series(index).bins;
+}
+
+/// The derived ratios of every bin of one timeline: stalled_frac =
+/// stalled / max(1, concurrent) and utilization = delivered / capacity (0 on
+/// an idle bin).
+struct DerivedSeries {
+  std::vector<double> stalled_frac, utilization;
 };
 
-DerivedBin derived_bin(const obs::Timeline& timeline, int bin) {
-  DerivedBin out;
-  const int concurrent = timeline.find("concurrent");
-  const int stalled = timeline.find("stalled");
-  const int delivered = timeline.find("delivered_mbit");
-  const int capacity = timeline.find("capacity_mbit");
-  if (concurrent >= 0 && stalled >= 0) {
-    out.stalled_frac = timeline.value(stalled, bin) /
-                       std::max(1.0, timeline.value(concurrent, bin));
-  }
-  if (delivered >= 0 && capacity >= 0 &&
-      timeline.value(capacity, bin) > 0) {
-    out.utilization =
-        timeline.value(delivered, bin) / timeline.value(capacity, bin);
+DerivedSeries derived_series(const obs::Timeline& timeline) {
+  const std::vector<double> concurrent =
+      series_values(timeline, "concurrent");
+  const std::vector<double> stalled = series_values(timeline, "stalled");
+  const std::vector<double> delivered =
+      series_values(timeline, "delivered_mbit");
+  const std::vector<double> capacity =
+      series_values(timeline, "capacity_mbit");
+  DerivedSeries out{std::vector<double>(concurrent.size(), 0.0),
+                    std::vector<double>(concurrent.size(), 0.0)};
+  for (std::size_t bin = 0; bin < concurrent.size(); ++bin) {
+    out.stalled_frac[bin] = stalled[bin] / std::max(1.0, concurrent[bin]);
+    if (capacity[bin] > 0) {
+      out.utilization[bin] = delivered[bin] / capacity[bin];
+    }
   }
   return out;
 }
@@ -181,53 +192,51 @@ void for_each_row(const PopulationReport& report,
   if (!report.timeline.empty()) fn("pop", report.timeline);
 }
 
+/// One row per bin of every exported timeline. The merged timeline carries
+/// the union schema; its series order is the canonical column order for
+/// every row, and a series a row lacks exports as 0.
+Table timeline_table(const PopulationReport& report) {
+  const std::vector<obs::Timeline::Series>& schema = report.timeline.all();
+  std::vector<std::string> numbers = {"bin", "t_start_s"};
+  for (const obs::Timeline::Series& series : schema) {
+    numbers.push_back(series.name);
+  }
+  numbers.insert(numbers.end(), {"stalled_frac", "utilization"});
+  Table table({"tower"});
+  table.add_columns(std::move(numbers), Table::Kind::kNumber);
+  for_each_row(report, [&](const std::string& key,
+                           const obs::Timeline& timeline) {
+    std::vector<int> columns;  // -1: absent
+    for (const obs::Timeline::Series& series : schema) {
+      columns.push_back(timeline.find(series.name));
+    }
+    const DerivedSeries derived = derived_series(timeline);
+    for (int bin = 0; bin < timeline.bin_count(); ++bin) {
+      std::vector<std::string> row;
+      row.reserve(schema.size() + 5);
+      row.push_back(key);
+      row.push_back(std::to_string(bin));
+      row.push_back(format("%.3f", timeline.bin_start(bin)));
+      for (const int index : columns) {
+        row.push_back(
+            format("%.6g", index >= 0 ? timeline.value(index, bin) : 0.0));
+      }
+      row.push_back(format("%.6g", derived.stalled_frac[bin]));
+      row.push_back(format("%.6g", derived.utilization[bin]));
+      table.add_row(std::move(row));
+    }
+  });
+  return table;
+}
+
 }  // namespace
 
 std::string population_timeline_csv(const PopulationReport& report) {
-  // The merged timeline carries the union schema; its series order is the
-  // canonical column order for every row.
-  const obs::Timeline& schema = report.timeline;
-  std::string out = "tower,bin,t_start_s";
-  for (const obs::Timeline::Series& series : schema.all()) {
-    out += ',';
-    out += series.name;
-  }
-  out += ",stalled_frac,utilization\n";
-  for_each_row(report, [&](const std::string& key,
-                           const obs::Timeline& timeline) {
-    for (int bin = 0; bin < timeline.bin_count(); ++bin) {
-      out += format("%s,%d,%.3f", key.c_str(), bin, timeline.bin_start(bin));
-      for (const obs::Timeline::Series& series : schema.all()) {
-        const int index = timeline.find(series.name);
-        out += format(",%.6g", index >= 0 ? timeline.value(index, bin) : 0.0);
-      }
-      const DerivedBin derived = derived_bin(timeline, bin);
-      out += format(",%.6g,%.6g\n", derived.stalled_frac, derived.utilization);
-    }
-  });
-  return out;
+  return timeline_table(report).csv();
 }
 
 std::string population_timeline_jsonl(const PopulationReport& report) {
-  const obs::Timeline& schema = report.timeline;
-  std::string out;
-  for_each_row(report, [&](const std::string& key,
-                           const obs::Timeline& timeline) {
-    for (int bin = 0; bin < timeline.bin_count(); ++bin) {
-      out += format(R"({"tower":"%s","bin":%d,"t_start_s":%.3f)", key.c_str(),
-                    bin, timeline.bin_start(bin));
-      for (const obs::Timeline::Series& series : schema.all()) {
-        const int index = timeline.find(series.name);
-        out += format(R"(,"%s":%.6g)", series.name.c_str(),
-                      index >= 0 ? timeline.value(index, bin) : 0.0);
-      }
-      const DerivedBin derived = derived_bin(timeline, bin);
-      out += format(R"(,"stalled_frac":%.6g,"utilization":%.6g})",
-                    derived.stalled_frac, derived.utilization);
-      out += '\n';
-    }
-  });
-  return out;
+  return timeline_table(report).jsonl();
 }
 
 namespace {
@@ -256,30 +265,6 @@ std::string sparkline(const std::vector<double>& values, const char* color) {
       kWidth, kHeight, kWidth, kHeight, color, points.c_str(), peak);
 }
 
-std::vector<double> series_values(const obs::Timeline& timeline,
-                                  const char* name) {
-  std::vector<double> values(static_cast<std::size_t>(timeline.bin_count()),
-                             0.0);
-  const int index = timeline.find(name);
-  if (index < 0) return values;
-  for (int bin = 0; bin < timeline.bin_count(); ++bin) {
-    values[static_cast<std::size_t>(bin)] = timeline.value(index, bin);
-  }
-  return values;
-}
-
-std::vector<double> derived_values(const obs::Timeline& timeline,
-                                   bool utilization) {
-  std::vector<double> values(static_cast<std::size_t>(timeline.bin_count()),
-                             0.0);
-  for (int bin = 0; bin < timeline.bin_count(); ++bin) {
-    const DerivedBin derived = derived_bin(timeline, bin);
-    values[static_cast<std::size_t>(bin)] =
-        utilization ? derived.utilization : derived.stalled_frac;
-  }
-  return values;
-}
-
 }  // namespace
 
 std::string population_timeline_html(const PopulationReport& report) {
@@ -306,10 +291,9 @@ std::string population_timeline_html(const PopulationReport& report) {
     out += format("<tr><td>%s</td>", key.c_str());
     out += "<td>" + sparkline(series_values(timeline, "concurrent"), "#1565c0") +
            "</td>";
-    out += "<td>" + sparkline(derived_values(timeline, false), "#c62828") +
-           "</td>";
-    out += "<td>" + sparkline(derived_values(timeline, true), "#2e7d32") +
-           "</td>";
+    const DerivedSeries derived = derived_series(timeline);
+    out += "<td>" + sparkline(derived.stalled_frac, "#c62828") + "</td>";
+    out += "<td>" + sparkline(derived.utilization, "#2e7d32") + "</td>";
     out += "<td>" + sparkline(series_values(timeline, "arrivals"), "#6a1b9a") +
            "</td></tr>\n";
   });

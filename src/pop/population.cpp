@@ -9,6 +9,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "common/table.h"
 #include "core/session_factory.h"
 #include "diag/cause.h"
 #include "net/link.h"
@@ -566,86 +567,91 @@ std::string population_text(const PopulationReport& report) {
   return out;
 }
 
-std::string population_jsonl(const PopulationReport& report) {
-  std::string out;
-  for (std::size_t i = 0; i < report.towers.size(); ++i) {
-    const TowerReport& t = report.towers[i];
-    out += format(
-        R"({"type":"tower","tower":%zu,"profile":%d,"sessions":%d,)"
-        R"("capped_arrivals":%d,"peak_concurrent":%d,"time_of_peak_s":%.3f,)"
-        R"("ticks_covered":%llu,"ticks_executed":%llu,"client_ticks":%llu,)"
-        R"("client_fast_forwards":%llu})",
-        i, t.profile_id, t.sessions, t.capped_arrivals, t.peak_concurrent,
-        t.time_of_peak, static_cast<unsigned long long>(t.ticks_covered),
-        static_cast<unsigned long long>(t.ticks_executed),
-        static_cast<unsigned long long>(t.client_ticks),
-        static_cast<unsigned long long>(t.client_fast_forwards));
-    out += '\n';
-  }
-  for (const TowerReport& tower : report.towers) {
-    for (const SessionOutcome& s : tower.outcomes) {
-      out += format(
-          R"({"tower":%d,"profile":%d,"ordinal":%d,"service":"%s",)"
-          R"("arrival_s":%.3f,"departure_s":%.3f,"startup_delay_s":%.3f,)"
-          R"("stall_time_s":%.3f,"stall_count":%d,"total_bytes":%lld,)"
-          R"("mbps":%.4f,"final_state":"%s"})",
-          s.tower, tower.profile_id, s.ordinal, s.service.c_str(), s.arrival,
-          s.departure, s.startup_delay, s.stall_time, s.stall_count,
-          static_cast<long long>(s.total_bytes), s.mbps,
-          s.final_state.c_str());
-      out += '\n';
+namespace {
+
+/// One row per tower: the union of the tower CSV and the JSONL tower line.
+Table tower_table(const PopulationReport& report) {
+  std::vector<std::string> columns = {
+      "tower", "profile", "sessions", "capped_arrivals", "peak_concurrent",
+      "time_of_peak_s", "startup_p50", "startup_p95", "startup_p99",
+      "stall_p50", "stall_p95", "stall_p99", "jain", "mean_mbps"};
+  if (report.diagnosed) {
+    columns.insert(columns.end(), {"sessions_diagnosed", "sessions_skipped",
+                                   "stall_attributed_frac"});
+    for (int c = 0; c < diag::kCauseCount; ++c) {
+      columns.push_back(std::string("stall_s_") +
+                        diag::to_string(static_cast<diag::Cause>(c)));
     }
   }
-  return out;
+  columns.insert(columns.end(), {"ticks_covered", "ticks_executed",
+                                 "client_ticks", "client_fast_forwards"});
+  Table table;
+  table.add_columns(std::move(columns), Table::Kind::kNumber);
+  for (std::size_t i = 0; i < report.towers.size(); ++i) {
+    const TowerReport& t = report.towers[i];
+    std::vector<std::string> row = {
+        std::to_string(i), std::to_string(t.profile_id),
+        std::to_string(t.sessions), std::to_string(t.capped_arrivals),
+        std::to_string(t.peak_concurrent)};
+    for (const double v : {t.time_of_peak, t.startup.p50, t.startup.p95,
+                           t.startup.p99, t.stall.p50, t.stall.p95,
+                           t.stall.p99}) {
+      row.push_back(format("%.3f", v));
+    }
+    row.insert(row.end(), {format("%.4f", t.jain), format("%.4f", t.mean_mbps)});
+    if (report.diagnosed) {
+      row.insert(row.end(), {std::to_string(t.diag.sessions_diagnosed),
+                             std::to_string(t.diag.sessions_skipped),
+                             format("%.4f", t.diag.stall_attributed_fraction())});
+      for (const double blamed : t.diag.stall_blamed_s) {
+        row.push_back(format("%.3f", blamed));
+      }
+    }
+    for (const std::uint64_t n : {t.ticks_covered, t.ticks_executed,
+                                  t.client_ticks, t.client_fast_forwards}) {
+      row.push_back(std::to_string(n));
+    }
+    table.add_row(std::move(row));
+  }
+  return table;
+}
+
+/// One row per session, tower-index then arrival order.
+Table session_table(const PopulationReport& report) {
+  using Kind = Table::Kind;
+  Table table;
+  table.add_columns({"tower", "profile", "ordinal"}, Kind::kNumber);
+  table.add_columns({"service"});
+  table.add_columns({"arrival_s", "departure_s", "startup_delay_s",
+                     "stall_time_s", "stall_count", "total_bytes", "mbps"},
+                    Kind::kNumber);
+  table.add_columns({"final_state"});
+  for (const TowerReport& tower : report.towers) {
+    for (const SessionOutcome& s : tower.outcomes) {
+      table.add_row({std::to_string(s.tower), std::to_string(tower.profile_id),
+                     std::to_string(s.ordinal), s.service,
+                     format("%.3f", s.arrival), format("%.3f", s.departure),
+                     format("%.3f", s.startup_delay), format("%.3f", s.stall_time),
+                     std::to_string(s.stall_count),
+                     std::to_string(s.total_bytes), format("%.4f", s.mbps),
+                     s.final_state});
+    }
+  }
+  return table;
+}
+
+}  // namespace
+
+std::string population_jsonl(const PopulationReport& report) {
+  return tower_table(report).jsonl("tower") + session_table(report).jsonl();
 }
 
 std::string population_csv(const PopulationReport& report) {
-  std::string out =
-      "tower,profile,ordinal,service,arrival_s,departure_s,startup_delay_s,"
-      "stall_time_s,stall_count,total_bytes,mbps,final_state\n";
-  for (const TowerReport& tower : report.towers) {
-    for (const SessionOutcome& s : tower.outcomes) {
-      out += format("%d,%d,%d,%s,%.3f,%.3f,%.3f,%.3f,%d,%lld,%.4f,%s\n",
-                    s.tower, tower.profile_id, s.ordinal, s.service.c_str(),
-                    s.arrival, s.departure, s.startup_delay, s.stall_time,
-                    s.stall_count, static_cast<long long>(s.total_bytes),
-                    s.mbps, s.final_state.c_str());
-    }
-  }
-  return out;
+  return session_table(report).csv();
 }
 
 std::string population_tower_csv(const PopulationReport& report) {
-  std::string out =
-      "tower,profile,sessions,capped_arrivals,peak_concurrent,time_of_peak_s,"
-      "startup_p50,startup_p95,startup_p99,stall_p50,stall_p95,stall_p99,"
-      "jain,mean_mbps";
-  if (report.diagnosed) {
-    out += ",sessions_diagnosed,sessions_skipped,stall_attributed_frac";
-    for (int c = 0; c < diag::kCauseCount; ++c) {
-      out += format(",stall_s_%s", diag::to_string(static_cast<diag::Cause>(c)));
-    }
-  }
-  out += '\n';
-  for (std::size_t i = 0; i < report.towers.size(); ++i) {
-    const TowerReport& t = report.towers[i];
-    out += format("%zu,%d,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.4f,"
-                  "%.4f",
-                  i, t.profile_id, t.sessions, t.capped_arrivals,
-                  t.peak_concurrent, t.time_of_peak, t.startup.p50,
-                  t.startup.p95, t.startup.p99, t.stall.p50, t.stall.p95,
-                  t.stall.p99, t.jain, t.mean_mbps);
-    if (report.diagnosed) {
-      out += format(",%d,%d,%.4f", t.diag.sessions_diagnosed,
-                    t.diag.sessions_skipped,
-                    t.diag.stall_attributed_fraction());
-      for (int c = 0; c < diag::kCauseCount; ++c) {
-        out += format(",%.3f", t.diag.stall_blamed_s[c]);
-      }
-    }
-    out += '\n';
-  }
-  return out;
+  return tower_table(report).csv();
 }
 
 }  // namespace vodx::pop

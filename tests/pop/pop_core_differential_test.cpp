@@ -45,7 +45,8 @@ PopulationConfig differential_towers() {
 /// Runs `config` on both cores, requires every export byte-identical and
 /// returns the event-core report. The work counters, which the core choice
 /// is meant to change, are checked for direction and then zeroed before
-/// the exports are compared.
+/// the exports (the JSONL tower lines and the tower CSV carry them) are
+/// compared.
 PopulationReport expect_identical_on_both_cores(PopulationConfig config) {
   config.sim_core = net::SimCore::kEvent;
   PopulationReport event = run_population(config);
@@ -72,7 +73,10 @@ PopulationReport expect_identical_on_both_cores(PopulationConfig config) {
   EXPECT_EQ(population_text(event), population_text(fixed));
   EXPECT_EQ(population_jsonl(event), population_jsonl(fixed));
   EXPECT_EQ(population_csv(event), population_csv(fixed));
+  EXPECT_EQ(population_tower_csv(event), population_tower_csv(fixed));
   EXPECT_EQ(population_timeline_csv(event), population_timeline_csv(fixed));
+  EXPECT_EQ(population_timeline_jsonl(event),
+            population_timeline_jsonl(fixed));
   return event;
 }
 

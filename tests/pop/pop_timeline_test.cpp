@@ -8,6 +8,8 @@
 
 #include <algorithm>
 
+#include "common/json.h"
+#include "common/strings.h"
 #include "pop/population.h"
 
 namespace vodx::pop {
@@ -54,7 +56,55 @@ TEST(PopulationTimeline, PopulationRowIsTheTowerFold) {
   for (const TowerReport& tower : report.towers) {
     folded.merge_from(tower.timeline);
   }
-  EXPECT_EQ(obs::timeline_csv(folded), obs::timeline_csv(report.timeline));
+  EXPECT_EQ(folded.bin_width(), report.timeline.bin_width());
+  EXPECT_EQ(folded.bin_count(), report.timeline.bin_count());
+  ASSERT_EQ(folded.all().size(), report.timeline.all().size());
+  for (std::size_t i = 0; i < folded.all().size(); ++i) {
+    const obs::Timeline::Series& mine = folded.all()[i];
+    const obs::Timeline::Series& theirs = report.timeline.all()[i];
+    EXPECT_EQ(mine.name, theirs.name);
+    EXPECT_EQ(mine.fold, theirs.fold);
+    EXPECT_EQ(mine.bins, theirs.bins) << mine.name;
+  }
+}
+
+TEST(PopulationTimeline, CsvAndJsonlAreOneRowModel) {
+  const PopulationReport report = run_population(telemetry_config());
+  const std::string csv = population_timeline_csv(report);
+  EXPECT_EQ(population_timeline_csv(report), csv);
+
+  // Columns: the row key, the bin, then the population schema in series
+  // order, then the two derived ratios.
+  std::string header = "tower,bin,t_start_s";
+  for (const obs::Timeline::Series& series : report.timeline.all()) {
+    header += "," + series.name;
+  }
+  header += ",stalled_frac,utilization";
+  const std::vector<std::string> lines = split_lines(csv);
+  ASSERT_GT(lines.size(), 1u);
+  EXPECT_EQ(lines[0], header);
+  EXPECT_EQ(lines[1].rfind("0,0,0.000,", 0), 0u);
+  EXPECT_EQ(lines.back().rfind("pop,", 0), 0u);
+
+  // Every JSONL line is its CSV row: the key as a string, every other cell
+  // as the number the CSV prints.
+  const std::vector<std::string> objects =
+      split_lines(population_timeline_jsonl(report));
+  ASSERT_EQ(objects.size(), lines.size() - 1);
+  const std::vector<std::string> keys = split(header, ',');
+  for (std::size_t row = 0; row < objects.size(); ++row) {
+    const Json object = parse_json(objects[row]);
+    const std::vector<std::string> cells = split(lines[row + 1], ',');
+    ASSERT_EQ(object.object.size(), keys.size());
+    ASSERT_EQ(cells.size(), keys.size());
+    EXPECT_EQ(object.str_or("tower", "?"), cells[0]);
+    for (std::size_t c = 1; c < keys.size(); ++c) {
+      const Json* value = object.find(keys[c]);
+      ASSERT_NE(value, nullptr) << keys[c];
+      EXPECT_EQ(value->type, Json::Type::kNumber) << keys[c];
+      EXPECT_EQ(value->number, parse_double(cells[c])) << keys[c];
+    }
+  }
 }
 
 TEST(PopulationTimeline, SampledConcurrencyIsBoundedByPeak) {

@@ -857,12 +857,9 @@ int cmd_pop(Args& args) {
     write_file(tower_csv_path, pop::population_tower_csv(report));
   }
   if (!timeline_path.empty()) {
-    const bool jsonl = timeline_path.size() >= 6 &&
-                       timeline_path.compare(timeline_path.size() - 6, 6,
-                                             ".jsonl") == 0;
-    write_file(timeline_path,
-               jsonl ? pop::population_timeline_jsonl(report)
-                     : pop::population_timeline_csv(report));
+    write_file(timeline_path, ends_with(timeline_path, ".jsonl")
+                                  ? pop::population_timeline_jsonl(report)
+                                  : pop::population_timeline_csv(report));
   }
   if (!html_path.empty()) {
     write_file(html_path, pop::population_timeline_html(report));
