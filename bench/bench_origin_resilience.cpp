@@ -24,9 +24,7 @@
 #include "batch/sweep.h"
 #include "diag/cause.h"
 #include "diag/rollup.h"
-#include "faults/fault_plan.h"
 #include "origin/origin.h"
-#include "player/player.h"
 #include "pop/population.h"
 
 using namespace vodx;
@@ -34,45 +32,11 @@ using namespace vodx;
 namespace {
 
 pop::PopulationConfig drill(origin::Mode mode, int jobs) {
-  pop::PopulationConfig config;
+  pop::PopulationConfig config = pop::origin_drill();
   config.services = {"H1", "H2", "D1", "D2"};
-  // Profile 14 (the fastest cell): the crowd must fit the radio link, so
-  // the only pathology separating the legs is origin-side.
-  config.towers = {14};
-  config.seed = 1;
-  config.horizon = 120;
-  config.content_duration = 180;
-  config.watch_time = 90;
-  config.arrivals.rate_per_min = 2.0;
-  config.arrivals.flash_at = 25;
-  config.arrivals.flash_window = 15;
-  config.arrivals.flash_arrivals = 24;
-  config.shared_content = true;
   config.origin = origin::preset(mode);
-  config.fault_plan.dc_blackouts.push_back(faults::DcBlackoutFault{28, 30});
   config.jobs = jobs;
   return config;
-}
-
-/// Completed = playback started and the session was healthy at the end
-/// (playing, or ended after its watch time). Stuck-rebuffering sessions —
-/// a dead fetch pipeline that never reaches kFailed — count as incomplete.
-double completed_fraction(const pop::PopulationReport& report, int* completed,
-                          int* total) {
-  const std::string playing = player::to_string(player::PlayerState::kPlaying);
-  const std::string ended = player::to_string(player::PlayerState::kEnded);
-  *completed = 0;
-  *total = 0;
-  for (const pop::TowerReport& tower : report.towers) {
-    for (const pop::SessionOutcome& s : tower.outcomes) {
-      ++*total;
-      if (s.startup_delay >= 0 &&
-          (s.final_state == playing || s.final_state == ended)) {
-        ++*completed;
-      }
-    }
-  }
-  return *total > 0 ? static_cast<double>(*completed) / *total : 0.0;
 }
 
 double origin_share(const diag::DiagRollup& rollup) {
@@ -89,8 +53,7 @@ int main() {
   // Leg 1/2: the drill itself, each origin mode at jobs 1 vs jobs 8.
   const origin::Mode modes[] = {origin::Mode::kNaive, origin::Mode::kHardened};
   std::vector<pop::PopulationReport> reports;
-  std::vector<double> completion;
-  std::vector<int> completed_n, total_n;
+  std::vector<pop::Completion> completion;
   for (origin::Mode mode : modes) {
     const pop::PopulationReport serial = pop::run_population(drill(mode, 1));
     const pop::PopulationReport threaded = pop::run_population(drill(mode, 8));
@@ -101,26 +64,23 @@ int main() {
                    origin::to_string(mode));
       return 1;
     }
-    int completed = 0, total = 0;
-    completion.push_back(completed_fraction(serial, &completed, &total));
-    completed_n.push_back(completed);
-    total_n.push_back(total);
+    completion.push_back(pop::completed_sessions(serial));
     reports.push_back(serial);
   }
 
   // The headline resilience gate.
-  if (completion[0] >= 0.50) {
+  if (completion[0].fraction() >= 0.50) {
     std::fprintf(stderr,
                  "naive origin completed %.1f%% of sessions under the "
                  "blackout; the drill expects < 50%%\n",
-                 completion[0] * 100.0);
+                 completion[0].fraction() * 100.0);
     return 1;
   }
-  if (completion[1] < 0.90) {
+  if (completion[1].fraction() < 0.90) {
     std::fprintf(stderr,
                  "hardened origin completed only %.1f%% of sessions under "
                  "the blackout; the acceptance gate is >= 90%%\n",
-                 completion[1] * 100.0);
+                 completion[1].fraction() * 100.0);
     return 1;
   }
 
@@ -138,8 +98,9 @@ int main() {
     const origin::OriginState::Totals& o = r.origin_totals;
     const long long lookups = o.hits + o.misses;
     table.add_row(
-        {origin::to_string(modes[i]), std::to_string(total_n[i]),
-         std::to_string(completed_n[i]), format("%.1f", completion[i] * 100.0),
+        {origin::to_string(modes[i]), std::to_string(completion[i].total),
+         std::to_string(completion[i].completed),
+         format("%.1f", completion[i].fraction() * 100.0),
          format("%.2f", r.startup.p95), format("%.2f", r.stall.p95),
          format("%.1f", lookups > 0 ? 100.0 * o.hits / lookups : 0.0),
          std::to_string(o.secondary), std::to_string(o.errors)});
@@ -148,8 +109,9 @@ int main() {
   std::printf(
       "\nhardened origin buys back %+.1f pts completion "
       "(%d/%d -> %d/%d session(s))\n",
-      (completion[1] - completion[0]) * 100.0, completed_n[0], total_n[0],
-      completed_n[1], total_n[1]);
+      (completion[1].fraction() - completion[0].fraction()) * 100.0,
+      completion[0].completed, completion[0].total, completion[1].completed,
+      completion[1].total);
 
   // Leg 3: origin-side share of Table 2 issue time, per service — a
   // diagnosed sweep behind the hardened origin (no injected faults: this is

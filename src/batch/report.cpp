@@ -196,7 +196,8 @@ std::string report_jsonl(const SweepResult& result,
   return out;
 }
 
-std::string report_html(const SweepMetrics& metrics) {
+std::string report_html(const SweepMetrics& metrics,
+                        std::string_view extra_body) {
   std::string out = html_page_start("vodx sweep report");
   out += format("<p>%d cells (%d failed, %d quarantined), %d merged into "
                 "the rollups below.</p>\n",
@@ -223,6 +224,7 @@ std::string report_html(const SweepMetrics& metrics) {
     out += format("<h2>%s</h2>\n", dim.title);
     out += dimension_table(dim).html();
   }
+  out += extra_body;
   out += "</body></html>\n";
   return out;
 }

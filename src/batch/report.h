@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "batch/sweep.h"
@@ -58,7 +59,9 @@ std::string report_jsonl(const SweepResult& result,
                          const SweepMetrics& metrics);
 
 /// Self-contained HTML page (inline CSS, no external assets) with the same
-/// content as report_text, as real tables.
-std::string report_html(const SweepMetrics& metrics);
+/// content as report_text, as real tables. `extra_body` (e.g. a diag HTML
+/// section) goes after the rollups, before the closing tags.
+std::string report_html(const SweepMetrics& metrics,
+                        std::string_view extra_body = {});
 
 }  // namespace vodx::batch

@@ -476,6 +476,37 @@ PopulationReport run_population(const PopulationConfig& config) {
   return report;
 }
 
+PopulationConfig origin_drill() {
+  PopulationConfig config;
+  config.towers = {14};
+  config.horizon = 120;
+  config.content_duration = 180;
+  config.watch_time = 90;
+  config.arrivals.rate_per_min = 2;
+  config.arrivals.flash_at = 25;
+  config.arrivals.flash_window = 15;
+  config.arrivals.flash_arrivals = 24;
+  config.shared_content = true;
+  config.fault_plan.dc_blackouts.push_back(faults::DcBlackoutFault{28, 30});
+  return config;
+}
+
+Completion completed_sessions(const PopulationReport& report) {
+  const std::string playing = player::to_string(player::PlayerState::kPlaying);
+  const std::string ended = player::to_string(player::PlayerState::kEnded);
+  Completion completion;
+  for (const TowerReport& tower : report.towers) {
+    for (const SessionOutcome& s : tower.outcomes) {
+      ++completion.total;
+      if (s.startup_delay >= 0 &&
+          (s.final_state == playing || s.final_state == ended)) {
+        ++completion.completed;
+      }
+    }
+  }
+  return completion;
+}
+
 std::string population_text(const PopulationReport& report) {
   std::string out = format(
       "population: %zu tower(s), %d session(s), %d never started playback\n",

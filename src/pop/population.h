@@ -240,6 +240,29 @@ struct PopulationReport {
 /// services or out-of-range tower profiles.
 PopulationReport run_population(const PopulationConfig& config);
 
+/// The flash-crowd failover drill (DESIGN.md §16) that `vodx origin` and
+/// the origin-resilience harness run: a 24-viewer crowd lands at t=25 s
+/// over 15 s (on top of 2 arrivals/min) on the fastest tower, profile 14,
+/// so the crowd fits the radio link and the pathology that separates origin
+/// modes is origin-side. Every viewer streams the same 180 s title for
+/// 90 s, and the primary datacenter goes dark from t=28 s for 30 s; horizon
+/// 120 s. The origin tier is left disabled for the caller to choose.
+PopulationConfig origin_drill();
+
+/// Sessions that started playback and were healthy at the horizon: playing,
+/// or ended after their watch time. A session stuck rebuffering at the
+/// horizon (its fetch pipeline died) is not completed even though it never
+/// reached kFailed.
+struct Completion {
+  int completed = 0;
+  int total = 0;
+
+  double fraction() const {
+    return total > 0 ? static_cast<double>(completed) / total : 0.0;
+  }
+};
+Completion completed_sessions(const PopulationReport& report);
+
 /// Fixed-width human-readable rollup; byte-stable. Capped towers draw a
 /// warning line; diagnosed runs append the stall-blame table.
 std::string population_text(const PopulationReport& report);

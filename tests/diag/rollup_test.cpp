@@ -3,7 +3,10 @@
 // must conserve blamed time.
 #include <gtest/gtest.h>
 
+#include "batch/report.h"
+#include "common/strings.h"
 #include "diag/rollup.h"
+#include "obs/observer.h"
 #include "services/service_catalog.h"
 
 namespace vodx::diag {
@@ -59,6 +62,28 @@ TEST(DiagRollup, DimensionsConserveBlamedTime) {
   double total = 0;
   for (int c = 0; c < kCauseCount; ++c) total += d.overall.blamed_s[c];
   EXPECT_NEAR(total, d.overall.problem_s, 1e-6);
+}
+
+TEST(DiagRollup, ReportHtmlInsertsTheSectionBeforeTheClosingTags) {
+  // `vodx report --diag --html`: one sweep pass feeds both the metrics
+  // rollups and the diag fold, and the diag section joins the report page.
+  batch::SweepConfig config = grid(2);
+  config.collect_metrics = true;
+  SweepDiagnosis d;
+  config.observe = [&d](const batch::CellResult& cell,
+                        const obs::Observer& observer) {
+    fold_cell(d, cell, observer);
+  };
+  const batch::SweepResult result = batch::run_sweep(config);
+  d.total_cells = static_cast<int>(result.cells.size());
+  const batch::SweepMetrics metrics = batch::aggregate_metrics(result);
+  const std::string section = diag_html_section(d);
+
+  std::string spliced = batch::report_html(metrics);
+  const std::string tail = "</body></html>\n";
+  ASSERT_TRUE(ends_with(spliced, tail));
+  spliced.insert(spliced.size() - tail.size(), section);
+  EXPECT_EQ(batch::report_html(metrics, section), spliced);
 }
 
 TEST(DiagRollup, FoldAccumulatesFractions) {

@@ -10,6 +10,7 @@
 #include "common/error.h"
 #include "core/session_factory.h"
 #include "net/link.h"
+#include "player/player.h"
 #include "services/service_catalog.h"
 
 namespace vodx::pop {
@@ -211,6 +212,30 @@ TEST(Population, UnknownServiceAndBadProfileThrow) {
   config = small_config();
   config.towers = {99};
   EXPECT_THROW(run_population(config), ConfigError);
+}
+
+TEST(Completion, CountsSessionsHealthyAtTheHorizon) {
+  using player::PlayerState;
+  auto outcome = [](Seconds startup, PlayerState state) {
+    SessionOutcome s;
+    s.startup_delay = startup;
+    s.final_state = player::to_string(state);
+    return s;
+  };
+  PopulationReport report;
+  report.towers.resize(2);
+  report.towers[0].outcomes = {outcome(1.5, PlayerState::kPlaying),
+                               outcome(2.0, PlayerState::kEnded),
+                               // left before playback ever began
+                               outcome(-1, PlayerState::kEnded)};
+  report.towers[1].outcomes = {outcome(1.0, PlayerState::kFailed),
+                               outcome(3.0, PlayerState::kRebuffering),
+                               outcome(-1, PlayerState::kFailed)};
+  const Completion completion = completed_sessions(report);
+  EXPECT_EQ(completion.completed, 2);
+  EXPECT_EQ(completion.total, 6);
+  EXPECT_DOUBLE_EQ(completion.fraction(), 2.0 / 6.0);
+  EXPECT_EQ(completed_sessions(PopulationReport{}).fraction(), 0.0);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //
 //   Args args(argc, argv);
 //   while (!args.done()) {
-//     if (const char* v = args.value("--jobs")) jobs = std::atoi(v);
+//     if (const char* v = args.value("--jobs")) jobs = parse_int(v);
 //     else if (args.flag("--progress")) progress = true;
 //     else if (const char* tok = args.positional()) use(tok);
 //     else args.unknown();

@@ -1,33 +1,12 @@
 // vodx command-line tool: the library's main entry points without writing
-// C++.
-//
-//   vodx list                      — catalogue of the 12 services
-//   vodx play <svc> <profile>      — run a session, print the QoE report
-//   vodx play <svc> --trace f.txt  — ... over a recorded 1 Hz trace file
-//   vodx play <svc> --trace-out session.trace.json
-//                                  — also export a Chrome/Perfetto timeline
-//   vodx dissect <svc>             — black-box Table-1 row for a service
-//   vodx trace <profile> [out]     — emit a cellular profile as text
-//   vodx energy <svc> [profile]    — RRC radio-energy analysis (§3.3.2)
-//   vodx sweep [...]               — parallel (service × profile × seed) grid
-//   vodx faults [...]              — fault-scenario grid (service × scenario)
-//   vodx report [...]              — merged metrics rollups for a grid
-//                                    (table / JSONL / single-file HTML)
-//   vodx chaos [...]               — invariant-checked fault fuzzing with
-//                                    minimized repro artifacts
-//   vodx diagnose [...]            — root-cause attribution for stalls and
-//                                    startup delay (single session, grid
-//                                    rollups, or the precision/recall
-//                                    validation harness)
-//   vodx pop [...]                 — population-scale multi-session runs on
-//                                    shared cells
-//   vodx origin [...]              — flash-crowd failover drill: naive vs
-//                                    hardened origin tier under a primary-DC
-//                                    blackout
+// C++. usage() lists the subcommands and their flags. Each cmd_* parses its
+// flags into the library's config, runs the library, and renders the result
+// to stdout or to the files its flags name.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -198,22 +177,35 @@ int cmd_list() {
   return 0;
 }
 
+/// An int-valued argument: malformed or out-of-range text throws
+/// ParseError instead of silently becoming 0 or a prefix.
+int parse_int_arg(const char* v) {
+  const std::int64_t value = parse_int(v);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw ParseError(format("integer out of range: '%s'", v));
+  }
+  return static_cast<int>(value);
+}
+
 /// A positional profile id, range-checked before it reaches
 /// trace::cellular_profile (out of range throws ConfigError).
 int parse_profile(const char* v) {
-  const int id = std::atoi(v);
+  const int id = parse_int_arg(v);
   core::SessionFactory::validate_profile(id);
   return id;
 }
 
+/// One session that plays the whole title for `duration` seconds.
 core::SessionResult run(const services::ServiceSpec& spec,
                         net::BandwidthTrace trace,
-                        obs::Observer* observer = nullptr) {
+                        obs::Observer* observer = nullptr,
+                        Seconds duration = 600) {
   core::SessionConfig config;
   config.spec = spec;
   config.trace = std::move(trace);
-  config.session_duration = 600;
-  config.content_duration = 600;
+  config.session_duration = duration;
+  config.content_duration = duration;
   config.observer = observer;
   return core::run_session(config);
 }
@@ -314,13 +306,32 @@ int cmd_energy(const std::string& service, int profile) {
   return 0;
 }
 
-/// All scenario names in catalog order (for "--scenarios all" and --list).
-std::vector<std::string> scenario_names() {
-  std::vector<std::string> names;
-  for (const faults::Scenario& s : faults::scenario_catalog()) {
-    names.push_back(s.name);
+/// A comma-separated name list in which "all" expands to every name of
+/// `catalog` (services, fault scenarios), in catalog order.
+template <typename Catalog>
+std::vector<std::string> parse_names(const char* v, const Catalog& catalog) {
+  std::vector<std::string> all;
+  for (const auto& entry : catalog) all.push_back(entry.name);
+  return tools::parse_name_list(v, all);
+}
+
+/// Prints a name/description catalog (`faults --list`, `chaos --invariants`).
+template <typename Catalog>
+int print_catalog(const char* kind, const Catalog& catalog) {
+  Table table({kind, "description"});
+  for (const auto& entry : catalog) {
+    table.add_row({entry.name, entry.description});
   }
-  return names;
+  table.print();
+  return 0;
+}
+
+/// Appends the ids of a profile list ("all", "3", "1-14", "2,5") to `out`.
+void append_profiles(const char* v, std::vector<int>& out) {
+  for (std::int64_t id :
+       tools::parse_int_list(v, 1, trace::kProfileCount, "profile")) {
+    out.push_back(static_cast<int>(id));
+  }
 }
 
 void parse_services(batch::SweepConfig& config, const char* v,
@@ -342,11 +353,22 @@ void parse_services(batch::SweepConfig& config, const char* v,
   }
 }
 
-void write_file(const std::string& path, const std::string& content) {
+/// Writes `content` to `path` and says so on stderr, with `note` appended.
+void write_file(const std::string& path, const std::string& content,
+                const std::string& note = "") {
   std::ofstream out(path);
   if (!out) throw Error(format("cannot write %s", path.c_str()));
   out << content;
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
+  std::fprintf(stderr, "wrote %s%s\n", path.c_str(), note.c_str());
+}
+
+/// Writes `text` to `path` (--out), or to stdout when no path was given.
+void emit(const std::string& path, const std::string& text) {
+  if (path.empty()) {
+    std::fputs(text.c_str(), stdout);
+  } else {
+    write_file(path, text);
+  }
 }
 
 /// Numeric knobs that make a run degenerate rather than fail loudly (a 0 s
@@ -360,8 +382,14 @@ double parse_positive(const char* v, const char* flag) {
   return value;
 }
 
+/// A wall-clock budget in seconds; <= 0 (e.g. "-1") means unlimited.
+Seconds parse_budget(const char* v) {
+  const double budget = parse_double(v);
+  return budget <= 0 ? 0 : budget;
+}
+
 int parse_positive_int(const char* v, const char* flag) {
-  const int value = std::atoi(v);
+  const int value = parse_int_arg(v);
   if (value <= 0) {
     throw Error(format("%s must be positive (got %s)", flag, v));
   }
@@ -382,8 +410,36 @@ std::vector<std::string> parse_origin_modes(const char* v) {
   return modes;
 }
 
-/// The grid flags `sweep` and `faults` share; parse() consumes one of them
-/// per call and returns false when the cursor points at something else.
+/// The grid axes `sweep`, `faults`, `report` and `diagnose` all take;
+/// consumes one of them per call and returns false when the cursor points
+/// at something else.
+bool parse_grid_axis(Args& args, batch::SweepConfig& config,
+                     const char* tool) {
+  if (const char* v = args.value("--services")) {
+    parse_services(config, v, tool);
+  } else if (const char* v = args.value("--profiles")) {
+    // Out-of-range ids are kept: they become per-cell failures reported
+    // with their coordinates, so one bad id never aborts the grid.
+    config.profiles.clear();
+    append_profiles(v, config.profiles);
+  } else if (const char* v = args.value("--seeds")) {
+    config.seeds.clear();
+    for (std::int64_t seed : tools::parse_int_list(v, 0, 0, "seed")) {
+      config.seeds.push_back(static_cast<std::uint64_t>(seed));
+    }
+  } else if (const char* v = args.value("--jobs")) {
+    config.jobs = parse_int_arg(v);
+  } else if (const char* v = args.value("--duration")) {
+    config.session_duration = parse_positive(v, "--duration");
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// The flags `sweep`, `faults` and `report` share beyond the grid axes;
+/// parse() consumes one of them per call and returns false when the cursor
+/// points at something else.
 struct GridFlags {
   std::string csv_path;
   std::string jsonl_path;
@@ -391,33 +447,14 @@ struct GridFlags {
   bool progress = false;
 
   bool parse(Args& args, batch::SweepConfig& config, const char* tool) {
-    if (const char* v = args.value("--services")) {
-      parse_services(config, v, tool);
-    } else if (const char* v = args.value("--profiles")) {
-      // Out-of-range ids are kept: they become per-cell failures reported
-      // with their coordinates, so one bad id never aborts the grid.
-      config.profiles.clear();
-      for (std::int64_t id :
-           tools::parse_int_list(v, 1, trace::kProfileCount, "profile")) {
-        config.profiles.push_back(static_cast<int>(id));
-      }
-    } else if (const char* v = args.value("--seeds")) {
-      config.seeds.clear();
-      for (std::int64_t seed : tools::parse_int_list(v, 0, 0, "seed")) {
-        config.seeds.push_back(static_cast<std::uint64_t>(seed));
-      }
+    if (parse_grid_axis(args, config, tool)) {
+      // consumed a grid axis and its value
     } else if (const char* v = args.value("--origin")) {
       config.origin_modes = parse_origin_modes(v);
-    } else if (const char* v = args.value("--jobs")) {
-      config.jobs = std::atoi(v);
-    } else if (const char* v = args.value("--duration")) {
-      config.session_duration = parse_positive(v, "--duration");
     } else if (const char* v = args.value("--cell-budget")) {
-      // Per-cell wall-clock budget in seconds; <= 0 (e.g. "-1") = unlimited.
-      const double budget = parse_double(v);
-      config.wall_budget = budget <= 0 ? 0 : budget;
+      config.wall_budget = parse_budget(v);  // per cell
     } else if (const char* v = args.value("--cell-retries")) {
-      config.cell_retries = std::atoi(v);
+      config.cell_retries = parse_int_arg(v);
     } else if (const char* v = args.value("--csv")) {
       csv_path = v;
     } else if (const char* v = args.value("--jsonl")) {
@@ -433,19 +470,25 @@ struct GridFlags {
   }
 };
 
-int run_grid(batch::SweepConfig& config, const GridFlags& flags,
-             bool print_table) {
+/// Runs a grid behind the checks every grid command shares. An empty grid
+/// or a per-session output request prints an error (`play_hint` ends the
+/// latter) and returns nullopt. --progress ticks on stderr, and every
+/// failed cell is listed there with its coordinates.
+std::optional<batch::SweepResult> run_checked_grid(batch::SweepConfig& config,
+                                                   const GridFlags& flags,
+                                                   const char* play_hint) {
   if (config.services.empty() || config.profiles.empty() ||
       config.seeds.empty() || config.fault_scenarios.empty()) {
     std::fprintf(stderr, "error: empty sweep grid\n");
-    return 2;
+    return std::nullopt;
   }
   if (!flags.outputs.chrome_trace_path.empty() ||
       !flags.outputs.jsonl_path.empty()) {
     std::fprintf(stderr,
                  "error: --trace-out/--events-out are per-session outputs; "
-                 "use `vodx play` (grids support --metrics-out)\n");
-    return 2;
+                 "use `vodx play`%s\n",
+                 play_hint);
+    return std::nullopt;
   }
   if (!flags.outputs.metrics_path.empty()) config.collect_metrics = true;
   if (flags.progress) {
@@ -457,7 +500,6 @@ int run_grid(batch::SweepConfig& config, const GridFlags& flags,
   }
 
   batch::SweepResult result = batch::run_sweep(config);
-
   for (const batch::CellResult& cell : result.cells) {
     if (!cell.ok) {
       std::fprintf(stderr, "sweep: cell %s %s after %d attempt(s): %s\n",
@@ -466,6 +508,15 @@ int run_grid(batch::SweepConfig& config, const GridFlags& flags,
                    cell.attempts, cell.error.c_str());
     }
   }
+  return result;
+}
+
+int run_grid(batch::SweepConfig& config, const GridFlags& flags,
+             bool print_table) {
+  const std::optional<batch::SweepResult> checked =
+      run_checked_grid(config, flags, " (grids support --metrics-out)");
+  if (!checked) return 2;
+  const batch::SweepResult& result = *checked;
 
   if (print_table) {
     // Per-cell resilience summary in grid order — byte-identical for every
@@ -495,15 +546,12 @@ int run_grid(batch::SweepConfig& config, const GridFlags& flags,
     table.print();
   }
 
-  const std::string csv = batch::sweep_csv(result);
-  if (!print_table && flags.csv_path.empty()) {
-    std::fputs(csv.c_str(), stdout);
-  } else if (!flags.csv_path.empty()) {
-    std::ofstream out(flags.csv_path);
-    if (!out) throw Error(format("cannot write %s", flags.csv_path.c_str()));
-    out << csv;
-    std::fprintf(stderr, "wrote %s (%zu cells, %d failed)\n",
-                 flags.csv_path.c_str(), result.cells.size(), result.failed);
+  if (!flags.csv_path.empty()) {
+    write_file(flags.csv_path, batch::sweep_csv(result),
+               format(" (%zu cells, %d failed)", result.cells.size(),
+                      result.failed));
+  } else if (!print_table) {
+    std::fputs(batch::sweep_csv(result).c_str(), stdout);
   }
   if (!flags.jsonl_path.empty()) {
     write_file(flags.jsonl_path, batch::sweep_jsonl(result));
@@ -524,7 +572,7 @@ int cmd_sweep(Args& args) {
   GridFlags flags;
   while (!args.done()) {
     if (const char* v = args.value("--faults")) {
-      config.fault_scenarios = tools::parse_name_list(v, scenario_names());
+      config.fault_scenarios = parse_names(v, faults::scenario_catalog());
     } else if (!flags.parse(args, config, "sweep")) {
       args.unknown();
     }
@@ -537,21 +585,17 @@ int cmd_faults(Args& args) {
   batch::SweepConfig config;
   config.services = services::catalog();
   config.profiles = {7};
-  config.fault_scenarios = scenario_names();  // "none" baseline + pathologies
+  // The "none" baseline plus every pathology.
+  config.fault_scenarios = parse_names("all", faults::scenario_catalog());
   config.session_duration = 300;
   config.jobs = 0;
   GridFlags flags;
   bool hardened = false;
   while (!args.done()) {
     if (args.flag("--list")) {
-      Table table({"scenario", "description"});
-      for (const faults::Scenario& s : faults::scenario_catalog()) {
-        table.add_row({s.name, s.description});
-      }
-      table.print();
-      return 0;
+      return print_catalog("scenario", faults::scenario_catalog());
     } else if (const char* v = args.value("--scenarios")) {
-      config.fault_scenarios = tools::parse_name_list(v, scenario_names());
+      config.fault_scenarios = parse_names(v, faults::scenario_catalog());
     } else if (args.flag("--hardened")) {
       hardened = true;
     } else if (!flags.parse(args, config, "faults")) {
@@ -581,7 +625,7 @@ int cmd_report(Args& args) {
     // Own output flags come before GridFlags: --jsonl here means the report
     // JSONL (cells + rollups), not the per-cell QoE rows `sweep` writes.
     if (const char* v = args.value("--faults")) {
-      config.fault_scenarios = tools::parse_name_list(v, scenario_names());
+      config.fault_scenarios = parse_names(v, faults::scenario_catalog());
     } else if (const char* v = args.value("--out")) {
       text_path = v;
     } else if (const char* v = args.value("--jsonl")) {
@@ -595,27 +639,8 @@ int cmd_report(Args& args) {
     }
   }
   if (args.failed()) return usage();
-  if (config.services.empty() || config.profiles.empty() ||
-      config.seeds.empty() || config.fault_scenarios.empty()) {
-    std::fprintf(stderr, "error: empty sweep grid\n");
-    return 2;
-  }
-  if (!flags.outputs.chrome_trace_path.empty() ||
-      !flags.outputs.jsonl_path.empty()) {
-    std::fprintf(stderr,
-                 "error: --trace-out/--events-out are per-session outputs; "
-                 "use `vodx play`\n");
-    return 2;
-  }
   // --metrics-out is an alias for --jsonl here; both mean the report JSONL.
   if (jsonl_path.empty()) jsonl_path = flags.outputs.metrics_path;
-  if (flags.progress) {
-    config.progress = [](const batch::CellResult& cell, std::size_t done,
-                         std::size_t total) {
-      std::fprintf(stderr, "\r[%zu/%zu] %s%s", done, total,
-                   cell.coordinates().c_str(), done == total ? "\n" : "   ");
-    };
-  }
 
   // --diag shares the single sweep pass: the diag fold runs in the post-join
   // observe callback (grid order, one thread), so the appended tables are
@@ -627,47 +652,29 @@ int cmd_report(Args& args) {
       diag::fold_cell(sweep_diag, cell, observer);
     };
   }
+  const std::optional<batch::SweepResult> result =
+      run_checked_grid(config, flags, "");
+  if (!result) return 2;
+  sweep_diag.total_cells = static_cast<int>(result->cells.size());
 
-  batch::SweepResult result = batch::run_sweep(config);
-  for (const batch::CellResult& cell : result.cells) {
-    if (!cell.ok) {
-      std::fprintf(stderr, "report: cell %s failed: %s\n",
-                   cell.coordinates().c_str(), cell.error.c_str());
-    }
-  }
-  sweep_diag.total_cells = static_cast<int>(result.cells.size());
-
-  batch::SweepMetrics metrics = batch::aggregate_metrics(result);
+  batch::SweepMetrics metrics = batch::aggregate_metrics(*result);
   std::string text = batch::report_text(metrics);
   if (with_diag) text += "\n" + diag::diag_text(sweep_diag);
-  if (text_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-  } else {
-    write_file(text_path, text);
-  }
+  emit(text_path, text);
   if (!jsonl_path.empty()) {
-    std::string jsonl = batch::report_jsonl(result, metrics);
+    std::string jsonl = batch::report_jsonl(*result, metrics);
     if (with_diag) jsonl += diag::diag_jsonl(sweep_diag);
     write_file(jsonl_path, jsonl);
   }
   if (!html_path.empty()) {
-    std::string html = batch::report_html(metrics);
-    if (with_diag) {
-      const std::string tail = "</body></html>\n";
-      const std::size_t pos = html.rfind(tail);
-      const std::string section = diag::diag_html_section(sweep_diag);
-      if (pos != std::string::npos) {
-        html.insert(pos, section);
-      } else {
-        html += section;
-      }
-    }
-    write_file(html_path, html);
+    const std::string section =
+        with_diag ? diag::diag_html_section(sweep_diag) : std::string();
+    write_file(html_path, batch::report_html(metrics, section));
   }
   if (!flags.csv_path.empty()) {
-    write_file(flags.csv_path, batch::sweep_csv(result));
+    write_file(flags.csv_path, batch::sweep_csv(*result));
   }
-  return result.failed > 0 ? 1 : 0;
+  return result->failed > 0 ? 1 : 0;
 }
 
 int cmd_diagnose(Args& args) {
@@ -685,32 +692,16 @@ int cmd_diagnose(Args& args) {
       validate_mode = true;
     } else if (const char* v = args.value("--threshold")) {
       threshold = parse_double(v);
-    } else if (const char* v = args.value("--services")) {
-      parse_services(config, v, "diagnose");
-    } else if (const char* v = args.value("--profiles")) {
-      config.profiles.clear();
-      for (std::int64_t id :
-           tools::parse_int_list(v, 1, trace::kProfileCount, "profile")) {
-        config.profiles.push_back(static_cast<int>(id));
-      }
-    } else if (const char* v = args.value("--seeds")) {
-      config.seeds.clear();
-      for (std::int64_t seed : tools::parse_int_list(v, 0, 0, "seed")) {
-        config.seeds.push_back(static_cast<std::uint64_t>(seed));
-      }
     } else if (const char* v = args.value("--faults")) {
-      config.fault_scenarios = tools::parse_name_list(v, scenario_names());
-    } else if (const char* v = args.value("--jobs")) {
-      config.jobs = std::atoi(v);
-    } else if (const char* v = args.value("--duration")) {
-      config.session_duration = parse_positive(v, "--duration");
-      config.content_duration = config.session_duration;
+      config.fault_scenarios = parse_names(v, faults::scenario_catalog());
     } else if (const char* v = args.value("--out")) {
       text_path = v;
     } else if (const char* v = args.value("--jsonl")) {
       jsonl_path = v;
     } else if (const char* v = args.value("--html")) {
       html_path = v;
+    } else if (parse_grid_axis(args, config, "diagnose")) {
+      // consumed a grid axis and its value
     } else if (const char* p = args.positional()) {
       if (service.empty()) {
         service = p;
@@ -722,6 +713,8 @@ int cmd_diagnose(Args& args) {
     }
   }
   if (args.failed()) return usage();
+  // Diagnosed sessions play the whole title.
+  config.content_duration = config.session_duration;
 
   if (validate_mode) {
     diag::ValidateOptions options;
@@ -735,13 +728,8 @@ int cmd_diagnose(Args& args) {
     // Single-session view: full per-interval blame spans, not rollups.
     const services::ServiceSpec& spec = services::service(service);
     obs::Observer observer;
-    core::SessionConfig session;
-    session.spec = spec;
-    session.trace = trace::cellular_profile(profile);
-    session.session_duration = config.session_duration;
-    session.content_duration = config.session_duration;
-    session.observer = &observer;
-    core::SessionResult r = core::run_session(session);
+    const core::SessionResult r = run(spec, trace::cellular_profile(profile),
+                                      &observer, config.session_duration);
     std::printf("%s on profile %d (%.0f s session):\n\n", spec.name.c_str(),
                 profile, r.session_end);
     std::fputs(diag::diagnosis_text(diag::diagnose(r, observer)).c_str(),
@@ -755,12 +743,7 @@ int cmd_diagnose(Args& args) {
     return 2;
   }
   const diag::SweepDiagnosis diagnosis = diag::diagnose_sweep(config);
-  const std::string text = diag::diag_text(diagnosis);
-  if (text_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-  } else {
-    write_file(text_path, text);
-  }
+  emit(text_path, diag::diag_text(diagnosis));
   if (!jsonl_path.empty()) write_file(jsonl_path, diag::diag_jsonl(diagnosis));
   if (!html_path.empty()) write_file(html_path, diag::diag_html(diagnosis));
   return diagnosis.failed > 0 ? 1 : 0;
@@ -769,23 +752,16 @@ int cmd_diagnose(Args& args) {
 int cmd_pop(Args& args) {
   pop::PopulationConfig config;
   config.jobs = 0;
-  config.towers.clear();
+  std::vector<int> towers;
   std::string out_path, jsonl_path, csv_path;
   std::string tower_csv_path, timeline_path, html_path;
   while (!args.done()) {
     if (const char* v = args.value("--services")) {
-      std::vector<std::string> all;
-      for (const services::ServiceSpec& s : services::catalog()) {
-        all.push_back(s.name);
-      }
-      config.services = tools::parse_name_list(v, all);
+      config.services = parse_names(v, services::catalog());
     } else if (const char* v = args.value("--towers")) {
-      for (std::int64_t id :
-           tools::parse_int_list(v, 1, trace::kProfileCount, "profile")) {
-        config.towers.push_back(static_cast<int>(id));
-      }
+      append_profiles(v, towers);
     } else if (const char* v = args.value("--seed")) {
-      config.seed = static_cast<std::uint64_t>(std::atoll(v));
+      config.seed = static_cast<std::uint64_t>(parse_int(v));
     } else if (const char* v = args.value("--horizon")) {
       config.horizon = parse_positive(v, "--horizon");
     } else if (const char* v = args.value("--rate")) {
@@ -799,15 +775,15 @@ int cmd_pop(Args& args) {
     } else if (const char* v = args.value("--flash-window")) {
       config.arrivals.flash_window = parse_double(v);
     } else if (const char* v = args.value("--flash-arrivals")) {
-      config.arrivals.flash_arrivals = std::atoi(v);
+      config.arrivals.flash_arrivals = parse_int_arg(v);
     } else if (const char* v = args.value("--watch-time")) {
       config.watch_time = parse_positive(v, "--watch-time");
     } else if (const char* v = args.value("--watch-sigma")) {
       config.watch_sigma = parse_double(v);
     } else if (const char* v = args.value("--max-sessions")) {
-      config.max_sessions_per_tower = std::atoi(v);
+      config.max_sessions_per_tower = parse_int_arg(v);
     } else if (const char* v = args.value("--jobs")) {
-      config.jobs = std::atoi(v);
+      config.jobs = parse_int_arg(v);
     } else if (const char* v = args.value("--core")) {
       config.sim_core = tools::parse_sim_core(v);
     } else if (const char* v = args.value("--out")) {
@@ -829,7 +805,7 @@ int cmd_pop(Args& args) {
     } else if (args.flag("--diag")) {
       config.diagnose = true;
     } else if (const char* v = args.value("--diag-budget")) {
-      config.diag_session_budget = std::atoi(v);
+      config.diag_session_budget = parse_int_arg(v);
     } else if (const char* v = args.value("--origin")) {
       config.origin = origin::preset(origin::parse_mode(v));
     } else if (args.flag("--shared-content")) {
@@ -839,16 +815,11 @@ int cmd_pop(Args& args) {
     }
   }
   if (args.failed()) return usage();
-  if (config.towers.empty()) config.towers = {7};
+  if (!towers.empty()) config.towers = towers;
   if (config.origin.mode != origin::Mode::kNone) config.origin.validate();
 
   const pop::PopulationReport report = pop::run_population(config);
-  const std::string text = pop::population_text(report);
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-  } else {
-    write_file(out_path, text);
-  }
+  emit(out_path, pop::population_text(report));
   if (!jsonl_path.empty()) {
     write_file(jsonl_path, pop::population_jsonl(report));
   }
@@ -867,70 +838,32 @@ int cmd_pop(Args& args) {
   return 0;
 }
 
-/// Fraction of a population run's sessions that started playback and were
-/// healthy at the end — playing, or ended after their watch time. A session
-/// stuck rebuffering at the horizon (its fetch pipeline died) counts as not
-/// completed even though it never reached kFailed.
-double completed_fraction(const pop::PopulationReport& report, int* completed,
-                          int* total) {
-  const std::string playing = player::to_string(player::PlayerState::kPlaying);
-  const std::string ended = player::to_string(player::PlayerState::kEnded);
-  *completed = 0;
-  *total = 0;
-  for (const pop::TowerReport& tower : report.towers) {
-    for (const pop::SessionOutcome& s : tower.outcomes) {
-      ++*total;
-      if (s.startup_delay >= 0 &&
-          (s.final_state == playing || s.final_state == ended)) {
-        ++*completed;
-      }
-    }
-  }
-  return *total > 0 ? static_cast<double>(*completed) / *total : 0.0;
-}
-
 int cmd_origin(Args& args) {
-  // Flash-crowd failover drill. Defaults: a 24-viewer crowd lands on the
-  // fastest tower (profile 14 — the crowd must fit the radio link, so the
-  // pathology separating the legs is origin-side) at t=25 s, the primary DC
-  // goes dark at t=28 s for 30 s, and every viewer streams the same title
-  // through the tower's shared edge cache.
-  pop::PopulationConfig config;
+  // The drill's blackout window is parsed like any other knob and put back
+  // into the plan unless --blackout-at < 0 disables it.
+  pop::PopulationConfig config = pop::origin_drill();
   config.jobs = 0;
-  config.horizon = 120;
-  config.content_duration = 180;
-  config.watch_time = 90;
-  config.arrivals.rate_per_min = 2;
-  config.arrivals.flash_at = 25;
-  config.arrivals.flash_window = 15;
-  config.arrivals.flash_arrivals = 24;
-  config.shared_content = true;
-  config.towers.clear();
+  faults::DcBlackoutFault blackout = config.fault_plan.dc_blackouts.at(0);
+  config.fault_plan.dc_blackouts.clear();
+  std::vector<int> towers;
 
   // Knob overrides are tracked separately so they layer onto *both* presets
   // when --mode both runs the naive and hardened legs.
   double cache_ttl = -1, retry_backoff = -1, cooldown = -1;
   int cache_capacity = -1, retries = -1, breaker_threshold = -1;
   bool no_coalesce = false;
-  double blackout_at = 28, blackout_duration = 30, flush_at = -1;
+  double flush_at = -1;
   std::string mode = "both";
   std::string out_path;
   while (!args.done()) {
     if (const char* v = args.value("--mode")) {
       mode = v;
     } else if (const char* v = args.value("--services")) {
-      std::vector<std::string> all;
-      for (const services::ServiceSpec& s : services::catalog()) {
-        all.push_back(s.name);
-      }
-      config.services = tools::parse_name_list(v, all);
+      config.services = parse_names(v, services::catalog());
     } else if (const char* v = args.value("--towers")) {
-      for (std::int64_t id :
-           tools::parse_int_list(v, 1, trace::kProfileCount, "profile")) {
-        config.towers.push_back(static_cast<int>(id));
-      }
+      append_profiles(v, towers);
     } else if (const char* v = args.value("--seed")) {
-      config.seed = static_cast<std::uint64_t>(std::atoll(v));
+      config.seed = static_cast<std::uint64_t>(parse_int(v));
     } else if (const char* v = args.value("--horizon")) {
       config.horizon = parse_positive(v, "--horizon");
     } else if (const char* v = args.value("--rate")) {
@@ -940,11 +873,11 @@ int cmd_origin(Args& args) {
     } else if (const char* v = args.value("--flash-window")) {
       config.arrivals.flash_window = parse_positive(v, "--flash-window");
     } else if (const char* v = args.value("--flash-arrivals")) {
-      config.arrivals.flash_arrivals = std::atoi(v);
+      config.arrivals.flash_arrivals = parse_int_arg(v);
     } else if (const char* v = args.value("--blackout-at")) {
-      blackout_at = parse_double(v);  // < 0 disables the blackout
+      blackout.start = parse_double(v);
     } else if (const char* v = args.value("--blackout-duration")) {
-      blackout_duration = parse_positive(v, "--blackout-duration");
+      blackout.duration = parse_positive(v, "--blackout-duration");
     } else if (const char* v = args.value("--flush-at")) {
       flush_at = parse_positive(v, "--flush-at");
     } else if (const char* v = args.value("--cache-ttl")) {
@@ -962,7 +895,7 @@ int cmd_origin(Args& args) {
     } else if (args.flag("--no-coalesce")) {
       no_coalesce = true;
     } else if (const char* v = args.value("--jobs")) {
-      config.jobs = std::atoi(v);
+      config.jobs = parse_int_arg(v);
     } else if (const char* v = args.value("--out")) {
       out_path = v;
     } else {
@@ -970,7 +903,7 @@ int cmd_origin(Args& args) {
     }
   }
   if (args.failed()) return usage();
-  if (config.towers.empty()) config.towers = {14};
+  if (!towers.empty()) config.towers = towers;
 
   std::vector<origin::Mode> legs;
   if (mode == "both") {
@@ -983,10 +916,7 @@ int cmd_origin(Args& args) {
     legs = {parsed};
   }
 
-  if (blackout_at >= 0 && blackout_duration > 0) {
-    config.fault_plan.dc_blackouts.push_back(
-        faults::DcBlackoutFault{blackout_at, blackout_duration});
-  }
+  if (blackout.start >= 0) config.fault_plan.dc_blackouts.push_back(blackout);
   if (flush_at >= 0) {
     config.fault_plan.cache_flushes.push_back(faults::CacheFlushFault{flush_at});
   }
@@ -997,13 +927,13 @@ int cmd_origin(Args& args) {
       config.arrivals.flash_arrivals, config.arrivals.flash_window,
       config.arrivals.flash_at, config.arrivals.rate_per_min,
       config.towers.size(), config.horizon);
-  if (blackout_at >= 0 && blackout_duration > 0) {
-    text += format("primary DC dark %.1f-%.1f s\n", blackout_at,
-                   blackout_at + blackout_duration);
+  if (blackout.start >= 0) {
+    text += format("primary DC dark %.1f-%.1f s\n", blackout.start,
+                   blackout.start + blackout.duration);
   }
   if (flush_at >= 0) text += format("edge cache flushed at %.1f s\n", flush_at);
 
-  std::vector<double> completion;
+  std::vector<pop::Completion> completion;
   std::vector<pop::PopulationReport> reports;
   for (origin::Mode leg : legs) {
     pop::PopulationConfig leg_config = config;
@@ -1020,13 +950,12 @@ int cmd_origin(Args& args) {
     leg_config.origin.validate();
 
     const pop::PopulationReport report = pop::run_population(leg_config);
-    int completed = 0, total = 0;
-    const double fraction = completed_fraction(report, &completed, &total);
-    completion.push_back(fraction);
+    const pop::Completion done = pop::completed_sessions(report);
+    completion.push_back(done);
     text += format("\n--- %s origin ---\n", origin::to_string(leg));
     text += pop::population_text(report);
-    text += format("completed: %d/%d session(s) (%.1f%%)\n", completed, total,
-                   fraction * 100.0);
+    text += format("completed: %d/%d session(s) (%.1f%%)\n", done.completed,
+                   done.total, done.fraction() * 100.0);
     reports.push_back(report);
   }
   if (legs.size() == 2) {
@@ -1035,15 +964,12 @@ int cmd_origin(Args& args) {
     text += format(
         "\nhardened origin buys back: %+.1f pts completion, "
         "startup p95 %.2f -> %.2f s, stall p95 %.2f -> %.2f s\n",
-        (completion[1] - completion[0]) * 100.0, naive.startup.p95,
-        hardened.startup.p95, naive.stall.p95, hardened.stall.p95);
+        (completion[1].fraction() - completion[0].fraction()) * 100.0,
+        naive.startup.p95, hardened.startup.p95, naive.stall.p95,
+        hardened.stall.p95);
   }
 
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-  } else {
-    write_file(out_path, text);
-  }
+  emit(out_path, text);
   return 0;
 }
 
@@ -1052,30 +978,22 @@ int cmd_chaos(Args& args) {
   config.jobs = 0;
   std::string repro_path, artifacts_dir, out_path;
   bool list_invariants = false;
-  double budget = config.wall_budget;
   while (!args.done()) {
     if (const char* v = args.value("--seeds")) {
       for (std::int64_t s : tools::parse_int_list(v, 0, 63, "seed")) {
         config.seeds.push_back(static_cast<std::uint64_t>(s));
       }
     } else if (const char* v = args.value("--services")) {
-      std::vector<std::string> all;
-      for (const services::ServiceSpec& s : services::catalog()) {
-        all.push_back(s.name);
-      }
-      config.services = tools::parse_name_list(v, all);
+      config.services = parse_names(v, services::catalog());
     } else if (const char* v = args.value("--profiles")) {
-      for (std::int64_t id :
-           tools::parse_int_list(v, 1, trace::kProfileCount, "profile")) {
-        config.profiles.push_back(static_cast<int>(id));
-      }
+      append_profiles(v, config.profiles);
     } else if (const char* v = args.value("--duration")) {
       config.duration = parse_positive(v, "--duration");
     } else if (const char* v = args.value("--jobs")) {
-      config.jobs = std::atoi(v);
+      config.jobs = parse_int_arg(v);
     } else if (const char* v = args.value("--budget")) {
-      budget = parse_double(v);  // "-1" = unlimited; parses as a value, not
-                                 // a flag (tools::Args numeric-token rule)
+      // "-1" parses as a value, not a flag (tools::Args numeric-token rule).
+      config.wall_budget = parse_budget(v);
     } else if (const char* v = args.value("--core")) {
       config.sim_core = tools::parse_sim_core(v);
     } else if (args.flag("--minimize")) {
@@ -1102,14 +1020,8 @@ int cmd_chaos(Args& args) {
   }
   if (args.failed()) return usage();
   if (list_invariants) {
-    Table table({"invariant", "description"});
-    for (const chaos::InvariantInfo& info : chaos::invariant_catalog()) {
-      table.add_row({info.name, info.description});
-    }
-    table.print();
-    return 0;
+    return print_catalog("invariant", chaos::invariant_catalog());
   }
-  config.wall_budget = budget <= 0 ? 0 : budget;
 
   if (!repro_path.empty()) {
     std::ifstream in(repro_path);
@@ -1146,12 +1058,7 @@ int cmd_chaos(Args& args) {
   }
 
   const chaos::ChaosReport report = chaos::run_chaos(config);
-  const std::string text = chaos::chaos_report_text(report);
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-  } else {
-    write_file(out_path, text);
-  }
+  emit(out_path, chaos::chaos_report_text(report));
 
   if (!artifacts_dir.empty()) {
     for (const chaos::ChaosRow& row : report.rows) {
@@ -1171,11 +1078,12 @@ int cmd_chaos(Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  Args args(argc - 2, argv + 2);  // the flags after the command name
   try {
     if (command == "list") return cmd_list();
     if (command == "play" && argc >= 3) {
-      Args args(argc - 3, argv + 3);
-      return cmd_play(argv[2], args);
+      Args play_args(argc - 3, argv + 3);
+      return cmd_play(argv[2], play_args);
     }
     if (command == "dissect" && argc >= 3) return cmd_dissect(argv[2]);
     if (command == "trace" && argc >= 3) {
@@ -1184,34 +1092,13 @@ int main(int argc, char** argv) {
     if (command == "energy" && argc >= 3) {
       return cmd_energy(argv[2], argc >= 4 ? parse_profile(argv[3]) : 7);
     }
-    if (command == "sweep") {
-      Args args(argc - 2, argv + 2);
-      return cmd_sweep(args);
-    }
-    if (command == "faults") {
-      Args args(argc - 2, argv + 2);
-      return cmd_faults(args);
-    }
-    if (command == "report") {
-      Args args(argc - 2, argv + 2);
-      return cmd_report(args);
-    }
-    if (command == "pop") {
-      Args args(argc - 2, argv + 2);
-      return cmd_pop(args);
-    }
-    if (command == "origin") {
-      Args args(argc - 2, argv + 2);
-      return cmd_origin(args);
-    }
-    if (command == "chaos") {
-      Args args(argc - 2, argv + 2);
-      return cmd_chaos(args);
-    }
-    if (command == "diagnose") {
-      Args args(argc - 2, argv + 2);
-      return cmd_diagnose(args);
-    }
+    if (command == "sweep") return cmd_sweep(args);
+    if (command == "faults") return cmd_faults(args);
+    if (command == "report") return cmd_report(args);
+    if (command == "pop") return cmd_pop(args);
+    if (command == "origin") return cmd_origin(args);
+    if (command == "chaos") return cmd_chaos(args);
+    if (command == "diagnose") return cmd_diagnose(args);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
