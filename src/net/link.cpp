@@ -149,17 +149,4 @@ Seconds Link::next_wake(Seconds now) {
   return kNeverWakes;
 }
 
-void Link::fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) {
-  (void)ticks;
-  // Every connection is idle or closed over a slept span (a busy one pins
-  // next_wake to `now`, and a transfer start pokes before it begins), so
-  // the only per-tick effect advance() would have had is resetting the
-  // instrumentation-only last-granted rate — which is idempotent, so one
-  // zero-grant advance replays any number of ticks. Attach and detach need
-  // no poke: an idle connection's replay is that same reset.
-  for (TcpConnection* c : connections_) {
-    c->advance(now, dt, /*granted=*/0, /*saturated=*/false);
-  }
-}
-
 }  // namespace vodx::net

@@ -74,12 +74,12 @@ class Link : public TickClient {
   // --- TickClient --------------------------------------------------------
   void tick(Seconds now, Seconds dt) override;
   Seconds next_wake(Seconds now) override;
-  void fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) override;
 
  private:
   friend class TcpConnection;
-  /// An attached connection is about to start a transfer: catch up on the
-  /// ticks slept through while every connection was idle, then run.
+  /// An attached connection is about to start a transfer: wake the link so
+  /// it integrates it. The ticks it slept through need no replay: every
+  /// connection was idle or closed then, where advance() does nothing.
   void wake_for_transfer() { sim_.poke(this); }
 
   Simulator& sim_;

@@ -123,6 +123,7 @@ void MediaSource::handle_hls_master(const std::string& url,
           track.declared_bitrate = variant.bandwidth;
           track.average_bandwidth = variant.average_bandwidth.value_or(0);
           track.resolution = variant.resolution;
+          track.segments.reserve(playlist.segments.size());
           int index = 0;
           for (const manifest::HlsMediaSegment& seg : playlist.segments) {
             manifest::ClientSegment cs;
@@ -161,6 +162,7 @@ void MediaSource::handle_dash_mpd(const std::string& url,
       track.resolution = rep.resolution;
       if (!rep.media_template.empty()) {
         // SegmentTemplate: per-segment files, no sizes on the wire.
+        track.segments.reserve(rep.template_durations.size());
         int index = 0;
         for (Seconds d : rep.template_durations) {
           manifest::ClientSegment cs;
@@ -177,6 +179,7 @@ void MediaSource::handle_dash_mpd(const std::string& url,
         ladder.push_back(std::move(track));
       } else if (!rep.segments.empty()) {
         // SegmentList: everything is in the MPD.
+        track.segments.reserve(rep.segments.size());
         int index = 0;
         for (const manifest::DashSegmentRef& ref : rep.segments) {
           manifest::ClientSegment cs;
@@ -203,6 +206,7 @@ void MediaSource::handle_dash_mpd(const std::string& url,
               media::SidxBox sidx = media::parse_sidx(r.body);
               Bytes offset = index_range.last + 1 +
                              static_cast<Bytes>(sidx.first_offset);
+              track.segments.reserve(sidx.references.size());
               int index = 0;
               for (const media::SidxReference& ref : sidx.references) {
                 manifest::ClientSegment cs;
@@ -243,6 +247,7 @@ void MediaSource::handle_smooth(const std::string& url,
       // Accumulate in seconds and round once per fragment — the same
       // arithmetic the origin uses to register fragment URLs.
       Seconds start_seconds = 0;
+      track.segments.reserve(stream.chunk_durations.size());
       int index = 0;
       for (Seconds d : stream.chunk_durations) {
         manifest::ClientSegment cs;
