@@ -91,10 +91,10 @@ std::string issue_table(const pop::PopulationReport& report) {
 }
 
 std::string blame_table(const pop::PopulationReport& report) {
-  const pop::TowerDiag& diag = report.diag;
+  const diag::DiagRollup& diag = report.diag;
   std::string out = format(
       "blame: %d session(s) diagnosed, stall %.2f s, attribution %.3f\n",
-      diag.sessions_diagnosed, diag.stall_s,
+      diag.cells, diag.stall_s,
       diag.stall_attributed_fraction());
   out += "cause                  stall_s  stall_share\n";
   for (int c = 0; c < diag::kCauseCount; ++c) {

@@ -9,8 +9,8 @@
 #   ./scripts/check.sh --labels unit       # only tests with a matching
 #                                          # ctest label (unit|integration|
 #                                          # golden|faults|chaos|diag|
-#                                          # simcore|pop|popobs|origin|cli;
-#                                          # regex accepted)
+#                                          # simcore|pop|popobs|origin|cli|
+#                                          # lint; regex accepted)
 #   BUILD_DIR=out ./scripts/check.sh       # custom build directory
 set -euo pipefail
 

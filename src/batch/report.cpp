@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/json.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "obs/export.h"
@@ -121,112 +122,85 @@ SweepMetrics aggregate_metrics(const SweepResult& result) {
   return out;
 }
 
-std::string report_text(const SweepMetrics& metrics) {
-  // The quarantine clause only appears when non-zero, so quarantine-free
-  // reports stay byte-identical to the historical format (golden-pinned).
+Report sweep_report(const SweepMetrics& metrics) {
+  // The quarantine clause and the two lists only appear when non-empty, so
+  // clean reports stay byte-identical to the historical format
+  // (golden-pinned).
   std::string failure_clause = format("%d failed", metrics.failed);
   if (metrics.quarantined > 0) {
     failure_clause += format(", %d quarantined", metrics.quarantined);
   }
-  std::string out = format(
-      "sweep metrics: %d cells (%s), %d merged\n\n== overall ==\n",
-      metrics.total_cells, failure_clause.c_str(), metrics.overall.cells);
-  out += obs::metrics_table(metrics.overall.metrics).render();
+  Report report;
+  report.line(format("sweep metrics: %d cells (%s), %d merged",
+                     metrics.total_cells, failure_clause.c_str(),
+                     metrics.overall.cells));
+  report.section("overall", obs::metrics_table(metrics.overall.metrics));
   if (!metrics.quarantined_cells.empty()) {
-    out += "\n== quarantined ==\n";
+    std::vector<std::string> lines;
     for (const std::string& line : metrics.quarantined_cells) {
-      out += format("QUARANTINED %s\n", line.c_str());
+      lines.push_back("QUARANTINED " + line);
     }
+    report.list("quarantined", std::move(lines));
   }
-  // Like the quarantine section: only rendered when something was actually
-  // dropped, so clean sweeps keep the golden-pinned byte layout.
   if (!metrics.dropped_cells.empty()) {
-    out += "\n== warnings ==\n";
+    std::vector<std::string> lines;
     for (const std::string& line : metrics.dropped_cells) {
-      out += format("WARNING %s — trace-derived analyses are partial\n",
-                    line.c_str());
+      lines.push_back("WARNING " + line +
+                      " — trace-derived analyses are partial");
     }
+    report.list("warnings", std::move(lines));
   }
   for (const Dimension& dim : dimensions(metrics)) {
-    out += format("\n== %s ==\n", dim.title);
-    out += dimension_table(dim).render();
+    report.section(dim.title, dimension_table(dim));
   }
-  return out;
+  return report;
+}
+
+std::string report_text(const SweepMetrics& metrics) {
+  return sweep_report(metrics).text();
 }
 
 std::string report_jsonl(const SweepResult& result,
                          const SweepMetrics& metrics) {
-  std::string out =
-      format("{\"scope\":\"sweep\",\"cells\":%d,\"failed\":%d,"
-             "\"quarantined\":%d,\"merged\":%d}\n",
-             metrics.total_cells, metrics.failed, metrics.quarantined,
-             metrics.overall.cells);
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("scope").string("sweep");
+  w.key("cells").raw(std::to_string(metrics.total_cells));
+  w.key("failed").raw(std::to_string(metrics.failed));
+  w.key("quarantined").raw(std::to_string(metrics.quarantined));
+  w.key("merged").raw(std::to_string(metrics.overall.cells)).end_object();
+  out += '\n';
   for (const CellResult& cell : result.cells) {
-    out += format(
-        "{\"scope\":\"cell\",\"service\":\"%s\",\"profile\":%d,"
-        "\"seed\":%llu,\"fault\":\"%s\",\"ok\":%s",
-        obs::json_escape(cell.service).c_str(), cell.profile_id,
-        static_cast<unsigned long long>(cell.seed),
-        obs::json_escape(cell.fault).c_str(), cell.ok ? "true" : "false");
-    if (cell.quarantined) out += ",\"quarantined\":true";
+    w.begin_object().key("scope").string("cell");
+    w.key("service").string(cell.service);
+    w.key("profile").raw(std::to_string(cell.profile_id));
+    w.key("seed").raw(std::to_string(cell.seed));
+    w.key("fault").string(cell.fault).key("ok").boolean(cell.ok);
+    if (cell.quarantined) w.key("quarantined").boolean(true);
     if (cell.trace_dropped > 0) {
-      out += format(",\"trace_dropped\":%llu",
-                    static_cast<unsigned long long>(cell.trace_dropped));
+      w.key("trace_dropped").raw(std::to_string(cell.trace_dropped));
     }
     if (cell.has_metrics) {
-      out += ",\"snapshot\":" + obs::metrics_json(cell.metrics);
+      w.key("snapshot").raw(obs::metrics_json(cell.metrics));
     }
-    out += "}\n";
+    w.end_object();
+    out += '\n';
   }
+  auto rollup_line = [&](const char* scope, const Rollup& rollup) {
+    w.begin_object().key("scope").string(scope).key("key").string(rollup.key);
+    w.key("cells").raw(std::to_string(rollup.cells));
+    w.key("snapshot").raw(obs::metrics_json(rollup.metrics)).end_object();
+    out += '\n';
+  };
   for (const Dimension& dim : dimensions(metrics)) {
-    for (const Rollup& rollup : *dim.rollups) {
-      out += format("{\"scope\":\"%s\",\"key\":\"%s\",\"cells\":%d,"
-                    "\"snapshot\":",
-                    dim.scope, obs::json_escape(rollup.key).c_str(),
-                    rollup.cells);
-      out += obs::metrics_json(rollup.metrics);
-      out += "}\n";
-    }
+    for (const Rollup& rollup : *dim.rollups) rollup_line(dim.scope, rollup);
   }
-  out += format("{\"scope\":\"overall\",\"key\":\"overall\",\"cells\":%d,"
-                "\"snapshot\":",
-                metrics.overall.cells);
-  out += obs::metrics_json(metrics.overall.metrics);
-  out += "}\n";
+  rollup_line("overall", metrics.overall);
   return out;
 }
 
-std::string report_html(const SweepMetrics& metrics,
-                        std::string_view extra_body) {
-  std::string out = html_page_start("vodx sweep report");
-  out += format("<p>%d cells (%d failed, %d quarantined), %d merged into "
-                "the rollups below.</p>\n",
-                metrics.total_cells, metrics.failed, metrics.quarantined,
-                metrics.overall.cells);
-  if (!metrics.quarantined_cells.empty()) {
-    out += "<h2>quarantined</h2>\n<ul>\n";
-    for (const std::string& line : metrics.quarantined_cells) {
-      out += "<li>QUARANTINED " + html_escape(line) + "</li>\n";
-    }
-    out += "</ul>\n";
-  }
-  if (!metrics.dropped_cells.empty()) {
-    out += "<h2>warnings</h2>\n<ul>\n";
-    for (const std::string& line : metrics.dropped_cells) {
-      out += "<li>WARNING " + html_escape(line) +
-             " — trace-derived analyses are partial</li>\n";
-    }
-    out += "</ul>\n";
-  }
-  out += "<h2>overall</h2>\n";
-  out += obs::metrics_table(metrics.overall.metrics).html();
-  for (const Dimension& dim : dimensions(metrics)) {
-    out += format("<h2>%s</h2>\n", dim.title);
-    out += dimension_table(dim).html();
-  }
-  out += extra_body;
-  out += "</body></html>\n";
-  return out;
+std::string report_html(const SweepMetrics& metrics) {
+  return sweep_report(metrics).html("vodx sweep report");
 }
 
 }  // namespace vodx::batch

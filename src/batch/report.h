@@ -4,16 +4,16 @@
 // per cell; aggregate_metrics folds them — in grid order, so the result is
 // byte-identical at any --jobs — into an overall rollup plus per-service,
 // per-profile and per-fault-scenario rollups (keys in first-appearance grid
-// order). The renderers turn that into the three shapes people actually
-// consume: a terminal text report, machine-readable JSONL (per-cell lines
-// included), and a single-file HTML summary.
+// order). sweep_report() lays that out as one Report, which renders as the
+// terminal text and the single-file HTML summary; report_jsonl() is the
+// machine-readable form (per-cell lines included).
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "batch/sweep.h"
+#include "common/report.h"
 
 namespace vodx::batch {
 
@@ -48,8 +48,12 @@ struct SweepMetrics {
 /// counted in total_cells/failed.
 SweepMetrics aggregate_metrics(const SweepResult& result);
 
-/// Terminal report: header, the overall metrics table, then one headline
-/// table per rollup dimension. Byte-stable for identical sweeps.
+/// Header line, the overall metrics table, the QUARANTINED and WARNING
+/// lists (only when non-empty), then one headline table per rollup
+/// dimension.
+Report sweep_report(const SweepMetrics& metrics);
+
+/// sweep_report as terminal text. Byte-stable for identical sweeps.
 std::string report_text(const SweepMetrics& metrics);
 
 /// One JSON object per line: a sweep header, each cell's snapshot
@@ -58,10 +62,8 @@ std::string report_text(const SweepMetrics& metrics);
 std::string report_jsonl(const SweepResult& result,
                          const SweepMetrics& metrics);
 
-/// Self-contained HTML page (inline CSS, no external assets) with the same
-/// content as report_text, as real tables. `extra_body` (e.g. a diag HTML
-/// section) goes after the rollups, before the closing tags.
-std::string report_html(const SweepMetrics& metrics,
-                        std::string_view extra_body = {});
+/// sweep_report as a self-contained HTML page (inline CSS, no external
+/// assets).
+std::string report_html(const SweepMetrics& metrics);
 
 }  // namespace vodx::batch

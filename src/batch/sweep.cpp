@@ -7,6 +7,7 @@
 
 #include "batch/thread_pool.h"
 #include "net/simulator.h"
+#include "common/json.h"
 #include "common/strings.h"
 #include "obs/export.h"
 #include "obs/profiler.h"
@@ -315,38 +316,38 @@ std::string sweep_csv(const SweepResult& result) {
 
 std::string sweep_jsonl(const SweepResult& result) {
   std::string out;
+  JsonWriter w(out);
   for (const CellResult& cell : result.cells) {
-    out += format(
-        R"({"service":"%s","profile":%d,"seed":%llu,"fault":"%s",)"
-        R"("origin":"%s",)",
-        obs::json_escape(cell.service).c_str(), cell.profile_id,
-        static_cast<unsigned long long>(cell.seed),
-        obs::json_escape(cell.fault).c_str(),
-        obs::json_escape(cell.origin).c_str());
+    w.begin_object().key("service").string(cell.service);
+    w.key("profile").raw(std::to_string(cell.profile_id));
+    w.key("seed").raw(std::to_string(cell.seed));
+    w.key("fault").string(cell.fault).key("origin").string(cell.origin);
+    w.key("ok").boolean(cell.ok);
     if (!cell.ok) {
-      out += format(R"("ok":false,"quarantined":%s,"attempts":%d,)"
-                    R"("error":"%s"})",
-                    cell.quarantined ? "true" : "false", cell.attempts,
-                    obs::json_escape(cell.error).c_str());
+      w.key("quarantined").boolean(cell.quarantined);
+      w.key("attempts").raw(std::to_string(cell.attempts));
+      w.key("error").string(cell.error);
     } else {
       const core::QoeReport& q = cell.result.qoe;
-      out += format(
-          R"("ok":true,"startup_delay_s":%.2f,"stall_count":%d,)"
-          R"("stall_time_s":%.2f,"avg_declared_bitrate_bps":%.0f,)"
-          R"("low_quality_fraction":%.4f,"switches":%d,)"
-          R"("nonconsecutive_switches":%d,"media_bytes":%lld,)"
-          R"("total_bytes":%lld,"wasted_bytes":%lld,"qoe_score":%.3f,)"
-          R"("final_state":"%s","session_end_s":%.2f})",
-          q.startup_delay, q.stall_count, q.total_stall,
-          q.average_declared_bitrate, q.low_quality_fraction, q.switch_count,
-          q.nonconsecutive_switch_count,
-          static_cast<long long>(q.media_bytes),
-          static_cast<long long>(q.total_bytes),
-          static_cast<long long>(q.wasted_bytes),
-          core::qoe_score(q, cell.result.session_end),
-          player::to_string(cell.result.final_state),
-          cell.result.session_end);
+      w.key("startup_delay_s").raw(format("%.2f", q.startup_delay));
+      w.key("stall_count").raw(std::to_string(q.stall_count));
+      w.key("stall_time_s").raw(format("%.2f", q.total_stall));
+      w.key("avg_declared_bitrate_bps")
+          .raw(format("%.0f", q.average_declared_bitrate));
+      w.key("low_quality_fraction")
+          .raw(format("%.4f", q.low_quality_fraction));
+      w.key("switches").raw(std::to_string(q.switch_count));
+      w.key("nonconsecutive_switches")
+          .raw(std::to_string(q.nonconsecutive_switch_count));
+      w.key("media_bytes").raw(std::to_string(q.media_bytes));
+      w.key("total_bytes").raw(std::to_string(q.total_bytes));
+      w.key("wasted_bytes").raw(std::to_string(q.wasted_bytes));
+      w.key("qoe_score")
+          .raw(format("%.3f", core::qoe_score(q, cell.result.session_end)));
+      w.key("final_state").string(player::to_string(cell.result.final_state));
+      w.key("session_end_s").raw(format("%.2f", cell.result.session_end));
     }
+    w.end_object();
     out += '\n';
   }
   return out;

@@ -8,12 +8,10 @@ namespace vodx::chaos {
 
 namespace {
 
-// --- Emission --------------------------------------------------------------
-
-std::string match_json(const faults::Match& match) {
-  return format(R"({"url_contains":"%s","start":%.6g,"end":%.6g})",
-                json_escape(match.url_contains).c_str(), match.start,
-                match.end);
+void write_match(const faults::Match& match, JsonWriter& w) {
+  w.key("match").begin_object().key("url_contains").string(match.url_contains);
+  w.key("start").number(match.start).key("end").number(match.end);
+  w.end_object();
 }
 
 // --- Parsing ---------------------------------------------------------------
@@ -36,70 +34,56 @@ std::string ReproArtifact::cli_line(const std::string& path) const {
 
 std::string to_json(const ReproArtifact& artifact) {
   const faults::FaultPlan& plan = artifact.plan;
-  std::string out = "{\n";
-  out += format("  \"service\": \"%s\",\n",
-                json_escape(artifact.service).c_str());
-  out += format("  \"profile\": %d,\n", artifact.profile_id);
-  out += format("  \"duration_s\": %.6g,\n", artifact.duration);
-  out += format("  \"chaos_seed\": %llu,\n",
-                static_cast<unsigned long long>(artifact.chaos_seed));
-  out += format("  \"invariants\": \"%s\",\n",
-                json_escape(artifact.invariants).c_str());
-  out += format("  \"origin_mode\": \"%s\",\n",
-                json_escape(artifact.origin_mode).c_str());
-  out += format("  \"plan\": {\n    \"name\": \"%s\",\n    \"seed\": %llu,\n",
-                json_escape(plan.name).c_str(),
-                static_cast<unsigned long long>(plan.seed));
-
-  out += "    \"latency\": [";
-  for (std::size_t i = 0; i < plan.latency.size(); ++i) {
-    const faults::LatencyFault& f = plan.latency[i];
-    out += format(R"(%s{"match":%s,"base":%.6g,"jitter":%.6g,)"
-                  R"("probability":%.6g})",
-                  i == 0 ? "" : ",", match_json(f.match).c_str(), f.base,
-                  f.jitter, f.probability);
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("service").string(artifact.service);
+  w.key("profile").raw(std::to_string(artifact.profile_id));
+  w.key("duration_s").number(artifact.duration);
+  w.key("chaos_seed").raw(std::to_string(artifact.chaos_seed));
+  w.key("invariants").string(artifact.invariants);
+  w.key("origin_mode").string(artifact.origin_mode);
+  w.key("plan").begin_object().key("name").string(plan.name);
+  w.key("seed").raw(std::to_string(plan.seed));
+  w.key("latency").begin_array();
+  for (const faults::LatencyFault& f : plan.latency) {
+    write_match(f.match, w.begin_object());
+    w.key("base").number(f.base).key("jitter").number(f.jitter);
+    w.key("probability").number(f.probability).end_object();
   }
-  out += "],\n    \"errors\": [";
-  for (std::size_t i = 0; i < plan.errors.size(); ++i) {
-    const faults::ErrorFault& f = plan.errors[i];
-    out += format(R"(%s{"match":%s,"status":%d,"probability":%.6g})",
-                  i == 0 ? "" : ",", match_json(f.match).c_str(), f.status,
-                  f.probability);
+  w.end_array().key("errors").begin_array();
+  for (const faults::ErrorFault& f : plan.errors) {
+    write_match(f.match, w.begin_object());
+    w.key("status").raw(std::to_string(f.status));
+    w.key("probability").number(f.probability).end_object();
   }
-  out += "],\n    \"resets\": [";
-  for (std::size_t i = 0; i < plan.resets.size(); ++i) {
-    const faults::ResetFault& f = plan.resets[i];
-    out += format(R"(%s{"match":%s,"after_fraction":%.6g,)"
-                  R"("probability":%.6g})",
-                  i == 0 ? "" : ",", match_json(f.match).c_str(),
-                  f.after_fraction, f.probability);
+  w.end_array().key("resets").begin_array();
+  for (const faults::ResetFault& f : plan.resets) {
+    write_match(f.match, w.begin_object());
+    w.key("after_fraction").number(f.after_fraction);
+    w.key("probability").number(f.probability).end_object();
   }
-  out += "],\n    \"rejects\": [";
-  for (std::size_t i = 0; i < plan.rejects.size(); ++i) {
-    const faults::RejectFault& f = plan.rejects[i];
-    out += format(R"(%s{"match":%s,"every_nth":%d,"probability":%.6g})",
-                  i == 0 ? "" : ",", match_json(f.match).c_str(), f.every_nth,
-                  f.probability);
+  w.end_array().key("rejects").begin_array();
+  for (const faults::RejectFault& f : plan.rejects) {
+    write_match(f.match, w.begin_object());
+    w.key("every_nth").raw(std::to_string(f.every_nth));
+    w.key("probability").number(f.probability).end_object();
   }
-  out += "],\n    \"blackouts\": [";
-  for (std::size_t i = 0; i < plan.blackouts.size(); ++i) {
-    const faults::BlackoutFault& f = plan.blackouts[i];
-    out += format(R"(%s{"start":%.6g,"duration":%.6g})", i == 0 ? "" : ",",
-                  f.start, f.duration);
+  w.end_array().key("blackouts").begin_array();
+  for (const faults::BlackoutFault& f : plan.blackouts) {
+    w.begin_object().key("start").number(f.start);
+    w.key("duration").number(f.duration).end_object();
   }
-  out += "],\n    \"cache_flushes\": [";
-  for (std::size_t i = 0; i < plan.cache_flushes.size(); ++i) {
-    out += format(R"(%s{"at":%.6g})", i == 0 ? "" : ",",
-                  plan.cache_flushes[i].at);
+  w.end_array().key("cache_flushes").begin_array();
+  for (const faults::CacheFlushFault& f : plan.cache_flushes) {
+    w.begin_object().key("at").number(f.at).end_object();
   }
-  out += "],\n    \"dc_blackouts\": [";
-  for (std::size_t i = 0; i < plan.dc_blackouts.size(); ++i) {
-    const faults::DcBlackoutFault& f = plan.dc_blackouts[i];
-    out += format(R"(%s{"start":%.6g,"duration":%.6g})", i == 0 ? "" : ",",
-                  f.start, f.duration);
+  w.end_array().key("dc_blackouts").begin_array();
+  for (const faults::DcBlackoutFault& f : plan.dc_blackouts) {
+    w.begin_object().key("start").number(f.start);
+    w.key("duration").number(f.duration).end_object();
   }
-  out += "]\n  }\n}\n";
-  return out;
+  w.end_array().end_object().end_object();
+  return out + '\n';
 }
 
 ReproArtifact parse_repro(const std::string& json) {

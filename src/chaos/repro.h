@@ -30,8 +30,8 @@ struct ReproArtifact {
   std::string cli_line(const std::string& path) const;
 };
 
-/// Serializes the artifact as pretty-stable JSON (fixed key order, one
-/// fault per array element). Byte-stable for identical artifacts.
+/// Serializes the artifact as one line of JSON with a fixed key order and
+/// canonical numbers (json_number). Byte-stable for identical artifacts.
 std::string to_json(const ReproArtifact& artifact);
 
 /// Parses an artifact produced by to_json (tolerates whitespace and key

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/error.h"
@@ -8,9 +9,9 @@
 
 namespace vodx {
 
-std::string json_escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
+namespace {
+
+void append_escaped(std::string_view raw, std::string& out) {
   for (char c : raw) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -26,7 +27,77 @@ std::string json_escape(std::string_view raw) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  append_escaped(raw, out);
   return out;
+}
+
+std::string json_number(double value) {
+  if (!std::isfinite(value)) return "null";
+  if (value == std::floor(value) && std::abs(value) < 1e15) {
+    return format("%lld", static_cast<long long>(value));
+  }
+  return format("%.9g", value);
+}
+
+void JsonWriter::start_value() {
+  if (after_key_) {
+    after_key_ = false;
+  } else if (depth_ > 0) {
+    if (need_comma_) out_ += ',';
+    if ((per_line_ >> depth_) & 1) out_ += '\n';
+  }
+}
+
+JsonWriter& JsonWriter::open(char bracket, bool one_per_line) {
+  start_value();
+  out_ += bracket;
+  ++depth_;
+  VODX_ASSERT(depth_ < 64, "json nesting too deep");
+  const std::uint64_t bit = std::uint64_t{1} << depth_;
+  per_line_ = one_per_line ? per_line_ | bit : per_line_ & ~bit;
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  VODX_ASSERT(depth_ > 0 && !after_key_, "unbalanced json nesting");
+  if ((per_line_ >> depth_) & 1) out_ += '\n';
+  --depth_;
+  out_ += bracket;
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  start_value();
+  out_ += '"';
+  append_escaped(name, out_);
+  out_ += "\":";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::string(std::string_view value) {
+  start_value();
+  out_ += '"';
+  append_escaped(value, out_);
+  out_ += '"';
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::raw(std::string_view value) {
+  start_value();
+  out_ += value;
+  need_comma_ = true;
+  return *this;
 }
 
 namespace {

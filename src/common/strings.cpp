@@ -101,12 +101,6 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
-std::string format_bps(double bps) {
-  if (bps >= 1e6) return format("%.2f Mbps", bps / 1e6);
-  if (bps >= 1e3) return format("%.0f kbps", bps / 1e3);
-  return format("%.0f bps", bps);
-}
-
 std::string html_escape(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());

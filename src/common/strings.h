@@ -26,9 +26,6 @@ double parse_double(std::string_view text);
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// Pretty-prints a bitrate ("1.35 Mbps", "640 kbps").
-std::string format_bps(double bps);
-
 /// Escapes &, <, > and " for HTML text and attribute values.
 std::string html_escape(std::string_view raw);
 

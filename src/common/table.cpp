@@ -88,11 +88,15 @@ std::string Table::csv() const {
 }
 
 std::string Table::jsonl(std::string_view type) const {
-  std::string lead = "{";
-  if (!type.empty()) lead += "\"type\":\"" + json_escape(type) + "\",";
+  std::string lead;
+  JsonWriter w(lead);
+  w.begin_object();
+  if (!type.empty()) w.key("type").string(type);
+  // Each key with its separator, escaped once for every row.
   std::vector<std::string> keys(header_.size());
   for (std::size_t i = 0; i < header_.size(); ++i) {
-    keys[i] = (i > 0 ? ",\"" : "\"") + json_escape(header_[i]) + "\":";
+    const bool first = i == 0 && type.empty();
+    keys[i] = (first ? "\"" : ",\"") + json_escape(header_[i]) + "\":";
   }
   std::string out;
   for (const auto& row : rows_) {
@@ -110,19 +114,6 @@ std::string Table::jsonl(std::string_view type) const {
     out += "}\n";
   }
   return out;
-}
-
-std::string html_page_start(const std::string& title) {
-  return "<!doctype html><html><head><meta charset=\"utf-8\">"
-         "<title>" + title + "</title><style>\n"
-         "body{font:14px/1.4 system-ui,sans-serif;margin:2em;color:#222}\n"
-         "h1{font-size:1.4em}h2{font-size:1.1em;margin-top:1.5em}\n"
-         "table{border-collapse:collapse;margin:.5em 0}\n"
-         "th,td{border:1px solid #ccc;padding:3px 9px;text-align:right;"
-         "font-variant-numeric:tabular-nums}\n"
-         "th{background:#f0f0f0}\n"
-         "th:first-child,td:first-child{text-align:left;font-family:monospace}\n"
-         "</style></head><body>\n<h1>" + title + "</h1>\n";
 }
 
 }  // namespace vodx

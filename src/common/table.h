@@ -50,9 +50,4 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Opens an HTML report page: <head> with the shared table stylesheet, then
-/// `title` (inserted unescaped) as both the page title and the <h1>. Close
-/// with "</body></html>".
-std::string html_page_start(const std::string& title);
-
 }  // namespace vodx

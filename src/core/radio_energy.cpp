@@ -57,12 +57,4 @@ RadioEnergyReport radio_energy(const AnalyzedTraffic& traffic,
   return report;
 }
 
-RadioEnergyReport radio_energy_with_timer(const AnalyzedTraffic& traffic,
-                                          Seconds session_end,
-                                          Seconds demotion_timer) {
-  RrcConfig config;
-  config.demotion_timer = demotion_timer;
-  return radio_energy(traffic, session_end, config);
-}
-
 }  // namespace vodx::core

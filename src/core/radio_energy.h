@@ -49,10 +49,4 @@ RadioEnergyReport radio_energy(const AnalyzedTraffic& traffic,
                                Seconds session_end,
                                const RrcConfig& config = {});
 
-/// Convenience: energy for the same wire activity under a different
-/// hypothetical demotion timer (what-if for threshold tuning).
-RadioEnergyReport radio_energy_with_timer(const AnalyzedTraffic& traffic,
-                                          Seconds session_end,
-                                          Seconds demotion_timer);
-
 }  // namespace vodx::core

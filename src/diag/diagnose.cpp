@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/report.h"
 #include "common/strings.h"
-#include "common/table.h"
 #include "net/simulator.h"
 
 namespace vodx::diag {
@@ -427,27 +427,6 @@ IntervalDiagnosis diagnose_interval(const EvidenceIndex& index, bool startup,
 
 }  // namespace
 
-Seconds IntervalDiagnosis::blamed(Cause cause) const {
-  Seconds total = 0;
-  for (const BlameSpan& span : spans) {
-    if (span.cause == cause) total += span.duration();
-  }
-  return total;
-}
-
-Cause IntervalDiagnosis::dominant() const {
-  Cause best = Cause::kUnknown;
-  Seconds best_time = 0;
-  for (Cause cause : all_causes()) {
-    const Seconds time = blamed(cause);
-    if (time > best_time) {
-      best = cause;
-      best_time = time;
-    }
-  }
-  return best;
-}
-
 Seconds Diagnosis::problem_s() const {
   Seconds total = 0;
   for (const IntervalDiagnosis& interval : intervals) {
@@ -528,17 +507,17 @@ Diagnosis diagnose(const core::SessionResult& result,
 }
 
 std::string diagnosis_text(const Diagnosis& diagnosis) {
-  std::string out = format(
+  Report report;
+  report.line(format(
       "root-cause attribution: %zu intervals, %.2fs problem time "
-      "(%.2fs stalls), %.1f%% attributed\n",
+      "(%.2fs stalls), %.1f%% attributed",
       diagnosis.intervals.size(), diagnosis.problem_s(), diagnosis.stall_s(),
-      100 * diagnosis.attributed_fraction());
+      100 * diagnosis.attributed_fraction()));
   if (diagnosis.trace_dropped > 0) {
-    out += format(
-        "WARNING: trace ring dropped %llu events — evidence is partial\n",
-        static_cast<unsigned long long>(diagnosis.trace_dropped));
+    report.line(format(
+        "WARNING: trace ring dropped %llu events — evidence is partial",
+        static_cast<unsigned long long>(diagnosis.trace_dropped)));
   }
-  out += "\n";
 
   Table spans({"interval", "window", "cause", "seconds", "conf", "evidence"});
   int stall_index = 0;
@@ -556,9 +535,8 @@ std::string diagnosis_text(const Diagnosis& diagnosis) {
                      span.note.empty() ? "-" : span.note});
     }
   }
-  out += spans.render();
+  report.line("").section("", std::move(spans));
 
-  out += "\n";
   Table totals({"cause", "total_s", "stall_s", "share", "conf"});
   const Seconds problem = diagnosis.problem_s();
   for (Cause cause : all_causes()) {
@@ -572,8 +550,8 @@ std::string diagnosis_text(const Diagnosis& diagnosis) {
          diagnosis.blamed_s[c] > 0 ? format("%.2f", diagnosis.confidence[c])
                                    : "-"});
   }
-  out += totals.render();
-  return out;
+  report.line("").section("", std::move(totals));
+  return report.text();
 }
 
 }  // namespace vodx::diag

@@ -69,9 +69,6 @@ struct IntervalDiagnosis {
   std::vector<BlameSpan> spans;
 
   Seconds duration() const { return end - start; }
-  Seconds blamed(Cause cause) const;
-  /// Cause with the largest blamed time (priority order breaks ties).
-  Cause dominant() const;
 };
 
 struct Diagnosis {

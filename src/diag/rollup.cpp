@@ -1,9 +1,8 @@
 #include "diag/rollup.h"
 
+#include "common/json.h"
 #include "common/strings.h"
-#include "common/table.h"
 #include "faults/fault_plan.h"
-#include "obs/export.h"
 
 namespace vodx::diag {
 
@@ -77,6 +76,19 @@ void DiagRollup::fold(const Diagnosis& diagnosis) {
   trace_dropped += diagnosis.trace_dropped;
 }
 
+void DiagRollup::merge_from(const DiagRollup& other) {
+  cells += other.cells;
+  problem_s += other.problem_s;
+  stall_s += other.stall_s;
+  startup_s += other.startup_s;
+  for (int c = 0; c < kCauseCount; ++c) {
+    blamed_s[c] += other.blamed_s[c];
+    stall_blamed_s[c] += other.stall_blamed_s[c];
+    conf_weight[c] += other.conf_weight[c];
+  }
+  trace_dropped += other.trace_dropped;
+}
+
 double DiagRollup::attributed_fraction() const {
   if (problem_s <= 0) return 1;
   return 1.0 - blamed_s[static_cast<int>(Cause::kUnknown)] / problem_s;
@@ -138,99 +150,78 @@ SweepDiagnosis diagnose_sweep(batch::SweepConfig config,
   return out;
 }
 
-std::string diag_text(const SweepDiagnosis& diagnosis) {
+Report diag_report(const SweepDiagnosis& diagnosis) {
   const DiagRollup& o = diagnosis.overall;
-  std::string out = format(
+  Report report;
+  report.line(format(
       "sweep diagnosis: %d cells (%d failed), %.2fs problem time "
-      "(%.2fs stalls), %.1f%% attributed (%.1f%% of stall time)\n",
+      "(%.2fs stalls), %.1f%% attributed (%.1f%% of stall time)",
       diagnosis.total_cells, diagnosis.failed, o.problem_s, o.stall_s,
-      100 * o.attributed_fraction(), 100 * o.stall_attributed_fraction());
+      100 * o.attributed_fraction(), 100 * o.stall_attributed_fraction()));
   if (o.trace_dropped > 0) {
-    out += format(
-        "WARNING: trace rings dropped %llu events — attribution is partial\n",
-        static_cast<unsigned long long>(o.trace_dropped));
+    report.line(format(
+        "WARNING: trace rings dropped %llu events — attribution is partial",
+        static_cast<unsigned long long>(o.trace_dropped)));
   }
-  out += "\n== overall root causes ==\n";
   Table overall(diag_header());
   overall.add_row(diag_row(o));
-  out += overall.render();
+  report.section("overall root causes", std::move(overall));
   for (const Dimension& dim : dimensions(diagnosis)) {
-    out += format("\n== %s ==\n", dim.title);
-    out += dimension_table(dim).render();
+    report.section(dim.title, dimension_table(dim));
   }
-  return out;
+  return report;
+}
+
+Table cause_taxonomy() {
+  Table table({"cause", "label", "meaning"});
+  for (Cause cause : all_causes()) {
+    table.add_row({to_string(cause), short_label(cause), describe(cause)});
+  }
+  return table;
+}
+
+std::string diag_text(const SweepDiagnosis& diagnosis) {
+  return diag_report(diagnosis).text();
 }
 
 std::string diag_jsonl(const SweepDiagnosis& diagnosis) {
-  std::string out = format(
-      "{\"scope\":\"diag\",\"cells\":%d,\"failed\":%d,"
-      "\"problem_s\":%.3f,\"stall_s\":%.3f,\"attributed\":%.4f,"
-      "\"stall_attributed\":%.4f}\n",
-      diagnosis.total_cells, diagnosis.failed, diagnosis.overall.problem_s,
-      diagnosis.overall.stall_s, diagnosis.overall.attributed_fraction(),
-      diagnosis.overall.stall_attributed_fraction());
-  auto emit = [&out](const char* scope, const DiagRollup& rollup) {
-    out += format(
-        "{\"scope\":\"%s\",\"key\":\"%s\",\"cells\":%d,"
-        "\"problem_s\":%.3f,\"stall_s\":%.3f,\"attributed\":%.4f,"
-        "\"causes\":{",
-        scope, obs::json_escape(rollup.key).c_str(), rollup.cells,
-        rollup.problem_s, rollup.stall_s, rollup.attributed_fraction());
-    bool first = true;
-    for (Cause cause : all_causes()) {
-      if (!first) out += ",";
-      first = false;
-      out += format("\"%s\":%.3f", to_string(cause),
-                    rollup.blamed_s[static_cast<int>(cause)]);
-    }
-    out += "}}\n";
-  };
-  emit("diag.overall", diagnosis.overall);
-  for (const Dimension& dim : dimensions(diagnosis)) {
-    for (const DiagRollup& rollup : *dim.rollups) {
-      emit(dim.scope, rollup);
-    }
-  }
-  return out;
-}
-
-std::string diag_html_section(const SweepDiagnosis& diagnosis) {
   const DiagRollup& o = diagnosis.overall;
-  std::string out = "<h2>root-cause attribution</h2>\n";
-  out += format(
-      "<p>%d cells (%d failed): %.2fs problem time (%.2fs stalls), "
-      "%.1f%% attributed to a known cause.</p>\n",
-      diagnosis.total_cells, diagnosis.failed, o.problem_s, o.stall_s,
-      100 * o.attributed_fraction());
-  if (o.trace_dropped > 0) {
-    out += format(
-        "<p>WARNING: trace rings dropped %llu events — attribution is "
-        "partial.</p>\n",
-        static_cast<unsigned long long>(o.trace_dropped));
-  }
-  Table overall(diag_header());
-  overall.add_row(diag_row(o));
-  out += overall.html();
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("scope").string("diag");
+  w.key("cells").raw(std::to_string(diagnosis.total_cells));
+  w.key("failed").raw(std::to_string(diagnosis.failed));
+  w.key("problem_s").raw(format("%.3f", o.problem_s));
+  w.key("stall_s").raw(format("%.3f", o.stall_s));
+  w.key("attributed").raw(format("%.4f", o.attributed_fraction()));
+  w.key("stall_attributed").raw(format("%.4f", o.stall_attributed_fraction()));
+  w.end_object();
+  out += '\n';
+  auto emit = [&](const char* scope, const DiagRollup& rollup) {
+    w.begin_object().key("scope").string(scope).key("key").string(rollup.key);
+    w.key("cells").raw(std::to_string(rollup.cells));
+    w.key("problem_s").raw(format("%.3f", rollup.problem_s));
+    w.key("stall_s").raw(format("%.3f", rollup.stall_s));
+    w.key("attributed").raw(format("%.4f", rollup.attributed_fraction()));
+    w.key("causes").begin_object();
+    for (Cause cause : all_causes()) {
+      w.key(to_string(cause))
+          .raw(format("%.3f", rollup.blamed_s[static_cast<int>(cause)]));
+    }
+    w.end_object().end_object();
+    out += '\n';
+  };
+  emit("diag.overall", o);
   for (const Dimension& dim : dimensions(diagnosis)) {
-    out += format("<h3>%s</h3>\n", dim.title);
-    out += dimension_table(dim).html();
+    for (const DiagRollup& rollup : *dim.rollups) emit(dim.scope, rollup);
   }
-  out += "<h3>cause taxonomy</h3>\n<ul>\n";
-  for (Cause cause : all_causes()) {
-    out += format("<li><b>%s</b> (%s): %s</li>\n",
-                  html_escape(to_string(cause)).c_str(),
-                  html_escape(short_label(cause)).c_str(),
-                  html_escape(describe(cause)).c_str());
-  }
-  out += "</ul>\n";
   return out;
 }
 
 std::string diag_html(const SweepDiagnosis& diagnosis) {
-  std::string out = html_page_start("vodx root-cause report");
-  out += diag_html_section(diagnosis);
-  out += "</body></html>\n";
-  return out;
+  return diag_report(diagnosis)
+      .section("cause taxonomy", cause_taxonomy())
+      .html("vodx root-cause report");
 }
 
 }  // namespace vodx::diag

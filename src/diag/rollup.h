@@ -13,12 +13,17 @@
 #include <vector>
 
 #include "batch/sweep.h"
+#include "common/report.h"
 #include "diag/diagnose.h"
 
 namespace vodx::diag {
 
 /// Root-cause totals accumulated over one rollup key (a service, a profile,
-/// a fault scenario, or "overall").
+/// a fault scenario, "overall", or a population tower). A mergeable value
+/// with the MetricsSnapshot contract: merge_from is associative and
+/// commutative with the default-constructed value as identity, so rollups
+/// folded per worker and merged in a fixed order are byte-identical at any
+/// job count.
 struct DiagRollup {
   std::string key;
   int cells = 0;
@@ -33,6 +38,8 @@ struct DiagRollup {
   std::uint64_t trace_dropped = 0;
 
   void fold(const Diagnosis& diagnosis);
+  /// Adds `other`'s totals (the key is left as it is).
+  void merge_from(const DiagRollup& other);
   /// Share of problem time charged to a non-unknown cause (1 when idle).
   double attributed_fraction() const;
   /// Same, restricted to stall time — the acceptance-gated number.
@@ -67,16 +74,22 @@ void fold_cell(SweepDiagnosis& out, const batch::CellResult& cell,
 SweepDiagnosis diagnose_sweep(batch::SweepConfig config,
                               const DiagOptions& options = {});
 
-/// Per-dimension root-cause tables (text). Byte-stable across job counts.
+/// Summary line, a dropped-events warning when evidence was lost, the
+/// overall root-cause table, then one table per rollup dimension.
+/// Byte-stable across job counts.
+Report diag_report(const SweepDiagnosis& diagnosis);
+
+/// One row per cause: name, the short label the tables use as a column
+/// header, and what the cause means. The HTML pages append it as a legend.
+Table cause_taxonomy();
+
+/// diag_report as terminal text.
 std::string diag_text(const SweepDiagnosis& diagnosis);
 
 /// One JSON object per rollup key, grid order, byte-stable.
 std::string diag_jsonl(const SweepDiagnosis& diagnosis);
 
-/// Body fragment (h2 + tables) for embedding into the sweep HTML report.
-std::string diag_html_section(const SweepDiagnosis& diagnosis);
-
-/// Standalone HTML page wrapping diag_html_section.
+/// diag_report plus the cause taxonomy as a standalone HTML page.
 std::string diag_html(const SweepDiagnosis& diagnosis);
 
 }  // namespace vodx::diag

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "batch/sweep.h"
+#include "common/report.h"
 #include "common/strings.h"
-#include "common/table.h"
 #include "faults/fault_plan.h"
 #include "services/service_catalog.h"
 
@@ -156,7 +156,6 @@ ValidationReport validate(const ValidateOptions& options) {
 
 std::string validation_text(const ValidationReport& report,
                             double threshold) {
-  std::string out = "fault-attribution validation (per catalog scenario):\n";
   Table table({"scenario", "cells", "truth_s", "fault_blamed_s", "precision",
                "recall"});
   for (const ScenarioScore& score : report.scores) {
@@ -166,12 +165,15 @@ std::string validation_text(const ValidationReport& report,
                    format("%.3f", score.precision()),
                    format("%.3f", score.recall())});
   }
-  out += table.render();
-  out += format("\nminimum precision %.3f, minimum recall %.3f vs "
-                "threshold %.2f: %s\n",
-                report.min_precision(), report.min_recall(), threshold,
-                report.pass(threshold) ? "PASS" : "FAIL");
-  return out;
+  return Report()
+      .line("fault-attribution validation (per catalog scenario):")
+      .section("", std::move(table))
+      .line("")
+      .line(format("minimum precision %.3f, minimum recall %.3f vs "
+                   "threshold %.2f: %s",
+                   report.min_precision(), report.min_recall(), threshold,
+                   report.pass(threshold) ? "PASS" : "FAIL"))
+      .text();
 }
 
 }  // namespace vodx::diag

@@ -187,10 +187,4 @@ Bytes HttpClient::total_delivered() const {
   return total;
 }
 
-Bytes HttpClient::bytes_in_flight(int transfer_id) const {
-  auto it = in_flight_.find(transfer_id);
-  if (it == in_flight_.end()) return 0;
-  return it->second.connection->transfer_delivered();
-}
-
 }  // namespace vodx::http

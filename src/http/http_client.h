@@ -60,9 +60,6 @@ class HttpClient {
   bool can_fetch() const { return free_slots() > 0; }
   int free_slots() const;
 
-  /// Bytes received so far for an in-flight transfer.
-  Bytes bytes_in_flight(int transfer_id) const;
-
   /// Total wire bytes this client has received over its lifetime, across all
   /// connections — the input for a player-wide bandwidth meter.
   Bytes total_delivered() const;

@@ -4,36 +4,6 @@ namespace vodx::http {
 
 namespace {
 
-class RejectIf : public Interceptor {
- public:
-  explicit RejectIf(std::function<bool(const Request&)> predicate)
-      : predicate_(std::move(predicate)) {}
-
-  std::optional<Response> on_request(const Request& request,
-                                     Seconds /*now*/) override {
-    if (predicate_(request)) return make_error(403, "rejected by proxy");
-    return std::nullopt;
-  }
-
- private:
-  std::function<bool(const Request&)> predicate_;
-};
-
-class RespondWith : public Interceptor {
- public:
-  explicit RespondWith(
-      std::function<std::optional<Response>(const Request&, Seconds)> fn)
-      : fn_(std::move(fn)) {}
-
-  std::optional<Response> on_request(const Request& request,
-                                     Seconds now) override {
-    return fn_(request, now);
-  }
-
- private:
-  std::function<std::optional<Response>(const Request&, Seconds)> fn_;
-};
-
 class TransformManifest : public Interceptor {
  public:
   explicit TransformManifest(
@@ -48,40 +18,11 @@ class TransformManifest : public Interceptor {
   std::function<std::string(const std::string&, std::string)> fn_;
 };
 
-class TapResponse : public Interceptor {
- public:
-  explicit TapResponse(
-      std::function<void(const Request&, Response&, Seconds)> fn)
-      : fn_(std::move(fn)) {}
-
-  void on_response(const Request& request, Response& response,
-                   Seconds now) override {
-    fn_(request, response, now);
-  }
-
- private:
-  std::function<void(const Request&, Response&, Seconds)> fn_;
-};
-
 }  // namespace
-
-InterceptorPtr reject_if(std::function<bool(const Request&)> predicate) {
-  return std::make_shared<RejectIf>(std::move(predicate));
-}
-
-InterceptorPtr respond_with(
-    std::function<std::optional<Response>(const Request&, Seconds)> fn) {
-  return std::make_shared<RespondWith>(std::move(fn));
-}
 
 InterceptorPtr transform_manifest(
     std::function<std::string(const std::string&, std::string)> fn) {
   return std::make_shared<TransformManifest>(std::move(fn));
-}
-
-InterceptorPtr tap_response(
-    std::function<void(const Request&, Response&, Seconds)> fn) {
-  return std::make_shared<TapResponse>(std::move(fn));
 }
 
 }  // namespace vodx::http

@@ -73,22 +73,9 @@ class Interceptor {
 using InterceptorPtr = std::shared_ptr<Interceptor>;
 using InterceptorChain = std::vector<InterceptorPtr>;
 
-// --- One-liner adapters ----------------------------------------------------
-// For probe/test code that needs a single stage without a named class.
-
-/// Rejects (403) every request the predicate accepts.
-InterceptorPtr reject_if(std::function<bool(const Request&)> predicate);
-
-/// Arbitrary request-stage hook: return a Response to short-circuit.
-InterceptorPtr respond_with(
-    std::function<std::optional<Response>(const Request&, Seconds)> fn);
-
-/// Manifest-stage rewrite: receives (url, body), returns the new body.
+/// Manifest-stage rewrite as a one-liner stage: receives (url, body),
+/// returns the new body.
 InterceptorPtr transform_manifest(
     std::function<std::string(const std::string&, std::string)> fn);
-
-/// Response-stage tap/mutator.
-InterceptorPtr tap_response(
-    std::function<void(const Request&, Response&, Seconds)> fn);
 
 }  // namespace vodx::http

@@ -73,11 +73,4 @@ void Presentation::sort_tracks() {
   std::sort(audio.begin(), audio.end(), by_bitrate);
 }
 
-int Presentation::video_level_of(const std::string& track_id) const {
-  for (std::size_t i = 0; i < video.size(); ++i) {
-    if (video[i].id == track_id) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 }  // namespace vodx::manifest

@@ -85,9 +85,6 @@ struct Presentation {
 
   /// Sorts ladders ascending by declared bitrate (call after building).
   void sort_tracks();
-
-  /// Video level whose track id matches; -1 if absent.
-  int video_level_of(const std::string& track_id) const;
 };
 
 }  // namespace vodx::manifest

@@ -37,12 +37,6 @@ Bps Track::average_actual_bitrate() const {
   return rate_of(total_size_, duration_);
 }
 
-Bps Track::peak_actual_bitrate() const {
-  Bps peak = 0;
-  for (const Segment& s : segments_) peak = std::max(peak, s.actual_bitrate());
-  return peak;
-}
-
 int Track::segment_index_at(Seconds t) const {
   auto it = std::upper_bound(starts_.begin(), starts_.end(), t);
   if (it == starts_.begin()) return 0;

@@ -44,7 +44,6 @@ class Track {
 
   /// Mean of per-segment actual bitrates, duration-weighted.
   Bps average_actual_bitrate() const;
-  Bps peak_actual_bitrate() const;
 
   /// Index of the segment covering presentation time t (clamped to the last).
   int segment_index_at(Seconds t) const;

@@ -40,19 +40,4 @@ const Track& VideoAsset::audio_track(int level) const {
   return audio_tracks_[static_cast<std::size_t>(level)];
 }
 
-int VideoAsset::video_level_of(const std::string& track_id) const {
-  for (int i = 0; i < video_track_count(); ++i) {
-    if (video_tracks_[static_cast<std::size_t>(i)].id() == track_id) return i;
-  }
-  return -1;
-}
-
-Bps VideoAsset::lowest_declared_bitrate() const {
-  return video_tracks_.front().declared_bitrate();
-}
-
-Bps VideoAsset::highest_declared_bitrate() const {
-  return video_tracks_.back().declared_bitrate();
-}
-
 }  // namespace vodx::media

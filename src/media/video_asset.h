@@ -27,12 +27,7 @@ class VideoAsset {
   const Track& audio_track(int level) const;
   int video_track_count() const { return static_cast<int>(video_tracks_.size()); }
 
-  /// Level (index into video_tracks) of a track id; -1 if unknown.
-  int video_level_of(const std::string& track_id) const;
-
   Seconds duration() const { return video_tracks_.front().duration(); }
-  Bps lowest_declared_bitrate() const;
-  Bps highest_declared_bitrate() const;
 
  private:
   std::string name_;

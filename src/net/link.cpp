@@ -43,14 +43,6 @@ void max_min_shares(const std::vector<Bps>& demands, Bps capacity,
   }
 }
 
-std::vector<Bps> max_min_shares(const std::vector<Bps>& demands,
-                                Bps capacity) {
-  std::vector<Bps> grants;
-  std::vector<std::size_t> scratch;
-  max_min_shares(demands, capacity, grants, scratch);
-  return grants;
-}
-
 Link::Link(Simulator& sim, BandwidthTrace trace, Seconds rtt)
     : sim_(sim), trace_(std::move(trace)), rtt_(rtt) {
   sim_.add_tick_client(this);

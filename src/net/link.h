@@ -35,10 +35,6 @@ void max_min_shares(const std::vector<Bps>& demands, Bps capacity,
                     std::vector<Bps>& grants,
                     std::vector<std::size_t>& active_scratch);
 
-/// Allocating convenience overload (tests, one-shot callers).
-std::vector<Bps> max_min_shares(const std::vector<Bps>& demands,
-                                Bps capacity);
-
 class Link : public TickClient {
  public:
   /// Registers itself as a tick client of `sim`. The link must outlive the

@@ -1,35 +1,16 @@
 #include "obs/export.h"
 
-#include <cmath>
-
+#include "common/report.h"
 #include "common/strings.h"
 
 namespace vodx::obs {
 
 namespace {
 
-/// Numbers in JSON: integers render without a fraction, NaN/inf (never
-/// expected, but exporters must not emit invalid JSON) become null.
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    return format("%lld", static_cast<long long>(value));
-  }
-  return format("%.9g", value);
-}
-
-void append_fields_json(const Event& event, std::string* out) {
+void write_fields(const Event& event, JsonWriter& w) {
   for (const Field& field : event.fields) {
-    out->append(",\"");
-    out->append(json_escape(field.key));
-    out->append("\":");
-    if (field.is_text) {
-      out->push_back('"');
-      out->append(json_escape(field.text));
-      out->push_back('"');
-    } else {
-      out->append(json_number(field.num));
-    }
+    w.key(field.key);
+    field.is_text ? w.string(field.text) : w.number(field.num);
   }
 }
 
@@ -56,81 +37,72 @@ const char* chrome_phase(EventKind kind) {
 }  // namespace
 
 void write_jsonl(const TraceSink& sink, std::ostream& out) {
-  sink.for_each([&out](const Event& event) {
-    std::string line = format(
-        "{\"t\":%s,\"seq\":%llu,\"cat\":\"%s\",\"kind\":\"%s\","
-        "\"name\":\"%s\",\"track\":%d",
-        json_number(event.sim_time).c_str(),
-        static_cast<unsigned long long>(event.seq), to_string(event.category),
-        kind_name(event.kind), event.name, event.track);
-    append_fields_json(event, &line);
-    line += "}\n";
-    out << line;
+  std::string line;
+  JsonWriter w(line);
+  sink.for_each([&](const Event& event) {
+    line.clear();
+    w.begin_object().key("t").number(event.sim_time);
+    w.key("seq").raw(std::to_string(event.seq));
+    w.key("cat").string(to_string(event.category));
+    w.key("kind").string(kind_name(event.kind)).key("name").string(event.name);
+    w.key("track").raw(std::to_string(event.track));
+    write_fields(event, w);
+    w.end_object();
+    out << line << '\n';
   });
-  out << format(
-      "{\"kind\":\"summary\",\"name\":\"obs.dropped\",\"emitted\":%llu,"
-      "\"dropped\":%llu,\"retained\":%zu}\n",
-      static_cast<unsigned long long>(sink.emitted()),
-      static_cast<unsigned long long>(sink.dropped()), sink.size());
+  line.clear();
+  w.begin_object().key("kind").string("summary");
+  w.key("name").string("obs.dropped");
+  w.key("emitted").raw(std::to_string(sink.emitted()));
+  w.key("dropped").raw(std::to_string(sink.dropped()));
+  w.key("retained").raw(std::to_string(sink.size())).end_object();
+  out << line << '\n';
 }
 
 void write_chrome_trace(const TraceSink& sink, std::ostream& out) {
-  out << "{\"traceEvents\":[\n";
-  bool first = true;
-  auto emit_raw = [&out, &first](const std::string& json) {
-    if (!first) out << ",\n";
-    first = false;
-    out << json;
+  // Flushed to `out` per event; the writer keeps its place across clears.
+  std::string json;
+  JsonWriter w(json);
+  w.begin_object().key("traceEvents").begin_array(/*one_per_line=*/true);
+  // Opens a metadata event on thread `tid` and its "args" object.
+  auto metadata = [&w](const char* name, std::size_t tid) -> JsonWriter& {
+    w.begin_object().key("name").string(name).key("ph").string("M");
+    w.key("pid").raw("1").key("tid").raw(std::to_string(tid));
+    return w.key("args").begin_object();
   };
-
-  emit_raw(
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-      "\"args\":{\"name\":\"vodx session\"}}");
+  metadata("process_name", 0).key("name").string("vodx session");
+  w.end_object().end_object();
   const std::vector<std::string>& tracks = sink.track_names();
   for (std::size_t i = 0; i < tracks.size(); ++i) {
-    emit_raw(format(
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%zu,"
-        "\"args\":{\"name\":\"%s\"}}",
-        i, json_escape(tracks[i]).c_str()));
+    metadata("thread_name", i).key("name").string(tracks[i]);
+    w.end_object().end_object();
     // Keep Perfetto's track order equal to registration order.
-    emit_raw(format(
-        "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":%zu,"
-        "\"args\":{\"sort_index\":%zu}}",
-        i, i));
+    metadata("thread_sort_index", i).key("sort_index").raw(std::to_string(i));
+    w.end_object().end_object();
   }
+  out << json;
 
-  sink.for_each([&emit_raw](const Event& event) {
-    std::string json = format(
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,"
-        "\"pid\":1,\"tid\":%d",
-        json_escape(event.name).c_str(), to_string(event.category),
-        chrome_phase(event.kind), event.sim_time * 1e6, event.track);
-    if (event.kind == EventKind::kInstant) json += ",\"s\":\"t\"";
-    json += ",\"args\":{";
-    bool first_field = true;
-    for (const Field& field : event.fields) {
-      if (!first_field) json += ",";
-      first_field = false;
-      json += "\"";
-      json += json_escape(field.key);
-      json += "\":";
-      if (field.is_text) {
-        json += "\"";
-        json += json_escape(field.text);
-        json += "\"";
-      } else {
-        json += json_number(field.num);
-      }
-    }
-    json += "}}";
-    emit_raw(json);
+  sink.for_each([&](const Event& event) {
+    json.clear();
+    w.begin_object().key("name").string(event.name);
+    w.key("cat").string(to_string(event.category));
+    w.key("ph").string(chrome_phase(event.kind));
+    w.key("ts").raw(format("%.3f", event.sim_time * 1e6));
+    w.key("pid").raw("1").key("tid").raw(std::to_string(event.track));
+    if (event.kind == EventKind::kInstant) w.key("s").string("t");
+    w.key("args").begin_object();
+    write_fields(event, w);
+    w.end_object().end_object();
+    out << json;
   });
 
-  out << format(
-      "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{"
-      "\"emitted\":%llu,\"dropped\":%llu}}\n",
-      static_cast<unsigned long long>(sink.emitted()),
-      static_cast<unsigned long long>(sink.dropped()));
+  json.clear();
+  w.end_array().key("displayTimeUnit").string("ms");
+  w.key("otherData").begin_object();
+  w.key("emitted").raw(std::to_string(sink.emitted()));
+  w.key("dropped").raw(std::to_string(sink.dropped()));
+  w.end_object().end_object();
+  out << json << '\n';
 }
 
 Table metrics_table(const MetricsSnapshot& snapshot) {
@@ -161,55 +133,44 @@ Table metrics_table(const MetricsSnapshot& snapshot) {
 }
 
 std::string metrics_report(const MetricsSnapshot& snapshot) {
-  std::string out = format("metrics @ sim t=%.3f s\n", snapshot.sim_time);
-  out += metrics_table(snapshot).render();
-  return out;
+  return Report()
+      .line(format("metrics @ sim t=%.3f s", snapshot.sim_time))
+      .section("", metrics_table(snapshot))
+      .text();
 }
 
 std::string metrics_json(const MetricsSnapshot& snapshot) {
-  std::string out =
-      format("{\"sim_time\":%s,\"metrics\":{",
-             json_number(snapshot.sim_time).c_str());
-  bool first = true;
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("sim_time").number(snapshot.sim_time);
+  w.key("metrics").begin_object();
   for (const MetricsSnapshot::Entry& entry : snapshot.entries) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + json_escape(entry.name) + "\":";
+    w.key(entry.name).begin_object();
     switch (entry.type) {
       case MetricsSnapshot::Type::kCounter:
-        out += format("{\"type\":\"counter\",\"count\":%lld}",
-                      static_cast<long long>(entry.count));
+        w.key("type").string("counter");
+        w.key("count").raw(std::to_string(entry.count));
         break;
       case MetricsSnapshot::Type::kGauge:
-        out += format("{\"type\":\"gauge\",\"value\":%s,\"time\":%s}",
-                      json_number(entry.value).c_str(),
-                      json_number(entry.time).c_str());
+        w.key("type").string("gauge").key("value").number(entry.value);
+        w.key("time").number(entry.time);
         break;
-      case MetricsSnapshot::Type::kHistogram: {
-        out += format(
-            "{\"type\":\"histogram\",\"count\":%lld,\"sum\":%s,"
-            "\"min\":%s,\"mean\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s,"
-            "\"max\":%s,\"bounds\":[",
-            static_cast<long long>(entry.count),
-            json_number(entry.value).c_str(), json_number(entry.min).c_str(),
-            json_number(entry.mean).c_str(), json_number(entry.p50).c_str(),
-            json_number(entry.p90).c_str(), json_number(entry.p99).c_str(),
-            json_number(entry.max).c_str());
-        for (std::size_t i = 0; i < entry.bounds.size(); ++i) {
-          if (i > 0) out += ",";
-          out += json_number(entry.bounds[i]);
-        }
-        out += "],\"buckets\":[";
-        for (std::size_t i = 0; i < entry.buckets.size(); ++i) {
-          if (i > 0) out += ",";
-          out += format("%lld", static_cast<long long>(entry.buckets[i]));
-        }
-        out += "]}";
+      case MetricsSnapshot::Type::kHistogram:
+        w.key("type").string("histogram");
+        w.key("count").raw(std::to_string(entry.count));
+        w.key("sum").number(entry.value).key("min").number(entry.min);
+        w.key("mean").number(entry.mean).key("p50").number(entry.p50);
+        w.key("p90").number(entry.p90).key("p99").number(entry.p99);
+        w.key("max").number(entry.max).key("bounds").begin_array();
+        for (const double bound : entry.bounds) w.number(bound);
+        w.end_array().key("buckets").begin_array();
+        for (const auto bucket : entry.buckets) w.raw(std::to_string(bucket));
+        w.end_array();
         break;
-      }
     }
+    w.end_object();
   }
-  out += "}}";
+  w.end_object().end_object();
   return out;
 }
 

@@ -157,12 +157,6 @@ void MetricsSnapshot::merge_from(const MetricsSnapshot& other) {
   }
 }
 
-MetricsSnapshot merge(const MetricsSnapshot& a, const MetricsSnapshot& b) {
-  MetricsSnapshot out = a;
-  out.merge_from(b);
-  return out;
-}
-
 MetricsRegistry::Named* MetricsRegistry::find(const std::string& name) {
   for (Named& entry : entries_) {
     if (entry.name == name) return &entry;

@@ -115,9 +115,6 @@ struct MetricsSnapshot {
   void merge_from(const MetricsSnapshot& other);
 };
 
-/// Convenience: a ⊕ b without mutating either operand.
-MetricsSnapshot merge(const MetricsSnapshot& a, const MetricsSnapshot& b);
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -81,10 +81,4 @@ void Timeline::merge_from(const Timeline& other) {
   }
 }
 
-Timeline merge(const Timeline& a, const Timeline& b) {
-  Timeline out = a;
-  out.merge_from(b);
-  return out;
-}
-
 }  // namespace vodx::obs

@@ -90,7 +90,4 @@ class Timeline {
   std::vector<Series> series_;
 };
 
-/// Convenience: a ⊕ b without mutating either operand.
-Timeline merge(const Timeline& a, const Timeline& b);
-
 }  // namespace vodx::obs

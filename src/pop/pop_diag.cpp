@@ -7,25 +7,6 @@
 
 namespace vodx::pop {
 
-void TowerDiag::merge_from(const TowerDiag& other) {
-  sessions_diagnosed += other.sessions_diagnosed;
-  sessions_skipped += other.sessions_skipped;
-  for (int c = 0; c < diag::kCauseCount; ++c) {
-    blamed_s[c] += other.blamed_s[c];
-    stall_blamed_s[c] += other.stall_blamed_s[c];
-  }
-  problem_s += other.problem_s;
-  stall_s += other.stall_s;
-  startup_s += other.startup_s;
-  trace_dropped += other.trace_dropped;
-}
-
-double TowerDiag::stall_attributed_fraction() const {
-  if (stall_s <= 0) return 1.0;
-  return 1.0 -
-         stall_blamed_s[static_cast<int>(diag::Cause::kUnknown)] / stall_s;
-}
-
 std::vector<obs::Event> fair_share_capacity_events(
     const obs::Timeline& timeline) {
   std::vector<obs::Event> events;
@@ -69,18 +50,6 @@ diag::Diagnosis diagnose_session(
   diag::Diagnosis diagnosis = diag::diagnose(result, merged, {}, options);
   diagnosis.trace_dropped = observer.trace.dropped();
   return diagnosis;
-}
-
-void fold_diagnosis(TowerDiag& into, const diag::Diagnosis& diagnosis) {
-  ++into.sessions_diagnosed;
-  for (int c = 0; c < diag::kCauseCount; ++c) {
-    into.blamed_s[c] += diagnosis.blamed_s[c];
-    into.stall_blamed_s[c] += diagnosis.stall_blamed_s[c];
-  }
-  into.problem_s += diagnosis.problem_s();
-  into.stall_s += diagnosis.stall_s();
-  into.startup_s += diagnosis.problem_s() - diagnosis.stall_s();
-  into.trace_dropped += diagnosis.trace_dropped;
 }
 
 void fold_blame_bins(obs::Timeline& timeline,

@@ -15,13 +15,11 @@
 //     leaves result.traffic empty, which would blind the deficit/ABR
 //     rules), so diagnosis is bounded by a per-tower session budget.
 //
-// TowerDiag is a mergeable value type with the MetricsSnapshot contract:
-// merge_from is associative/commutative with the default-constructed value
-// as identity, so folding per-tower rollups post-join in tower order is
+// Towers fold their diagnoses into a diag::DiagRollup, which merges
+// post-join in tower order like every other fold, so the rollup is
 // byte-identical at any --jobs.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/session.h"
@@ -30,26 +28,6 @@
 #include "obs/timeline.h"
 
 namespace vodx::pop {
-
-/// Per-tower (and, merged, per-population) attribution rollup.
-struct TowerDiag {
-  int sessions_diagnosed = 0;
-  /// Sessions the per-tower budget left undiagnosed.
-  int sessions_skipped = 0;
-  double blamed_s[diag::kCauseCount] = {};        ///< startup + stalls
-  double stall_blamed_s[diag::kCauseCount] = {};  ///< stalls only
-  Seconds problem_s = 0;  ///< startup + stall wall time, diagnosed sessions
-  Seconds stall_s = 0;
-  Seconds startup_s = 0;
-  /// Ring drops across diagnosed sessions; > 0 means evidence was lost.
-  std::uint64_t trace_dropped = 0;
-
-  void merge_from(const TowerDiag& other);
-
-  /// Share of stall time charged to a non-unknown cause (1 when there is no
-  /// stall time at all) — the acceptance-gated number.
-  double stall_attributed_fraction() const;
-};
 
 /// Synthesises per-bin fair-share capacity counters from a tower timeline:
 /// one kLink/kCounter "link.capacity_mbps" event per bin at the bin start,
@@ -66,9 +44,6 @@ diag::Diagnosis diagnose_session(const core::SessionResult& result,
                                  const obs::Observer& observer,
                                  const std::vector<obs::Event>& capacity_events,
                                  const diag::DiagOptions& options);
-
-/// Folds one diagnosis into the rollup (totals, not per-bin).
-void fold_diagnosis(TowerDiag& into, const diag::Diagnosis& diagnosis);
 
 /// Spreads every blame span over the timeline's blame_* series by overlap:
 /// each bin gains the seconds of the span that fall inside it.

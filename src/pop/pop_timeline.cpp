@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "common/report.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "diag/cause.h"
@@ -268,20 +269,8 @@ std::string sparkline(const std::vector<double>& values, const char* color) {
 }  // namespace
 
 std::string population_timeline_html(const PopulationReport& report) {
-  std::string out =
-      "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n"
-      "<title>vodx population timeline</title>\n"
-      "<style>\n"
-      "body{font:13px/1.4 system-ui,sans-serif;margin:24px;color:#222}\n"
-      "table{border-collapse:collapse}\n"
-      "th,td{padding:4px 10px;text-align:left;vertical-align:middle;"
-      "border-bottom:1px solid #e3e3e3}\n"
-      "th{font-weight:600;color:#555}\n"
-      ".spark{vertical-align:middle}\n"
-      ".peak{color:#888;font-size:11px;margin-left:4px}\n"
-      "</style></head><body>\n";
-  out += format("<h2>Population timeline</h2>\n<p>%zu tower(s), bin width "
-                "%.3g s, %d bin(s)</p>\n",
+  std::string out = html_page_start("vodx population timeline");
+  out += format("<p>%zu tower(s), bin width %.3g s, %d bin(s)</p>\n",
                 report.towers.size(), report.timeline.bin_width(),
                 report.timeline.bin_count());
   out += "<table>\n<tr><th>tower</th><th>concurrent</th>"

@@ -377,7 +377,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
     for (std::size_t i = 0; i < hosted.size(); ++i) {
       if (!hosted[i].arrived) continue;
       if (observers[i] == nullptr) {
-        ++report.diag.sessions_skipped;
+        ++report.diag_skipped;
         continue;
       }
       // Diagnosis reads the full finish() analysis (finish_light leaves
@@ -387,7 +387,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       const core::SessionResult full = hosted[i].session->finish(sim.now());
       const diag::Diagnosis diagnosis =
           diagnose_session(full, *observers[i], capacity_events, {});
-      fold_diagnosis(report.diag, diagnosis);
+      report.diag.fold(diagnosis);
       fold_blame_bins(timeline, diagnosis);
     }
   }
@@ -443,6 +443,7 @@ PopulationReport run_population(const PopulationConfig& config) {
     report.total_sessions += tower.sessions;
     report.timeline.merge_from(tower.timeline);
     report.diag.merge_from(tower.diag);
+    report.diag_skipped += tower.diag_skipped;
     report.origin_totals.merge_from(tower.origin_totals);
     for (const SessionOutcome& outcome : tower.outcomes) {
       if (outcome.startup_delay >= 0) {
@@ -546,11 +547,11 @@ std::string population_text(const PopulationReport& report) {
       report.startup.p50, report.startup.p95, report.startup.p99,
       report.stall.p50, report.stall.p95, report.stall.p99);
   if (report.diagnosed) {
-    const TowerDiag& d = report.diag;
+    const diag::DiagRollup& d = report.diag;
     out += format(
         "diag: %d session(s) diagnosed, %d skipped (budget); "
         "stall %.2f s, startup %.2f s, stall attribution %.1f%%\n",
-        d.sessions_diagnosed, d.sessions_skipped, d.stall_s, d.startup_s,
+        d.cells, report.diag_skipped, d.stall_s, d.startup_s,
         d.stall_attributed_fraction() * 100.0);
     out += "cause                 blamed_s    stall_s  stall_share\n";
     for (int c = 0; c < diag::kCauseCount; ++c) {
@@ -631,8 +632,8 @@ Table tower_table(const PopulationReport& report) {
     }
     row.insert(row.end(), {format("%.4f", t.jain), format("%.4f", t.mean_mbps)});
     if (report.diagnosed) {
-      row.insert(row.end(), {std::to_string(t.diag.sessions_diagnosed),
-                             std::to_string(t.diag.sessions_skipped),
+      row.insert(row.end(), {std::to_string(t.diag.cells),
+                             std::to_string(t.diag_skipped),
                              format("%.4f", t.diag.stall_attributed_fraction())});
       for (const double blamed : t.diag.stall_blamed_s) {
         row.push_back(format("%.3f", blamed));

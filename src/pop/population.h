@@ -31,6 +31,7 @@
 #include "net/simulator.h"
 #include "obs/timeline.h"
 #include "origin/origin.h"
+#include "diag/rollup.h"
 #include "pop/pop_diag.h"
 #include "services/service_catalog.h"
 
@@ -193,8 +194,11 @@ struct TowerReport {
   std::vector<SessionOutcome> outcomes;  ///< arrival order
   /// Telemetry timeline (empty unless collect_timeline/diagnose).
   obs::Timeline timeline;
-  /// Attribution rollup (zero unless diagnose).
-  TowerDiag diag;
+  /// Attribution rollup over the diagnosed sessions (zero unless
+  /// diagnose); `cells` counts them.
+  diag::DiagRollup diag;
+  /// Sessions the per-tower diagnosis budget left undiagnosed.
+  int diag_skipped = 0;
   /// The tower's shared origin-tier totals (zero unless origin enabled).
   origin::OriginState::Totals origin_totals;
   /// Simulator work counters (net::Simulator): grid ticks covered (equal
@@ -227,7 +231,8 @@ struct PopulationReport {
   /// Per-tower timelines folded in tower order (empty unless collected).
   obs::Timeline timeline;
   /// Per-tower attribution rollups folded in tower order.
-  TowerDiag diag;
+  diag::DiagRollup diag;
+  int diag_skipped = 0;
   bool diagnosed = false;  ///< whether the diag rollup was populated
   /// Origin-tier totals folded across towers; printed only when enabled, so
   /// origin-free reports stay byte-identical to the historical output.

@@ -88,15 +88,6 @@ net::BandwidthTrace cellular_profile(int id, std::uint64_t seed) {
   return trace;
 }
 
-std::vector<net::BandwidthTrace> all_profiles(std::uint64_t seed) {
-  std::vector<net::BandwidthTrace> out;
-  out.reserve(kProfileCount);
-  for (int id = 1; id <= kProfileCount; ++id) {
-    out.push_back(cellular_profile(id, seed));
-  }
-  return out;
-}
-
 std::vector<net::BandwidthTrace> startup_profiles(int low_count, Seconds piece,
                                                   std::uint64_t seed) {
   VODX_ASSERT(low_count >= 1 && low_count <= kProfileCount,

@@ -26,9 +26,6 @@ Bps profile_mean(int id);
 /// Builds profile `id` (1-based). Deterministic: same id + seed -> same trace.
 net::BandwidthTrace cellular_profile(int id, std::uint64_t seed = 2017);
 
-/// All 14 profiles, ascending mean.
-std::vector<net::BandwidthTrace> all_profiles(std::uint64_t seed = 2017);
-
 /// The Fig.-15 evaluation set: the lowest `low_count` profiles, each cut into
 /// 600/`piece` pieces of `piece` seconds (the paper uses 5 profiles x 1 min
 /// = 50 short profiles).

@@ -113,6 +113,46 @@ TEST(Repro, ReadsEveryJsonStringEscape) {
   EXPECT_THROW(parse_repro(R"({"service": "\u00)"), ParseError);
 }
 
+TEST(Repro, ReadsTheIndentedLayoutOfEarlierArtifacts) {
+  // An artifact exactly as the earlier, indented to_json printed it.
+  const std::string indented = R"({
+  "service": "H1",
+  "profile": 3,
+  "duration_s": 60,
+  "chaos_seed": 17,
+  "invariants": "buffer.bounds, \"qoe\".finite\\",
+  "origin_mode": "hardened",
+  "plan": {
+    "name": "fuzz-17-min",
+    "seed": 17,
+    "latency": [{"match":{"url_contains":"seg","start":5,"end":40},"base":0.25,"jitter":0.5,"probability":0.75}],
+    "errors": [{"match":{"url_contains":"playlist","start":0,"end":-1},"status":503,"probability":0.2}],
+    "resets": [{"match":{"url_contains":"","start":10,"end":20},"after_fraction":0.5,"probability":0.1}],
+    "rejects": [{"match":{"url_contains":"manifest","start":0,"end":-1},"every_nth":3,"probability":0}],
+    "blackouts": [{"start":30,"duration":4.5}],
+    "cache_flushes": [{"at":12.5}],
+    "dc_blackouts": [{"start":40,"duration":8}]
+  }
+}
+)";
+  ReproArtifact expected = full_artifact();
+  expected.invariants = "buffer.bounds, \"qoe\".finite\\";
+  expected.origin_mode = "hardened";
+  expected.plan.cache_flushes.push_back({12.5});
+  expected.plan.dc_blackouts.push_back({40, 8});
+
+  const ReproArtifact parsed = parse_repro(indented);
+  EXPECT_EQ(to_json(parsed), to_json(expected));
+  EXPECT_EQ(parsed.invariants, expected.invariants);
+  EXPECT_EQ(parsed.origin_mode, "hardened");
+  ASSERT_EQ(parsed.plan.cache_flushes.size(), 1u);
+  EXPECT_DOUBLE_EQ(parsed.plan.cache_flushes[0].at, 12.5);
+  ASSERT_EQ(parsed.plan.dc_blackouts.size(), 1u);
+  EXPECT_DOUBLE_EQ(parsed.plan.dc_blackouts[0].duration, 8);
+  // Today's compact form round-trips byte for byte.
+  EXPECT_EQ(to_json(parse_repro(to_json(parsed))), to_json(parsed));
+}
+
 TEST(Repro, CliLineNamesTheReplayCommand) {
   EXPECT_EQ(full_artifact().cli_line("out/chaos-17.json"),
             "vodx chaos --repro out/chaos-17.json");

@@ -62,11 +62,5 @@ TEST(Format, PrintfStyle) {
   EXPECT_EQ(format("empty"), "empty");
 }
 
-TEST(FormatBps, PicksUnits) {
-  EXPECT_EQ(format_bps(2.5e6), "2.50 Mbps");
-  EXPECT_EQ(format_bps(640e3), "640 kbps");
-  EXPECT_EQ(format_bps(500), "500 bps");
-}
-
 }  // namespace
 }  // namespace vodx

@@ -77,13 +77,24 @@ TEST(DiagRollup, ReportHtmlInsertsTheSectionBeforeTheClosingTags) {
   const batch::SweepResult result = batch::run_sweep(config);
   d.total_cells = static_cast<int>(result.cells.size());
   const batch::SweepMetrics metrics = batch::aggregate_metrics(result);
-  const std::string section = diag_html_section(d);
+  Report combined = batch::sweep_report(metrics);
+  combined.append(diag_report(d));
+
+  // The diag blocks render as the body of their own page: everything
+  // between the page head and the closing tags.
+  const std::string title = "vodx sweep report";
+  const std::string head = html_page_start(title);
+  const std::string tail = "</body></html>\n";
+  const std::string diag_page = diag_report(d).html(title);
+  ASSERT_TRUE(starts_with(diag_page, head));
+  ASSERT_TRUE(ends_with(diag_page, tail));
+  const std::string section = diag_page.substr(
+      head.size(), diag_page.size() - head.size() - tail.size());
 
   std::string spliced = batch::report_html(metrics);
-  const std::string tail = "</body></html>\n";
   ASSERT_TRUE(ends_with(spliced, tail));
   spliced.insert(spliced.size() - tail.size(), section);
-  EXPECT_EQ(batch::report_html(metrics, section), spliced);
+  EXPECT_EQ(combined.html(title), spliced);
 }
 
 TEST(DiagRollup, FoldAccumulatesFractions) {

@@ -97,7 +97,6 @@ TEST(HttpClient, AbortLogsPartialBytes) {
   int id = h.client.fetch({Method::kGet, "/video/2/seg0.ts", {}},
                           [](const Response&) { FAIL() << "must not finish"; });
   h.sim.run_until(2);
-  EXPECT_GT(h.client.bytes_in_flight(id), 0);
   h.client.abort(id);
   h.sim.run_until(5);
   const TransferRecord& record = h.proxy.log().record(id);

@@ -7,6 +7,7 @@
 
 #include "http/proxy.h"
 #include "testing/fixtures.h"
+#include "testing/interceptors.h"
 
 namespace vodx::http {
 namespace {
@@ -72,7 +73,7 @@ TEST(Interceptor, FirstInjectedResponseShortCircuits) {
   Proxy proxy(origin);
   std::vector<std::string> journal;
   proxy.use(std::make_shared<Recorder>("a", journal));
-  proxy.use(reject_if([](const Request&) { return true; }));
+  proxy.use(testing::reject_if([](const Request&) { return true; }));
   proxy.use(std::make_shared<Recorder>("c", journal));
   journal.clear();
 
@@ -103,7 +104,7 @@ TEST(Interceptor, ManifestStageSkipsMediaAndErrors) {
 TEST(Interceptor, RespondWithInjectsArbitraryResponses) {
   OriginServer origin(small_asset(), {manifest::Protocol::kHls});
   Proxy proxy(origin);
-  proxy.use(respond_with(
+  proxy.use(testing::respond_with(
       [](const Request& request, Seconds) -> std::optional<Response> {
         if (request.url.find("seg1") == std::string::npos) return std::nullopt;
         return make_error(503, "injected");
@@ -116,7 +117,7 @@ TEST(Interceptor, RespondWithInjectsArbitraryResponses) {
 TEST(Interceptor, TapResponseMutatesWireFaultFields) {
   OriginServer origin(small_asset(), {manifest::Protocol::kHls});
   Proxy proxy(origin);
-  proxy.use(tap_response([](const Request&, Response& response, Seconds) {
+  proxy.use(testing::tap_response([](const Request&, Response& response, Seconds) {
     response.added_latency = 0.25;
     response.reset_after = 100;
   }));

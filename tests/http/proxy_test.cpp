@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/fixtures.h"
+#include "testing/interceptors.h"
 
 namespace vodx::http {
 namespace {
@@ -40,7 +41,7 @@ TEST(Proxy, TransformDoesNotTouchMedia) {
 TEST(Proxy, RejectInterceptorAnswers403) {
   OriginServer origin(small_asset(), {manifest::Protocol::kHls});
   Proxy proxy(origin);
-  proxy.use(reject_if([](const Request& request) {
+  proxy.use(testing::reject_if([](const Request& request) {
     return request.url.find("seg") != std::string::npos;
   }));
   EXPECT_EQ(proxy.resolve({Method::kGet, "/video/0/seg0.ts", {}}, 0).status,

@@ -69,8 +69,7 @@ TEST(Presentation, SortTracksAscending) {
   p.video.push_back(make_track("lo", 1e6, 2, 4));
   p.sort_tracks();
   EXPECT_EQ(p.video[0].id, "lo");
-  EXPECT_EQ(p.video_level_of("hi"), 1);
-  EXPECT_EQ(p.video_level_of("none"), -1);
+  EXPECT_EQ(p.video[1].id, "hi");
 }
 
 TEST(Presentation, DurationFromFirstVideoTrack) {

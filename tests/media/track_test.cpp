@@ -34,7 +34,6 @@ TEST(Track, AssignsIndexesAndOffsets) {
 TEST(Track, BitrateAggregates) {
   Track t("video/0", ContentType::kVideo, 1e6, k360p, three_segments());
   EXPECT_DOUBLE_EQ(t.average_actual_bitrate(), 4500 * 8.0 / 5.0);
-  EXPECT_DOUBLE_EQ(t.peak_actual_bitrate(), 3000 * 8.0 / 2.0);
   EXPECT_DOUBLE_EQ(t.segment(0).actual_bitrate(), 4000);
 }
 
@@ -70,18 +69,6 @@ TEST(VideoAsset, SortsLadderAscending) {
   VideoAsset asset("a", std::move(tracks));
   EXPECT_EQ(asset.video_track(0).id(), "lo");
   EXPECT_EQ(asset.video_track(1).id(), "hi");
-  EXPECT_DOUBLE_EQ(asset.lowest_declared_bitrate(), 1e6);
-  EXPECT_DOUBLE_EQ(asset.highest_declared_bitrate(), 3e6);
-}
-
-TEST(VideoAsset, LevelLookupByTrackId) {
-  auto seg = three_segments();
-  std::vector<Track> tracks;
-  tracks.emplace_back("lo", ContentType::kVideo, 1e6, k360p, seg);
-  tracks.emplace_back("hi", ContentType::kVideo, 3e6, k720p, seg);
-  VideoAsset asset("a", std::move(tracks));
-  EXPECT_EQ(asset.video_level_of("hi"), 1);
-  EXPECT_EQ(asset.video_level_of("nope"), -1);
 }
 
 TEST(VideoAsset, SeparateAudioDetection) {

@@ -14,6 +14,13 @@
 namespace vodx::net {
 namespace {
 
+std::vector<Bps> grants_for(const std::vector<Bps>& demands, Bps capacity) {
+  std::vector<Bps> grants;
+  std::vector<std::size_t> scratch;
+  max_min_shares(demands, capacity, grants, scratch);
+  return grants;
+}
+
 double sum(const std::vector<Bps>& v) {
   double total = 0;
   for (Bps x : v) total += x;
@@ -25,7 +32,7 @@ double sum(const std::vector<Bps>& v) {
 TEST(MaxMinShares, EqualDemandsGetEqualGrants) {
   for (int n : {3, 5, 8, 17}) {
     const std::vector<Bps> demands(n, 10e6);
-    const std::vector<Bps> grants = max_min_shares(demands, 6e6);
+    const std::vector<Bps> grants = grants_for(demands, 6e6);
     ASSERT_EQ(grants.size(), demands.size());
     for (Bps g : grants) EXPECT_DOUBLE_EQ(g, grants[0]);
     EXPECT_NEAR(sum(grants), 6e6, 1.0);
@@ -34,7 +41,7 @@ TEST(MaxMinShares, EqualDemandsGetEqualGrants) {
 
 TEST(MaxMinShares, ZeroDemandGetsZeroAndCostsNothing) {
   const std::vector<Bps> demands = {5e6, 0, 5e6, 0, 5e6};
-  const std::vector<Bps> grants = max_min_shares(demands, 3e6);
+  const std::vector<Bps> grants = grants_for(demands, 3e6);
   EXPECT_DOUBLE_EQ(grants[1], 0);
   EXPECT_DOUBLE_EQ(grants[3], 0);
   EXPECT_DOUBLE_EQ(grants[0], 1e6);
@@ -46,7 +53,7 @@ TEST(MaxMinShares, SmallDemandsSatisfiedSurplusGoesToBigOnes) {
   // Water-filling: the two small flows get all they ask; the rest split
   // the remainder evenly.
   const std::vector<Bps> demands = {1e5, 8e6, 2e5, 8e6, 8e6};
-  const std::vector<Bps> grants = max_min_shares(demands, 6e6);
+  const std::vector<Bps> grants = grants_for(demands, 6e6);
   EXPECT_DOUBLE_EQ(grants[0], 1e5);
   EXPECT_DOUBLE_EQ(grants[2], 2e5);
   const Bps rest = (6e6 - 3e5) / 3;
@@ -68,7 +75,7 @@ TEST(MaxMinShares, ConservationAndDemandBound) {
     const int n = 2 + trial % 9;
     for (int i = 0; i < n; ++i) demands.push_back(next() * 12e6);
     const Bps capacity = 1e5 + next() * 10e6;
-    const std::vector<Bps> grants = max_min_shares(demands, capacity);
+    const std::vector<Bps> grants = grants_for(demands, capacity);
     for (std::size_t i = 0; i < demands.size(); ++i) {
       EXPECT_GE(grants[i], 0);
       EXPECT_LE(grants[i], demands[i] + 1e-6);
@@ -87,7 +94,7 @@ TEST(MaxMinShares, WaterFillingMonotoneInCapacity) {
   const std::vector<Bps> demands = {3e5, 9e6, 1e6, 5e6, 2e6, 7e6};
   std::vector<Bps> previous(demands.size(), 0);
   for (Bps capacity = 5e5; capacity <= 2.5e7; capacity += 5e5) {
-    const std::vector<Bps> grants = max_min_shares(demands, capacity);
+    const std::vector<Bps> grants = grants_for(demands, capacity);
     for (std::size_t i = 0; i < demands.size(); ++i) {
       EXPECT_GE(grants[i], previous[i] - 1e-6)
           << "flow " << i << " at capacity " << capacity;

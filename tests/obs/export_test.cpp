@@ -7,9 +7,12 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
+#include "testing/merge.h"
 
 namespace vodx::obs {
 namespace {
+
+using vodx::testing::merge;
 
 TEST(JsonEscape, EmbeddedNulSurvivesAsUnicodeEscape) {
   const std::string with_nul("a\0b", 3);

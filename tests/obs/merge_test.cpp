@@ -7,9 +7,12 @@
 #include "common/error.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "testing/merge.h"
 
 namespace vodx::obs {
 namespace {
+
+using vodx::testing::merge;
 
 MetricsSnapshot snap_a() {
   MetricsRegistry r;

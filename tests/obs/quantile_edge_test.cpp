@@ -7,9 +7,12 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "testing/merge.h"
 
 namespace vodx::obs {
 namespace {
+
+using vodx::testing::merge;
 
 const std::vector<double> kBounds = {1, 2, 4, 8};
 

@@ -7,9 +7,12 @@
 
 #include "common/error.h"
 #include "common/strings.h"
+#include "testing/merge.h"
 
 namespace vodx::obs {
 namespace {
+
+using vodx::testing::merge;
 
 Timeline sample_timeline(double a0, double a1, double m0, double m1) {
   Timeline timeline(1.0, 2);

@@ -14,6 +14,7 @@
 #include "common/error.h"
 #include "http/proxy.h"
 #include "testing/fixtures.h"
+#include "testing/interceptors.h"
 
 namespace vodx::origin {
 namespace {
@@ -244,7 +245,7 @@ TEST(OriginFailover, RetryClearsATransientInjectedError) {
   int injected = 0;
   // Registered after the tier: its response stage runs BEFORE the tier's
   // (reverse registration order), exactly where faults::FaultInjector sits.
-  world.proxy.use(http::tap_response(
+  world.proxy.use(testing::tap_response(
       [&injected](const http::Request&, http::Response& response, Seconds) {
         if (injected++ == 0) response = http::make_error(503, "injected");
       }));
@@ -263,7 +264,7 @@ TEST(OriginFailover, RetryClearsATransientInjectedError) {
 
 TEST(OriginFailover, NaiveOriginPropagatesFailuresAndCachesNothing) {
   World world(naive_origin());
-  world.proxy.use(http::tap_response(
+  world.proxy.use(testing::tap_response(
       [](const http::Request&, http::Response& response, Seconds) {
         response = http::make_error(503, "origin overloaded");
       }));
@@ -338,7 +339,7 @@ TEST(OriginFailover, RetryJitterIsAPureFunctionOfTheSeed) {
     options.seed = seed;
     World world(options);
     int injected = 0;
-    world.proxy.use(http::tap_response(
+    world.proxy.use(testing::tap_response(
         [&injected](const http::Request&, http::Response& response, Seconds) {
           if (injected++ == 0) response = http::make_error(503, "flaky");
         }));

@@ -8,6 +8,7 @@
 #include "obs/observer.h"
 #include "player/player.h"
 #include "testing/fixtures.h"
+#include "testing/interceptors.h"
 
 namespace vodx::player {
 namespace {
@@ -33,7 +34,7 @@ TEST(ManifestReset, MidManifestResetIsRetriedOnce) {
   // Reset the very first master-manifest transfer halfway down the wire;
   // every later fetch is untouched.
   auto fired = std::make_shared<bool>(false);
-  proxy.use(http::tap_response(
+  proxy.use(testing::tap_response(
       [fired](const http::Request& request, http::Response& response,
               Seconds) {
         if (*fired) return;
@@ -74,7 +75,7 @@ TEST(ManifestReset, WithoutRetriesTheResetIsFatal) {
   http::OriginServer origin(small_asset(120), {manifest::Protocol::kHls});
   http::Proxy proxy(origin);
   auto fired = std::make_shared<bool>(false);
-  proxy.use(http::tap_response(
+  proxy.use(testing::tap_response(
       [fired](const http::Request& request, http::Response& response,
               Seconds) {
         if (*fired) return;

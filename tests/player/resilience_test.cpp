@@ -6,6 +6,7 @@
 
 #include "player/player.h"
 #include "testing/fixtures.h"
+#include "testing/interceptors.h"
 
 namespace vodx::player {
 namespace {
@@ -42,7 +43,7 @@ TEST(Resilience, RecoversFromTransientFaults) {
   Harness h;
   // Every segment request fails once with 503, then succeeds.
   auto failures = std::make_shared<std::map<std::string, int>>();
-  h.proxy.use(http::respond_with(
+  h.proxy.use(testing::respond_with(
       [failures](const http::Request& request,
                  Seconds) -> std::optional<http::Response> {
         if (request.url.find("seg") == std::string::npos) return std::nullopt;
@@ -65,7 +66,7 @@ TEST(Resilience, RecoversFromTransientFaults) {
 
 TEST(Resilience, PersistentFaultExhaustsRetriesAndStops) {
   Harness h;
-  h.proxy.use(http::respond_with(
+  h.proxy.use(testing::respond_with(
       [](const http::Request& request,
          Seconds) -> std::optional<http::Response> {
         if (request.url.find("seg5") == std::string::npos) return std::nullopt;
@@ -87,7 +88,7 @@ TEST(Resilience, PersistentFaultExhaustsRetriesAndStops) {
 
 TEST(Resilience, RetryBackoffDelaysReattempts) {
   Harness h;
-  h.proxy.use(http::respond_with(
+  h.proxy.use(testing::respond_with(
       [](const http::Request& request,
          Seconds) -> std::optional<http::Response> {
         if (request.url.find("seg3") == std::string::npos) return std::nullopt;
@@ -136,7 +137,7 @@ TEST(Resilience, AbandonDownswitchRidesOutPoisonedRenditions) {
   config.abandon_downswitch = true;
   config.retry_backoff = 0.2;
   Harness h(6e6, config);
-  h.proxy.use(http::reject_if([](const http::Request& request) {
+  h.proxy.use(testing::reject_if([](const http::Request& request) {
     return request.url.find(".ts") != std::string::npos &&
            request.url.find("/video/0/") == std::string::npos;
   }));
@@ -155,7 +156,7 @@ TEST(Resilience, JitteredBackoffIsSeedDeterministic) {
     config.retry_jitter = 0.5;
     config.resilience_seed = seed;
     Harness h(6e6, config);
-    h.proxy.use(http::respond_with(
+    h.proxy.use(testing::respond_with(
         [](const http::Request& request,
            Seconds) -> std::optional<http::Response> {
           if (request.url.find("seg3.ts") == std::string::npos) {

@@ -84,8 +84,8 @@ TEST(PopCoreDifferential, TowerExportsAreByteIdenticalOnBothCores) {
   const PopulationReport event =
       expect_identical_on_both_cores(differential_towers());
   EXPECT_GT(event.total_sessions, 200);
-  EXPECT_GT(event.diag.sessions_diagnosed, 0);
-  EXPECT_GT(event.diag.sessions_skipped, 0);
+  EXPECT_GT(event.diag.cells, 0);
+  EXPECT_GT(event.diag_skipped, 0);
 }
 
 TEST(PopCoreDifferential, FaultedTowersAreByteIdenticalOnBothCores) {

@@ -183,15 +183,15 @@ TEST(PopulationTimeline, DiagRollupAttributesAndFoldsAcrossTowers) {
   config.diag_session_budget = 0;  // every session
   const PopulationReport report = run_population(config);
   ASSERT_TRUE(report.diagnosed);
-  EXPECT_EQ(report.diag.sessions_diagnosed, report.total_sessions);
-  EXPECT_EQ(report.diag.sessions_skipped, 0);
+  EXPECT_EQ(report.diag.cells, report.total_sessions);
+  EXPECT_EQ(report.diag_skipped, 0);
   EXPECT_GT(report.diag.problem_s, 0);
   // The population rollup is exactly the tower fold.
-  TowerDiag folded;
+  diag::DiagRollup folded;
   for (const TowerReport& tower : report.towers) {
     folded.merge_from(tower.diag);
   }
-  EXPECT_EQ(folded.sessions_diagnosed, report.diag.sessions_diagnosed);
+  EXPECT_EQ(folded.cells, report.diag.cells);
   EXPECT_DOUBLE_EQ(folded.problem_s, report.diag.problem_s);
   EXPECT_DOUBLE_EQ(folded.stall_s, report.diag.stall_s);
   // Per-bin blame seconds agree with the rollup's stall + startup totals.
@@ -211,9 +211,8 @@ TEST(PopulationTimeline, DiagBudgetBoundsDiagnosedSessions) {
   config.diagnose = true;
   config.diag_session_budget = 2;
   const PopulationReport report = run_population(config);
-  EXPECT_EQ(report.diag.sessions_diagnosed,
-            2 * static_cast<int>(report.towers.size()));
-  EXPECT_EQ(report.diag.sessions_diagnosed + report.diag.sessions_skipped,
+  EXPECT_EQ(report.diag.cells, 2 * static_cast<int>(report.towers.size()));
+  EXPECT_EQ(report.diag.cells + report.diag_skipped,
             report.total_sessions);
 }
 

@@ -9,10 +9,9 @@ namespace vodx::trace {
 namespace {
 
 TEST(Profiles, FourteenProfilesSortedByMean) {
-  std::vector<net::BandwidthTrace> all = all_profiles();
-  ASSERT_EQ(all.size(), 14u);
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    EXPECT_GT(all[i].mean(), all[i - 1].mean());
+  ASSERT_EQ(kProfileCount, 14);
+  for (int id = 2; id <= kProfileCount; ++id) {
+    EXPECT_GT(cellular_profile(id).mean(), cellular_profile(id - 1).mean());
   }
 }
 

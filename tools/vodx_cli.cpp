@@ -658,18 +658,17 @@ int cmd_report(Args& args) {
   sweep_diag.total_cells = static_cast<int>(result->cells.size());
 
   batch::SweepMetrics metrics = batch::aggregate_metrics(*result);
-  std::string text = batch::report_text(metrics);
-  if (with_diag) text += "\n" + diag::diag_text(sweep_diag);
-  emit(text_path, text);
+  Report report = batch::sweep_report(metrics);
+  if (with_diag) report.line("").append(diag::diag_report(sweep_diag));
+  emit(text_path, report.text());
   if (!jsonl_path.empty()) {
     std::string jsonl = batch::report_jsonl(*result, metrics);
     if (with_diag) jsonl += diag::diag_jsonl(sweep_diag);
     write_file(jsonl_path, jsonl);
   }
   if (!html_path.empty()) {
-    const std::string section =
-        with_diag ? diag::diag_html_section(sweep_diag) : std::string();
-    write_file(html_path, batch::report_html(metrics, section));
+    if (with_diag) report.section("cause taxonomy", diag::cause_taxonomy());
+    write_file(html_path, report.html("vodx sweep report"));
   }
   if (!flags.csv_path.empty()) {
     write_file(flags.csv_path, batch::sweep_csv(*result));
