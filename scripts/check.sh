@@ -10,7 +10,7 @@
 #                                          # ctest label (unit|integration|
 #                                          # golden|faults|chaos|diag|
 #                                          # simcore|pop|popobs|origin|cli|
-#                                          # lint; regex accepted)
+#                                          # lint|paper; regex accepted)
 #   BUILD_DIR=out ./scripts/check.sh       # custom build directory
 set -euo pipefail
 

@@ -19,8 +19,9 @@ void HttpClient::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
   for (auto& [id, pending] : in_flight_) {
-    proxy_.log().abort(id, pending.connection->transfer_delivered());
+    // The abort catches a sleeping link up, so the progress read is current.
     pending.connection->abort_transfer();
+    proxy_.log().abort(id, pending.connection->transfer_delivered());
   }
   in_flight_.clear();
   for (auto& connection : connections_) link_.detach(connection.get());
@@ -162,13 +163,15 @@ void HttpClient::abort(int transfer_id) {
   auto it = in_flight_.find(transfer_id);
   if (it == in_flight_.end()) return;
   net::TcpConnection* connection = it->second.connection;
+  // Closes the nested tcp span first, and catches a sleeping link up, so
+  // the progress read below is current.
+  connection->abort_transfer();
   // Subtract header overhead so the log charges only payload bytes.
   const Bytes received = std::max<Bytes>(
       0, connection->transfer_delivered() - kHttpHeaderOverhead);
   proxy_.log().abort(transfer_id, received);
   if (bytes_metric_ != nullptr) bytes_metric_->add(received);
   if (aborts_metric_ != nullptr) aborts_metric_->add();
-  connection->abort_transfer();  // closes the nested tcp span first
   if (obs::trace_on(obs_, obs::Category::kHttp)) {
     obs_->trace.end(
         sim_.now(), obs::Category::kHttp, "http.request",

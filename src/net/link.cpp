@@ -1,6 +1,8 @@
 #include "net/link.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/error.h"
 #include "obs/profiler.h"
@@ -44,7 +46,7 @@ void max_min_shares(const std::vector<Bps>& demands, Bps capacity,
 }
 
 Link::Link(Simulator& sim, BandwidthTrace trace, Seconds rtt)
-    : sim_(sim), trace_(std::move(trace)), rtt_(rtt) {
+    : sim_(sim), trace_(std::move(trace)), rtt_(rtt), synced_at_(sim.now()) {
   sim_.add_tick_client(this);
 }
 
@@ -67,16 +69,56 @@ void Link::attach(TcpConnection* connection) {
 void Link::detach(TcpConnection* connection) {
   auto it = std::find(connections_.begin(), connections_.end(), connection);
   if (it == connections_.end()) return;
+  // An idle or closed connection's counters are current: only a busy one
+  // can be mid-span.
+  if (connection->busy()) poke();
   delivered_by_detached_ += connection->lifetime_delivered();
   connection->link_ = nullptr;
   connections_.erase(it);
+  std::erase(span_, connection);  // the span never names a detached flow
   ++detach_epoch_;
 }
 
-Bytes Link::total_delivered() const {
+Bytes Link::total_delivered() {
+  sim_.sync(this);
   Bytes total = delivered_by_detached_;
   for (const TcpConnection* c : connections_) total += c->lifetime_delivered();
   return total;
+}
+
+Bps Link::allocate(const std::vector<Bps>& demands, Bps capacity,
+                   std::vector<Bps>& grants) {
+  std::size_t active = 0;
+  Bps lowest = std::numeric_limits<double>::infinity();
+  Bps highest = 0;
+  for (const Bps demand : demands) {
+    if (demand > 0) {
+      ++active;
+      lowest = std::min(lowest, demand);
+      highest = std::max(highest, demand);
+    }
+  }
+  if (active == 0 || !(capacity > 0)) {
+    grants.assign(demands.size(), 0.0);
+    return 0;
+  }
+  // max_min_shares' first round: the same share from the same division.
+  // Every active flow above it keeps it; every flow at or below it is
+  // satisfied and the filling stops.
+  const Bps share = capacity / static_cast<double>(active);
+  if (lowest > share) {
+    grants.resize(demands.size());
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      grants[i] = demands[i] > 0 ? share : 0;
+    }
+    return share;
+  }
+  if (highest <= share) {
+    grants.assign(demands.begin(), demands.end());
+  } else {
+    max_min_shares(demands, capacity, grants, scratch_active_);
+  }
+  return 0;
 }
 
 void Link::tick(Seconds now, Seconds dt) {
@@ -89,8 +131,8 @@ void Link::tick(Seconds now, Seconds dt) {
     scratch_demands_[i] = scratch_snapshot_[i]->demand();
   }
   const Bps capacity = trace_.at(now);
-  max_min_shares(scratch_demands_, capacity, scratch_grants_,
-                 scratch_active_);
+  const Bps equal_share =
+      allocate(scratch_demands_, capacity, scratch_grants_);
 
   if (obs::trace_on(obs_, obs::Category::kLink)) {
     // Counter tracks are sampled on change, not per tick: a 600 s session
@@ -111,7 +153,19 @@ void Link::tick(Seconds now, Seconds dt) {
     }
   }
 
+  // Advance every connection and plan the next span in the same pass. The
+  // allocation stays what it is while no connection starts or stops
+  // streaming and the trace holds, so the link can sleep until the first
+  // tick at which a transfer could complete or a wait could end.
+  span_.clear();
+  bool steady = true;  // every connection streams now iff it did before
+  double nearest_end = std::numeric_limits<double>::infinity();  // bytes
+  double quiet = std::numeric_limits<double>::infinity();  // ticks
+  Seconds sample_at = kNeverWakes;  // a traced connection's cwnd sample
+  double clamp_margin = std::numeric_limits<double>::infinity();
+  int streamers = 0;
   const std::uint64_t epoch = detach_epoch_;
+  const std::uint64_t completions = completions_;
   for (std::size_t i = 0; i < scratch_snapshot_.size(); ++i) {
     // A callback earlier in this loop may have detached this connection;
     // the liveness scan only runs once a detach has actually happened
@@ -121,24 +175,113 @@ void Link::tick(Seconds now, Seconds dt) {
                   scratch_snapshot_[i]) == connections_.end()) {
       continue;
     }
+    TcpConnection* c = scratch_snapshot_[i];
     const bool saturated = scratch_grants_[i] + 1e-6 < scratch_demands_[i];
-    scratch_snapshot_[i]->advance(now, dt, scratch_grants_[i], saturated);
+    c->advance(now, dt, scratch_grants_[i], saturated);
+    if (!c->busy()) continue;
+    span_.push_back(c);
+    const bool streaming = c->phase_ == TcpConnection::Phase::kStreaming;
+    if ((scratch_demands_[i] > 0) != streaming) {
+      steady = false;
+    } else if (streaming) {
+      ++streamers;
+      nearest_end = std::min(nearest_end, c->transfer_remaining_);
+      clamp_margin = std::min(
+          clamp_margin, (c->config_.queue_headroom - 1) * c->config_.rtt);
+      if (obs::trace_on(c->obs_, obs::Category::kTcp)) {
+        sample_at = std::min(sample_at, c->last_cwnd_emit_ + c->config_.rtt);
+      }
+    } else {
+      quiet = std::min(quiet, c->ticks_before_streaming(dt));
+    }
   }
+  synced_at_ = now;
+  span_capacity_ = capacity;
+  if (span_.empty()) {
+    span_wake_ = kNeverWakes;
+    return;
+  }
+  if (!steady || completions_ != completions || detach_epoch_ != epoch) {
+    span_wake_ = now;
+    return;
+  }
+  // An equal split holds for the whole span: a saturated cwnd is clamped
+  // to queue_headroom x the share's BDP, rounded down to a byte, so its
+  // demand stays above the share while (headroom - 1) x share x rtt clears
+  // the rounding's 8 bits with a 2x margin. A lone streamer gets its demand
+  // up to the capacity, whichever side of it the demand lies.
+  if (equal_share > 0 && equal_share * clamp_margin > 16) {
+    span_limit_ = equal_share;
+  } else if (streamers <= 1) {
+    span_limit_ = capacity;
+  } else {
+    span_limit_ = -1;
+  }
+  const double bytes_per_tick =
+      (span_limit_ >= 0 ? span_limit_ : capacity) * dt / 8.0;
+  if (bytes_per_tick > 0) {
+    // The last byte completes a transfer; one byte of margin absorbs the
+    // rounding of the per-tick subtractions.
+    quiet = std::min(quiet, std::floor((nearest_end - 1) / bytes_per_tick));
+  }
+  // Sleep through `quiet` ticks and wake on the next one; stop before a
+  // traced cwnd sample and before the trace steps.
+  span_wake_ = std::min({now + (quiet + 0.5) * dt, sample_at - dt / 2,
+                         trace_.next_change_after(now)});
 }
 
 Seconds Link::next_wake(Seconds now) {
-  // Any in-flight transfer makes the fluid model integrate per tick.
-  for (TcpConnection* c : connections_) {
-    if (c->busy()) return now;
-  }
   if (obs::trace_on(obs_, obs::Category::kLink)) {
     // Pending on-change emissions must land on the very next tick; after
-    // that the tracks only change at bandwidth-trace steps.
+    // that the tracks only change at span ends and bandwidth-trace steps.
     if (trace_.at(now) != last_capacity_emitted_) return now;
-    if (last_active_emitted_ != 0) return now;
-    return trace_.next_change_after(now);
+    if (span_.empty()) {
+      if (last_active_emitted_ != 0) return now;
+      return trace_.next_change_after(now);
+    }
   }
-  return kNeverWakes;
+  return span_wake_;
+}
+
+void Link::fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) {
+  if (span_.empty()) {
+    // Every connection idle or closed, where advance() does nothing.
+    synced_at_ = now;
+    return;
+  }
+  const std::uint64_t completions = completions_;
+  const std::uint64_t epoch = detach_epoch_;
+  Seconds t = synced_at_;
+  // Tick-major, so each tick's deliveries note its DeliveryTally once and a
+  // wait that ends stamps its grid time; the simulator's own recurrence.
+  for (std::uint64_t k = 0; k < ticks; ++k) {
+    t += dt;
+    replay_tick(t, dt);
+  }
+  VODX_ASSERT(t == now, "link replay left the simulator's grid");
+  VODX_ASSERT(completions_ == completions && detach_epoch_ == epoch,
+              "a transfer ended inside a span the link planned to sleep");
+  synced_at_ = now;
+}
+
+void Link::replay_tick(Seconds now, Seconds dt) {
+  if (span_limit_ >= 0) {
+    for (TcpConnection* c : span_) {
+      const Bps demand = c->demand();
+      const Bps grant = std::min(demand, span_limit_);
+      c->advance(now, dt, grant, grant + 1e-6 < demand);
+    }
+    return;
+  }
+  scratch_demands_.resize(span_.size());
+  for (std::size_t i = 0; i < span_.size(); ++i) {
+    scratch_demands_[i] = span_[i]->demand();
+  }
+  allocate(scratch_demands_, span_capacity_, scratch_grants_);
+  for (std::size_t i = 0; i < span_.size(); ++i) {
+    span_[i]->advance(now, dt, scratch_grants_[i],
+                      scratch_grants_[i] + 1e-6 < scratch_demands_[i]);
+  }
 }
 
 }  // namespace vodx::net

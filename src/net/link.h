@@ -6,13 +6,17 @@
 // additionally capped by each connection's own cwnd/RTT (handled inside
 // TcpConnection::advance).
 //
-// The link is a TickClient: while any connection is mid-transfer it ticks
-// densely (the fluid model integrates per tick), but once every connection
-// is idle its only remaining observable work is the on-change capacity /
-// active-count emission, so next_wake() points the simulator at the next
-// bandwidth-trace step (BandwidthTrace::next_change_after) — which also
-// guarantees the obs capacity timeline records every trace step losslessly.
-// An attached connection starting a transfer pokes the link awake.
+// The link is a TickClient that sleeps through spans it can predict. Each
+// tick, in the same pass that advances the connections, it bounds the first
+// tick at which the allocation could change: a transfer could complete, a
+// waiting connection could start streaming, a traced connection samples
+// its cwnd, or the bandwidth trace steps (BandwidthTrace::next_change_after,
+// which also keeps the obs capacity timeline lossless). next_wake() returns
+// that tick, and fast_forward() replays the slept ticks exactly, tick by
+// tick over the span's busy connections. Whatever changes a connection from
+// outside the link's tick pokes the link first: a transfer start, an abort
+// or close, a detach. A reader that changes nothing catches it up without
+// rescheduling it (total_delivered()).
 #pragma once
 
 #include <vector>
@@ -51,7 +55,7 @@ class Link : public TickClient {
   /// Removes a flow (session departure, client shutdown). Idempotent. The
   /// departing flow's share is redistributed to the survivors by the very
   /// next allocation pass — a detach between ticks is already excluded from
-  /// that tick's snapshot.
+  /// that tick's snapshot. Pokes the link first.
   void detach(TcpConnection* connection);
 
   /// Currently attached flow count (population observability).
@@ -64,19 +68,32 @@ class Link : public TickClient {
   const BandwidthTrace& trace() const { return trace_; }
   Seconds rtt() const { return rtt_; }
 
-  /// Total payload bytes the link has carried (for conservation checks).
-  Bytes total_delivered() const;
+  /// Total payload bytes the link has carried (for conservation checks and
+  /// the population sampler), as of the current tick: a sleeping link is
+  /// caught up first, without being rescheduled.
+  Bytes total_delivered();
 
   // --- TickClient --------------------------------------------------------
   void tick(Seconds now, Seconds dt) override;
   Seconds next_wake(Seconds now) override;
+  void fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) override;
 
  private:
   friend class TcpConnection;
-  /// An attached connection is about to start a transfer: wake the link so
-  /// it integrates it. The ticks it slept through need no replay: every
-  /// connection was idle or closed then, where advance() does nothing.
-  void wake_for_transfer() { sim_.poke(this); }
+  /// An attached connection is about to change outside the link's tick (a
+  /// transfer starts, or one is abandoned): catch the link up and run it
+  /// next. A transfer that starts mid-tick thus wakes it on the next tick.
+  void poke() { sim_.poke(this); }
+
+  /// Allocates `capacity` over `demands` into `grants`. Two shapes skip
+  /// max_min_shares with the same floats: every active demand above the
+  /// equal share (an equal split) or none above it (every demand fits).
+  /// Returns the share of an equal split, 0 for any other allocation.
+  Bps allocate(const std::vector<Bps>& demands, Bps capacity,
+               std::vector<Bps>& grants);
+
+  /// One slept tick at `now` over the span's busy connections.
+  void replay_tick(Seconds now, Seconds dt);
 
   Simulator& sim_;
   BandwidthTrace trace_;
@@ -87,12 +104,27 @@ class Link : public TickClient {
   /// scan (quadratic at population scale) unless a completion callback
   /// actually detached something mid-tick.
   std::uint64_t detach_epoch_ = 0;
+  /// Bumped by every transfer completion (TcpConnection::advance).
+  std::uint64_t completions_ = 0;
 
   // Per-tick scratch (the hot path must not allocate).
   std::vector<TcpConnection*> scratch_snapshot_;
   std::vector<Bps> scratch_demands_;
   std::vector<Bps> scratch_grants_;
   std::vector<std::size_t> scratch_active_;
+
+  // The span the link sleeps through, planned by the last tick(). Its busy
+  // connections keep their phase for the whole span, apart from a wait
+  // ending in streaming, so the replay walks them alone, in snapshot order.
+  std::vector<TcpConnection*> span_;
+  Bps span_capacity_ = 0;
+  /// When the span's allocation reduces to one cap, each slept tick grants
+  /// every connection min(demand, span_limit_): the equal share of an equal
+  /// split that holds, or the capacity for a lone streamer. -1 when the
+  /// replay allocates each tick afresh.
+  Bps span_limit_ = -1;
+  Seconds span_wake_ = kNeverWakes;  ///< what next_wake() returns
+  Seconds synced_at_ = 0;  ///< grid time of the last tick accounted for
 
   obs::Observer* obs_ = nullptr;
   int obs_track_ = 0;

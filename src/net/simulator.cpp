@@ -89,7 +89,7 @@ void Simulator::add_tick_client(TickClient* client) {
   s.client = client;
   s.seq = next_seq_++;
   // The tick in progress (or the last one covered) predates the client.
-  s.synced = ticks_covered_;
+  s.synced = counters_.ticks_covered;
   s.wake = TickClient::kNeverWakes;
   s.queued = false;
   client->sim_slot_ = slot;
@@ -118,19 +118,30 @@ void Simulator::poke(TickClient* client) {
   if (clients_[slot].seq <= passed_through_) {
     // The sweep is past this client's slot: it has lived through the
     // current tick and runs on the next one.
-    catch_up(slot, ticks_covered_);
+    catch_up(slot, counters_.ticks_covered);
     rewake(slot, now_ + tick_);
     return;
   }
   // Mid-tick, ahead of the sweep: it has lived through the previous tick
   // and runs in this one.
-  catch_up(slot, ticks_covered_ - 1);
+  catch_up(slot, counters_.ticks_covered - 1);
   ClientSlot& s = clients_[slot];
   if (s.queued) return;
   s.queued = true;
   s.wake = TickClient::kNeverWakes;
   ++s.gen;
   run_queue_.push(RunEntry{s.seq, slot});
+}
+
+void Simulator::sync(TickClient* client) {
+  if (core_ == SimCore::kFixedTickReference ||
+      client->sim_slot_ == TickClient::kUnregistered) {
+    return;
+  }
+  const std::uint32_t slot = client->sim_slot_;
+  catch_up(slot, clients_[slot].seq <= passed_through_
+                     ? counters_.ticks_covered
+                     : counters_.ticks_covered - 1);
 }
 
 void Simulator::rewake(std::uint32_t slot, Seconds wake) {
@@ -146,9 +157,9 @@ void Simulator::catch_up(std::uint32_t slot, std::uint64_t target) {
   if (target <= s.synced) return;
   const std::uint64_t slept = target - s.synced;
   s.synced = target;
-  ++client_fast_forwards_;
-  s.client->fast_forward(target == ticks_covered_ ? now_ : prev_now_, tick_,
-                         slept);
+  ++counters_.fast_forwards;
+  s.client->fast_forward(
+      target == counters_.ticks_covered ? now_ : prev_now_, tick_, slept);
 }
 
 void Simulator::settle_clients() {
@@ -180,6 +191,7 @@ void Simulator::fire_due_events() {
       release_slot(entry.slot);
       continue;
     }
+    ++counters_.events_fired;
     if (fired_metric_ != nullptr) fired_metric_->add();
     if (max_events_per_instant_ > 0 &&
         ++fired_this_instant > max_events_per_instant_) {
@@ -207,9 +219,10 @@ void Simulator::run_fixed_tick() {
   for (std::size_t i = 0; i < n_clients; ++i) {
     ClientSlot& s = clients_[order_[i]];
     if (s.client == nullptr) continue;
-    s.synced = ticks_covered_;  // read again if the core switches back
+    // Read again if the core switches back.
+    s.synced = counters_.ticks_covered;
     s.client->tick(now_, tick_);
-    ++client_ticks_;
+    ++counters_.client_ticks;
   }
 }
 
@@ -236,11 +249,11 @@ void Simulator::run_due_clients() {
     if (s.seq != entry.seq || s.client == nullptr) continue;  // departed
     s.queued = false;
     passed_through_ = s.seq;
-    catch_up(entry.slot, ticks_covered_ - 1);
-    s.synced = ticks_covered_;
+    catch_up(entry.slot, counters_.ticks_covered - 1);
+    s.synced = counters_.ticks_covered;
     TickClient* client = s.client;
     client->tick(now_, tick_);  // may register clients: `s` can dangle
-    ++client_ticks_;
+    ++counters_.client_ticks;
     if (clients_[entry.slot].client == client) {
       rewake(entry.slot, client->next_wake(now_));
     }
@@ -289,7 +302,9 @@ void Simulator::run_until(Seconds end) {
       }
       if (skipped > 0) {
         // Sleeping clients replay the span when they next run or are poked.
-        ticks_covered_ += skipped;
+        // The batch is one step of the wall-budget count.
+        ++steps_since_check;
+        counters_.ticks_covered += skipped;
         if (ticks_metric_ != nullptr) {
           ticks_metric_->add(static_cast<std::int64_t>(skipped));
         }
@@ -298,8 +313,8 @@ void Simulator::run_until(Seconds end) {
     }
     prev_now_ = now_;
     now_ += tick_;
-    ++ticks_covered_;
-    ++ticks_executed_;
+    ++counters_.ticks_covered;
+    ++counters_.ticks_executed;
     if (ticks_metric_ != nullptr) ticks_metric_->add();
     if (can_skip) {
       run_due_clients();
@@ -321,7 +336,9 @@ void Simulator::run_until(Seconds end) {
   // Every client leaves caught up to now(): readers of position-dependent
   // state see exactly what the fixed core would show them.
   for (std::uint32_t slot : order_) {
-    if (clients_[slot].client != nullptr) catch_up(slot, ticks_covered_);
+    if (clients_[slot].client != nullptr) {
+      catch_up(slot, counters_.ticks_covered);
+    }
   }
 }
 

@@ -31,6 +31,8 @@
 //     passed. It then runs at the first slot not yet passed: this tick if
 //     its slot is still ahead, otherwise the next one. So a sleeping
 //     client observes exactly the state the dense loop would have shown it.
+//     Code that only reads a sleeping client's state calls sync(client):
+//     the same catch-up, without rescheduling the client.
 //   * A client leaves with remove_tick_client() (a departed population
 //     session) and is never ticked, fast-forwarded or polled again. A
 //     client registered mid-run first runs on the next tick (unless poked).
@@ -104,6 +106,24 @@ struct SimSettings {
 
   SimSettings& sim_settings() { return *this; }
   const SimSettings& sim_settings() const { return *this; }
+};
+
+/// The simulator's work counters, plain integers read without an observer.
+/// Wall-clock cost drifts with the machine; these do not.
+struct SimCounters {
+  /// Grid ticks covered so far (executed + skipped); equal across cores.
+  std::uint64_t ticks_covered = 0;
+  /// Grid ticks that actually executed handlers; the skip win is
+  /// ticks_covered - ticks_executed.
+  std::uint64_t ticks_executed = 0;
+  /// TickClient::tick calls: on the event core only due and poked clients
+  /// run, on the fixed core every client runs on every tick.
+  std::uint64_t client_ticks = 0;
+  /// TickClient::fast_forward calls: one per catch-up of a client that
+  /// slept through at least one tick (always 0 on the fixed core).
+  std::uint64_t fast_forwards = 0;
+  /// One-shot events fired (cancelled ones excluded); equal across cores.
+  std::uint64_t events_fired = 0;
 };
 
 /// A fluid component advanced on the tick grid. tick() is the per-tick
@@ -207,17 +227,17 @@ class Simulator {
   /// Convenience: run for `duration` more simulated seconds.
   void run_for(Seconds duration) { run_until(now_ + duration); }
 
-  /// Grid ticks covered so far (executed + skipped); equal across cores.
-  std::uint64_t ticks_covered() const { return ticks_covered_; }
-  /// Grid ticks that actually executed handlers; the skip win is
-  /// ticks_covered() - ticks_executed().
-  std::uint64_t ticks_executed() const { return ticks_executed_; }
-  /// TickClient::tick calls so far: on the event core only due and poked
-  /// clients run, on the fixed core every client runs on every tick.
-  std::uint64_t client_ticks() const { return client_ticks_; }
-  /// TickClient::fast_forward calls so far: one per catch-up of a client
-  /// that slept through at least one tick (always 0 on the fixed core).
-  std::uint64_t client_fast_forwards() const { return client_fast_forwards_; }
+  /// Replays the ticks `client` slept through, as a poke would, but leaves
+  /// its wake where it was: for code that only reads the client's state
+  /// (the population sampler reading the link's byte counter). No-op for an
+  /// unregistered client and on the fixed-tick core.
+  void sync(TickClient* client);
+
+  /// Work counters so far.
+  const SimCounters& counters() const { return counters_; }
+  /// Shorthands for two counters, read by the benchmark harness.
+  std::uint64_t ticks_covered() const { return counters_.ticks_covered; }
+  std::uint64_t ticks_executed() const { return counters_.ticks_executed; }
 
   /// Executed ticks whose per-tick profiler zones (sim.clients, sim.link)
   /// are timed: one in this many. Two clock reads per zone cost as much as
@@ -226,7 +246,7 @@ class Simulator {
   static constexpr std::uint64_t kProfiledTickEvery = 64;
   /// Whether the executing tick is one of those.
   bool profiled_tick() const {
-    return ticks_executed_ % kProfiledTickEvery == 0;
+    return counters_.ticks_executed % kProfiledTickEvery == 0;
   }
 
   // --- Watchdogs (vodx::chaos; both default off) -------------------------
@@ -352,10 +372,7 @@ class Simulator {
   /// between ticks.
   std::uint64_t passed_through_ = kAllPassed;
 
-  std::uint64_t ticks_covered_ = 0;
-  std::uint64_t ticks_executed_ = 0;
-  std::uint64_t client_ticks_ = 0;
-  std::uint64_t client_fast_forwards_ = 0;
+  SimCounters counters_;
 
   obs::Observer* obs_ = nullptr;
   // Cached metric handles (name lookup is too slow for per-tick updates).

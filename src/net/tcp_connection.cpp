@@ -1,6 +1,7 @@
 #include "net/tcp_connection.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/error.h"
@@ -37,7 +38,7 @@ void TcpConnection::start_transfer(Seconds now, Bytes bytes,
                                    Seconds extra_wait) {
   VODX_ASSERT(!busy(), "transfer already in flight on " + label_);
   VODX_ASSERT(bytes > 0, "transfer needs payload");
-  if (link_ != nullptr) link_->wake_for_transfer();
+  if (link_ != nullptr) link_->poke();
   transfer_size_ = bytes;
   transfer_remaining_ = static_cast<double>(bytes);
   transfer_delivered_ = 0;
@@ -124,6 +125,7 @@ void TcpConnection::close() {
 
 void TcpConnection::abort_transfer() {
   if (!busy()) return;
+  if (link_ != nullptr) link_->poke();
   if (obs::trace_on(obs_, obs::Category::kTcp)) {
     obs_->trace.end(obs_->trace.now(), obs::Category::kTcp, "tcp.transfer",
                     obs_track_,
@@ -138,6 +140,15 @@ void TcpConnection::abort_transfer() {
 Bps TcpConnection::demand() const {
   if (phase_ != Phase::kStreaming) return 0;
   return static_cast<double>(cwnd_) * 8.0 / config_.rtt;
+}
+
+double TcpConnection::ticks_before_streaming(Seconds dt) const {
+  // advance() ends a wait once wait_remaining_ <= 1e-12, and a handshake
+  // hands over to one request RTT. The 1e-6-tick margin absorbs the
+  // rounding of the per-tick subtractions, so the bound errs early.
+  const Seconds wait =
+      wait_remaining_ + (phase_ == Phase::kHandshake ? config_.rtt : 0);
+  return std::ceil((wait - 1e-12) / dt - 1e-6) - 1;
 }
 
 void TcpConnection::enter_streaming(Seconds now) {
@@ -211,6 +222,7 @@ void TcpConnection::advance(Seconds now, Seconds dt, Bps granted,
       if (transfer_remaining_ <= 1e-9) {
         transfer_delivered_ = transfer_size_;
         phase_ = config_.persistent ? Phase::kIdle : Phase::kClosed;
+        if (link_ != nullptr) ++link_->completions_;
         idle_since_ = now;
         if (goodput_metric_ != nullptr && now > transfer_started_) {
           goodput_metric_->record(

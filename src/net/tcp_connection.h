@@ -2,8 +2,10 @@
 //
 // We do not simulate packets. A connection is a rate-limited pipe whose cap
 // is cwnd/RTT; the Link grants each active connection a max-min fair share of
-// the bottleneck every tick. The model keeps the TCP behaviours that the
-// paper's findings hinge on:
+// the bottleneck every tick (replaying the ticks of a span it slept through,
+// so the connection's state is current as of the link's last tick or
+// catch-up). The model keeps the TCP behaviours that the paper's findings
+// hinge on:
 //
 //  * connection setup costs a handshake RTT, and every request costs one RTT
 //    before the first response byte (so non-persistent connections pay
@@ -91,12 +93,13 @@ class TcpConnection {
   /// Abandons the in-flight transfer without firing its callback. Bytes
   /// already delivered stay counted in lifetime_delivered(). The connection
   /// is closed: a real client cannot cleanly reuse a connection with an
-  /// abandoned response in flight.
+  /// abandoned response in flight. Pokes the attached link first, so a
+  /// sleeping link replays the transfer up to now before it ends.
   void abort_transfer();
 
   /// Hard-closes the connection (e.g. after a mid-transfer reset observed by
-  /// the HTTP layer). Aborts any in-flight transfer; a subsequent
-  /// start_transfer re-pays the handshake.
+  /// the HTTP layer). Aborts any in-flight transfer (which pokes the link);
+  /// a subsequent start_transfer re-pays the handshake.
   void close();
 
   bool busy() const { return phase_ != Phase::kClosed && phase_ != Phase::kIdle; }
@@ -124,12 +127,19 @@ class TcpConnection {
   Bps demand() const;
 
   /// Advances the connection by dt with the granted rate. `saturated` is true
-  /// when the link could not satisfy this connection's full demand.
+  /// when the link could not satisfy this connection's full demand. A link
+  /// that slept through a span makes these calls when it catches up, so
+  /// whoever reads the connection from outside the link's tick catches the
+  /// link up first (Simulator::poke or sync).
   void advance(Seconds now, Seconds dt, Bps granted, bool saturated);
 
  private:
   enum class Phase { kClosed, kHandshake, kRequestWait, kStreaming, kIdle };
 
+  /// Span planning: a lower bound on the ticks of `dt` a waiting connection
+  /// (handshake or request wait) still spends before the tick in which it
+  /// starts streaming.
+  double ticks_before_streaming(Seconds dt) const;
   void enter_streaming(Seconds now);
   void grow_cwnd(Bytes acked, Bps granted, bool saturated);
   std::vector<obs::Field> transfer_end_fields(Bytes delivered,

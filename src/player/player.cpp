@@ -966,6 +966,14 @@ void Player::complete_segment(FetchInfo info) {
     // over the time at least one transfer was active. This naturally
     // accounts for parallel segment downloads and for audio sharing the
     // pipe — a per-download rate would see only a fraction of the link.
+    // The player's last tick may have read the tally while the link slept
+    // through a span; here, inside the link's tick, the tally is current,
+    // so the meter catches up to the same sum the per-tick loop reached.
+    if (state_ == PlayerState::kStartup || state_ == PlayerState::kPlaying ||
+        state_ == PlayerState::kRebuffering) {
+      account_meter(client_->deliveries().ticks_before(sim_.now()),
+                    sim_.tick_duration());
+    }
     const Bytes delivered = client_->total_delivered();
     if (meter_busy_time_ > 1e-3) {
       estimator_.add_download(delivered - meter_bytes_anchor_,

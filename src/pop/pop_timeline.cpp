@@ -89,7 +89,7 @@ void record_capacity(obs::Timeline& timeline, const net::BandwidthTrace& trace,
   }
 }
 
-TowerSampler::TowerSampler(obs::Timeline& timeline, const net::Link& link,
+TowerSampler::TowerSampler(obs::Timeline& timeline, net::Link& link,
                            SampleFn fn)
     : timeline_(timeline), link_(link), fn_(std::move(fn)) {
   concurrent_ = timeline_.add_series("concurrent", obs::Timeline::Fold::kSum);

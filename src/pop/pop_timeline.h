@@ -83,7 +83,7 @@ class TowerSampler : public net::TickClient {
 
   /// `timeline` must outlive the sampler and hold the make_tower_timeline
   /// schema; `fn` is invoked once per bin close.
-  TowerSampler(obs::Timeline& timeline, const net::Link& link, SampleFn fn);
+  TowerSampler(obs::Timeline& timeline, net::Link& link, SampleFn fn);
 
   void tick(Seconds now, Seconds dt) override;
   Seconds next_wake(Seconds now) override;
@@ -97,7 +97,7 @@ class TowerSampler : public net::TickClient {
   void close_bin();
 
   obs::Timeline& timeline_;
-  const net::Link& link_;
+  net::Link& link_;
   SampleFn fn_;
   int closed_ = 0;  ///< bins [0, closed_) are final
   Bytes last_delivered_ = 0;

@@ -350,10 +350,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   report.capped_arrivals = capped;
   report.peak_concurrent = peak;
   report.time_of_peak = peak_time;
-  report.ticks_covered = sim.ticks_covered();
-  report.ticks_executed = sim.ticks_executed();
-  report.client_ticks = sim.client_ticks();
-  report.client_fast_forwards = sim.client_fast_forwards();
+  report.sim = sim.counters();
 
   // Fold in arrival order, so every sum below runs in the same order
   // however the sessions departed.
@@ -615,8 +612,9 @@ Table tower_table(const PopulationReport& report) {
                         diag::to_string(static_cast<diag::Cause>(c)));
     }
   }
-  columns.insert(columns.end(), {"ticks_covered", "ticks_executed",
-                                 "client_ticks", "client_fast_forwards"});
+  columns.insert(columns.end(),
+                 {"ticks_covered", "ticks_executed", "client_ticks",
+                  "client_fast_forwards", "events_fired"});
   Table table;
   table.add_columns(std::move(columns), Table::Kind::kNumber);
   for (std::size_t i = 0; i < report.towers.size(); ++i) {
@@ -639,8 +637,9 @@ Table tower_table(const PopulationReport& report) {
         row.push_back(format("%.3f", blamed));
       }
     }
-    for (const std::uint64_t n : {t.ticks_covered, t.ticks_executed,
-                                  t.client_ticks, t.client_fast_forwards}) {
+    for (const std::uint64_t n :
+         {t.sim.ticks_covered, t.sim.ticks_executed, t.sim.client_ticks,
+          t.sim.fast_forwards, t.sim.events_fired}) {
       row.push_back(std::to_string(n));
     }
     table.add_row(std::move(row));

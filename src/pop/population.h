@@ -201,13 +201,8 @@ struct TowerReport {
   int diag_skipped = 0;
   /// The tower's shared origin-tier totals (zero unless origin enabled).
   origin::OriginState::Totals origin_totals;
-  /// Simulator work counters (net::Simulator): grid ticks covered (equal
-  /// on both cores), ticks executed, TickClient::tick calls, and the
-  /// catch-ups of clients that slept (0 on the fixed core).
-  std::uint64_t ticks_covered = 0;
-  std::uint64_t ticks_executed = 0;
-  std::uint64_t client_ticks = 0;
-  std::uint64_t client_fast_forwards = 0;
+  /// The tower simulator's work counters.
+  net::SimCounters sim;
 };
 
 /// The population axis of the paper's per-service tables: Table 2's issue

@@ -10,6 +10,8 @@
 // scenario in the catalog.
 #include <gtest/gtest.h>
 
+#include "player/config.h"
+#include "services/service_catalog.h"
 #include "testing/differential.h"
 
 namespace vodx {
@@ -76,6 +78,25 @@ TEST(DifferentialCore, HardenedPlayersUnderFaultsMatch) {
     if (entry != nullptr) failures += entry->count;
   }
   EXPECT_GT(failures, 0);
+}
+
+TEST(DifferentialCore, MeterReadsWhileTheLinkSleepsMatch) {
+  // A player that ticks while the link sleeps through a span reads a stale
+  // DeliveryTally; by its next video completion its meter must still hold
+  // the sum the per-tick loop reached. Per-segment SR keeps a player awake
+  // on every tick, so every player reads the tally mid-span.
+  batch::SweepConfig config;
+  for (const services::ServiceSpec& spec : services::catalog()) {
+    config.services.push_back(spec);
+    config.services.back().player.sr = player::SrPolicy::kPerSegment;
+  }
+  config.profiles = {3, 7};
+  config.session_duration = 120;
+  config.content_duration = 120;
+  config.sim_core = net::SimCore::kEvent;
+  const std::string event = batch::sweep_csv(batch::run_sweep(config));
+  config.sim_core = net::SimCore::kFixedTickReference;
+  EXPECT_EQ(batch::sweep_csv(batch::run_sweep(config)), event);
 }
 
 }  // namespace

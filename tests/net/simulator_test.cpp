@@ -189,7 +189,7 @@ TEST(SimulatorClients, RemovalFromInsideAnEventCallback) {
   // Events fire before clients tick, so a misses the 0.5 s tick itself.
   EXPECT_EQ(a.ticks, 49);
   EXPECT_EQ(b.ticks, 100);
-  EXPECT_EQ(sim.client_ticks(), 149u);
+  EXPECT_EQ(sim.counters().client_ticks, 149u);
 }
 
 TEST(SimulatorClients, RemovedClientIsNeverTickedPolledOrFastForwarded) {
@@ -231,7 +231,7 @@ TEST(SimulatorClients, DoubleAndUnknownRemovalsAreNoOps) {
   sim.run_until(0.03);
   EXPECT_EQ(std::string(log.begin(), log.end()), "abbb");
   EXPECT_EQ(never.ticks, 0);
-  EXPECT_EQ(sim.client_ticks(), 4u);
+  EXPECT_EQ(sim.counters().client_ticks, 4u);
 }
 
 // --- The wake heap: due clients, pokes and catch-up ------------------------

@@ -59,15 +59,16 @@ PopulationReport expect_identical_on_both_cores(PopulationConfig config) {
   for (std::size_t t = 0; t < event.towers.size(); ++t) {
     TowerReport& e = event.towers[t];
     TowerReport& f = fixed.towers[t];
-    EXPECT_EQ(e.ticks_covered, f.ticks_covered);
-    EXPECT_EQ(f.ticks_executed, f.ticks_covered);
-    EXPECT_LE(e.ticks_executed, f.ticks_executed);
-    EXPECT_LE(e.client_ticks, f.client_ticks);
-    EXPECT_GT(e.client_fast_forwards, 0u);
-    EXPECT_EQ(f.client_fast_forwards, 0u);
-    e.ticks_executed = f.ticks_executed = 0;
-    e.client_ticks = f.client_ticks = 0;
-    e.client_fast_forwards = 0;
+    EXPECT_EQ(e.sim.ticks_covered, f.sim.ticks_covered);
+    EXPECT_EQ(e.sim.events_fired, f.sim.events_fired);
+    EXPECT_EQ(f.sim.ticks_executed, f.sim.ticks_covered);
+    EXPECT_LE(e.sim.ticks_executed, f.sim.ticks_executed);
+    EXPECT_LE(e.sim.client_ticks, f.sim.client_ticks);
+    EXPECT_GT(e.sim.fast_forwards, 0u);
+    EXPECT_EQ(f.sim.fast_forwards, 0u);
+    e.sim.ticks_executed = f.sim.ticks_executed = 0;
+    e.sim.client_ticks = f.sim.client_ticks = 0;
+    e.sim.fast_forwards = 0;
   }
 
   EXPECT_EQ(population_text(event), population_text(fixed));
