@@ -8,10 +8,7 @@
 #include "common/error.h"
 #include "core/session_factory.h"
 #include "manifest/dash_mpd.h"
-#include "manifest/hls.h"
-#include "manifest/smooth.h"
-#include "manifest/uri.h"
-#include "media/sidx.h"
+#include "player/media_source.h"
 #include "services/content_factory.h"
 
 namespace vodx::core {
@@ -262,7 +259,19 @@ class SyncFetcher {
     return *out;
   }
 
-  const http::OriginServer& origin() const { return origin_; }
+  /// Resolves the origin's presentation the way a player does.
+  manifest::Presentation resolve(manifest::Protocol protocol) {
+    std::optional<manifest::Presentation> out;
+    std::optional<std::string> error;
+    player::MediaSource source(client_, {.protocol = protocol});
+    source.resolve(
+        origin_.manifest_url(),
+        [&](manifest::Presentation p) { out = std::move(p); },
+        [&](const std::string& reason) { error = reason; });
+    while (!out && !error) sim_.run_for(0.1);
+    if (error) throw Error("manifest resolution failed: " + *error);
+    return std::move(*out);
+  }
 
  private:
   net::Simulator sim_;
@@ -326,110 +335,23 @@ EncodingProbe probe_encoding(const services::ServiceSpec& spec) {
   }
 
   SyncFetcher fetcher(spec);
-
-  auto head_size = [&](const std::string& url) {
-    http::Response r = fetcher.fetch({http::Method::kHead, url, std::nullopt});
-    return r.ok() ? r.head_content_length : 0;
-  };
-
-  if (spec.protocol == manifest::Protocol::kDash) {
-    http::Response mpd_resp =
-        fetcher.fetch({http::Method::kGet, "/manifest.mpd", std::nullopt});
-    manifest::DashMpd mpd = manifest::DashMpd::parse(mpd_resp.body);
-    const manifest::DashRepresentation* top = nullptr;
-    for (const auto& set : mpd.adaptation_sets) {
-      if (set.content_type != media::ContentType::kVideo) continue;
-      for (const auto& rep : set.representations) {
-        if (top == nullptr || rep.bandwidth > top->bandwidth) top = &rep;
-      }
-    }
-    VODX_ASSERT(top != nullptr, "MPD without video");
-    if (!top->segments.empty()) {
+  const manifest::Presentation presentation = fetcher.resolve(spec.protocol);
+  VODX_ASSERT(!presentation.video.empty(), "presentation without video");
+  // DASH sizes come from the MPD or the sidx, HLS v4 sizes from byte
+  // ranges; every other segment costs one HEAD.
+  const manifest::ClientTrack& top = presentation.video.back();
+  for (const manifest::ClientSegment& seg : top.segments) {
+    Bytes size = seg.size;
+    if (size > 0) {
       probe.sizes_from_wire = true;
-      for (const auto& seg : top->segments) {
-        probe.ratios.push_back(
-            rate_of(seg.media_range.length(), seg.duration) / top->bandwidth);
-      }
-    } else if (top->index_range) {
-      const std::string media_url =
-          manifest::uri_resolve("/manifest.mpd", top->base_url);
-      http::Response sidx_resp = fetcher.fetch(
-          {http::Method::kGet, media_url, top->index_range});
-      media::SidxBox sidx = media::parse_sidx(sidx_resp.body);
-      probe.sizes_from_wire = true;
-      for (const auto& ref : sidx.references) {
-        const Seconds d =
-            static_cast<double>(ref.subsegment_duration) / sidx.timescale;
-        probe.ratios.push_back(
-            rate_of(static_cast<Bytes>(ref.referenced_size), d) /
-            top->bandwidth);
-      }
     } else {
-      // SegmentTemplate: HEAD every fragment.
-      for (int i = 0; i < static_cast<int>(top->template_durations.size());
-           ++i) {
-        const Bytes size = head_size(
-            manifest::uri_resolve("/manifest.mpd", top->template_url(i)));
-        if (size > 0) {
-          probe.ratios.push_back(
-              rate_of(size, top->template_durations[static_cast<std::size_t>(
-                                i)]) /
-              top->bandwidth);
-        }
-      }
+      http::Response r =
+          fetcher.fetch({http::Method::kHead, seg.ref.url, std::nullopt});
+      size = r.ok() ? r.head_content_length : 0;
     }
-    return probe;
-  }
-
-  if (spec.protocol == manifest::Protocol::kHls) {
-    http::Response master_resp =
-        fetcher.fetch({http::Method::kGet, "/master.m3u8", std::nullopt});
-    manifest::HlsMasterPlaylist master =
-        manifest::HlsMasterPlaylist::parse(master_resp.body);
-    const manifest::HlsVariant* top = nullptr;
-    for (const auto& v : master.variants) {
-      if (top == nullptr || v.bandwidth > top->bandwidth) top = &v;
-    }
-    VODX_ASSERT(top != nullptr, "master playlist without variants");
-    const std::string playlist_url =
-        manifest::uri_resolve("/master.m3u8", top->uri);
-    manifest::HlsMediaPlaylist playlist = manifest::HlsMediaPlaylist::parse(
-        fetcher.fetch({http::Method::kGet, playlist_url, std::nullopt}).body);
-    for (const auto& seg : playlist.segments) {
-      Bytes size = 0;
-      if (seg.byterange) {
-        size = seg.byterange->length();  // HLS v4: size is in the playlist
-        probe.sizes_from_wire = true;
-      } else {
-        size = head_size(manifest::uri_resolve(playlist_url, seg.uri));
-      }
-      if (size > 0) {
-        probe.ratios.push_back(rate_of(size, seg.duration) / top->bandwidth);
-      }
-    }
-    return probe;
-  }
-
-  // SmoothStreaming: HEAD every fragment of the top quality level.
-  manifest::SmoothManifest manifest = manifest::SmoothManifest::parse(
-      fetcher.fetch({http::Method::kGet, "/manifest.ism", std::nullopt}).body);
-  for (const auto& stream : manifest.stream_indexes) {
-    if (stream.type != media::ContentType::kVideo) continue;
-    const manifest::SmoothQualityLevel* top = nullptr;
-    for (const auto& q : stream.quality_levels) {
-      if (top == nullptr || q.bitrate > top->bitrate) top = &q;
-    }
-    VODX_ASSERT(top != nullptr, "SmoothStreaming without quality levels");
-    for (int i = 0; i < static_cast<int>(stream.chunk_durations.size()); ++i) {
-      const std::string url = manifest::uri_resolve(
-          "/manifest.ism",
-          stream.fragment_url(top->bitrate, stream.chunk_start_ticks(i)));
-      const Bytes size = head_size(url);
-      if (size > 0) {
-        probe.ratios.push_back(
-            rate_of(size, stream.chunk_durations[static_cast<std::size_t>(i)]) /
-            top->bitrate);
-      }
+    if (size > 0) {
+      probe.ratios.push_back(rate_of(size, seg.duration) /
+                             top.declared_bitrate);
     }
   }
   return probe;

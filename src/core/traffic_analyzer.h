@@ -3,20 +3,22 @@
 // Input: the proxy's raw TrafficLog. Output: per-track metadata and every
 // media segment download with its track level, index, duration, bytes and
 // timing. The analyzer is deliberately *protocol-generic* — it recognises
-// HLS, DASH and SmoothStreaming by content, parses the same manifests the
-// client received, and maps requests to segments:
+// HLS, DASH and SmoothStreaming by content and resolves the same manifests
+// the client received through the client's own resolver
+// (manifest::resolve_manifest / complete_track), fed with the media
+// playlists and sidx boxes found on the wire. Each track's level is its
+// position in the sorted ladder, and each of its segments maps a request:
 //
-//   HLS    segment URL -> (variant, index) via the media playlists
-//   DASH   (URL, byte range) -> segment via MPD SegmentList ranges, or via
-//          sidx boxes observed on the wire; sub-range requests (the D3 split
-//          download) are grouped back into their segment
-//   SS     fragment URL -> (quality level, chunk) by expanding the manifest's
-//          URL template exactly as a client would
+//   whole resources (HLS .ts, DASH templates, SS fragments): URL -> segment
+//   byte ranges (DASH, HLS v4): (URL, range) -> segment; sub-range requests
+//          (the D3 split download) are grouped back into their segment
 //
-// When the manifest is application-layer encrypted (the D3 case), the
-// analyzer falls back to the sidx boxes alone and, following the paper's
-// footnote 4, uses each track's peak actual segment bitrate as its declared
-// bitrate.
+// An HLS variant whose media playlist never crossed the wire stays on the
+// ladder without segments; a DASH SegmentBase track whose sidx never did is
+// dropped. When the manifest is application-layer encrypted (the D3 case),
+// the analyzer falls back to the sidx boxes alone and, following the
+// paper's footnote 4, uses each track's peak actual segment bitrate as its
+// declared bitrate.
 #pragma once
 
 #include <memory>

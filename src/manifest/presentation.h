@@ -1,13 +1,22 @@
-// Protocol-neutral client-side view of a media presentation.
+// Protocol-neutral client-side view of a media presentation, and the one
+// translation from manifest bytes to it.
 //
 // Whatever HAS protocol a service speaks, after resolving its manifests the
-// client (and the traffic analyzer) ends up with this structure: tracks with
+// client and the traffic analyzer end up with this structure: tracks with
 // declared bitrates and, per segment, a URL (plus optional byte range),
 // duration, and — when the protocol exposes it — the exact size.
+//
+// Resolution is two pure steps. resolve_manifest() reads the root manifest
+// (HLS master playlist, DASH MPD, SmoothStreaming manifest); each track it
+// returns is either complete or names the one resource it still waits on —
+// its HLS media playlist or its DASH sidx box. complete_track() finishes
+// such a track from that resource's bytes. The player fetches the resources
+// (player::MediaSource); the analyzer finds them on the wire.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.h"
@@ -83,8 +92,32 @@ struct Presentation {
   Seconds duration() const;
   bool separate_audio() const { return !audio.empty(); }
 
+  /// Appends `track` to the ladder of its content type.
+  void add(ClientTrack track);
   /// Sorts ladders ascending by declared bitrate (call after building).
   void sort_tracks();
 };
+
+/// A track as its root manifest describes it. Without `pending` it is
+/// complete; with it, its segments come from one more resource: a media
+/// playlist (an unranged reference, HLS) or a sidx box (a ranged reference
+/// into the media file, DASH SegmentBase).
+struct TrackDraft {
+  ClientTrack track;
+  std::optional<MediaRef> pending;
+};
+
+/// Translates a root manifest fetched from `url` — an HLS master playlist, a
+/// clear-text DASH MPD or a SmoothStreaming manifest — into its tracks, in
+/// manifest order. Throws ParseError on malformed input, on a master
+/// playlist without variants and on a representation without segment
+/// information.
+std::vector<TrackDraft> resolve_manifest(Protocol protocol,
+                                         std::string_view url,
+                                         std::string_view body);
+
+/// Completes a pending track from the bytes of the resource it waits on.
+/// Throws ParseError when they are not a valid media playlist / sidx box.
+ClientTrack complete_track(TrackDraft draft, std::string_view body);
 
 }  // namespace vodx::manifest

@@ -1,4 +1,4 @@
-// Client-side manifest resolution.
+// Client-side manifest fetching.
 //
 // Drives the HTTP fetches a real player performs before it can stream:
 //
@@ -7,9 +7,11 @@
 //          mandatory, since byte ranges are unknown without it
 //   SS     the single manifest
 //
-// The result is a protocol-neutral Presentation. For the D3-style service
-// the MPD arrives application-layer encrypted; the client holds the app key
-// (can_descramble) while the man-in-the-middle does not.
+// What the bytes mean is manifest::resolve_manifest / complete_track's
+// business; this class is the fetch plumbing around them: one request at a
+// time, retries, droppable per-track fetches and descrambling. For the
+// D3-style service the MPD arrives application-layer encrypted; the client
+// holds the app key (can_descramble) while the man-in-the-middle does not.
 #pragma once
 
 #include <deque>
@@ -61,9 +63,8 @@ class MediaSource {
   void fail(const std::string& reason);
   void finish();
 
-  void handle_hls_master(const std::string& url, const http::Response& resp);
-  void handle_dash_mpd(const std::string& url, const http::Response& resp);
-  void handle_smooth(const std::string& url, const http::Response& resp);
+  /// Resolves the root manifest and queues each pending track's fetch.
+  void handle_manifest(const std::string& url, const http::Response& resp);
 
   http::HttpClient& client_;
   Options options_;
