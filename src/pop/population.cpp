@@ -221,12 +221,8 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   std::vector<SessionOutcome> outcomes(arrivals.size());  ///< by arrival
   // Arrival indices of the sessions between arrival and departure: the
   // sampler's walk. Its order is irrelevant, the sample is integer counts.
+  // A departed session counts in no later bin, whatever state it left in.
   std::vector<std::size_t> live;
-  // A departed session's sample is frozen, so its share of every later bin
-  // is counted once, at departure. stop() parks a player in kEnded, which
-  // counts nothing, unless it had already failed: a failed session has
-  // always stayed in the bin counts after departure.
-  LiveSample departed;
   int peak = 0;
   Seconds peak_time = 0;
 
@@ -312,7 +308,6 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
           Hosted& h = hosted[i];
           h.session->stop();  // also leaves the simulator's client list
           std::erase(live, i);
-          add_to_sample(departed, h.session->sample());
           if (diagnosed_ordinal(i)) return;  // diagnosis needs it after
           fold_outcome(i, config.horizon);
           h.session.reset();
@@ -333,7 +328,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
     record_schedule(timeline, arrivals, config.horizon);
     record_capacity(timeline, link.trace(), config.horizon);
     sampler = std::make_unique<TowerSampler>(timeline, link, [&] {
-      LiveSample sample = departed;
+      LiveSample sample;
       for (std::size_t i : live) {
         add_to_sample(sample, hosted[i].session->sample());
       }

@@ -1,13 +1,15 @@
 // Conservation invariants of one population tower, on both simulator cores:
 // the shared link never carries more than its trace offers, both cores
-// deliver the same bytes, and a session that departed receives nothing
-// after its departure.
+// deliver the same bytes, a session that departed receives nothing after
+// its departure, and no more sessions count as live than have arrived and
+// not yet departed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "faults/fault_plan.h"
 #include "net/simulator.h"
 #include "pop/population.h"
 
@@ -96,6 +98,38 @@ TEST(TowerConservation, DepartedSessionsReceiveNoBytesAfterDeparture) {
           << "session " << i;
     }
     EXPECT_GT(departed, 40);
+  }
+}
+
+TEST(TowerConservation, ConcurrentNeverExceedsArrivalsMinusDepartures) {
+  // Every request fails, so every session reaches kFailed during startup,
+  // long before its departure.
+  faults::ErrorFault error;
+  error.status = 503;
+  error.probability = 1;
+  for (net::SimCore core :
+       {net::SimCore::kEvent, net::SimCore::kFixedTickReference}) {
+    PopulationConfig config = small_tower(core);
+    config.fault_plan.name = "all-503";
+    config.fault_plan.errors.push_back(error);
+    const TowerReport tower = run_population(config).towers.at(0);
+    int failed_departed = 0;
+    for (const SessionOutcome& o : tower.outcomes) {
+      if (o.final_state == "failed" && o.departure < config.horizon) {
+        ++failed_departed;
+      }
+    }
+    EXPECT_GT(failed_departed, 40);
+    const std::vector<double> arrivals = series(tower, "arrivals");
+    const std::vector<double> departures = series(tower, "departures");
+    const std::vector<double> concurrent = series(tower, "concurrent");
+    ASSERT_EQ(arrivals.size(), concurrent.size());
+    ASSERT_EQ(departures.size(), concurrent.size());
+    double live = 0;
+    for (std::size_t b = 0; b < concurrent.size(); ++b) {
+      live += arrivals[b] - departures[b];
+      EXPECT_LE(concurrent[b], live) << "bin " << b;
+    }
   }
 }
 
