@@ -1,6 +1,7 @@
 #include "manifest/hls.h"
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/error.h"
@@ -145,8 +146,12 @@ HlsMediaPlaylist HlsMediaPlaylist::parse(std::string_view text) {
       if (at == std::string_view::npos) {
         throw ParseError("EXT-X-BYTERANGE needs length@offset");
       }
-      Bytes length = parse_int(rest.substr(0, at));
-      Bytes offset = parse_int(rest.substr(at + 1));
+      const Bytes length = parse_int(rest.substr(0, at));
+      const Bytes offset = parse_int(rest.substr(at + 1));
+      if (length <= 0 || offset < 0 ||
+          length > std::numeric_limits<Bytes>::max() - offset) {
+        throw ParseError("invalid EXT-X-BYTERANGE: " + std::string(rest));
+      }
       pending->byterange = ByteRange{offset, offset + length - 1};
     } else if (line == "#EXT-X-ENDLIST") {
       break;

@@ -102,6 +102,16 @@ TEST(HlsMedia, RejectsTrailingExtinf) {
       ParseError);
 }
 
+TEST(HlsMedia, RejectsInvalidByteRange) {
+  for (const char* range : {"0@0", "-5@10", "5@-1", "9223372036854775807@1"}) {
+    EXPECT_THROW(HlsMediaPlaylist::parse(
+                     std::string("#EXTM3U\n#EXTINF:4.0,\n#EXT-X-BYTERANGE:") +
+                     range + "\nseg.ts\n"),
+                 ParseError)
+        << range;
+  }
+}
+
 TEST(HlsMedia, TargetDurationCeilsFractional) {
   HlsMediaPlaylist playlist;
   playlist.target_duration = 3.2;
