@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/report.h"
 #include "common/strings.h"
@@ -24,11 +25,6 @@ struct Evidence {
   Cause cause = Cause::kUnknown;
   double confidence = 0;
   std::string note;
-};
-
-struct Step {
-  Seconds time = 0;
-  double value = 0;
 };
 
 double step_value_at(const std::vector<Step>& steps, Seconds t,
@@ -65,22 +61,24 @@ bool is_name(const obs::Event& event, const char* name) {
 }
 
 EvidenceIndex build_index(const core::SessionResult& result,
-                          const std::vector<obs::Event>& events,
+                          const obs::TraceSink& trace,
                           const std::optional<faults::FaultPlan>& plan,
-                          const DiagOptions& options) {
+                          const DiagOptions& options,
+                          const std::vector<Step>& capacity) {
   EvidenceIndex index;
   const Seconds ramp = options.restart_ramp_rtts * net::kRtt;
 
   // Open tcp.transfer spans per track (transfers never nest on a track).
   std::vector<std::pair<int, TransferSpan>> open;
   std::vector<TransferSpan> transfers;
+  std::vector<Step> traced_capacity;
 
-  for (const obs::Event& event : events) {
+  trace.for_each([&](const obs::Event& event) {
     switch (event.category) {
       case obs::Category::kLink:
         if (event.kind == obs::EventKind::kCounter &&
             is_name(event, "link.capacity_mbps")) {
-          index.capacity_mbps.push_back(
+          traced_capacity.push_back(
               {event.sim_time, obs::field_num(event, "value")});
         }
         break;
@@ -161,7 +159,13 @@ EvidenceIndex build_index(const core::SessionResult& result,
       default:
         break;
     }
-  }
+  });
+  // std::merge is stable and prefers the first range on ties, so an outside
+  // step is in force before a same-instant traced one.
+  index.capacity_mbps.reserve(capacity.size() + traced_capacity.size());
+  std::merge(capacity.begin(), capacity.end(), traced_capacity.begin(),
+             traced_capacity.end(), std::back_inserter(index.capacity_mbps),
+             [](const Step& a, const Step& b) { return a.time < b.time; });
   // Transfers still in flight at the end of the window: evidence up to the
   // session end, first byte possibly never seen.
   for (const auto& [track, t] : open) {
@@ -456,11 +460,14 @@ double Diagnosis::stall_attributed_fraction() const {
 }
 
 Diagnosis diagnose(const core::SessionResult& result,
-                   const std::vector<obs::Event>& events,
+                   const obs::Observer& observer,
                    const std::optional<faults::FaultPlan>& plan,
-                   const DiagOptions& options) {
-  const EvidenceIndex index = build_index(result, events, plan, options);
+                   const DiagOptions& options,
+                   const std::vector<Step>& capacity) {
+  const EvidenceIndex index =
+      build_index(result, observer.trace, plan, options, capacity);
   Diagnosis diagnosis;
+  diagnosis.trace_dropped = observer.trace.dropped();
 
   const player::PlayerEvents& truth = result.events;
   // Startup: press-play to first rendered frame; a session that never
@@ -493,16 +500,6 @@ Diagnosis diagnose(const core::SessionResult& result,
         diagnosis.blamed_s[c] > 0 ? conf_weight[c] / diagnosis.blamed_s[c]
                                   : 0;
   }
-  return diagnosis;
-}
-
-Diagnosis diagnose(const core::SessionResult& result,
-                   const obs::Observer& observer,
-                   const std::optional<faults::FaultPlan>& plan,
-                   const DiagOptions& options) {
-  Diagnosis diagnosis =
-      diagnose(result, observer.trace.snapshot(), plan, options);
-  diagnosis.trace_dropped = observer.trace.dropped();
   return diagnosis;
 }
 

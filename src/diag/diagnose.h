@@ -90,19 +90,24 @@ struct Diagnosis {
   double stall_attributed_fraction() const;
 };
 
-/// Diagnoses a finished session from its retained trace window. `events`
-/// must be in emission order (TraceSink::snapshot() shape). `plan` supplies
-/// blackout windows; fired faults are read from the trace itself.
-Diagnosis diagnose(const core::SessionResult& result,
-                   const std::vector<obs::Event>& events,
-                   const std::optional<faults::FaultPlan>& plan = {},
-                   const DiagOptions& options = {});
+/// One step of a piecewise-constant series: `value` holds from `time`
+/// until the next step.
+struct Step {
+  Seconds time = 0;
+  double value = 0;
+};
 
-/// Convenience: snapshots the observer's ring and records its drop count.
+/// Diagnoses a finished session from the observer's retained trace window,
+/// read in place, and records the ring's drop count. `plan` supplies
+/// blackout windows; fired faults are read from the trace itself.
+/// `capacity` is link capacity evidence from outside the session's trace
+/// (Mbps, time-sorted), such as a pop tower's fair share; at an equal stamp
+/// it precedes the trace's own link.capacity_mbps counters.
 Diagnosis diagnose(const core::SessionResult& result,
                    const obs::Observer& observer,
                    const std::optional<faults::FaultPlan>& plan = {},
-                   const DiagOptions& options = {});
+                   const DiagOptions& options = {},
+                   const std::vector<Step>& capacity = {});
 
 /// Per-interval blame table plus per-cause totals, for the single-session
 /// `vodx diagnose <service>` view. Byte-stable.

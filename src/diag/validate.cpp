@@ -46,15 +46,16 @@ Seconds overlap(const std::vector<Span>& merged, Seconds start, Seconds end) {
 
 /// Ground truth: every fired fault instant and every plan blackout window,
 /// extended by the influence window the attributor itself uses.
-std::vector<Span> truth_windows(const std::vector<obs::Event>& events,
+std::vector<Span> truth_windows(const obs::TraceSink& trace,
                                 const std::optional<faults::FaultPlan>& plan,
                                 const DiagOptions& diag) {
   std::vector<Span> spans;
-  for (const obs::Event& event : events) {
-    if (event.category != obs::Category::kFault) continue;
-    if (event.kind != obs::EventKind::kInstant) continue;
-    spans.push_back({event.sim_time, event.sim_time + diag.fault_influence});
-  }
+  trace.for_each([&](const obs::Event& event) {
+    if (event.category == obs::Category::kFault &&
+        event.kind == obs::EventKind::kInstant) {
+      spans.push_back({event.sim_time, event.sim_time + diag.fault_influence});
+    }
+  });
   if (plan.has_value()) {
     for (const faults::BlackoutFault& b : plan->blackouts) {
       spans.push_back(
@@ -131,11 +132,10 @@ ValidationReport validate(const ValidateOptions& options) {
                                        cell.cell.fault_index);
         plan = std::move(p);
       }
-      const std::vector<obs::Event> events = observer.trace.snapshot();
       const Diagnosis diagnosis =
-          diagnose(cell.result, events, plan, options.diag);
+          diagnose(cell.result, observer, plan, options.diag);
       const std::vector<Span> truth =
-          truth_windows(events, plan, options.diag);
+          truth_windows(observer.trace, plan, options.diag);
       const std::vector<Span> lenient =
           widen(truth, options.carry_grace);
       for (const IntervalDiagnosis& interval : diagnosis.intervals) {

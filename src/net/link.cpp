@@ -161,7 +161,7 @@ void Link::tick(Seconds now, Seconds dt) {
   bool steady = true;  // every connection streams now iff it did before
   double nearest_end = std::numeric_limits<double>::infinity();  // bytes
   double quiet = std::numeric_limits<double>::infinity();  // ticks
-  Seconds sample_at = kNeverWakes;  // a traced connection's cwnd sample
+  Seconds sample_at = kNeverWakes;  // a connection's next cwnd sample
   double clamp_margin = std::numeric_limits<double>::infinity();
   int streamers = 0;
   const std::uint64_t epoch = detach_epoch_;
@@ -188,7 +188,7 @@ void Link::tick(Seconds now, Seconds dt) {
       nearest_end = std::min(nearest_end, c->transfer_remaining_);
       clamp_margin = std::min(
           clamp_margin, (c->config_.queue_headroom - 1) * c->config_.rtt);
-      if (obs::trace_on(c->obs_, obs::Category::kTcp)) {
+      if (c->samples_cwnd()) {
         sample_at = std::min(sample_at, c->last_cwnd_emit_ + c->config_.rtt);
       }
     } else {
@@ -225,7 +225,7 @@ void Link::tick(Seconds now, Seconds dt) {
     quiet = std::min(quiet, std::floor((nearest_end - 1) / bytes_per_tick));
   }
   // Sleep through `quiet` ticks and wake on the next one; stop before a
-  // traced cwnd sample and before the trace steps.
+  // cwnd sample and before the trace steps.
   span_wake_ = std::min({now + (quiet + 0.5) * dt, sample_at - dt / 2,
                          trace_.next_change_after(now)});
 }

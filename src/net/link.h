@@ -9,14 +9,15 @@
 // The link is a TickClient that sleeps through spans it can predict. Each
 // tick, in the same pass that advances the connections, it bounds the first
 // tick at which the allocation could change: a transfer could complete, a
-// waiting connection could start streaming, a traced connection samples
-// its cwnd, or the bandwidth trace steps (BandwidthTrace::next_change_after,
-// which also keeps the obs capacity timeline lossless). next_wake() returns
-// that tick, and fast_forward() replays the slept ticks exactly, tick by
-// tick over the span's busy connections. Whatever changes a connection from
-// outside the link's tick pokes the link first: a transfer start, an abort
-// or close, a detach. A reader that changes nothing catches it up without
-// rescheduling it (total_delivered()).
+// waiting connection could start streaming, a connection samples its cwnd
+// series (TcpConnection::samples_cwnd), or the bandwidth trace steps
+// (BandwidthTrace::next_change_after, which also keeps the obs capacity
+// timeline lossless). next_wake() returns that tick, and fast_forward()
+// replays the slept ticks exactly, tick by tick over the span's busy
+// connections. Whatever changes a connection from outside the link's tick
+// pokes the link first: a transfer start, an abort or close, a detach. A
+// reader that changes nothing catches it up without rescheduling it
+// (total_delivered()).
 #pragma once
 
 #include <vector>

@@ -212,7 +212,7 @@ void TcpConnection::advance(Seconds now, Seconds dt, Bps granted,
       if (newly > 0 && tally_ != nullptr) tally_->note(now);
       grow_cwnd(static_cast<Bytes>(delivered + 0.5), granted, saturated);
       const bool tracing = obs::trace_on(obs_, obs::Category::kTcp);
-      if (tracing && now - last_cwnd_emit_ >= config_.rtt) {
+      if (samples_cwnd() && now - last_cwnd_emit_ >= config_.rtt) {
         // Sampled at RTT granularity: cwnd only changes meaningfully
         // per-RTT, and per-tick emission would swamp the ring.
         obs_->trace.counter(now, obs::Category::kTcp, "tcp.cwnd_kb",

@@ -72,6 +72,13 @@ class TcpConnection {
   /// track ("tcp <label>") carrying transfer spans, handshake / idle-restart
   /// instants and a cwnd counter sampled at most once per RTT.
   void set_observer(obs::Observer* observer);
+  /// Whether the connection samples its tcp.cwnd_kb series: tcp tracing on
+  /// and obs::kTcpCwndSeries kept by the mask. The emission site and the
+  /// link's span planner both ask this, so a masked series wakes no tick.
+  bool samples_cwnd() const {
+    return obs_ != nullptr &&
+           obs_->trace.enabled(obs::Category::kTcp, obs::kTcpCwndSeries);
+  }
   /// Trace track id assigned by set_observer (for callers — the HTTP layer
   /// — that overlay their own spans on this connection's timeline).
   int obs_track() const { return obs_track_; }

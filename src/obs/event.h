@@ -34,6 +34,12 @@ enum class Category : std::uint32_t {
 
 constexpr std::uint32_t kAllCategories = 0xffffffffu;
 
+/// Mask bits above the categories switch one high-rate series on its own;
+/// the series' events keep their category. kAllCategories sets them, so a
+/// default sink records the series, and a mask built from category bits
+/// leaves it out.
+constexpr std::uint32_t kTcpCwndSeries = 1u << 16;  ///< tcp.cwnd_kb per RTT
+
 constexpr std::uint32_t bit(Category category) {
   return static_cast<std::uint32_t>(category);
 }

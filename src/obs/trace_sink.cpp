@@ -107,17 +107,6 @@ std::vector<Event> TraceSink::snapshot() const {
   return out;
 }
 
-void TraceSink::for_each(const std::function<void(const Event&)>& fn) const {
-  if (count_ < capacity_) {
-    for (std::size_t i = 0; i < count_; ++i) fn(ring_[i]);
-    return;
-  }
-  // Full ring: oldest is the slot the next event would overwrite.
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    fn(ring_[(next_ + i) % capacity_]);
-  }
-}
-
 // Drops the retained window only; emitted()/dropped() are lifetime totals
 // (seq stays monotonic across a clear, so merged exports remain ordered).
 void TraceSink::clear() {

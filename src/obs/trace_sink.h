@@ -33,9 +33,14 @@ class TraceSink {
   bool enabled(Category category) const {
     return enabled_ && (mask_ & bit(category)) != 0;
   }
+  /// A series switch (kTcpCwndSeries) records only while the mask keeps
+  /// both its category and its own bit.
+  bool enabled(Category category, std::uint32_t series) const {
+    return enabled(category) && (mask_ & series) == series;
+  }
   void set_enabled(bool on) { enabled_ = on; }
 
-  /// Per-category mask; defaults to everything.
+  /// Per-category mask (plus series bits); defaults to everything.
   void set_category_mask(std::uint32_t mask) { mask_ = mask; }
   void enable(Category category) { mask_ |= bit(category); }
   void disable(Category category) { mask_ &= ~bit(category); }
@@ -80,8 +85,17 @@ class TraceSink {
   /// Retained events, oldest first (emission order; seq is monotonic).
   std::vector<Event> snapshot() const;
 
-  /// Visits retained events oldest-first without copying.
-  void for_each(const std::function<void(const Event&)>& fn) const;
+  /// Visits retained events oldest-first, in place.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    if (count_ < capacity_) {
+      for (std::size_t i = 0; i < count_; ++i) fn(ring_[i]);
+      return;
+    }
+    // Full ring: oldest is the slot the next event would overwrite.
+    for (std::size_t i = next_; i < capacity_; ++i) fn(ring_[i]);
+    for (std::size_t i = 0; i < next_; ++i) fn(ring_[i]);
+  }
 
   void clear();
 

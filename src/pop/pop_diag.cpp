@@ -7,49 +7,22 @@
 
 namespace vodx::pop {
 
-std::vector<obs::Event> fair_share_capacity_events(
-    const obs::Timeline& timeline) {
-  std::vector<obs::Event> events;
+std::vector<diag::Step> fair_share_capacity(const obs::Timeline& timeline) {
+  std::vector<diag::Step> steps;
   const int capacity = timeline.find("capacity_mbit");
   const int concurrent = timeline.find("concurrent");
   if (capacity < 0 || concurrent < 0 || timeline.bin_width() <= 0) {
-    return events;
+    return steps;
   }
-  events.reserve(static_cast<std::size_t>(timeline.bin_count()));
+  steps.reserve(static_cast<std::size_t>(timeline.bin_count()));
   for (int bin = 0; bin < timeline.bin_count(); ++bin) {
     const double capacity_mbps =
         timeline.value(capacity, bin) / timeline.bin_width();
-    const double share =
-        capacity_mbps / std::max(1.0, timeline.value(concurrent, bin));
-    obs::Event event;
-    event.sim_time = timeline.bin_start(bin);
-    event.seq = static_cast<std::uint64_t>(bin);
-    event.category = obs::Category::kLink;
-    event.kind = obs::EventKind::kCounter;
-    event.name = "link.capacity_mbps";
-    event.fields.push_back(obs::Field::n("value", share));
-    events.push_back(std::move(event));
+    steps.push_back(
+        {timeline.bin_start(bin),
+         capacity_mbps / std::max(1.0, timeline.value(concurrent, bin))});
   }
-  return events;
-}
-
-diag::Diagnosis diagnose_session(
-    const core::SessionResult& result, const obs::Observer& observer,
-    const std::vector<obs::Event>& capacity_events,
-    const diag::DiagOptions& options) {
-  const std::vector<obs::Event> trace = observer.trace.snapshot();
-  std::vector<obs::Event> merged;
-  merged.reserve(trace.size() + capacity_events.size());
-  // std::merge is stable and prefers the first range on ties, so a bin's
-  // share precedes same-instant session events.
-  std::merge(capacity_events.begin(), capacity_events.end(), trace.begin(),
-             trace.end(), std::back_inserter(merged),
-             [](const obs::Event& a, const obs::Event& b) {
-               return a.sim_time < b.sim_time;
-             });
-  diag::Diagnosis diagnosis = diag::diagnose(result, merged, {}, options);
-  diagnosis.trace_dropped = observer.trace.dropped();
-  return diagnosis;
+  return steps;
 }
 
 void fold_blame_bins(obs::Timeline& timeline,

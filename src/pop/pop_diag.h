@@ -8,9 +8,11 @@
 //     capacity counters (the link has one observer, the sessions have
 //     their own), so the capacity evidence diag needs is synthesised from
 //     the tower timeline instead: each bin's trace capacity divided by its
-//     concurrent-session count is that bin's max-min fair share, emitted as
-//     the same "link.capacity_mbps" counter events the single-session
-//     stack produces and merged time-sorted into each session's trace.
+//     concurrent-session count is that bin's max-min fair share. The tower
+//     builds this step series once and hands it to diag::diagnose beside
+//     each session's trace ring, which diag reads in place.
+//   * A diagnosed session's observer records only the evidence diag reads
+//     (kDiagEvidenceMask), so diagnosis adds no link wake-ups to the tower.
 //   * Diagnosed sessions need the full finish() analysis (finish_light
 //     leaves result.traffic empty, which would blind the deficit/ABR
 //     rules), so diagnosis is bounded by a per-tower session budget.
@@ -22,28 +24,26 @@
 
 #include <vector>
 
-#include "core/session.h"
 #include "diag/diagnose.h"
-#include "obs/observer.h"
+#include "obs/event.h"
 #include "obs/timeline.h"
 
 namespace vodx::pop {
 
-/// Synthesises per-bin fair-share capacity counters from a tower timeline:
-/// one kLink/kCounter "link.capacity_mbps" event per bin at the bin start,
-/// value = bin capacity (Mbps) / max(1, concurrent sessions in the bin).
-/// Empty when the timeline lacks the capacity or concurrent series.
-std::vector<obs::Event> fair_share_capacity_events(
-    const obs::Timeline& timeline);
+/// What a diagnosed session's observer records: the categories diag reads
+/// (tcp transfers, restarts and handshakes; faults; link; origin). Every
+/// other emission site stays on its null-observer fast path. The mask
+/// leaves out obs::kTcpCwndSeries: diag never reads the per-RTT cwnd
+/// samples, and each one would wake the tower's shared link.
+constexpr std::uint32_t kDiagEvidenceMask =
+    obs::bit(obs::Category::kTcp) | obs::bit(obs::Category::kFault) |
+    obs::bit(obs::Category::kLink) | obs::bit(obs::Category::kOrigin);
 
-/// Diagnoses one finished session: merges `capacity_events` (time-sorted)
-/// into the observer's retained trace — capacity first at equal stamps, so
-/// a bin's share is in force before anything that happens inside it — and
-/// runs diag::diagnose over the combined evidence.
-diag::Diagnosis diagnose_session(const core::SessionResult& result,
-                                 const obs::Observer& observer,
-                                 const std::vector<obs::Event>& capacity_events,
-                                 const diag::DiagOptions& options);
+/// The tower's per-bin max-min fair share as a capacity step series: one
+/// step per bin at the bin start, value = bin capacity (Mbps) /
+/// max(1, concurrent sessions in the bin). Empty when the timeline lacks
+/// the capacity or concurrent series.
+std::vector<diag::Step> fair_share_capacity(const obs::Timeline& timeline);
 
 /// Spreads every blame span over the timeline's blame_* series by overlap:
 /// each bin gains the seconds of the span that fall inside it.

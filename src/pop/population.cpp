@@ -226,9 +226,8 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   int peak = 0;
   Seconds peak_time = 0;
 
-  // Per-session observers for the diagnosed prefix of the arrival order.
-  // Masked to the evidence categories diag reads, so undiagnosed-category
-  // emission sites stay on their null-observer fast path.
+  // Per-session observers for the diagnosed prefix of the arrival order,
+  // masked to the evidence diag reads (kDiagEvidenceMask).
   const bool diagnose = config.diagnose;
   std::vector<std::unique_ptr<obs::Observer>> observers(
       diagnose ? arrivals.size() : 0);
@@ -262,6 +261,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const Arrival& a = arrivals[i];
     sim.schedule(a.at, [&, i] {
+      VODX_PROFILE_ZONE("pop.setup");
       const Arrival& arr = arrivals[i];
       core::SessionConfig session_config = factory.config(
           pool[static_cast<std::size_t>(arr.service_index)],
@@ -285,10 +285,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       }
       if (diagnosed_ordinal(i)) {
         observers[i] = std::make_unique<obs::Observer>(std::size_t{1} << 15);
-        observers[i]->trace.set_category_mask(
-            obs::bit(obs::Category::kTcp) | obs::bit(obs::Category::kFault) |
-            obs::bit(obs::Category::kLink) |
-            obs::bit(obs::Category::kOrigin));
+        observers[i]->trace.set_category_mask(kDiagEvidenceMask);
         observers[i]->trace.set_clock([&sim] { return sim.now(); });
         session_config.observer = observers[i].get();
       }
@@ -305,6 +302,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       slot.departure = std::min(arr.at + arr.watch, config.horizon);
       if (slot.departure < config.horizon) {
         sim.schedule(std::max(0.0, slot.departure - sim.now()), [&, i] {
+          VODX_PROFILE_ZONE("pop.fold");
           Hosted& h = hosted[i];
           h.session->stop();  // also leaves the simulator's client list
           std::erase(live, i);
@@ -328,6 +326,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
     record_schedule(timeline, arrivals, config.horizon);
     record_capacity(timeline, link.trace(), config.horizon);
     sampler = std::make_unique<TowerSampler>(timeline, link, [&] {
+      VODX_PROFILE_ZONE("pop.sample");
       LiveSample sample;
       for (std::size_t i : live) {
         add_to_sample(sample, hosted[i].session->sample());
@@ -352,20 +351,25 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   std::vector<double> startups;
   std::vector<double> stalls;
   std::vector<double> rates;
-  for (std::size_t i = 0; i < hosted.size(); ++i) {
-    if (!hosted[i].arrived) continue;  // arrival beyond the run
-    if (hosted[i].session != nullptr) fold_outcome(i, sim.now());
-    SessionOutcome& outcome = outcomes[i];
-    outcome.ordinal = static_cast<int>(report.outcomes.size());
-    if (outcome.startup_delay >= 0) startups.push_back(outcome.startup_delay);
-    stalls.push_back(outcome.stall_time);
-    rates.push_back(outcome.mbps);
-    report.outcomes.push_back(std::move(outcome));
+  {
+    VODX_PROFILE_ZONE("pop.fold");
+    for (std::size_t i = 0; i < hosted.size(); ++i) {
+      if (!hosted[i].arrived) continue;  // arrival beyond the run
+      if (hosted[i].session != nullptr) fold_outcome(i, sim.now());
+      SessionOutcome& outcome = outcomes[i];
+      outcome.ordinal = static_cast<int>(report.outcomes.size());
+      if (outcome.startup_delay >= 0) {
+        startups.push_back(outcome.startup_delay);
+      }
+      stalls.push_back(outcome.stall_time);
+      rates.push_back(outcome.mbps);
+      report.outcomes.push_back(std::move(outcome));
+    }
   }
 
   if (diagnose) {
-    const std::vector<obs::Event> capacity_events =
-        fair_share_capacity_events(timeline);
+    VODX_PROFILE_ZONE("pop.diag");
+    const std::vector<diag::Step> capacity = fair_share_capacity(timeline);
     for (std::size_t i = 0; i < hosted.size(); ++i) {
       if (!hosted[i].arrived) continue;
       if (observers[i] == nullptr) {
@@ -378,7 +382,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       // whether diagnosis is on or off.
       const core::SessionResult full = hosted[i].session->finish(sim.now());
       const diag::Diagnosis diagnosis =
-          diagnose_session(full, *observers[i], capacity_events, {});
+          diag::diagnose(full, *observers[i], {}, {}, capacity);
       report.diag.fold(diagnosis);
       fold_blame_bins(timeline, diagnosis);
     }

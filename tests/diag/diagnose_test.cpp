@@ -11,14 +11,11 @@
 namespace vodx::diag {
 namespace {
 
-std::uint64_t g_seq = 0;
-
 obs::Event event(Seconds t, obs::Category category, obs::EventKind kind,
                  const char* name, int track,
                  std::vector<obs::Field> fields = {}) {
   obs::Event e;
   e.sim_time = t;
-  e.seq = ++g_seq;
   e.category = category;
   e.kind = kind;
   e.name = name;
@@ -30,6 +27,16 @@ obs::Event event(Seconds t, obs::Category category, obs::EventKind kind,
 obs::Event capacity(Seconds t, double mbps) {
   return event(t, obs::Category::kLink, obs::EventKind::kCounter,
                "link.capacity_mbps", 0, {obs::Field::n("value", mbps)});
+}
+
+/// Diagnoses synthetic events the way a session's trace ring holds them.
+Diagnosis diagnose_events(const core::SessionResult& r,
+                          const std::vector<obs::Event>& events,
+                          const std::optional<faults::FaultPlan>& plan = {},
+                          const DiagOptions& options = {}) {
+  obs::Observer observer;
+  for (const obs::Event& e : events) observer.trace.emit(e);
+  return diagnose(r, observer, plan, options);
 }
 
 /// A session that played from t=0 with one stall and a 1 Mbps bottom rung.
@@ -52,7 +59,7 @@ TEST(Diagnose, CleanSessionHasNoProblemTime) {
   r.session_end = 60;
   r.events.session_start = 0;
   r.events.playback_started = 0;
-  const Diagnosis d = diagnose(r, std::vector<obs::Event>{});
+  const Diagnosis d = diagnose_events(r, {});
   EXPECT_TRUE(d.intervals.empty());
   EXPECT_DOUBLE_EQ(d.problem_s(), 0);
   EXPECT_DOUBLE_EQ(d.attributed_fraction(), 1);
@@ -62,7 +69,7 @@ TEST(Diagnose, CleanSessionHasNoProblemTime) {
 TEST(Diagnose, SpansTileEveryProblemInterval) {
   core::SessionResult r = result_with_stall(10, 14);
   std::vector<obs::Event> events = {capacity(0, 5.0), capacity(12, 0.2)};
-  const Diagnosis d = diagnose(r, events);
+  const Diagnosis d = diagnose_events(r, events);
   ASSERT_EQ(d.intervals.size(), 1u);
   const IntervalDiagnosis& stall = d.intervals[0];
   ASSERT_FALSE(stall.spans.empty());
@@ -73,6 +80,21 @@ TEST(Diagnose, SpansTileEveryProblemInterval) {
   }
 }
 
+TEST(Diagnose, OutsideCapacityStepsPrecedeTracedOnesAtEqualStamps) {
+  core::SessionResult r = result_with_stall(10, 14);
+  obs::Observer observer;
+  observer.trace.emit(capacity(10, 5.0));
+  // The outside series alone says deficit from t=10; the traced 5 Mbps
+  // step at the same stamp lands after it and wins.
+  const std::vector<Step> outside = {{0, 5.0}, {10, 0.1}};
+  const Diagnosis merged = diagnose(r, observer, {}, {}, outside);
+  EXPECT_DOUBLE_EQ(
+      merged.stall_blamed_s[static_cast<int>(Cause::kLinkDeficit)], 0);
+  const Diagnosis alone = diagnose(r, obs::Observer(), {}, {}, outside);
+  EXPECT_DOUBLE_EQ(alone.stall_blamed_s[static_cast<int>(Cause::kLinkDeficit)],
+                   4);
+}
+
 TEST(Diagnose, FaultEvidenceOutranksCapacityDeficit) {
   core::SessionResult r = result_with_stall(10, 14);
   // Capacity argues link.deficit for the whole stall, but a fired fault
@@ -81,7 +103,7 @@ TEST(Diagnose, FaultEvidenceOutranksCapacityDeficit) {
       capacity(0, 0.1),
       event(10, obs::Category::kFault, obs::EventKind::kInstant,
             "fault.error", 0)};
-  const Diagnosis d = diagnose(r, events);
+  const Diagnosis d = diagnose_events(r, events);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kFaultInjected)],
                    4);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kLinkDeficit)],
@@ -103,7 +125,7 @@ TEST(Diagnose, StartupFirstByteWaitBlamedOnOrigin) {
              obs::Field::n("restart", 0),
              obs::Field::n("sender_limited_s", 0),
              obs::Field::n("link_limited_s", 0.2)})};
-  const Diagnosis d = diagnose(r, events);
+  const Diagnosis d = diagnose_events(r, events);
   ASSERT_EQ(d.intervals.size(), 1u);
   EXPECT_TRUE(d.intervals[0].startup);
   EXPECT_GE(d.blamed_s[static_cast<int>(Cause::kOriginLatency)], 1.8);
@@ -115,7 +137,7 @@ TEST(Diagnose, StartupFirstByteWaitBlamedOnOrigin) {
 TEST(Diagnose, CapacityBelowLowestRungIsLinkDeficit) {
   core::SessionResult r = result_with_stall(20, 30);
   std::vector<obs::Event> events = {capacity(0, 5.0), capacity(18, 0.2)};
-  const Diagnosis d = diagnose(r, events);
+  const Diagnosis d = diagnose_events(r, events);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kLinkDeficit)],
                    10);
   EXPECT_DOUBLE_EQ(d.stall_attributed_fraction(), 1);
@@ -132,7 +154,7 @@ TEST(Diagnose, FetchingAboveCapacityIsAbrOverestimate) {
   download.requested_at = 5;
   r.traffic.downloads.push_back(download);
   std::vector<obs::Event> events = {capacity(0, 1.5)};
-  const Diagnosis d = diagnose(r, events);
+  const Diagnosis d = diagnose_events(r, events);
   EXPECT_DOUBLE_EQ(
       d.stall_blamed_s[static_cast<int>(Cause::kAbrOverestimate)], 4);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kLinkDeficit)],
@@ -145,7 +167,7 @@ TEST(Diagnose, IdleRestartChargesTheRampWindow) {
       capacity(0, 5.0),
       event(9.9, obs::Category::kTcp, obs::EventKind::kInstant,
             "tcp.idle_restart", 2, {obs::Field::n("idle_s", 12.0)})};
-  const Diagnosis d = diagnose(r, events);
+  const Diagnosis d = diagnose_events(r, events);
   EXPECT_DOUBLE_EQ(
       d.stall_blamed_s[static_cast<int>(Cause::kTcpSlowStartRestart)], 1);
 }
@@ -157,10 +179,10 @@ TEST(Diagnose, BlackoutWindowsComeFromThePlan) {
   faults::FaultPlan plan;
   plan.name = "blackout";
   plan.blackouts.push_back({100, 20});
-  const Diagnosis d = diagnose(r, std::vector<obs::Event>{}, plan);
+  const Diagnosis d = diagnose_events(r, {}, plan);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kFaultInjected)],
                    10);
-  const Diagnosis without = diagnose(r, std::vector<obs::Event>{});
+  const Diagnosis without = diagnose_events(r, {});
   EXPECT_DOUBLE_EQ(
       without.stall_blamed_s[static_cast<int>(Cause::kFaultInjected)], 0);
 }
@@ -176,7 +198,7 @@ TEST(Diagnose, FaultCarryForwardIsCapped) {
             "fault.reset", 0)};
   DiagOptions options;
   options.lookback = 0;
-  const Diagnosis d = diagnose(r, events, {}, options);
+  const Diagnosis d = diagnose_events(r, events, {}, options);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kFaultInjected)],
                    16);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kUnknown)], 14);
@@ -189,7 +211,7 @@ TEST(Diagnose, LookbackResolvesBlindStallOpening) {
   // lookback must find the deficit and carry it in (at reduced confidence).
   core::SessionResult r = result_with_stall(10, 20);
   std::vector<obs::Event> events = {capacity(0, 0.2), capacity(10, 5.0)};
-  const Diagnosis d = diagnose(r, events);
+  const Diagnosis d = diagnose_events(r, events);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kLinkDeficit)],
                    10);
   ASSERT_EQ(d.intervals.size(), 1u);
@@ -201,7 +223,7 @@ TEST(Diagnose, LookbackResolvesBlindStallOpening) {
 TEST(Diagnose, OngoingStallRunsToSessionEnd) {
   core::SessionResult r = result_with_stall(100, -1, /*session_end=*/120);
   std::vector<obs::Event> events = {capacity(0, 0.2)};
-  const Diagnosis d = diagnose(r, events);
+  const Diagnosis d = diagnose_events(r, events);
   ASSERT_EQ(d.intervals.size(), 1u);
   EXPECT_DOUBLE_EQ(d.intervals[0].end, 120);
   EXPECT_DOUBLE_EQ(d.stall_s(), 20);
@@ -212,7 +234,7 @@ TEST(Diagnose, NeverStartedSessionIsOneStartupInterval) {
   r.session_end = 30;
   r.events.session_start = 0;
   r.events.playback_started = -1;
-  const Diagnosis d = diagnose(r, std::vector<obs::Event>{});
+  const Diagnosis d = diagnose_events(r, {});
   ASSERT_EQ(d.intervals.size(), 1u);
   EXPECT_TRUE(d.intervals[0].startup);
   EXPECT_DOUBLE_EQ(d.intervals[0].duration(), 30);
@@ -224,8 +246,8 @@ TEST(Diagnose, DiagnosisTextIsDeterministic) {
       capacity(0, 0.2),
       event(11, obs::Category::kFault, obs::EventKind::kInstant,
             "fault.error", 0)};
-  const std::string a = diagnosis_text(diagnose(r, events));
-  const std::string b = diagnosis_text(diagnose(r, events));
+  const std::string a = diagnosis_text(diagnose_events(r, events));
+  const std::string b = diagnosis_text(diagnose_events(r, events));
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("root-cause attribution"), std::string::npos);
 }
