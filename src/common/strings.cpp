@@ -80,6 +80,20 @@ double parse_double(std::string_view text) {
   return value;
 }
 
+std::string format_double(double value, std::chars_format style,
+                          int precision) {
+  // 400 bytes hold any double at the precisions the reports use; a longer
+  // rendering (fixed style near DBL_MAX at a large precision) takes printf.
+  char buffer[400];
+  const std::to_chars_result result = std::to_chars(
+      buffer, buffer + sizeof buffer, value, style, precision);
+  if (result.ec != std::errc()) {
+    return format(style == std::chars_format::fixed ? "%.*f" : "%.*g",
+                  precision, value);
+  }
+  return std::string(buffer, result.ptr);
+}
+
 std::string format(const char* fmt, ...) {
   // One pass into a stack buffer fits nearly every call; longer output
   // takes a second pass into an exactly sized string.

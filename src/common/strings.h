@@ -1,6 +1,7 @@
 // Small string utilities used by the manifest parsers and formatters.
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +26,12 @@ double parse_double(std::string_view text);
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// `value` exactly as printf's "%.<precision>g" (style general) or
+/// "%.<precision>f" (style fixed) prints it, but through std::to_chars:
+/// no format string to parse, no locale.
+std::string format_double(double value, std::chars_format style,
+                          int precision);
 
 /// Escapes &, <, > and " for HTML text and attribute values.
 std::string html_escape(std::string_view raw);

@@ -197,6 +197,8 @@ void for_each_row(const PopulationReport& report,
 /// the union schema; its series order is the canonical column order for
 /// every row, and a series a row lacks exports as 0.
 Table timeline_table(const PopulationReport& report) {
+  constexpr std::chars_format kFixed = std::chars_format::fixed;
+  constexpr std::chars_format kGeneral = std::chars_format::general;
   const std::vector<obs::Timeline::Series>& schema = report.timeline.all();
   std::vector<std::string> numbers = {"bin", "t_start_s"};
   for (const obs::Timeline::Series& series : schema) {
@@ -217,13 +219,14 @@ Table timeline_table(const PopulationReport& report) {
       row.reserve(schema.size() + 5);
       row.push_back(key);
       row.push_back(std::to_string(bin));
-      row.push_back(format("%.3f", timeline.bin_start(bin)));
+      // About 324k cells per pop pass: to_chars, not printf, renders them.
+      row.push_back(format_double(timeline.bin_start(bin), kFixed, 3));
       for (const int index : columns) {
-        row.push_back(
-            format("%.6g", index >= 0 ? timeline.value(index, bin) : 0.0));
+        row.push_back(format_double(
+            index >= 0 ? timeline.value(index, bin) : 0.0, kGeneral, 6));
       }
-      row.push_back(format("%.6g", derived.stalled_frac[bin]));
-      row.push_back(format("%.6g", derived.utilization[bin]));
+      row.push_back(format_double(derived.stalled_frac[bin], kGeneral, 6));
+      row.push_back(format_double(derived.utilization[bin], kGeneral, 6));
       table.add_row(std::move(row));
     }
   });

@@ -2,10 +2,67 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace vodx {
 namespace {
+
+std::string printf_double(const char* conversion, int precision,
+                          double value) {
+  char buffer[512];
+  const std::string fmt = std::string("%.*") + conversion;
+  std::snprintf(buffer, sizeof buffer, fmt.c_str(), precision, value);
+  return buffer;
+}
+
+TEST(FormatDouble, MatchesPrintfGeneralAndFixed) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      1.0,
+      -1.0,
+      0.5,
+      0.125,
+      2.5,
+      1e-7,
+      123456.5,
+      999999.5,
+      1e21,
+      1e300,
+      -1e-300,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+  };
+  Rng rng(11);
+  for (int i = 0; i < 4000; ++i) {
+    // Mantissas over every magnitude a report can print, and exact
+    // round-half cases at 3 and 6 digits.
+    const double magnitude = std::pow(10.0, rng.uniform(-12, 12));
+    values.push_back(rng.uniform(-1, 1) * magnitude);
+    values.push_back(std::round(rng.uniform(0, 1e6)) / 1e3 + 0.0005);
+    values.push_back(std::round(rng.uniform(0, 2e6)) / 2);
+  }
+  for (const double v : values) {
+    for (const int precision : {0, 1, 3, 4, 6, 10, 17}) {
+      ASSERT_EQ(format_double(v, std::chars_format::general, precision),
+                printf_double("g", precision, v))
+          << "value " << v << " precision " << precision;
+      ASSERT_EQ(format_double(v, std::chars_format::fixed, precision),
+                printf_double("f", precision, v))
+          << "value " << v << " precision " << precision;
+    }
+  }
+}
 
 TEST(Split, KeepsEmptyFields) {
   EXPECT_EQ(split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
