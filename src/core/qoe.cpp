@@ -5,19 +5,6 @@
 
 namespace vodx::core {
 
-namespace {
-
-/// First wall time at which the (1 Hz, integer) playing position reached
-/// `position`; -1 if it never did.
-Seconds wall_when_position_reached(const UiInference& ui, Seconds position) {
-  for (const ProgressSample& s : ui.samples) {
-    if (static_cast<Seconds>(s.progress) >= position - 1e-9) return s.wall;
-  }
-  return -1;
-}
-
-}  // namespace
-
 double QoeReport::fraction_at_or_below(int height) const {
   if (displayed_time <= 0) return 0;
   Seconds below = 0;
@@ -47,24 +34,52 @@ QoeReport compute_qoe(const AnalyzedTraffic& traffic, const UiInference& ui,
 
   // Reconstruct which rendition of every index actually rendered: the last
   // download of that index completed before its play time wins (§4.1.1 —
-  // only the most recent download stays in the buffer).
+  // only the most recent download stays in the buffer). One pass: the
+  // candidate downloads are sorted by index, stably so that ties keep the
+  // first in the log; the segment start is a running sum; and the (1 Hz,
+  // integer) UI samples are read through a forward pointer.
   const AnalyzedTrack& reference = traffic.video_tracks.front();
   const int segment_count =
       static_cast<int>(reference.segment_durations.size());
   std::vector<const SegmentDownload*> winners(
       static_cast<std::size_t>(segment_count), nullptr);
 
+  std::vector<const SegmentDownload*> candidates;
+  for (const SegmentDownload& d : traffic.downloads) {
+    if (d.type == media::ContentType::kVideo && d.index >= 0 &&
+        d.index < segment_count && !d.aborted && d.completed_at >= 0) {
+      candidates.push_back(&d);
+    }
+  }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const SegmentDownload* a, const SegmentDownload* b) {
+                     return a->index < b->index;
+                   });
+
+  Seconds seg_start = 0;  // AnalyzedTrack::segment_start(index), summed
+  std::size_t sample = 0;
+  std::size_t next = 0;  // first candidate of this index
   for (int index = 0; index < segment_count; ++index) {
-    const Seconds seg_start = reference.segment_start(index);
+    if (index > 0) {
+      seg_start +=
+          reference.segment_durations[static_cast<std::size_t>(index - 1)];
+    }
     if (seg_start >= final_position - 1e-9) break;
-    const Seconds play_wall = wall_when_position_reached(ui, seg_start);
+    // First wall time at which the playing position reached seg_start; -1
+    // if it never did. seg_start only grows, so no sample before the
+    // pointer can be the first to reach it.
+    while (sample < ui.samples.size() &&
+           static_cast<Seconds>(ui.samples[sample].progress) <
+               seg_start - 1e-9) {
+      ++sample;
+    }
+    const Seconds play_wall =
+        sample < ui.samples.size() ? ui.samples[sample].wall : -1;
     const SegmentDownload* winner = nullptr;
     const SegmentDownload* earliest = nullptr;
-    for (const SegmentDownload& d : traffic.downloads) {
-      if (d.type != media::ContentType::kVideo || d.index != index ||
-          d.aborted || d.completed_at < 0) {
-        continue;
-      }
+    for (; next < candidates.size() && candidates[next]->index == index;
+         ++next) {
+      const SegmentDownload& d = *candidates[next];
       if (earliest == nullptr || d.completed_at < earliest->completed_at) {
         earliest = &d;
       }
