@@ -6,8 +6,9 @@
 #
 # Each pair runs vodxbench (--seed 7 --trace 0) once in each checkout; odd
 # pairs run the parent first, even pairs the change. The script prints each
-# run's result line and warm-pass digest, then per metric the median of each
-# side, the change's relative difference and the pairs the change won.
+# run's result line and warm-pass digest, then per metric each side's
+# quartiles, median and interquartile range (statistics.quantiles, exclusive
+# method), the change's relative median difference and the pairs it won.
 # pairs defaults to 5, seconds to 10.
 #
 # vodxbench builds into <checkout>/.bench_build. A build directory copied
@@ -79,14 +80,26 @@ for line in sys.stdin:
     side, _, result = line.strip().partition(" ")
     if result:
         runs[side].append(json.loads(result)["metrics"])
-print("%-16s %14s %14s %9s %6s" % ("metric", "parent_median", "change_median",
-                                   "change", "wins"))
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+columns = ("median", "q1", "q3", "iqr")
+print("%-16s" % "metric" + "".join(" %13s" % (side + "_" + c)
+                                   for side in ("parent", "change")
+                                   for c in columns) + " %8s %6s" % (
+                                       "change", "wins"))
 for name, up in higher.items():
     a = [m[name]["value"] for m in runs["parent"]]
     b = [m[name]["value"] for m in runs["change"]]
     wins = sum((y > x) if up else (y < x) for x, y in zip(a, b))
     ma, mb = statistics.median(a), statistics.median(b)
+    (a1, a3), (b1, b3) = quartiles(a), quartiles(b)
     delta = "%+.1f%%" % (100 * (mb / ma - 1)) if ma else "-"
-    print("%-16s %14.4f %14.4f %9s %3d/%d" % (name, ma, mb, delta, wins,
-                                              len(a)))
+    print("%-16s" % name + "".join(" %13.4f" % v for v in (
+        ma, a1, a3, a3 - a1, mb, b1, b3, b3 - b1)) + " %8s %3d/%d" % (
+            delta, wins, len(a)))
 ' "$change/BENCHMARK.json" <<<"$results"

@@ -38,8 +38,9 @@
 //                       escaped exception is reported (by chaos::run_checked)
 //                       as a violation rather than crashing the fuzz run
 //   cache.consistency   origin-tier edge-cache responses stay byte-identical
-//                       to the origin's canonical bytes (digest-checked on
-//                       every hit)
+//                       to the origin's canonical bytes (every hit checks
+//                       the identity its entry was filled for against the
+//                       requester's; titles are immutable)
 //   coalesce.no_dup_fetch  with coalescing enabled, a miss on a key whose
 //                       fill is in flight joins it — never a duplicate fetch
 //   failover.bounded    consecutive primary-DC failures never exceed the

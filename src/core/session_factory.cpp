@@ -102,6 +102,18 @@ void HostedSession::start() { player_.start(title_->manifest_url()); }
 void HostedSession::stop() { player_.stop(); }
 
 SessionResult HostedSession::finish(Seconds session_end) {
+  SessionResult result = finish_traffic(session_end);
+  result.ui = ui_monitor_.infer(result.events.session_start);
+  result.qoe =
+      compute_qoe(result.traffic, result.ui, session_end, qoe_options_);
+  result.buffer = infer_buffer(result.traffic, result.ui, session_end);
+  result.ground_truth =
+      qoe_from_events(result.events, result.traffic, session_end,
+                      qoe_options_);
+  return result;
+}
+
+SessionResult HostedSession::finish_traffic(Seconds session_end) {
   SessionResult result;
   result.session_end = session_end;
   result.events = player_.events();
@@ -118,13 +130,6 @@ SessionResult HostedSession::finish(Seconds session_end) {
     result.traffic = AnalyzedTraffic{};
     result.traffic.total_payload_bytes = proxy_.log().total_bytes();
   }
-  result.ui = ui_monitor_.infer(result.events.session_start);
-  result.qoe =
-      compute_qoe(result.traffic, result.ui, session_end, qoe_options_);
-  result.buffer = infer_buffer(result.traffic, result.ui, session_end);
-  result.ground_truth =
-      qoe_from_events(result.events, result.traffic, session_end,
-                      qoe_options_);
   if (injector_ != nullptr) result.faults = injector_->stats();
   return result;
 }

@@ -86,8 +86,8 @@ struct SessionFactory : net::SimSettings {
 /// start(); the session advances as the caller runs the simulator. stop()
 /// departs early: in-flight transfers abort, the HTTP client detaches from
 /// the link (its share redistributes next tick), the player parks in
-/// kEnded and deregisters from the simulator. finish()/finish_light()
-/// assemble the SessionResult.
+/// kEnded and deregisters from the simulator. finish(), finish_traffic()
+/// and finish_light() assemble the SessionResult.
 ///
 /// Must outlive neither the simulator nor the link; destroy sessions before
 /// the pair. A live session is destroyed only between runs (after
@@ -114,6 +114,11 @@ class HostedSession {
   /// Full methodology: traffic analysis, UI + buffer inference, QoE, ground
   /// truth — exactly what run_session has always reported.
   SessionResult finish(Seconds session_end);
+
+  /// finish() up to the traffic analysis: player events and the analyzed
+  /// wire log, which is all diag::diagnose reads. UI, QoE, buffer and
+  /// ground truth stay empty.
+  SessionResult finish_traffic(Seconds session_end);
 
   /// Population-scale result: ground truth only (player events + the wire
   /// log's byte total). Skips analyze_traffic and the buffer inference,

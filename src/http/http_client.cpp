@@ -76,16 +76,17 @@ int HttpClient::fetch(const Request& request, ResponseFn on_done) {
   if (connection == nullptr) return -1;
 
   ConnectionUsage& usage = usage_[connection];
+  // A new connection starts closed, so its first fetch names it here.
   if (!connection->connected()) {
     ++usage.generation;
     usage.requests_on_generation = 0;
+    usage.wire_name =
+        format("%s.%d", connection->label().c_str(), usage.generation);
   }
-  const std::string wire_name =
-      format("%s.%d", connection->label().c_str(), usage.generation);
 
   Response response = proxy_.resolve(request, sim_.now());
   const int id = proxy_.log().open(request.method, request.url, request.range,
-                                   sim_.now(), response, wire_name,
+                                   sim_.now(), response, usage.wire_name,
                                    usage.requests_on_generation);
   ++usage.requests_on_generation;
   if (requests_metric_ != nullptr) requests_metric_->add();

@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "http/proxy.h"
@@ -83,6 +84,7 @@ class HttpClient {
   struct ConnectionUsage {
     int generation = 0;
     int requests_on_generation = 0;
+    std::string wire_name;  ///< "<label>.<generation>", built per generation
   };
 
   net::TcpConnection* acquire_connection();

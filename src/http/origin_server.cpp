@@ -84,21 +84,20 @@ void OriginServer::build_hls() {
         seg.byterange = manifest::ByteRange{s.offset, s.offset + s.size - 1};
       } else {
         seg.uri = format("seg%d.ts", s.index);
-        media_segments_[format("/video/%d/seg%d.ts", level, s.index)] =
-            s.size;
+        add(format("/video/%d/seg%d.ts", level, s.index), s.size);
       }
       media_playlist.segments.push_back(seg);
     }
     if (config_.hls_byterange) {
       MediaFile file;
       file.total_size = track.total_size();
-      media_files_[format("/video/%d/media.ts", level)] = file;
+      add(format("/video/%d/media.ts", level), std::move(file));
     }
-    text_resources_[format("/video/%d/playlist.m3u8", level)] =
-        make_ok("application/vnd.apple.mpegurl", media_playlist.serialize());
+    add(format("/video/%d/playlist.m3u8", level),
+        make_ok("application/vnd.apple.mpegurl", media_playlist.serialize()));
   }
-  text_resources_["/master.m3u8"] =
-      make_ok("application/vnd.apple.mpegurl", master.serialize());
+  add("/master.m3u8",
+      make_ok("application/vnd.apple.mpegurl", master.serialize()));
 }
 
 void OriginServer::build_dash() {
@@ -125,8 +124,9 @@ void OriginServer::build_dash() {
         rep.start_number = 1;
         for (const media::Segment& seg : track.segments()) {
           rep.template_durations.push_back(seg.duration);
-          media_segments_[format("/%s/%zu/seg%d.m4s", prefix, level,
-                                 seg.index + rep.start_number)] = seg.size;
+          add(format("/%s/%zu/seg%d.m4s", prefix, level,
+                     seg.index + rep.start_number),
+              seg.size);
         }
         set.representations.push_back(std::move(rep));
         continue;
@@ -147,7 +147,7 @@ void OriginServer::build_dash() {
       }
       file.total_size = static_cast<Bytes>(file.index_blob.size()) +
                         track.total_size();
-      media_files_[file_url] = std::move(file);
+      add(file_url, std::move(file));
       set.representations.push_back(std::move(rep));
     }
     mpd.adaptation_sets.push_back(std::move(set));
@@ -158,11 +158,10 @@ void OriginServer::build_dash() {
 
   std::string body = mpd.serialize();
   if (config_.encrypt_manifest) {
-    text_resources_["/manifest.mpd"] =
-        make_ok("application/octet-stream", scramble_manifest(body));
+    add("/manifest.mpd",
+        make_ok("application/octet-stream", scramble_manifest(body)));
   } else {
-    text_resources_["/manifest.mpd"] =
-        make_ok("application/dash+xml", std::move(body));
+    add("/manifest.mpd", make_ok("application/dash+xml", std::move(body)));
   }
 }
 
@@ -194,8 +193,8 @@ void OriginServer::build_smooth() {
         const std::uint64_t ticks = static_cast<std::uint64_t>(std::llround(
             track.segment_start(s.index) *
             static_cast<double>(manifest::kSmoothTimescale)));
-        media_segments_["/" + stream.fragment_url(track.declared_bitrate(),
-                                                  ticks)] = s.size;
+        add("/" + stream.fragment_url(track.declared_bitrate(), ticks),
+            s.size);
       }
     }
     manifest.stream_indexes.push_back(std::move(stream));
@@ -204,8 +203,26 @@ void OriginServer::build_smooth() {
   build_stream(asset_.video_tracks(), media::ContentType::kVideo, "video");
   build_stream(asset_.audio_tracks(), media::ContentType::kAudio, "audio");
 
-  text_resources_["/manifest.ism"] =
-      make_ok("text/xml", manifest.serialize());
+  add("/manifest.ism", make_ok("text/xml", manifest.serialize()));
+}
+
+void OriginServer::add(std::string url, Bytes segment_size) {
+  resources_.insert_or_assign(std::move(url),
+                              Resource{Resource::Kind::kSegment, segment_size});
+}
+
+void OriginServer::add(std::string url, Response text) {
+  texts_.push_back(std::move(text));
+  resources_.insert_or_assign(
+      std::move(url), Resource{Resource::Kind::kText,
+                               static_cast<Bytes>(texts_.size() - 1)});
+}
+
+void OriginServer::add(std::string url, MediaFile file) {
+  files_.push_back(std::move(file));
+  resources_.insert_or_assign(
+      std::move(url), Resource{Resource::Kind::kFile,
+                               static_cast<Bytes>(files_.size() - 1)});
 }
 
 Response OriginServer::serve_media_file(const MediaFile& file,
@@ -244,25 +261,30 @@ Response OriginServer::handle(const Request& request) const {
     return response;
   };
 
-  if (auto it = text_resources_.find(request.url); it != text_resources_.end()) {
-    return finish(it->second);
+  const auto it = resources_.find(request.url);
+  if (it == resources_.end()) {
+    return make_error(404, "unknown resource: " + request.url);
   }
-  if (auto it = media_segments_.find(request.url);
-      it != media_segments_.end()) {
-    if (request.range) {
-      if (request.range->last >= it->second) {
-        return make_error(416, "range not satisfiable");
-      }
-      Response r = make_media("video/mp2t", request.range->length());
-      r.status = 206;
-      return finish(r);
+  const Resource& resource = it->second;
+  switch (resource.kind) {
+    case Resource::Kind::kText:
+      return finish(texts_[static_cast<std::size_t>(resource.value)]);
+    case Resource::Kind::kFile:
+      return finish(serve_media_file(
+          files_[static_cast<std::size_t>(resource.value)], request));
+    case Resource::Kind::kSegment:
+      break;
+  }
+  const Bytes segment_size = resource.value;
+  if (request.range) {
+    if (request.range->last >= segment_size) {
+      return make_error(416, "range not satisfiable");
     }
-    return finish(make_media("video/mp2t", it->second));
+    Response r = make_media("video/mp2t", request.range->length());
+    r.status = 206;
+    return finish(r);
   }
-  if (auto it = media_files_.find(request.url); it != media_files_.end()) {
-    return finish(serve_media_file(it->second, request));
-  }
-  return make_error(404, "unknown resource: " + request.url);
+  return finish(make_media("video/mp2t", segment_size));
 }
 
 }  // namespace vodx::http

@@ -17,8 +17,9 @@
 // client (which has the app's key) can.
 #pragma once
 
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "http/message.h"
 #include "manifest/dash_mpd.h"
@@ -63,16 +64,28 @@ class OriginServer {
     std::string index_blob;  ///< sidx bytes at the file head (may be empty)
   };
 
+  /// What one URL serves: a whole-file segment (`value` is its size), a
+  /// manifest or playlist (`value` indexes texts_) or a range-served media
+  /// file (`value` indexes files_). Small, because most URLs are segments.
+  struct Resource {
+    enum class Kind { kSegment, kText, kFile } kind = Kind::kSegment;
+    Bytes value = 0;
+  };
+
   void build_hls();
   void build_dash();
   void build_smooth();
+  void add(std::string url, Bytes segment_size);
+  void add(std::string url, Response text);
+  void add(std::string url, MediaFile file);
   Response serve_media_file(const MediaFile& file, const Request& request) const;
 
   media::VideoAsset asset_;
   OriginConfig config_;
-  std::map<std::string, Response> text_resources_;   ///< manifests, playlists
-  std::map<std::string, Bytes> media_segments_;      ///< whole-file segments
-  std::map<std::string, MediaFile> media_files_;     ///< range-served files
+  std::vector<Response> texts_;   ///< manifests, playlists
+  std::vector<MediaFile> files_;  ///< range-served files
+  /// Every URL the origin serves; handle() probes it once. Never iterated.
+  std::unordered_map<std::string, Resource> resources_;
 };
 
 }  // namespace vodx::http

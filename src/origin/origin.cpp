@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -124,62 +125,92 @@ void OriginState::Totals::merge_from(const Totals& other) {
   errors += other.errors;
 }
 
-void OriginState::touch(Entries::iterator it) {
-  auto node = lru_index.extract(it->second.lru);
-  it->second.lru = ++lru_tick;
-  node.key() = it->second.lru;
-  lru_index.insert(lru_index.end(), std::move(node));
+OriginState::Key OriginState::Key::make(std::uint32_t scope,
+                                        const http::Request& request) {
+  Key key{scope, request.method, request.url, request.range, 0};
+  std::uint64_t h = mix64(std::hash<std::string_view>{}(key.url) + scope);
+  h = mix64(h + static_cast<std::uint64_t>(key.method));
+  if (key.range) {
+    h = mix64(h + static_cast<std::uint64_t>(key.range->first));
+    h = mix64(h + static_cast<std::uint64_t>(key.range->last));
+  }
+  key.hash = static_cast<std::size_t>(h);
+  return key;
 }
 
-void OriginState::fill(const std::string& key, Entry entry,
-                       std::size_t capacity) {
-  auto [it, inserted] = entries.try_emplace(key);
-  if (!inserted) lru_index.erase(it->second.lru);
-  it->second = std::move(entry);
-  it->second.lru = ++lru_tick;
-  lru_index.emplace_hint(lru_index.end(), it->second.lru, it);
-  while (entries.size() > capacity) erase(lru_index.begin()->second);
+bool OriginState::Key::operator==(const Key& other) const {
+  return hash == other.hash && scope == other.scope &&
+         method == other.method && range == other.range && url == other.url;
 }
 
-void OriginState::erase(Entries::iterator it) {
-  lru_index.erase(it->second.lru);
-  entries.erase(it);
+bool OriginState::Entry::filled_for(const Key& requester) const {
+  return filler == requester.scope && key.method == requester.method &&
+         key.range == requester.range && key.url == requester.url;
+}
+
+std::uint32_t OriginState::intern(const std::string& scope) {
+  const auto it = std::find(scopes.begin(), scopes.end(), scope);
+  if (it == scopes.end()) {
+    scopes.push_back(scope);
+    return static_cast<std::uint32_t>(scopes.size() - 1);
+  }
+  return static_cast<std::uint32_t>(it - scopes.begin());
+}
+
+OriginState::Lru::iterator OriginState::find(const Key& key) {
+  const auto it = index.find(key);
+  return it == index.end() ? lru.end() : it->second;
+}
+
+void OriginState::touch(Lru::iterator it) {
+  lru.splice(lru.end(), lru, it);
+}
+
+OriginState::Entry& OriginState::fill(const Key& key, std::size_t capacity) {
+  Lru::iterator it = find(key);
+  if (it == lru.end()) {
+    decltype(index)::node_type node;
+    if (lru.size() >= capacity) {
+      // Evict the coldest entry; its list node, index node and URL buffer
+      // take the new key.
+      it = lru.begin();
+      node = index.extract(it->key);
+    } else {
+      it = lru.emplace(lru.end());
+    }
+    it->url.assign(key.url);
+    it->key = key;
+    it->key.url = it->url;
+    if (node.empty()) {
+      index.emplace(it->key, it);
+    } else {
+      node.key() = it->key;
+      node.mapped() = it;
+      index.insert(std::move(node));
+    }
+  }
+  it->filler = key.scope;
+  touch(it);
+  return *it;
+}
+
+void OriginState::erase(Lru::iterator it) {
+  index.erase(it->key);
+  lru.erase(it);
 }
 
 void OriginState::clear() {
-  entries.clear();
-  lru_index.clear();
-}
-
-std::uint64_t response_digest(const http::Response& response) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001B3ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(response.status));
-  mix(static_cast<std::uint64_t>(response.payload_size));
-  mix(static_cast<std::uint64_t>(response.head_content_length));
-  for (char c : response.content_type) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  for (char c : response.body) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
+  index.clear();
+  lru.clear();
 }
 
 OriginTier::OriginTier(OriginOptions options,
                        std::shared_ptr<OriginState> state,
-                       std::string cache_scope)
+                       const std::string& cache_scope)
     : options_(options),
       state_(state != nullptr ? std::move(state)
                               : std::make_shared<OriginState>()),
-      cache_scope_(std::move(cache_scope)) {
+      scope_(state_->intern(cache_scope)) {
   options_.validate();
 }
 
@@ -247,17 +278,6 @@ Seconds OriginTier::packaging(const http::Response& response) const {
          options_.segment_package_per_mb_s * mb;
 }
 
-std::string OriginTier::cache_key(const http::Request& request) const {
-  std::string key = cache_scope_;
-  key += request.method == http::Method::kHead ? "|HEAD|" : "|GET|";
-  key += request.url;
-  if (request.range) {
-    key += format("|%lld-%lld", static_cast<long long>(request.range->first),
-                  static_cast<long long>(request.range->last));
-  }
-  return key;
-}
-
 void OriginTier::apply_flushes(Seconds now) {
   for (const faults::CacheFlushFault& flush : flushes_) {
     if (flush.at > now) break;
@@ -273,11 +293,11 @@ void OriginTier::verify_consistency(const http::Request& request,
                                     const OriginState::Entry& entry,
                                     Seconds now) {
   // The invariant the chaos catalog checks: bytes served from the edge must
-  // be byte-identical to what the origin would serve right now. The model
-  // origin is deterministic, so any mismatch is a cache bug (the classic
-  // one: a key that ignores content identity and serves another session's
-  // title).
-  if (response_digest(fetch_origin(request)) == entry.digest) return;
+  // be what the origin would serve this requester right now. Titles are
+  // immutable, so that holds exactly when the entry was filled for the same
+  // identity; a mismatch is a cache bug (the classic one: a key that ignores
+  // the title and serves another session's bytes).
+  if (entry.filled_for(pending_key_)) return;
   ++state_->totals.consistency_failures;
   count(c_consistency_);
   instant("origin.cache_inconsistent", request, now, 0);
@@ -287,16 +307,20 @@ http::Response OriginTier::fetch_origin(const http::Request& request) const {
   return proxy_->origin().handle(request);
 }
 
-void OriginTier::fill_cache(const std::string& key,
-                            const http::Response& canonical, Seconds now,
+void OriginTier::fill_cache(const http::Response& response, Seconds now,
                             Seconds ready_at) {
-  OriginState::Entry entry;
-  entry.response = canonical;
-  entry.digest = response_digest(canonical);
+  OriginState::Entry& entry = state_->fill(
+      pending_key_, static_cast<std::size_t>(options_.cache_capacity));
+  // Any assignment into a reused node's body keeps its old capacity (a
+  // manifest's, under every segment that follows); a fresh copy swapped in
+  // leaves with the old buffer and frees it.
+  http::Response canonical = response;
+  std::swap(entry.response, canonical);
+  // Canonical: wire-fault fields stripped.
+  entry.response.added_latency = 0;
+  entry.response.reset_after = -1;
   entry.expires = now + options_.cache_ttl_s;
   entry.ready_at = ready_at;
-  state_->fill(key, std::move(entry),
-               static_cast<std::size_t>(options_.cache_capacity));
 }
 
 void OriginTier::serve_secondary(const http::Request& request,
@@ -326,12 +350,12 @@ void OriginTier::instant(const char* name, const http::Request& request,
 std::optional<http::Response> OriginTier::on_request(
     const http::Request& request, Seconds now) {
   pending_hit_ = false;
+  pending_key_ = OriginState::Key::make(scope_, request);
   apply_flushes(now);
-  const std::string key = cache_key(request);
-  auto it = state_->entries.find(key);
-  if (it == state_->entries.end()) return std::nullopt;  // miss
+  const auto it = state_->find(pending_key_);
+  if (it == state_->lru.end()) return std::nullopt;  // miss
 
-  OriginState::Entry& entry = it->second;
+  OriginState::Entry& entry = *it;
   if (now >= entry.expires) {
     state_->erase(it);
     ++state_->totals.expired;
@@ -478,13 +502,9 @@ void OriginTier::on_response(const http::Request& request,
   }
 
   if (served) {
-    // Canonical copy into the edge cache: wire-fault fields stripped, the
-    // fill completes (for coalescing waiters) once the origin-side latency
-    // has elapsed.
-    http::Response canonical = response;
-    canonical.added_latency = 0;
-    canonical.reset_after = -1;
-    fill_cache(cache_key(request), canonical, now, now + origin_wait);
+    // Canonical copy into the edge cache; the fill completes (for
+    // coalescing waiters) once the origin-side latency has elapsed.
+    fill_cache(response, now, now + origin_wait);
     response.added_latency += origin_wait;
   }
   instant("origin.cache_miss", request, now, origin_wait);

@@ -32,9 +32,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <list>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
@@ -95,6 +98,9 @@ OriginOptions preset(Mode mode);
 /// Cache + breaker state. One per session by default; a population tower
 /// shares one across every session it hosts (the tower's simulator is
 /// single-threaded, so no locking — determinism comes from event order).
+///
+/// The edge cache is a hash index over an LRU list. Neither is ever
+/// iterated to produce output, so their order cannot reach a report.
 struct OriginState {
   struct Totals {
     long long hits = 0;
@@ -113,28 +119,63 @@ struct OriginState {
     void merge_from(const Totals& other);
   };
 
+  /// What a cached response answers: the title (a scope id interned by
+  /// intern()), the method, the URL and the byte range. `url` is a view: a
+  /// lookup views the request's URL, the index views its entry's own copy.
+  /// `hash` covers every other field; make() computes it once per request.
+  struct Key {
+    std::uint32_t scope = 0;
+    http::Method method = http::Method::kGet;
+    std::string_view url;
+    std::optional<manifest::ByteRange> range;
+    std::size_t hash = 0;
+
+    static Key make(std::uint32_t scope, const http::Request& request);
+    bool operator==(const Key& other) const;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const { return key.hash; }
+  };
+
+  /// One cached response. `filler` records who filled it; with the method,
+  /// URL and range of `key`, a hit compares it field by field with the
+  /// requester's key, apart from the index's hash and equality. Titles are
+  /// immutable, so the bytes a key's filler got are the bytes its requester
+  /// would get now, and a mismatch can only be a key that ignores part of
+  /// the identity (the cache.consistency invariant).
   struct Entry {
+    Entry() = default;
+    // key.url views this entry's own url buffer.
+    Entry(const Entry&) = delete;
+    Entry& operator=(const Entry&) = delete;
+
+    Key key;  ///< as the index holds it
+    std::string url;
+    std::uint32_t filler = 0;  ///< scope id of the tier that filled it
     http::Response response;  ///< canonical: no wire-fault fields set
-    std::uint64_t digest = 0;
     Seconds expires = 0;
     Seconds ready_at = 0;  ///< the edge has the bytes from here on
-    std::uint64_t lru = 0;  ///< last-use tick; this entry's key in lru_index
+
+    /// True when `requester` asks for what this entry's filler asked for.
+    bool filled_for(const Key& requester) const;
   };
-  using Entries = std::map<std::string, Entry>;
+  /// Least recently used first: eviction takes front(), a touch splices a
+  /// node to the back.
+  using Lru = std::list<Entry>;
 
   OriginState() = default;
-  // lru_index points into `entries`; a copy would point into the original.
+  // `index` points into `lru` and views its URLs; a copy would point into
+  // the original.
   OriginState(const OriginState&) = delete;
   OriginState& operator=(const OriginState&) = delete;
 
   Totals totals;
-  Entries entries;
-  /// Every entry by its last-use tick, so the eviction victim (the smallest
-  /// tick) is begin() and a touch re-keys one node: no scan of `entries`.
-  /// Change `entries` only through touch/fill/erase/clear, which keep the
-  /// two in step.
-  std::map<std::uint64_t, Entries::iterator> lru_index;
-  std::uint64_t lru_tick = 0;
+  Lru lru;
+  /// Every entry of `lru` by its key. Change the cache only through
+  /// touch/fill/erase/clear, which keep the two in step.
+  std::unordered_map<Key, Lru::iterator, KeyHash> index;
+  /// Interned cache scopes: a scope's id is its position here.
+  std::vector<std::string> scopes;
   Seconds last_flush = -1;  ///< cache-flush schedule high-water mark
 
   // Breaker (closed -> open on threshold consecutive failures -> half-open
@@ -144,18 +185,21 @@ struct OriginState {
   int consecutive_failures = 0;
   int max_consecutive_failures = 0;
 
+  /// The id of `scope`, interning it on first use.
+  std::uint32_t intern(const std::string& scope);
+  /// The entry cached under `key`, or lru.end().
+  Lru::iterator find(const Key& key);
   /// Marks `it` most recently used.
-  void touch(Entries::iterator it);
-  /// Inserts or replaces `key` as the most recently used entry, then evicts
-  /// least recently used entries until at most `capacity` remain.
-  void fill(const std::string& key, Entry entry, std::size_t capacity);
-  void erase(Entries::iterator it);
+  void touch(Lru::iterator it);
+  /// Makes `key` the most recently used entry and returns it with its
+  /// filler set; its response and times are the caller's to fill. At
+  /// capacity the least recently used entry is evicted and its list node,
+  /// index node and URL buffer take the new key, so a full cache allocates
+  /// nothing for it.
+  Entry& fill(const Key& key, std::size_t capacity);
+  void erase(Lru::iterator it);
   void clear();
 };
-
-/// FNV-1a digest of a response's identity (status, content type, body,
-/// payload size) — what the cache.consistency invariant compares.
-std::uint64_t response_digest(const http::Response& response);
 
 class OriginTier : public http::Interceptor {
  public:
@@ -163,7 +207,7 @@ class OriginTier : public http::Interceptor {
   /// `cache_scope` namespaces this session's keys (service + content seed):
   /// two sessions share cached bytes only when they stream the same title.
   OriginTier(OriginOptions options, std::shared_ptr<OriginState> state,
-             std::string cache_scope);
+             const std::string& cache_scope);
 
   /// Origin-targeted fault windows from the session's FaultPlan.
   void set_fault_schedule(std::vector<faults::CacheFlushFault> flushes,
@@ -184,15 +228,14 @@ class OriginTier : public http::Interceptor {
   bool primary_dark(Seconds when) const;
   double draw(std::uint64_t tag, std::uint64_t index) const;
   Seconds packaging(const http::Response& response) const;
-  std::string cache_key(const http::Request& request) const;
   void apply_flushes(Seconds now);
   void verify_consistency(const http::Request& request,
                           const OriginState::Entry& entry, Seconds now);
   /// Fetches the canonical response from the given DC replica (the model
   /// origin is deterministic, so both DCs serve identical bytes).
   http::Response fetch_origin(const http::Request& request) const;
-  void fill_cache(const std::string& key, const http::Response& canonical,
-                  Seconds now, Seconds ready_at);
+  void fill_cache(const http::Response& response, Seconds now,
+                  Seconds ready_at);
   void serve_secondary(const http::Request& request, http::Response& response,
                        Seconds& origin_wait, Seconds now);
   void count(obs::Counter* counter);
@@ -201,7 +244,7 @@ class OriginTier : public http::Interceptor {
 
   OriginOptions options_;
   std::shared_ptr<OriginState> state_;
-  std::string cache_scope_;
+  std::uint32_t scope_ = 0;  ///< cache_scope interned in state_
   std::vector<faults::CacheFlushFault> flushes_;
   std::vector<faults::DcBlackoutFault> dc_blackouts_;
   const http::Proxy* proxy_ = nullptr;
@@ -209,8 +252,11 @@ class OriginTier : public http::Interceptor {
   /// One ordinal per proxied request, advanced in on_response (which runs
   /// exactly once per resolve); the retry-jitter stream is keyed on it.
   std::uint64_t ordinal_ = 0;
-  /// resolve() is synchronous: set by on_request when it short-circuits
-  /// from the cache, consumed by the same request's on_response.
+  /// resolve() is synchronous, and the tier is first on the chain, so its
+  /// on_request and on_response see the same request: on_request keys it
+  /// once (the URL view lives as long as the request), and sets
+  /// pending_hit_ when it short-circuits from the cache.
+  OriginState::Key pending_key_;
   bool pending_hit_ = false;
 
   obs::Observer* obs_ = nullptr;

@@ -376,13 +376,14 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
         ++report.diag_skipped;
         continue;
       }
-      // Diagnosis reads the full finish() analysis (finish_light leaves
+      // Diagnosis reads the analyzed wire log (finish_light leaves
       // result.traffic empty, blinding the deficit/ABR evidence); outcomes
       // above still fold from finish_light, so they are byte-identical
       // whether diagnosis is on or off.
-      const core::SessionResult full = hosted[i].session->finish(sim.now());
+      const core::SessionResult analyzed =
+          hosted[i].session->finish_traffic(sim.now());
       const diag::Diagnosis diagnosis =
-          diag::diagnose(full, *observers[i], {}, {}, capacity);
+          diag::diagnose(analyzed, *observers[i], {}, {}, capacity);
       report.diag.fold(diagnosis);
       fold_blame_bins(timeline, diagnosis);
     }

@@ -7,8 +7,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <utility>
 
 #include "chaos/chaos.h"
+#include "http/proxy.h"
+#include "origin/origin.h"
+#include "testing/fixtures.h"
 
 namespace vodx::chaos {
 namespace {
@@ -124,6 +129,37 @@ TEST(Invariants, FetchFailuresBeyondWireAttemptsAreFlagged) {
   f.observer.metrics.counter("http.requests").add(2);
   f.observer.metrics.counter("player.fetch_failures").add(5);
   EXPECT_EQ(f.check().summary(), "retry.bounds");
+}
+
+TEST(Invariants, TamperedEdgeCacheEntryFiresCacheConsistency) {
+  // Two titles share one edge, as a population tower's sessions do: each
+  // fills and hits its own entry, and the catalog passes. Then the first
+  // title's entry records the second as its filler, and its next hit fires.
+  Fabricated f;
+  const http::OriginServer server(testing::small_asset(),
+                                  {manifest::Protocol::kHls});
+  auto state = std::make_shared<origin::OriginState>();
+  http::Proxy first(server);
+  http::Proxy second(server);
+  for (auto [proxy, scope] : {std::pair{&first, "H1#7"},
+                              std::pair{&second, "H1#8"}}) {
+    auto tier = std::make_shared<origin::OriginTier>(
+        origin::hardened_origin(), state, scope);
+    tier->set_observer(&f.observer);
+    proxy->use(tier);
+  }
+  const http::Request manifest{http::Method::kGet, "/master.m3u8", {}};
+  first.resolve(manifest, 1);
+  second.resolve(manifest, 2);
+  first.resolve(manifest, 3);
+  second.resolve(manifest, 4);
+  EXPECT_EQ(state->totals.hits, 2);
+  EXPECT_TRUE(f.check().ok()) << f.check().summary();
+
+  ASSERT_EQ(state->lru.size(), 2u);
+  state->lru.front().filler = state->intern("H1#8");
+  first.resolve(manifest, 5);
+  EXPECT_EQ(f.check().summary(), "cache.consistency");
 }
 
 TEST(Invariants, TraceEventMovingBackwardsIsFlagged) {

@@ -1,18 +1,21 @@
-// The edge cache's LRU index against a reference model.
+// The edge cache's hash index and LRU list against a reference model.
 //
-// OriginState keeps its entries ordered by last-use tick so eviction takes
-// the front instead of scanning the cache. This suite drives a real
-// Proxy + OriginTier through seeded streams of fills, hits, coalesced joins,
-// duplicate fills (a refill of a key already in the cache), TTL expiries and
-// scheduled flushes at capacities 4–8, and after every request compares the
-// surviving keys and the tier's totals with a model that evicts by linear
-// scan over the smallest tick — the algorithm the index replaced.
+// OriginState keeps its entries in least-recently-used order so eviction
+// takes the front instead of scanning the cache. This suite drives a real
+// Proxy + OriginTier through seeded streams of GET, HEAD and ranged
+// requests: fills, hits, coalesced joins, duplicate fills (a refill of a key
+// already in the cache), TTL expiries and scheduled flushes at capacities
+// 4–8. After every request it compares the surviving identities and the
+// tier's totals with a model keyed by the identity's string form that
+// evicts by linear scan over the smallest last-use tick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -100,9 +103,26 @@ class ReferenceCache {
   std::map<std::string, Entry> entries_;
 };
 
+/// The reference model's string form of a request identity.
+std::string model_key(const std::string& scope, http::Method method,
+                      std::string_view url,
+                      const std::optional<manifest::ByteRange>& range) {
+  std::string key = scope;
+  key += method == http::Method::kHead ? "|HEAD|" : "|GET|";
+  key += url;
+  if (range) {
+    key += format("|%lld-%lld", static_cast<long long>(range->first),
+                  static_cast<long long>(range->last));
+  }
+  return key;
+}
+
 std::set<std::string> tier_keys(const OriginState& state) {
   std::set<std::string> out;
-  for (const auto& [key, entry] : state.entries) out.insert(key);
+  for (const OriginState::Entry& entry : state.lru) {
+    out.insert(model_key(state.scopes.at(entry.key.scope), entry.key.method,
+                         entry.key.url, entry.key.range));
+  }
   return out;
 }
 
@@ -122,11 +142,17 @@ void expect_totals_equal(const OriginState::Totals& got,
   EXPECT_EQ(got.errors, want.errors);
 }
 
-/// The index holds exactly one node per entry, keyed by that entry's tick.
+/// The index holds exactly one node per entry, keyed by that entry's key,
+/// whose URL views the entry's own buffer; every entry records its filler.
 void expect_index_consistent(const OriginState& state) {
-  ASSERT_EQ(state.lru_index.size(), state.entries.size());
-  for (const auto& [tick, it] : state.lru_index) {
-    EXPECT_EQ(it->second.lru, tick) << it->first;
+  ASSERT_EQ(state.index.size(), state.lru.size());
+  for (const OriginState::Entry& entry : state.lru) {
+    const auto it = state.index.find(entry.key);
+    ASSERT_NE(it, state.index.end()) << entry.url;
+    EXPECT_EQ(&*it->second, &entry) << entry.url;
+    EXPECT_EQ(entry.key.url.data(), entry.url.data()) << entry.url;
+    EXPECT_EQ(it->first.url.data(), entry.url.data()) << entry.url;
+    EXPECT_EQ(entry.filler, entry.key.scope) << entry.url;
   }
 }
 
@@ -149,7 +175,8 @@ void run_stream(const Stream& stream) {
   options.segment_package_per_mb_s = 0;
 
   // Three rungs of 15 four-second segments plus the playlists: about 50
-  // URLs, twice that with HEADs, against a cache of 4–8 entries.
+  // URLs, several times that with HEADs and two byte ranges, against a
+  // cache of 4–8 entries.
   std::vector<std::string> urls = {"/master.m3u8"};
   for (int rung = 0; rung < 3; ++rung) {
     urls.push_back(format("/video/%d/playlist.m3u8", rung));
@@ -180,6 +207,7 @@ void run_stream(const Stream& stream) {
   // still in flight); the rest of the stream walks the whole catalogue.
   Seconds now = 0;
   std::size_t last = 0;
+  int ranged = 0;
   for (int i = 0; i < kRequests; ++i) {
     now += rng.chance(0.3) ? 0 : rng.uniform(0, 0.8);
     std::size_t pick;
@@ -195,12 +223,17 @@ void run_stream(const Stream& stream) {
     const bool head = rng.chance(0.2);
     const http::Method method = head ? http::Method::kHead
                                      : http::Method::kGet;
+    // Two overlapping ranges, on segments only.
+    std::optional<manifest::ByteRange> range;
+    if (urls[pick].ends_with(".ts") && rng.chance(0.3)) {
+      range = rng.chance(0.5) ? manifest::ByteRange{0, 99}
+                              : manifest::ByteRange{50, 149};
+      ++ranged;
+    }
     const http::Response response =
-        proxy.resolve({method, urls[pick], {}}, now);
+        proxy.resolve({method, urls[pick], range}, now);
     ASSERT_TRUE(response.ok()) << urls[pick];
-    model.request(std::string(kScope) + (head ? "|HEAD|" : "|GET|") +
-                      urls[pick],
-                  now);
+    model.request(model_key(kScope, method, urls[pick], range), now);
 
     SCOPED_TRACE(format("request %d (%s at %.3f s)", i, urls[pick].c_str(),
                         now));
@@ -219,6 +252,7 @@ void run_stream(const Stream& stream) {
     EXPECT_GT(model.totals.dup_fills, 0);
   }
   EXPECT_GT(model.evictions, 0);
+  EXPECT_GT(ranged, 0);
 }
 
 TEST(EdgeCacheLru, MatchesLinearScanEvictionAtSmallCapacities) {

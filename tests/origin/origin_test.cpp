@@ -1,7 +1,7 @@
 // vodx::origin unit tests: the edge cache (hit/miss/TTL/LRU/flush),
 // request coalescing vs the cache-miss storm, bounded retries with seeded
 // jitter, the circuit breaker's trip / half-open / recovery walk, and the
-// consistency digest. Everything runs against a real Proxy + OriginServer so
+// identity check behind cache.consistency. Everything runs against a real Proxy + OriginServer so
 // the interceptor-chain ordering contract (origin first, injectors after)
 // is exercised, not mocked.
 #include "origin/origin.h"
@@ -10,6 +10,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "http/proxy.h"
@@ -36,6 +38,9 @@ struct World {
 
   http::Response get(const std::string& url, Seconds now) {
     return proxy.resolve({http::Method::kGet, url, {}}, now);
+  }
+  http::Response resolve(const http::Request& request, Seconds now) {
+    return proxy.resolve(request, now);
   }
 
   const OriginState::Totals& totals() const { return tier->state().totals; }
@@ -223,20 +228,63 @@ TEST(OriginCache, ScopeNamespacesTitles) {
   EXPECT_EQ(state->totals.consistency_failures, 0);
 }
 
-TEST(OriginConsistency, DigestDiscriminatesAndTamperingIsDetected) {
+TEST(OriginCache, RequestsDifferingInOneIdentityFieldNeverShareAnEntry) {
+  // Method, byte range (none vs the whole file as [0, n] included) and
+  // title each key their own entry: every variant misses once, then hits
+  // its own bytes.
   auto state = std::make_shared<OriginState>();
   World world(hardened_origin(), state);
-  const http::Response manifest = world.get(kManifest, 0);
-  const http::Response segment = world.get("/video/0/seg0.ts", 1);
-  EXPECT_EQ(response_digest(manifest), response_digest(manifest));
-  EXPECT_NE(response_digest(manifest), response_digest(segment));
+  World other_title(hardened_origin(), state, "test|43");
+  const std::string segment = "/video/0/seg0.ts";
+  const Bytes size = world.server.handle({http::Method::kGet, segment, {}})
+                         .payload_size;
+  ASSERT_GT(size, 200);
+  const manifest::ByteRange whole{0, size - 1};
+  const manifest::ByteRange prefix{0, 99};
+  const std::vector<std::pair<World*, http::Request>> variants = {
+      {&world, {http::Method::kGet, segment, {}}},
+      {&world, {http::Method::kHead, segment, {}}},
+      {&world, {http::Method::kGet, segment, whole}},
+      {&world, {http::Method::kHead, segment, whole}},
+      {&world, {http::Method::kGet, segment, prefix}},
+      {&other_title, {http::Method::kGet, segment, {}}},
+      {&other_title, {http::Method::kHead, segment, whole}},
+  };
+  std::vector<http::Response> filled;
+  for (const auto& [tier, request] : variants) {
+    filled.push_back(tier->resolve(request, 1));
+    ASSERT_TRUE(filled.back().ok());
+  }
+  EXPECT_EQ(state->totals.misses, static_cast<long long>(variants.size()));
+  EXPECT_EQ(state->lru.size(), variants.size());
 
-  // Corrupt one cached digest: the next hit must flag the inconsistency
-  // (this is the cache.consistency invariant chaos checks).
-  ASSERT_FALSE(state->entries.empty());
-  state->entries.begin()->second.digest ^= 1;
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const http::Response hit = variants[i].first->resolve(variants[i].second,
+                                                          2);
+    EXPECT_EQ(hit.status, filled[i].status) << i;
+    EXPECT_EQ(hit.payload_size, filled[i].payload_size) << i;
+    EXPECT_EQ(hit.head_content_length, filled[i].head_content_length) << i;
+  }
+  EXPECT_EQ(state->totals.hits, static_cast<long long>(variants.size()));
+  EXPECT_EQ(state->totals.misses, static_cast<long long>(variants.size()));
+  EXPECT_EQ(state->totals.consistency_failures, 0);
+}
+
+TEST(OriginConsistency, TamperedFillerIdentityIsDetected) {
+  auto state = std::make_shared<OriginState>();
+  World world(hardened_origin(), state);
+  world.get(kManifest, 0);
+  world.get("/video/0/seg0.ts", 1);
+
+  // Record another title as the manifest entry's filler: its next hit must
+  // flag the inconsistency (the cache.consistency invariant chaos checks),
+  // and the untouched segment entry must not.
+  ASSERT_EQ(state->lru.size(), 2u);
+  ASSERT_EQ(state->lru.front().key.url, kManifest);
+  state->lru.front().filler = state->intern("test|43");
   world.get(kManifest, 2);
   world.get("/video/0/seg0.ts", 3);
+  EXPECT_EQ(state->totals.hits, 2);
   EXPECT_EQ(state->totals.consistency_failures, 1);
 }
 
