@@ -33,11 +33,10 @@ int main() {
   bench::banner("§3.3.2 ablation",
                 "pause/resume threshold gap vs LTE radio energy");
 
-  const core::RrcConfig rrc;
   std::printf("RRC model: demotion timer %.0f s, active %.1f W, tail %.1f W, "
               "idle %.2f W\n\n",
-              rrc.demotion_timer, rrc.active_watts, rrc.tail_watts,
-              rrc.idle_watts);
+              core::kDemotionTimer, core::kActiveWatts, core::kTailWatts,
+              core::kIdleWatts);
 
   Table table({"svc", "gap (s)", "gap > timer?", "high-power time",
                "energy (J)", "energy, widened gap", "saving"});
@@ -45,7 +44,7 @@ int main() {
   for (const services::ServiceSpec& spec : services::catalog()) {
     const Seconds gap =
         spec.player.pausing_threshold - spec.player.resuming_threshold;
-    if (gap <= rrc.demotion_timer) ++below_timer;
+    if (gap <= core::kDemotionTimer) ++below_timer;
 
     core::RadioEnergyReport as_shipped = run_energy(spec);
 
@@ -53,7 +52,7 @@ int main() {
     // resume threshold sane).
     services::ServiceSpec widened = spec;
     widened.player.resuming_threshold = std::max(
-        8.0, spec.player.pausing_threshold - (rrc.demotion_timer + 9));
+        8.0, spec.player.pausing_threshold - (core::kDemotionTimer + 9));
     core::RadioEnergyReport fixed = run_energy(widened);
 
     const double saving =
@@ -61,7 +60,7 @@ int main() {
             ? 1.0 - fixed.energy_joules / as_shipped.energy_joules
             : 0;
     table.add_row({spec.name, format("%.0f", gap),
-                   gap > rrc.demotion_timer ? "yes" : "NO",
+                   gap > core::kDemotionTimer ? "yes" : "NO",
                    bench::fmt_pct(as_shipped.high_power_fraction()),
                    format("%.0f", as_shipped.energy_joules),
                    format("%.0f", fixed.energy_joules),

@@ -162,8 +162,7 @@ ChaosReport run_chaos(const ChaosConfig& config) {
             }
             return false;
           };
-          const MinimizeResult shrunk =
-              minimize(plan, still_fails, config.minimize_options);
+          const MinimizeResult shrunk = minimize(plan, still_fails);
           row.minimized = true;
           row.minimized_faults = fault_count(shrunk.plan);
           row.minimize_runs = shrunk.runs;

@@ -94,7 +94,6 @@ struct ChaosConfig : net::SimSettings {
   origin::Mode origin = origin::Mode::kNone;
 
   bool minimize = true;  ///< shrink violating plans before emitting repros
-  MinimizeOptions minimize_options;
 
   TestHook test_hook;  ///< forwarded to every cell's run_checked
 };

@@ -6,6 +6,9 @@ namespace vodx::chaos {
 
 namespace {
 
+/// Binary-search depth per window edge.
+constexpr int kNarrowSteps = 4;
+
 /// A fault's position in the plan, independent of kind, so the drop pass
 /// can treat the plan as one flat list.
 struct FaultRef {
@@ -130,11 +133,12 @@ bool try_keep(faults::FaultPlan& best, const Oracle& oracle, Budget& budget,
 /// edges. Works on whichever Match the fault carries; blackouts narrow
 /// their duration in phase 3 instead.
 void narrow_windows(faults::FaultPlan& best, const Oracle& oracle,
-                    Budget& budget, int steps, Seconds horizon) {
+                    Budget& budget, Seconds horizon) {
   const auto narrow = [&](auto member) {
     const std::size_t n = (best.*member).size();
     for (std::size_t i = 0; i < n && i < (best.*member).size(); ++i) {
-      for (int step = 0; step < steps && budget.remaining > 0; ++step) {
+      for (int step = 0; step < kNarrowSteps && budget.remaining > 0;
+           ++step) {
         faults::Match& match = (best.*member)[i].match;
         const Seconds end = match.end < 0 ? horizon : match.end;
         const Seconds width = end - match.start;
@@ -207,11 +211,10 @@ std::size_t fault_count(const faults::FaultPlan& plan) {
          plan.cache_flushes.size() + plan.dc_blackouts.size();
 }
 
-MinimizeResult minimize(const faults::FaultPlan& plan, const Oracle& oracle,
-                        const MinimizeOptions& options) {
+MinimizeResult minimize(const faults::FaultPlan& plan, const Oracle& oracle) {
   MinimizeResult result;
   result.plan = plan;
-  Budget budget{options.max_runs};
+  Budget budget{kMinimizeRuns};
 
   // Horizon for open-ended windows: the latest explicit edge in the plan,
   // or a default fuzz horizon. Only used to give narrowing a finite end.
@@ -224,7 +227,7 @@ MinimizeResult minimize(const faults::FaultPlan& plan, const Oracle& oracle,
   }
 
   drop_faults(result.plan, oracle, budget, &result.dropped);
-  narrow_windows(result.plan, oracle, budget, options.narrow_steps, horizon);
+  narrow_windows(result.plan, oracle, budget, horizon);
   soften(result.plan, oracle, budget);
 
   result.runs = budget.spent;

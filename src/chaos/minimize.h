@@ -24,10 +24,8 @@
 
 namespace vodx::chaos {
 
-struct MinimizeOptions {
-  int max_runs = 64;   ///< oracle-call budget across all phases
-  int narrow_steps = 4;  ///< binary-search depth per window edge
-};
+/// Oracle-call budget across all phases.
+inline constexpr int kMinimizeRuns = 64;
 
 struct MinimizeResult {
   faults::FaultPlan plan;  ///< smallest confirmed-failing plan found
@@ -44,7 +42,6 @@ std::size_t fault_count(const faults::FaultPlan& plan);
 /// re-verify it.
 MinimizeResult minimize(const faults::FaultPlan& plan,
                         const std::function<bool(const faults::FaultPlan&)>&
-                            still_fails,
-                        const MinimizeOptions& options = {});
+                            still_fails);
 
 }  // namespace vodx::chaos

@@ -1,6 +1,6 @@
 #include "chaos/plan_gen.h"
 
-#include <algorithm>
+#include <iterator>
 
 #include "common/strings.h"
 
@@ -63,19 +63,17 @@ faults::FaultPlan generate_plan(std::uint64_t seed,
   plan.seed = seed;
   plan.name = format("fuzz-%llu", static_cast<unsigned long long>(seed));
 
-  const int span = std::max(0, options.max_faults - options.min_faults);
   const int count =
-      options.min_faults + static_cast<int>(rng.below(span + 1));
+      kMinFaults + static_cast<int>(rng.below(kMaxFaults - kMinFaults + 1));
   const std::uint64_t kinds = options.origin_faults ? 7 : 5;
   for (int i = 0; i < count; ++i) {
     switch (rng.below(kinds)) {
       case 0: {
         faults::LatencyFault fault;
         fault.match = draw_match(rng, options);
-        fault.base = rng.range(0.05, options.max_latency * 0.5);
-        fault.jitter = rng.range(0, options.max_latency * 0.5);
-        fault.probability =
-            rng.range(options.min_probability, options.max_probability);
+        fault.base = rng.range(0.05, kMaxLatency * 0.5);
+        fault.jitter = rng.range(0, kMaxLatency * 0.5);
+        fault.probability = rng.range(kMinProbability, kMaxProbability);
         plan.latency.push_back(fault);
         break;
       }
@@ -83,8 +81,7 @@ faults::FaultPlan generate_plan(std::uint64_t seed,
         faults::ErrorFault fault;
         fault.match = draw_match(rng, options);
         fault.status = rng.uniform() < 0.5 ? 503 : 500;
-        fault.probability =
-            rng.range(options.min_probability, options.max_probability * 0.5);
+        fault.probability = rng.range(kMinProbability, kMaxProbability * 0.5);
         plan.errors.push_back(fault);
         break;
       }
@@ -92,8 +89,7 @@ faults::FaultPlan generate_plan(std::uint64_t seed,
         faults::ResetFault fault;
         fault.match = draw_match(rng, options);
         fault.after_fraction = rng.range(0, 1);
-        fault.probability =
-            rng.range(options.min_probability, options.max_probability * 0.4);
+        fault.probability = rng.range(kMinProbability, kMaxProbability * 0.4);
         plan.resets.push_back(fault);
         break;
       }
@@ -103,8 +99,7 @@ faults::FaultPlan generate_plan(std::uint64_t seed,
         if (rng.uniform() < 0.5) {
           fault.every_nth = 2 + static_cast<int>(rng.below(9));
         } else {
-          fault.probability =
-              rng.range(options.min_probability, options.max_probability * 0.4);
+          fault.probability = rng.range(kMinProbability, kMaxProbability * 0.4);
         }
         plan.rejects.push_back(fault);
         break;
@@ -112,7 +107,7 @@ faults::FaultPlan generate_plan(std::uint64_t seed,
       case 4: {
         faults::BlackoutFault fault;
         fault.start = rng.range(0, options.horizon * 0.9);
-        fault.duration = rng.range(0.5, options.max_blackout);
+        fault.duration = rng.range(0.5, kMaxBlackout);
         plan.blackouts.push_back(fault);
         break;
       }
@@ -125,7 +120,7 @@ faults::FaultPlan generate_plan(std::uint64_t seed,
       default: {
         faults::DcBlackoutFault fault;
         fault.start = rng.range(0, options.horizon * 0.9);
-        fault.duration = rng.range(0.5, options.max_blackout);
+        fault.duration = rng.range(0.5, kMaxBlackout);
         plan.dc_blackouts.push_back(fault);
         break;
       }

@@ -1,6 +1,5 @@
 #include "common/rng.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace vodx {
@@ -23,10 +22,6 @@ double Rng::normal(double mean, double stddev) {
 double Rng::lognormal(double median, double sigma) {
   std::lognormal_distribution<double> dist(std::log(median), sigma);
   return dist(engine_);
-}
-
-bool Rng::chance(double p) {
-  return uniform(0.0, 1.0) < std::clamp(p, 0.0, 1.0);
 }
 
 Rng Rng::fork(std::uint64_t tag) const {

@@ -27,9 +27,6 @@ class Rng {
   /// of the underlying normal.
   double lognormal(double median, double sigma);
 
-  /// True with probability p (clamped to [0,1]).
-  bool chance(double p);
-
   /// Derives an independent child stream; children with different tags do not
   /// correlate with each other or the parent.
   Rng fork(std::uint64_t tag) const;

@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace vodx {
 
@@ -59,14 +58,6 @@ double jain_index(const std::vector<double>& xs) {
   }
   if (sum_sq == 0.0) return 1.0;  // all-zero: everyone equally has nothing
   return (sum * sum) / (static_cast<double>(xs.size()) * sum_sq);
-}
-
-double stddev(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double m = mean(xs);
-  double sum = 0.0;
-  for (double x : xs) sum += (x - m) * (x - m);
-  return std::sqrt(sum / static_cast<double>(xs.size() - 1));
 }
 
 double min_of(const std::vector<double>& xs) {

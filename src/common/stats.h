@@ -11,7 +11,6 @@ double median(std::vector<double> xs);
 /// Linear-interpolated percentile, p in [0, 100]. Empty input returns 0.
 double percentile(std::vector<double> xs, double p);
 
-double stddev(const std::vector<double>& xs);
 double min_of(const std::vector<double>& xs);
 double max_of(const std::vector<double>& xs);
 

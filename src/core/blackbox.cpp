@@ -90,12 +90,13 @@ http::InterceptorPtr reject_after_n_video_segments(int allow) {
   return std::make_shared<RejectAfterNVideoSegments>(allow);
 }
 
-StartupProbe probe_startup(const services::ServiceSpec& spec,
-                           const StartupProbeOptions& options) {
+StartupProbe probe_startup(const services::ServiceSpec& spec) {
+  constexpr Bps kProbeBandwidth = 8 * kMbps;  // rejection is the only limit
+  constexpr int kMaxSegments = 16;  // give up past this many admitted
   StartupProbe probe;
-  for (int n = 1; n <= options.max_segments; ++n) {
+  for (int n = 1; n <= kMaxSegments; ++n) {
     SessionConfig config = base_session(
-        spec, net::BandwidthTrace::constant(options.probe_bandwidth, 120), 90);
+        spec, net::BandwidthTrace::constant(kProbeBandwidth, 120), 90);
     config.interceptors.push_back(reject_after_n_video_segments(n));
     SessionResult result = run_session(config);
     if (result.ui.startup_delay < 0) continue;  // still not playing
@@ -114,10 +115,9 @@ StartupProbe probe_startup(const services::ServiceSpec& spec,
   return probe;
 }
 
-ThresholdProbe probe_thresholds(const services::ServiceSpec& spec,
-                                const ThresholdProbeOptions& options) {
-  const Bps bandwidth = options.bandwidth;
-  const Seconds duration = options.duration;
+ThresholdProbe probe_thresholds(const services::ServiceSpec& spec) {
+  constexpr Bps bandwidth = 10 * kMbps;  // fast enough that pausing kicks in
+  constexpr Seconds duration = 600;
   SessionConfig config = base_session(
       spec, net::BandwidthTrace::constant(bandwidth, duration), duration);
   SessionResult result = run_session(config);
@@ -191,14 +191,16 @@ SteadyStateProbe probe_steady_state(const services::ServiceSpec& spec,
   return probe;
 }
 
-StepProbe probe_step_response(const services::ServiceSpec& spec,
-                              const StepProbeOptions& options) {
-  const Seconds step_at = options.step_at;
-  const Seconds duration = options.duration;
+StepProbe probe_step_response(const services::ServiceSpec& spec) {
+  constexpr Bps high = 6 * kMbps;  // rate before the step
+  constexpr Bps low = 1.5 * kMbps;  // rate after the step
+  constexpr Seconds step_at = 150;
+  constexpr Seconds duration = 500;
+  // A down-switch with more than this many seconds still buffered counts
+  // as "immediate".
+  constexpr Seconds immediate_cutoff = 60;
   SessionConfig config = base_session(
-      spec,
-      net::BandwidthTrace::step(options.high, options.low, step_at, duration),
-      duration);
+      spec, net::BandwidthTrace::step(high, low, step_at, duration), duration);
   SessionResult result = run_session(config);
 
   // The level the player had settled on before the step.
@@ -222,7 +224,7 @@ StepProbe probe_step_response(const services::ServiceSpec& spec,
         static_cast<std::size_t>(std::clamp(d.requested_at, 0.0, duration));
     probe.buffer_at_downswitch =
         slot < result.buffer.size() ? result.buffer[slot].video_buffer : 0;
-    probe.immediate = probe.buffer_at_downswitch > options.immediate_cutoff;
+    probe.immediate = probe.buffer_at_downswitch > immediate_cutoff;
     break;
   }
   return probe;
@@ -410,7 +412,7 @@ DeclaredVsActualProbe probe_declared_vs_actual(
               "the Fig.-12 probe rewrites DASH MPDs");
   const Bps bandwidth = options.bandwidth;
   const Seconds duration = options.duration;
-  const Seconds warmup = options.warmup;
+  constexpr Seconds warmup = 120;  // excluded from steady-state stats
   auto run_variant = [&](http::InterceptorPtr transform) {
     SessionConfig config = base_session(
         spec, net::BandwidthTrace::constant(bandwidth, duration), duration);

@@ -37,32 +37,20 @@ namespace vodx::core {
 /// Classifies requests against the live proxy's traffic log.
 http::InterceptorPtr reject_after_n_video_segments(int allow);
 
-struct StartupProbeOptions {
-  Bps probe_bandwidth = 8 * kMbps;  ///< ample, so rejection is the only limit
-  int max_segments = 16;            ///< give up past this many admitted segments
-};
-
 struct StartupProbe {
   bool playback_achievable = false;
   int min_segments = 0;         ///< minimal segment count for playback
   Seconds startup_buffer = 0;   ///< duration of those segments
   Bps startup_bitrate = 0;      ///< declared bitrate of the first segment
 };
-StartupProbe probe_startup(const services::ServiceSpec& spec,
-                           const StartupProbeOptions& options = {});
-
-struct ThresholdProbeOptions {
-  Bps bandwidth = 10 * kMbps;  ///< fast enough that pausing must kick in
-  Seconds duration = 600;      ///< session length (seconds)
-};
+StartupProbe probe_startup(const services::ServiceSpec& spec);
 
 struct ThresholdProbe {
   int pause_cycles = 0;
   Seconds pausing_threshold = 0;   ///< mean buffer level when downloads stop
   Seconds resuming_threshold = 0;  ///< mean buffer level when they resume
 };
-ThresholdProbe probe_thresholds(const services::ServiceSpec& spec,
-                                const ThresholdProbeOptions& options = {});
+ThresholdProbe probe_thresholds(const services::ServiceSpec& spec);
 
 struct SteadyStateProbeOptions {
   Bps bandwidth = 0;       ///< constant link rate (bits/second); required
@@ -80,25 +68,15 @@ struct SteadyStateProbe {
 SteadyStateProbe probe_steady_state(const services::ServiceSpec& spec,
                                     const SteadyStateProbeOptions& options);
 
-struct StepProbeOptions {
-  Bps high = 6 * kMbps;          ///< rate before the step
-  Bps low = 1.5 * kMbps;         ///< rate after the step
-  Seconds step_at = 150;         ///< when the drop happens
-  Seconds duration = 500;        ///< session length (seconds)
-  /// A down-switch with more than this many seconds still buffered counts
-  /// as "immediate" (the player did not spend its buffer first).
-  Seconds immediate_cutoff = 60;
-};
-
 struct StepProbe {
   bool switched_down = false;
   Seconds buffer_at_downswitch = 0;
-  /// True when the switch happened while more than `immediate_cutoff`
-  /// seconds were still buffered.
+  /// True when the switch happened while more than 60 s were still
+  /// buffered (the player did not spend its buffer first).
   bool immediate = false;
 };
-StepProbe probe_step_response(const services::ServiceSpec& spec,
-                              const StepProbeOptions& options = {});
+/// Drops a 6 Mbps link to 1.5 Mbps 150 s into a 500 s session.
+StepProbe probe_step_response(const services::ServiceSpec& spec);
 
 /// §3.1's encoding analysis: gather the actual/declared bitrate ratios of
 /// the highest video track the way the methodology does — DASH exposes
@@ -123,7 +101,6 @@ http::InterceptorPtr drop_lowest_variant();
 struct DeclaredVsActualOptions {
   Bps bandwidth = 2 * kMbps;  ///< constant link rate (bits/second)
   Seconds duration = 600;     ///< session length (seconds)
-  Seconds warmup = 120;       ///< seconds excluded from steady-state stats
 };
 
 struct DeclaredVsActualProbe {

@@ -29,7 +29,7 @@ std::vector<std::pair<Seconds, Seconds>> busy_spans(
 }  // namespace
 
 RadioEnergyReport radio_energy(const AnalyzedTraffic& traffic,
-                               Seconds session_end, const RrcConfig& config) {
+                               Seconds session_end) {
   RadioEnergyReport report;
   const auto spans = busy_spans(traffic, session_end);
 
@@ -39,21 +39,21 @@ RadioEnergyReport radio_energy(const AnalyzedTraffic& traffic,
     // Gap before this span: tail up to the demotion timer, then idle.
     if (start > cursor) {
       const Seconds gap = start - cursor;
-      report.tail_time += std::min(gap, config.demotion_timer);
-      report.idle_time += std::max(0.0, gap - config.demotion_timer);
+      report.tail_time += std::min(gap, kDemotionTimer);
+      report.idle_time += std::max(0.0, gap - kDemotionTimer);
     }
     report.active_time += end - start;
     cursor = std::max(cursor, end);
   }
   if (session_end > cursor) {
     const Seconds gap = session_end - cursor;
-    report.tail_time += std::min(gap, config.demotion_timer);
-    report.idle_time += std::max(0.0, gap - config.demotion_timer);
+    report.tail_time += std::min(gap, kDemotionTimer);
+    report.idle_time += std::max(0.0, gap - kDemotionTimer);
   }
 
-  report.energy_joules = report.active_time * config.active_watts +
-                         report.tail_time * config.tail_watts +
-                         report.idle_time * config.idle_watts;
+  report.energy_joules = report.active_time * kActiveWatts +
+                         report.tail_time * kTailWatts +
+                         report.idle_time * kIdleWatts;
   return report;
 }
 

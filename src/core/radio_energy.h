@@ -11,7 +11,7 @@
 //   ACTIVE (data moving)  --inactivity-->  TAIL (DCH/short+long DRX, still
 //   high power)  --demotion timer expires-->  IDLE (low power)
 //
-// and integrate power. Parameters default to commonly measured LTE values
+// and integrate power. Parameters are commonly measured LTE values
 // (Huang et al., MobiSys'12 ballpark); they are inputs, not claims.
 #pragma once
 
@@ -22,13 +22,12 @@
 
 namespace vodx::core {
 
-struct RrcConfig {
-  /// Inactivity before the radio may demote from the high-power tail.
-  Seconds demotion_timer = 11.0;  ///< the paper's "LTE RRC demotion timer"
-  double active_watts = 1.3;      ///< transmitting/receiving
-  double tail_watts = 1.0;        ///< connected but idle (DRX tail)
-  double idle_watts = 0.02;       ///< RRC_IDLE paging
-};
+/// Inactivity before the radio may demote from the high-power tail: the
+/// paper's "LTE RRC demotion timer".
+inline constexpr Seconds kDemotionTimer = 11.0;
+inline constexpr double kActiveWatts = 1.3;  ///< transmitting/receiving
+inline constexpr double kTailWatts = 1.0;    ///< connected but idle (DRX tail)
+inline constexpr double kIdleWatts = 0.02;   ///< RRC_IDLE paging
 
 struct RadioEnergyReport {
   Seconds active_time = 0;
@@ -46,7 +45,6 @@ struct RadioEnergyReport {
 /// Replays the session's transfer intervals through the RRC machine over
 /// [0, session_end).
 RadioEnergyReport radio_energy(const AnalyzedTraffic& traffic,
-                               Seconds session_end,
-                               const RrcConfig& config = {});
+                               Seconds session_end);
 
 }  // namespace vodx::core

@@ -30,26 +30,8 @@
 
 namespace vodx::diag {
 
-struct DiagOptions {
-  /// How long a fired fault keeps explaining problem time after its event.
-  Seconds fault_influence = 8.0;
-  /// Length of the cwnd re-ramp window charged to a restart, in RTTs of the
-  /// emulated path (net::kRtt).
-  double restart_ramp_rtts = 24;
-  /// Capacity must cover bitrate * headroom before a rung counts as
-  /// sustainable (protocol + container overhead allowance).
-  double deficit_headroom = 1.05;
-  /// Pre-interval window searched for evidence when a problem interval
-  /// opens with no instantaneous evidence (the drain that caused a stall
-  /// happens before the stall).
-  Seconds lookback = 4.0;
-  /// Confidence multiplier for spans filled by carry-forward / lookback
-  /// rather than instantaneous evidence.
-  double carry_penalty = 0.75;
-  /// Sender-limited fraction of a transfer's streaming time above which the
-  /// transfer counts as server-paced.
-  double pacing_fraction = 0.5;
-};
+/// How long a fired fault keeps explaining problem time after its event.
+inline constexpr Seconds kFaultInfluence = 8.0;
 
 /// One contiguous slice of a problem interval charged to a single cause.
 struct BlameSpan {
@@ -106,7 +88,6 @@ struct Step {
 Diagnosis diagnose(const core::SessionResult& result,
                    const obs::Observer& observer,
                    const std::optional<faults::FaultPlan>& plan = {},
-                   const DiagOptions& options = {},
                    const std::vector<Step>& capacity = {});
 
 /// Per-interval blame table plus per-cause totals, for the single-session

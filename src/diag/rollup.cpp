@@ -112,7 +112,7 @@ double DiagRollup::mean_confidence() const {
 }
 
 void fold_cell(SweepDiagnosis& out, const batch::CellResult& cell,
-               const obs::Observer& observer, const DiagOptions& options) {
+               const obs::Observer& observer) {
   if (!cell.ok) {
     ++out.failed;
     return;
@@ -125,7 +125,7 @@ void fold_cell(SweepDiagnosis& out, const batch::CellResult& cell,
                                    cell.cell.fault_index);
     plan = std::move(p);
   }
-  const Diagnosis diagnosis = diagnose(cell.result, observer, plan, options);
+  const Diagnosis diagnosis = diagnose(cell.result, observer, plan);
   out.overall.fold(diagnosis);
   rollup_for(out.by_service, cell.service).fold(diagnosis);
   rollup_for(out.by_profile, format("profile %d", cell.profile_id))
@@ -133,16 +133,15 @@ void fold_cell(SweepDiagnosis& out, const batch::CellResult& cell,
   rollup_for(out.by_fault, cell.fault).fold(diagnosis);
 }
 
-SweepDiagnosis diagnose_sweep(batch::SweepConfig config,
-                              const DiagOptions& options) {
+SweepDiagnosis diagnose_sweep(batch::SweepConfig config) {
   SweepDiagnosis out;
 
   // The observe callback fires post-join in grid order on one thread, so
   // the fold sequence — and therefore every rendered table — is independent
   // of the job count.
-  config.observe = [&out, &options](const batch::CellResult& cell,
-                                    const obs::Observer& observer) {
-    fold_cell(out, cell, observer, options);
+  config.observe = [&out](const batch::CellResult& cell,
+                          const obs::Observer& observer) {
+    fold_cell(out, cell, observer);
   };
 
   const batch::SweepResult result = batch::run_sweep(config);

@@ -65,14 +65,13 @@ struct SweepDiagnosis {
 /// observe callback or other single-threaded grid-order context — this is
 /// what diagnose_sweep() and `vodx report --diag` install there.
 void fold_cell(SweepDiagnosis& out, const batch::CellResult& cell,
-               const obs::Observer& observer, const DiagOptions& options = {});
+               const obs::Observer& observer);
 
 /// Runs the grid with per-cell observers and diagnoses every successful
 /// cell. The config's observe callback is overridden; each cell's FaultPlan
 /// is reconstructed from its coordinates exactly as the sweep engine built
 /// it, so blackout windows are available as evidence.
-SweepDiagnosis diagnose_sweep(batch::SweepConfig config,
-                              const DiagOptions& options = {});
+SweepDiagnosis diagnose_sweep(batch::SweepConfig config);
 
 /// Summary line, a dropped-events warning when evidence was lost, the
 /// overall root-cause table, then one table per rollup dimension.

@@ -12,6 +12,17 @@ namespace vodx::diag {
 
 namespace {
 
+/// Catalog services run per scenario. They span the design space:
+/// persistent HLS, DASH, and a non-persistent-connection service.
+constexpr const char* kServices[] = {"H1", "H3", "D1"};
+/// Profile 2 leaves little bandwidth margin, so injected faults actually
+/// turn into stalls that overlap their windows — a fault-free profile
+/// would make the harness vacuously pass.
+constexpr int kProfileId = 2;
+/// Slack appended to truth windows when scoring precision, covering
+/// bounded carry-forward past the influence window.
+constexpr Seconds kCarryGrace = 16.0;
+
 struct Span {
   Seconds start = 0;
   Seconds end = 0;
@@ -47,19 +58,17 @@ Seconds overlap(const std::vector<Span>& merged, Seconds start, Seconds end) {
 /// Ground truth: every fired fault instant and every plan blackout window,
 /// extended by the influence window the attributor itself uses.
 std::vector<Span> truth_windows(const obs::TraceSink& trace,
-                                const std::optional<faults::FaultPlan>& plan,
-                                const DiagOptions& diag) {
+                                const std::optional<faults::FaultPlan>& plan) {
   std::vector<Span> spans;
   trace.for_each([&](const obs::Event& event) {
     if (event.category == obs::Category::kFault &&
         event.kind == obs::EventKind::kInstant) {
-      spans.push_back({event.sim_time, event.sim_time + diag.fault_influence});
+      spans.push_back({event.sim_time, event.sim_time + kFaultInfluence});
     }
   });
   if (plan.has_value()) {
     for (const faults::BlackoutFault& b : plan->blackouts) {
-      spans.push_back(
-          {b.start, b.start + b.duration + diag.fault_influence});
+      spans.push_back({b.start, b.start + b.duration + kFaultInfluence});
     }
   }
   return merge_spans(spans);
@@ -96,18 +105,9 @@ bool ValidationReport::pass(double threshold) const {
   return min_precision() >= threshold && min_recall() >= threshold;
 }
 
-ValidationReport validate(const ValidateOptions& options) {
+ValidationReport validate(Seconds duration) {
   std::vector<services::ServiceSpec> specs;
-  if (!options.services.empty()) {
-    for (const std::string& name : options.services) {
-      specs.push_back(services::service(name));
-    }
-  } else {
-    const std::vector<services::ServiceSpec>& all = services::catalog();
-    const int n = std::min<int>(options.service_count,
-                                static_cast<int>(all.size()));
-    specs.assign(all.begin(), all.begin() + n);
-  }
+  for (const char* name : kServices) specs.push_back(services::service(name));
 
   ValidationReport report;
   for (const faults::Scenario& scenario : faults::scenario_catalog()) {
@@ -116,12 +116,12 @@ ValidationReport validate(const ValidateOptions& options) {
 
     batch::SweepConfig config;
     config.services = specs;
-    config.profiles = {options.profile_id};
+    config.profiles = {kProfileId};
     config.fault_scenarios = {scenario.name};
-    config.session_duration = options.duration;
-    config.content_duration = options.duration;
-    config.observe = [&score, &options](const batch::CellResult& cell,
-                                        const obs::Observer& observer) {
+    config.session_duration = duration;
+    config.content_duration = duration;
+    config.observe = [&score](const batch::CellResult& cell,
+                              const obs::Observer& observer) {
       if (!cell.ok) return;
       ++score.cells;
       std::optional<faults::FaultPlan> plan;
@@ -132,12 +132,9 @@ ValidationReport validate(const ValidateOptions& options) {
                                        cell.cell.fault_index);
         plan = std::move(p);
       }
-      const Diagnosis diagnosis =
-          diagnose(cell.result, observer, plan, options.diag);
-      const std::vector<Span> truth =
-          truth_windows(observer.trace, plan, options.diag);
-      const std::vector<Span> lenient =
-          widen(truth, options.carry_grace);
+      const Diagnosis diagnosis = diagnose(cell.result, observer, plan);
+      const std::vector<Span> truth = truth_windows(observer.trace, plan);
+      const std::vector<Span> lenient = widen(truth, kCarryGrace);
       for (const IntervalDiagnosis& interval : diagnosis.intervals) {
         score.truth_s += overlap(truth, interval.start, interval.end);
         for (const BlameSpan& span : interval.spans) {

@@ -25,23 +25,6 @@
 
 namespace vodx::diag {
 
-struct ValidateOptions {
-  /// Catalog services to run per scenario (empty = first `service_count`).
-  /// The defaults span the design space: persistent HLS, DASH, and a
-  /// non-persistent-connection service.
-  std::vector<std::string> services = {"H1", "H3", "D1"};
-  int service_count = 3;
-  /// Profile 2 leaves little bandwidth margin, so injected faults actually
-  /// turn into stalls that overlap their windows — a fault-free profile
-  /// would make the harness vacuously pass.
-  int profile_id = 2;
-  Seconds duration = 300;
-  /// Slack appended to truth windows when scoring precision, covering
-  /// bounded carry-forward past the influence window.
-  Seconds carry_grace = 16.0;
-  DiagOptions diag;
-};
-
 struct ScenarioScore {
   std::string scenario;
   int cells = 0;
@@ -64,8 +47,9 @@ struct ValidationReport {
   bool pass(double threshold) const;
 };
 
-/// Runs every catalog scenario and scores it. Deterministic.
-ValidationReport validate(const ValidateOptions& options = {});
+/// Runs every catalog scenario for `duration`-second sessions and scores
+/// it. Deterministic.
+ValidationReport validate(Seconds duration);
 
 /// One row per scenario plus a verdict line against `threshold`.
 std::string validation_text(const ValidationReport& report, double threshold);

@@ -3,18 +3,23 @@
 // The paper's methodology is built on perturbing traffic in flight:
 // rejecting requests, rewriting manifests, injecting failures. Instead of
 // one ad-hoc hook per power, the proxy carries an ordered chain of
-// Interceptors, each of which may participate in three stages:
+// Interceptors, each of which may participate in three stages, run in this
+// order:
 //
 //   on_request   registration order; the first interceptor returning a
 //                Response short-circuits the origin (and the rest of the
 //                request stage) — rejections and injected HTTP errors.
-//   on_manifest  registration order; body rewriting for ok() responses
-//                whose content type parses as a manifest (the Fig.-12
-//                Manifest Modifier).
 //   on_response  REVERSE registration order (onion semantics: the first
-//                interceptor registered sees the final response last) —
-//                mutation of headers/wire effects such as added latency or
-//                a scheduled connection reset.
+//                interceptor registered sees the response last) — mutation
+//                of headers/wire effects such as added latency or a
+//                scheduled connection reset.
+//   on_manifest  registration order, last of all; body rewriting for ok()
+//                responses whose content type parses as a manifest (the
+//                Fig.-12 Manifest Modifier). The rewrite happens on the
+//                client side of every other stage, as the paper's proxy
+//                rewrites what the server sent: an edge cache in the
+//                response stage stores the server's bytes, and a retried
+//                or failed-over manifest is rewritten all the same.
 //
 // attach() fires once when the interceptor is registered on a proxy, so
 // stateful interceptors (e.g. the startup probe's segment classifier) can
@@ -53,7 +58,8 @@ class Interceptor {
   }
 
   /// Manifest stage. Receives the (possibly already-rewritten) body of an
-  /// ok() manifest response; returns the replacement body.
+  /// ok() manifest response, after every response stage ran; returns the
+  /// replacement body.
   virtual std::string on_manifest(const std::string& url, std::string body) {
     (void)url;
     return body;

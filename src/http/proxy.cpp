@@ -30,6 +30,12 @@ Response Proxy::resolve(const Request& request, Seconds now) const {
   }
   if (!short_circuited) response = origin_->handle(request);
 
+  for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
+    (*it)->on_response(request, response, now);
+  }
+
+  // Last, so the response stage (the origin tier's edge fill, its retries
+  // and failover) only ever sees and stores the bytes the server sent.
   if (response.ok() && is_manifest_content(response.content_type)) {
     std::string body = std::move(response.body);
     for (const auto& interceptor : chain_) {
@@ -37,10 +43,6 @@ Response Proxy::resolve(const Request& request, Seconds now) const {
     }
     response.payload_size = static_cast<Bytes>(body.size());
     response.body = std::move(body);
-  }
-
-  for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
-    (*it)->on_response(request, response, now);
   }
   return response;
 }

@@ -27,8 +27,8 @@ class Proxy {
   void use(InterceptorPtr interceptor);
 
   /// Resolves a request at simulated time `now`: request stage (first
-  /// short-circuit wins) → origin → manifest stage (ok manifest bodies) →
-  /// response stage in reverse registration order.
+  /// short-circuit wins) → origin → response stage in reverse registration
+  /// order → manifest stage (ok manifest bodies).
   Response resolve(const Request& request, Seconds now) const;
 
   TrafficLog& log() { return log_; }

@@ -48,15 +48,6 @@ Seconds ClientTrack::segment_start(int index) const {
   return start;
 }
 
-int ClientTrack::segment_index_at(Seconds t) const {
-  Seconds start = 0;
-  for (const ClientSegment& s : segments) {
-    if (t < start + s.duration) return s.index;
-    start += s.duration;
-  }
-  return static_cast<int>(segments.size()) - 1;
-}
-
 Bps ClientTrack::average_actual_bitrate() const {
   if (!sizes_known) return 0;
   Bytes bytes = 0;

@@ -81,7 +81,6 @@ struct ClientTrack {
 
   Seconds duration() const;
   Seconds segment_start(int index) const;
-  int segment_index_at(Seconds t) const;
   Bps average_actual_bitrate() const;  ///< 0 when sizes unknown
 };
 

@@ -9,6 +9,9 @@ namespace vodx::media {
 
 namespace {
 
+/// Relative size jitter for kCbr segments.
+constexpr double kCbrJitter = 0.03;
+
 /// Splits `content_duration` into segments of `segment_duration` with a
 /// shorter tail segment if needed.
 std::vector<Seconds> segment_durations(Seconds content_duration,
@@ -55,7 +58,7 @@ Track encode_video_track(const std::string& id, Bps declared_bitrate,
     for (double& m : mult) m /= mean;
   } else {
     for (double& m : mult)
-      m = 1.0 + rng.uniform(-config.cbr_jitter, config.cbr_jitter);
+      m = 1.0 + rng.uniform(-kCbrJitter, kCbrJitter);
   }
 
   // Average actual bitrate implied by the declared policy.

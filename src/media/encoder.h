@@ -33,8 +33,6 @@ struct EncoderConfig {
   double peak_to_average = 2.0;
   /// Peak cap relative to average for kVbr+kAverage encodings.
   double average_policy_peak = 1.5;
-  /// Relative size jitter for kCbr segments.
-  double cbr_jitter = 0.03;
 };
 
 /// Encodes one video track. `declared_bitrate` is what the manifest will

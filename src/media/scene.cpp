@@ -6,17 +6,23 @@
 
 namespace vodx::media {
 
-SceneComplexity SceneComplexity::generate(Seconds duration, Rng& rng,
-                                          const SceneModelConfig& config) {
+namespace {
+constexpr Seconds kMeanSceneDuration = 8.0;
+// Sigmas of the log-normal scene durations and scene complexity.
+constexpr double kDurationSigma = 0.6;
+constexpr double kComplexitySigma = 0.5;
+}  // namespace
+
+SceneComplexity SceneComplexity::generate(Seconds duration, Rng& rng) {
   VODX_ASSERT(duration > 0, "need positive duration");
   SceneComplexity out;
   Seconds t = 0;
   double weighted_sum = 0;
   while (t < duration) {
-    Seconds scene_dur = std::max(
-        0.5, rng.lognormal(config.mean_scene_duration, config.duration_sigma));
+    Seconds scene_dur =
+        std::max(0.5, rng.lognormal(kMeanSceneDuration, kDurationSigma));
     scene_dur = std::min(scene_dur, duration - t);
-    double complexity = rng.lognormal(1.0, config.complexity_sigma);
+    double complexity = rng.lognormal(1.0, kComplexitySigma);
     out.scenes_.push_back({t, complexity});
     weighted_sum += complexity * scene_dur;
     t += scene_dur;

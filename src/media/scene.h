@@ -16,18 +16,11 @@
 
 namespace vodx::media {
 
-struct SceneModelConfig {
-  Seconds mean_scene_duration = 8.0;
-  double duration_sigma = 0.6;    ///< sigma of log-normal scene durations
-  double complexity_sigma = 0.5;  ///< sigma of log-normal scene complexity
-};
-
 /// A piecewise-constant complexity profile over the content timeline.
 class SceneComplexity {
  public:
   /// Generates scenes covering at least `duration` seconds.
-  static SceneComplexity generate(Seconds duration, Rng& rng,
-                                  const SceneModelConfig& config = {});
+  static SceneComplexity generate(Seconds duration, Rng& rng);
 
   /// Mean complexity over [t0, t1); overall mean is normalised to ~1.
   double average_over(Seconds t0, Seconds t1) const;

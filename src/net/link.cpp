@@ -187,7 +187,7 @@ void Link::tick(Seconds now, Seconds dt) {
       ++streamers;
       nearest_end = std::min(nearest_end, c->transfer_remaining_);
       clamp_margin = std::min(
-          clamp_margin, (c->config_.queue_headroom - 1) * c->config_.rtt);
+          clamp_margin, (kQueueHeadroom - 1) * c->config_.rtt);
       if (c->samples_cwnd()) {
         sample_at = std::min(sample_at, c->last_cwnd_emit_ + c->config_.rtt);
       }
@@ -206,7 +206,7 @@ void Link::tick(Seconds now, Seconds dt) {
     return;
   }
   // An equal split holds for the whole span: a saturated cwnd is clamped
-  // to queue_headroom x the share's BDP, rounded down to a byte, so its
+  // to kQueueHeadroom x the share's BDP, rounded down to a byte, so its
   // demand stays above the share while (headroom - 1) x share x rtt clears
   // the rounding's 8 bits with a 2x margin. A lone streamer gets its demand
   // up to the capacity, whichever side of it the demand lies.

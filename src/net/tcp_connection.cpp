@@ -9,13 +9,19 @@
 
 namespace vodx::net {
 
+namespace {
+constexpr Bytes kMss = 1460;              ///< segment size for CA growth
+constexpr double kHandshakeRtts = 1.0;    ///< 1 for TCP, 3 for TCP+TLS1.2
+/// A persistent connection idle for longer than this restarts slow start.
+constexpr Seconds kIdleRestartAfter = 0.5;
+}  // namespace
+
 TcpConnection::TcpConnection(TcpConfig config, std::string label)
     : config_(config),
       label_(std::move(label)),
-      cwnd_(config.initial_cwnd),
+      cwnd_(kInitialCwnd),
       ssthresh_(std::numeric_limits<double>::infinity()) {
   VODX_ASSERT(config_.rtt > 0, "rtt must be positive");
-  VODX_ASSERT(config_.initial_cwnd > 0, "initial cwnd must be positive");
 }
 
 void TcpConnection::set_observer(obs::Observer* observer) {
@@ -59,10 +65,10 @@ void TcpConnection::start_transfer(Seconds now, Bytes bytes,
   }
 
   if (phase_ == Phase::kClosed) {
-    cwnd_ = config_.initial_cwnd;
+    cwnd_ = kInitialCwnd;
     ssthresh_ = std::numeric_limits<double>::infinity();
     phase_ = Phase::kHandshake;
-    wait_remaining_ = config_.rtt * config_.handshake_rtts + extra_wait;
+    wait_remaining_ = config_.rtt * kHandshakeRtts + extra_wait;
     // A handshake on a connection that already carried a transfer is the
     // paper's non-persistent pathology (or a post-reset reconnect): the cwnd
     // ramp is being re-paid, unlike the unavoidable cold-start handshake.
@@ -71,7 +77,7 @@ void TcpConnection::start_transfer(Seconds now, Bytes bytes,
     if (tracing) {
       obs_->trace.instant(now, obs::Category::kTcp, "tcp.handshake",
                           obs_track_,
-                          {obs::Field::n("rtts", config_.handshake_rtts),
+                          {obs::Field::n("rtts", kHandshakeRtts),
                            obs::Field::n("restart", reused ? 1 : 0)});
     }
     return;
@@ -79,9 +85,8 @@ void TcpConnection::start_transfer(Seconds now, Bytes bytes,
 
   // Reusing a persistent connection after a long idle period restarts slow
   // start (the congestion state is stale).
-  if (config_.idle_slow_start_restart &&
-      now - idle_since_ > config_.idle_restart_after) {
-    cwnd_ = config_.initial_cwnd;
+  if (now - idle_since_ > kIdleRestartAfter) {
+    cwnd_ = kInitialCwnd;
     ssthresh_ = std::numeric_limits<double>::infinity();
     transfer_restart_ = true;
     if (idle_restarts_metric_ != nullptr) idle_restarts_metric_->add();
@@ -159,11 +164,11 @@ void TcpConnection::enter_streaming(Seconds now) {
 
 void TcpConnection::grow_cwnd(Bytes acked, Bps granted, bool saturated) {
   const double bdp_cap =
-      config_.queue_headroom * granted * config_.rtt / 8.0;
+      kQueueHeadroom * granted * config_.rtt / 8.0;
   if (saturated && static_cast<double>(cwnd_) > bdp_cap) {
     // Stand-in for loss-based backoff: the pipe (plus queue headroom) is
     // full, so clamp to the achievable window and leave slow start.
-    cwnd_ = std::max(config_.initial_cwnd, static_cast<Bytes>(bdp_cap));
+    cwnd_ = std::max(kInitialCwnd, static_cast<Bytes>(bdp_cap));
     ssthresh_ = static_cast<double>(cwnd_);
     return;
   }
@@ -171,7 +176,7 @@ void TcpConnection::grow_cwnd(Bytes acked, Bps granted, bool saturated) {
     cwnd_ += acked;  // slow start: doubles per RTT
   } else if (cwnd_ > 0) {
     cwnd_ += std::max<Bytes>(
-        1, config_.mss * acked / cwnd_);  // congestion avoidance
+        1, kMss * acked / cwnd_);  // congestion avoidance
   }
 }
 

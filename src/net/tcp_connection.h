@@ -27,15 +27,13 @@
 
 namespace vodx::net {
 
+inline constexpr Bytes kInitialCwnd = 14600;  ///< RFC 6928 IW10
+/// cwnd cap = headroom * fair-share BDP.
+inline constexpr double kQueueHeadroom = 1.5;
+
 struct TcpConfig {
   Seconds rtt = kRtt;            ///< round-trip time to the origin
-  Bytes mss = 1460;              ///< segment size for CA growth
-  Bytes initial_cwnd = 14600;    ///< RFC 6928 IW10
-  double queue_headroom = 1.5;   ///< cwnd cap = headroom * fair-share BDP
   bool persistent = true;        ///< reuse the connection across requests
-  bool idle_slow_start_restart = true;
-  Seconds idle_restart_after = 0.5;
-  double handshake_rtts = 1.0;   ///< 1 for TCP, 3 for TCP+TLS1.2
 };
 
 class Link;

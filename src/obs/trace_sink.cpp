@@ -100,13 +100,6 @@ void TraceSink::counter(Seconds time, Category category, const char* name,
   emit(std::move(event));
 }
 
-std::vector<Event> TraceSink::snapshot() const {
-  std::vector<Event> out;
-  out.reserve(count_);
-  for_each([&out](const Event& event) { out.push_back(event); });
-  return out;
-}
-
 // Drops the retained window only; emitted()/dropped() are lifetime totals
 // (seq stays monotonic across a clear, so merged exports remain ordered).
 void TraceSink::clear() {

@@ -82,10 +82,8 @@ class TraceSink {
   std::size_t size() const { return count_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Retained events, oldest first (emission order; seq is monotonic).
-  std::vector<Event> snapshot() const;
-
-  /// Visits retained events oldest-first, in place.
+  /// Visits retained events oldest-first, in place (emission order; seq is
+  /// monotonic).
   template <class Fn>
   void for_each(Fn&& fn) const {
     if (count_ < capacity_) {

@@ -57,10 +57,6 @@ void OriginOptions::validate() const {
     throw ConfigError(
         format("origin cache TTL must be positive (got %g s)", cache_ttl_s));
   }
-  if (cache_hit_s < 0 || manifest_package_s < 0 ||
-      segment_package_base_s < 0 || segment_package_per_mb_s < 0) {
-    throw ConfigError("origin latency knobs must be non-negative");
-  }
   if (retry_budget < 0) {
     throw ConfigError(
         format("origin retry budget must be >= 0 (got %d)", retry_budget));
@@ -68,9 +64,6 @@ void OriginOptions::validate() const {
   if (retry_budget > 0 && backoff_base_s <= 0) {
     throw ConfigError(format(
         "origin retry backoff must be positive (got %g s)", backoff_base_s));
-  }
-  if (backoff_jitter_s < 0) {
-    throw ConfigError("origin backoff jitter must be non-negative");
   }
   if (breaker_threshold < 0) {
     throw ConfigError(format("origin breaker threshold must be >= 0 (got %d)",
@@ -80,9 +73,6 @@ void OriginOptions::validate() const {
     throw ConfigError(
         format("origin breaker cooldown must be positive (got %g s)",
                breaker_cooldown_s));
-  }
-  if (secondary_extra_s < 0) {
-    throw ConfigError("origin secondary-DC latency must be non-negative");
   }
 }
 
@@ -271,11 +261,10 @@ double OriginTier::draw(std::uint64_t tag, std::uint64_t index) const {
 
 Seconds OriginTier::packaging(const http::Response& response) const {
   if (http::Proxy::is_manifest_content(response.content_type)) {
-    return options_.manifest_package_s;
+    return kManifestPackaging;
   }
   const double mb = static_cast<double>(response.payload_size) / 1e6;
-  return options_.segment_package_base_s +
-         options_.segment_package_per_mb_s * mb;
+  return kSegmentPackagingBase + kSegmentPackagingPerMb * mb;
 }
 
 void OriginTier::apply_flushes(Seconds now) {
@@ -327,11 +316,11 @@ void OriginTier::serve_secondary(const http::Request& request,
                                  http::Response& response,
                                  Seconds& origin_wait, Seconds now) {
   response = fetch_origin(request);
-  origin_wait += packaging(response) + options_.secondary_extra_s;
+  origin_wait += packaging(response) + kSecondaryExtraLatency;
   ++state_->totals.secondary;
   count(c_secondary_);
   instant("origin.failover", request, now,
-          packaging(response) + options_.secondary_extra_s);
+          packaging(response) + kSecondaryExtraLatency);
 }
 
 void OriginTier::count(obs::Counter* counter) {
@@ -371,7 +360,7 @@ std::optional<http::Response> OriginTier::on_request(
     count(c_hits_);
     verify_consistency(request, entry, now);
     http::Response response = entry.response;
-    response.added_latency += options_.cache_hit_s;
+    response.added_latency += kCacheHitLatency;
     pending_hit_ = true;
     return response;
   }
@@ -384,7 +373,7 @@ std::optional<http::Response> OriginTier::on_request(
     count(c_coalesced_);
     verify_consistency(request, entry, now);
     http::Response response = entry.response;
-    response.added_latency += (entry.ready_at - now) + options_.cache_hit_s;
+    response.added_latency += (entry.ready_at - now) + kCacheHitLatency;
     pending_hit_ = true;
     instant("origin.coalesced", request, now, entry.ready_at - now);
     return response;
@@ -451,7 +440,7 @@ void OriginTier::on_response(const http::Request& request,
     for (int attempt = 1; attempt <= options_.retry_budget; ++attempt) {
       const Seconds backoff =
           options_.backoff_base_s * std::pow(2.0, attempt - 1) +
-          options_.backoff_jitter_s *
+          kBackoffJitter *
               draw(kTagBackoff, static_cast<std::uint64_t>(attempt));
       backoff_total += backoff;
       ++state_->totals.retries;

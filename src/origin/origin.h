@@ -28,7 +28,10 @@
 // any injected origin error — the cache absorbs origin-side pathology), and
 // its response stage runs LAST, after the injector's — injected errors and
 // resets register as primary-DC failures, so every faults::FaultPlan
-// pathology composes against the failover machinery for free.
+// pathology composes against the failover machinery for free. The proxy's
+// manifest stage runs after every response stage, so the edge caches, and
+// a retry or failover serves, the body the origin sent; a session's
+// manifest probes rewrite it on the way out, for that session alone.
 #pragma once
 
 #include <cstdint>
@@ -57,29 +60,32 @@ const char* to_string(Mode mode);
 /// Parses "none" | "naive" | "hardened"; throws ConfigError otherwise.
 Mode parse_mode(const std::string& name);
 
+// Packaging: the nginx-vod-module cost of repackaging MP4 into the
+// protocol's container per request. Segments scale with their size.
+inline constexpr Seconds kManifestPackaging = 0.030;
+inline constexpr Seconds kSegmentPackagingBase = 0.012;
+inline constexpr Seconds kSegmentPackagingPerMb = 0.008;
+/// Edge service latency on a cache hit.
+inline constexpr Seconds kCacheHitLatency = 0.002;
+/// Uniform extra in [0, kBackoffJitter) on each retry backoff.
+inline constexpr Seconds kBackoffJitter = 0.25;
+/// Extra RTT to the secondary DC.
+inline constexpr Seconds kSecondaryExtraLatency = 0.080;
+
 struct OriginOptions {
   Mode mode = Mode::kNone;
-
-  // Packaging: the nginx-vod-module cost of repackaging MP4 into the
-  // protocol's container per request. Segments scale with their size.
-  Seconds manifest_package_s = 0.030;
-  Seconds segment_package_base_s = 0.012;
-  Seconds segment_package_per_mb_s = 0.008;
 
   // Edge cache.
   int cache_capacity = 512;     ///< entries; LRU eviction beyond this
   Seconds cache_ttl_s = 120;    ///< entry lifetime from fill time
-  Seconds cache_hit_s = 0.002;  ///< edge service latency on a hit
   bool coalesce = true;         ///< misses join an in-flight fill
 
   // Failover. retry_budget 0 = no retries; breaker_threshold 0 = no
   // breaker and no secondary DC (failures always propagate).
   int retry_budget = 2;
   Seconds backoff_base_s = 0.25;    ///< doubles per attempt
-  Seconds backoff_jitter_s = 0.25;  ///< uniform extra in [0, jitter)
   int breaker_threshold = 3;        ///< consecutive failures before tripping
   Seconds breaker_cooldown_s = 15;  ///< open time before a half-open probe
-  Seconds secondary_extra_s = 0.080;  ///< extra RTT to the secondary DC
 
   std::uint64_t seed = 1;  ///< retry-jitter stream
 

@@ -6,6 +6,11 @@
 
 namespace vodx::player {
 
+namespace {
+/// Upcoming segments whose actual bitrate use_actual_bitrate weighs (§4.2).
+constexpr int kActualBitrateLookahead = 3;
+}  // namespace
+
 Bps track_required_rate(const manifest::ClientTrack& track, int next_index,
                         const PlayerConfig& config) {
   if (!config.use_actual_bitrate) return track.declared_bitrate;
@@ -19,7 +24,7 @@ Bps track_required_rate(const manifest::ClientTrack& track, int next_index,
   // segments about to be fetched fit, not just the average.
   Bps need = 0;
   const int count = static_cast<int>(track.segments.size());
-  const int end = std::min(count, next_index + config.actual_bitrate_lookahead);
+  const int end = std::min(count, next_index + kActualBitrateLookahead);
   for (int i = next_index; i < end; ++i) {
     need = std::max(need,
                     track.segments[static_cast<std::size_t>(i)].actual_bitrate());
@@ -36,7 +41,7 @@ class ThroughputAbr final : public AbrPolicy {
   int select_video_level(const AbrContext& context) override {
     const auto& ladder = context.presentation->video;
     VODX_ASSERT(!ladder.empty(), "no video tracks");
-    if (context.estimator_samples < config_.estimator_min_samples) {
+    if (context.estimator_samples < kEstimatorMinSamples) {
       // Not enough history to trust the estimate (§4.3: players keep the
       // startup track for the first couple of segments).
       return context.startup_level;
@@ -57,7 +62,7 @@ class ThroughputAbr final : public AbrPolicy {
     const int last = std::clamp(context.last_level, 0,
                                 static_cast<int>(ladder.size()) - 1);
     if (best > last) {
-      if (++up_votes_ < config_.switch_confirmation) best = last;
+      if (++up_votes_ < kSwitchConfirmation) best = last;
     } else {
       up_votes_ = 0;
     }
@@ -81,7 +86,7 @@ class OscillatingAbr final : public AbrPolicy {
   int select_video_level(const AbrContext& context) override {
     const int max_level =
         static_cast<int>(context.presentation->video.size()) - 1;
-    if (context.estimator_samples < config_.estimator_min_samples) {
+    if (context.estimator_samples < kEstimatorMinSamples) {
       return context.startup_level;
     }
     // Baseline: the highest track whose *declared* bitrate fits the
@@ -120,7 +125,7 @@ class BufferBasedAbr final : public AbrPolicy {
   int select_video_level(const AbrContext& context) override {
     const int max_level =
         static_cast<int>(context.presentation->video.size()) - 1;
-    if (context.estimator_samples < config_.estimator_min_samples) {
+    if (context.estimator_samples < kEstimatorMinSamples) {
       return context.startup_level;
     }
     // BBA rate map: lowest track inside the reservoir, highest once the

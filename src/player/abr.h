@@ -21,6 +21,16 @@
 
 namespace vodx::player {
 
+/// Samples required before the ABR trusts its estimate; until then it
+/// stays on the startup track (the §4.3 H3 failure mode needs >= 2).
+inline constexpr int kEstimatorMinSamples = 2;
+
+/// Switch confirmation: ThroughputAbr only leaves the current track upward
+/// after this many consecutive decisions agree on the move. Suppresses the
+/// boundary oscillation that per-download throughput noise would otherwise
+/// cause — every studied service except D1 shows this damping (§3.3.3).
+inline constexpr int kSwitchConfirmation = 2;
+
 struct AbrContext {
   const manifest::Presentation* presentation = nullptr;
   Bps bandwidth_estimate = 0;  ///< 0 until the first sample

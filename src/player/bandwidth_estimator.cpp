@@ -1,17 +1,11 @@
 #include "player/bandwidth_estimator.h"
 
-#include <algorithm>
-
 namespace vodx::player {
-
-BandwidthEstimator::BandwidthEstimator(double alpha)
-    : window_(static_cast<std::size_t>(
-          std::clamp(4.0 / std::max(alpha, 0.05), 2.0, 64.0))) {}
 
 void BandwidthEstimator::add_download(Bytes bytes, Seconds duration) {
   if (bytes <= 0 || duration <= 0) return;
   samples_window_.push_back({bytes, duration});
-  if (samples_window_.size() > window_) samples_window_.pop_front();
+  if (samples_window_.size() > kEstimatorWindow) samples_window_.pop_front();
   Bytes total_bytes = 0;
   Seconds total_time = 0;
   for (const Sample& s : samples_window_) {

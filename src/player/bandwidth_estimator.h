@@ -7,18 +7,19 @@
 // actually occupied, which a per-download EWMA gets badly wrong.
 #pragma once
 
+#include <cstddef>
 #include <deque>
 
 #include "common/units.h"
 
 namespace vodx::player {
 
+/// Downloads aggregated into one estimate: 4 / 0.3, about as many as an
+/// EWMA giving the newest sample a weight of 0.3 remembers.
+inline constexpr std::size_t kEstimatorWindow = 13;
+
 class BandwidthEstimator {
  public:
-  /// `alpha` kept for configuration compatibility: it scales the window as
-  /// roughly 2/alpha samples (alpha 0.3 -> ~7 downloads).
-  explicit BandwidthEstimator(double alpha = 0.3);
-
   /// Feeds one download: payload bytes over transfer duration.
   void add_download(Bytes bytes, Seconds duration);
 
@@ -31,7 +32,6 @@ class BandwidthEstimator {
     Seconds duration;
   };
 
-  std::size_t window_;
   std::deque<Sample> samples_window_;
   Bps estimate_ = 0;
   int samples_ = 0;

@@ -55,12 +55,6 @@ void PlaybackBuffer::consume_until(Seconds position) {
   }
 }
 
-void PlaybackBuffer::reset() {
-  segments_.clear();
-  consumed_up_to_ = -1;
-  ++epoch_;
-}
-
 Seconds PlaybackBuffer::contiguous_end(Seconds position) const {
   if (memo_valid_ && memo_epoch_ == epoch_) {
     if (memo_position_ == position) return memo_end_;
@@ -89,21 +83,6 @@ Seconds PlaybackBuffer::contiguous_end(Seconds position) const {
   memo_end_ = end;
   memo_valid_ = true;
   return end;
-}
-
-int PlaybackBuffer::last_contiguous_index(Seconds position) const {
-  int last = -1;
-  int expected_index = -1;
-  Seconds end = position;
-  for (const BufferedSegment& s : segments_) {
-    if (s.start + s.duration <= position + 1e-9) continue;
-    if (s.start > end + 1e-9) break;
-    if (expected_index >= 0 && s.index != expected_index) break;
-    end = s.start + s.duration;
-    expected_index = s.index + 1;
-    last = s.index;
-  }
-  return last;
 }
 
 int PlaybackBuffer::contiguous_count(Seconds position) const {

@@ -56,10 +56,6 @@ class PlaybackBuffer {
   /// (the renderer consumed them).
   void consume_until(Seconds position);
 
-  /// Flushes everything, including the consumed-index watermark (a seek
-  /// makes any position legal again).
-  void reset();
-
   bool empty() const { return segments_.empty(); }
 
   /// Presentation time up to which playback can proceed without gaps,
@@ -71,10 +67,6 @@ class PlaybackBuffer {
   Seconds buffered_ahead(Seconds position) const {
     return contiguous_end(position) - position;
   }
-
-  /// Highest buffered index within the contiguous region from `position`;
-  /// -1 if none.
-  int last_contiguous_index(Seconds position) const;
 
   /// Number of segments in the contiguous region covering `position`.
   int contiguous_count(Seconds position) const;

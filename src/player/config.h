@@ -68,15 +68,6 @@ struct PlayerConfig {
   /// Best practice from §4.3: also require this many segments downloaded.
   int startup_min_segments = 1;
   Bps startup_bitrate = 500e3;  ///< resolved to the nearest track level
-  /// Samples required before the ABR trusts its estimate; until then it
-  /// stays on the startup track (the §4.3 H3 failure mode needs >= 2).
-  int estimator_min_samples = 2;
-
-  // --- Rebuffering ------------------------------------------------------
-  Seconds rebuffer_duration = 5;  ///< buffered seconds needed to resume
-  /// §4.3's closing suggestion: apply the segment-count constraint to stall
-  /// recovery too, not only to the initial startup.
-  int rebuffer_min_segments = 1;
 
   // --- Download control (Table 1 pausing/resuming thresholds) ----------
   Seconds pausing_threshold = 30;
@@ -90,7 +81,6 @@ struct PlayerConfig {
   /// §4.2: estimate a track's need from actual upcoming segment sizes
   /// instead of the declared bitrate (requires the protocol to expose them).
   bool use_actual_bitrate = false;
-  int actual_bitrate_lookahead = 3;
   /// Don't switch down while the video buffer holds more than this
   /// (Table 1 "Decrease buffer"); 0 disables the damping.
   Seconds decrease_buffer = 0;
@@ -99,12 +89,6 @@ struct PlayerConfig {
   /// ...then walk the ladder linearly, reaching the top at
   /// reservoir + cushion buffered seconds.
   Seconds bba_cushion = 30;
-  double estimator_alpha = 0.3;  ///< EWMA weight of the newest sample
-  /// Switch confirmation: only leave the current track after this many
-  /// consecutive decisions agree on the move. Suppresses the boundary
-  /// oscillation that per-download throughput noise would otherwise cause —
-  /// every studied service except D1 shows this damping (§3.3.3). 1 = none.
-  int switch_confirmation = 2;
 
   // --- Segment Replacement (§4.1) ---------------------------------------
   SrPolicy sr = SrPolicy::kNone;
@@ -138,12 +122,6 @@ struct PlayerConfig {
   /// track instead of failing the session, as long as one video track
   /// survives (stale-manifest fallback).
   bool tolerate_variant_loss = false;
-
-  // --- Data saver ---------------------------------------------------------
-  /// Cap selection at the highest track whose resolution height does not
-  /// exceed this (0 = uncapped). The app-level "data saver" switch §4.1.3's
-  /// data-usage concerns motivate.
-  int max_height_cap = 0;
 };
 
 }  // namespace vodx::player

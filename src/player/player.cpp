@@ -12,6 +12,11 @@ namespace {
 constexpr double kEps = 1e-9;
 constexpr int kVideoPipe = 0;
 constexpr int kAudioPipe = 1;
+/// Buffered seconds needed to resume after a stall.
+constexpr Seconds kRebufferDuration = 5;
+/// §4.3's closing suggestion: apply the segment-count constraint to stall
+/// recovery too, not only to the initial startup.
+constexpr int kRebufferMinSegments = 1;
 }  // namespace
 
 const char* to_string(PlayerState state) {
@@ -38,7 +43,6 @@ Player::Player(net::Simulator& sim, net::Link& link, http::Proxy& proxy,
     : sim_(sim),
       config_(std::move(config)),
       protocol_(protocol),
-      estimator_(config_.estimator_alpha),
       video_buffer_(/*allow_mid_replacement=*/true),
       audio_buffer_(/*allow_mid_replacement=*/true),
       retry_rng_(config_.resilience_seed) {
@@ -191,76 +195,6 @@ void Player::stop() {
   client_->shutdown();
 }
 
-void Player::pause() {
-  sim_.poke(this);
-  user_paused_ = true;
-}
-
-void Player::resume() {
-  sim_.poke(this);
-  user_paused_ = false;
-}
-
-void Player::seek(Seconds target) {
-  if (state_ != PlayerState::kStartup && state_ != PlayerState::kPlaying &&
-      state_ != PlayerState::kRebuffering) {
-    return;  // nothing to seek in
-  }
-  sim_.poke(this);
-  target = std::clamp(target, 0.0, presentation_duration_ - 0.5);
-  events_.seeks.push_back(SeekEvent{sim_.now(), position_, target});
-  if (obs::trace_on(obs_, obs::Category::kPlayer)) {
-    obs_->trace.instant(sim_.now(), obs::Category::kPlayer, "seek",
-                        player_track_,
-                        {obs::Field::n("from_s", position_),
-                         obs::Field::n("to_s", target)});
-  }
-
-  // Abort everything in flight: the deadline structure just changed.
-  for (auto& [key, info] : fetches_) {
-    for (int id : info.transfer_ids) client_->abort(id);
-  }
-  fetches_.clear();
-  retries_[kVideoPipe].clear();
-  retries_[kAudioPipe].clear();
-  in_flight_count_[kVideoPipe] = 0;
-  in_flight_count_[kAudioPipe] = 0;
-
-  // Keep a forward-contiguous buffer if it already covers the target;
-  // otherwise flush and refetch from the segment containing it.
-  auto retarget = [&](PlaybackBuffer& buffer,
-                      const manifest::ClientTrack& track, int pipe) {
-    if (buffer.at_position(target) != nullptr && target >= position_) {
-      buffer.consume_until(target);
-      next_index_[pipe] =
-          std::min(buffer.last_contiguous_index(target) + 1,
-                   static_cast<int>(track.segments.size()));
-      if (next_index_[pipe] <= 0) {
-        next_index_[pipe] = track.segment_index_at(target);
-      }
-      return;
-    }
-    buffer.reset();
-    next_index_[pipe] = track.segment_index_at(target);
-  };
-  retarget(video_buffer_, video_track(0), kVideoPipe);
-  if (presentation_.separate_audio()) {
-    retarget(audio_buffer_, audio_track(), kAudioPipe);
-  }
-  paused_[kVideoPipe] = false;
-  paused_[kAudioPipe] = false;
-
-  position_ = target;
-  last_display_index_ = -1;
-  if (state_ == PlayerState::kPlaying) {
-    // The interruption is user-visible; account it like a stall until the
-    // rebuffer condition holds again.
-    set_state(PlayerState::kRebuffering);
-    begin_stall("seek");
-  }
-  schedule_downloads();
-}
-
 void Player::on_manifest_ready(manifest::Presentation presentation) {
   presentation_ = std::move(presentation);
   if (presentation_.video.empty()) {
@@ -282,11 +216,6 @@ void Player::on_manifest_ready(manifest::Presentation presentation) {
       best_gap = gap;
       startup_level_ = level;
     }
-  }
-  while (config_.max_height_cap > 0 && startup_level_ > 0 &&
-         presentation_.video[static_cast<std::size_t>(startup_level_)]
-                 .resolution.height > config_.max_height_cap) {
-    --startup_level_;
   }
   last_selected_level_ = startup_level_;
   // The meter's first active tick counts the whole resolution phase as one
@@ -342,7 +271,7 @@ void Player::tick(Seconds /*now*/, Seconds dt) {
   // protocol waits (handshakes, request RTTs) would bias the rate estimate
   // by an amount that varies with segment size.
   account_meter(client_->deliveries().ticks, dt);
-  if (state_ == PlayerState::kPlaying && !user_paused_) advance_playback(dt);
+  if (state_ == PlayerState::kPlaying) advance_playback(dt);
   check_fetch_timeouts();
   update_state();
   schedule_downloads();
@@ -409,7 +338,7 @@ Seconds Player::next_wake(Seconds now) {
     }
   }
 
-  if (state_ == PlayerState::kPlaying && !user_paused_) {
+  if (state_ == PlayerState::kPlaying) {
     // Playback advances: wake two ticks before the earliest position
     // crossing so the crossing tick itself always executes (the margin
     // swallows every comparison epsilon, all of which are << tick).
@@ -457,7 +386,7 @@ void Player::fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) {
   // catch-up; the meter is read only in a completion, after the catch-up,
   // so it reads the sum the per-tick loop had reached.
   account_meter(client_->deliveries().ticks_before(sim_.now()), dt);
-  if (state_ != PlayerState::kPlaying || user_paused_) return;
+  if (state_ != PlayerState::kPlaying) return;
   // Replay advance_playback's position recurrence tick by tick. The limit
   // is loop-invariant over a slept span (a completing download pokes the
   // player, which catches up before the segment lands, and the contiguous
@@ -539,10 +468,9 @@ void Player::update_state() {
   }
   if (state_ == PlayerState::kRebuffering) {
     const Seconds needed =
-        std::min(config_.rebuffer_duration, duration - position_);
+        std::min(kRebufferDuration, duration - position_);
     const bool enough_segments =
-        video_buffer_.contiguous_count(position_) >=
-        config_.rebuffer_min_segments;
+        video_buffer_.contiguous_count(position_) >= kRebufferMinSegments;
     if ((ahead >= needed - kEps && enough_segments) || content_exhausted) {
       set_state(PlayerState::kPlaying);
       end_stall();
@@ -682,11 +610,6 @@ int Player::select_video_level_for(int next_index) {
   last_decision_buffer_ = context.buffer;
   int level = std::clamp(abr_->select_video_level(context), 0,
                          static_cast<int>(presentation_.video.size()) - 1);
-  // Data-saver cap: never exceed the configured resolution.
-  while (config_.max_height_cap > 0 && level > 0 &&
-         video_track(level).resolution.height > config_.max_height_cap) {
-    --level;
-  }
   if (decisions_metric_ != nullptr) {
     decisions_metric_->add();
     if (level != context.last_level) switches_metric_->add();

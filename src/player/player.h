@@ -62,12 +62,6 @@ struct DisplayEvent {
   Seconds duration = 0;
 };
 
-struct SeekEvent {
-  Seconds wall_time = 0;
-  Seconds from = 0;
-  Seconds to = 0;
-};
-
 struct ReplacementEvent {
   Seconds wall_time = 0;
   int index = 0;
@@ -82,7 +76,6 @@ struct PlayerEvents {
   std::vector<StallEvent> stalls;
   std::vector<DisplayEvent> displayed;
   std::vector<ReplacementEvent> replacements;
-  std::vector<SeekEvent> seeks;
   std::string failure;
 
   Seconds total_stall_time(Seconds session_end) const;
@@ -109,12 +102,6 @@ class Player : public net::TickClient {
   /// The user presses play at the current simulated time.
   void start(const std::string& manifest_url);
 
-  /// The user drags the seekbar to `position` (§2.4: the seekbar "allows
-  /// users to move to a new position in the video"). Content not covering
-  /// the target is flushed, in-flight fetches are aborted, and playback
-  /// re-enters buffering; the interruption is recorded as a stall.
-  void seek(Seconds position);
-
   /// The user closes the app (population departure): aborts every in-flight
   /// fetch, closes any open stall at the current instant, parks the state
   /// machine in kEnded and permanently shuts the HTTP client down — the
@@ -123,13 +110,6 @@ class Player : public net::TickClient {
   /// may be destroyed while the simulator keeps running. Idempotent; safe
   /// in any state, including a never-started player.
   void stop();
-
-  /// The user pauses/resumes playback. While paused the position freezes
-  /// (the seekbar keeps reporting the same value — indistinguishable from a
-  /// stall to the outside, a real limitation of UI-based inference) but
-  /// downloading continues up to the pausing threshold.
-  void pause();
-  void resume();
 
   /// 1 Hz playback-progress callback (the ProgressBar.setProgress analogue).
   using SeekbarFn = std::function<void(Seconds wall_time, int progress_sec)>;
@@ -283,7 +263,6 @@ class Player : public net::TickClient {
   std::uint64_t meter_ticks_seen_ = 0;
   Seconds meter_busy_time_ = 0;
 
-  bool user_paused_ = false;
   PlayerEvents events_;
   SeekbarFn seekbar_;
 

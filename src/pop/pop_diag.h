@@ -13,9 +13,10 @@
 //     each session's trace ring, which diag reads in place.
 //   * A diagnosed session's observer records only the evidence diag reads
 //     (kDiagEvidenceMask), so diagnosis adds no link wake-ups to the tower.
-//   * Diagnosed sessions need the full finish() analysis (finish_light
-//     leaves result.traffic empty, which would blind the deficit/ABR
-//     rules), so diagnosis is bounded by a per-tower session budget.
+//   * Diagnosed sessions need the analyzed wire log, so they run
+//     finish_traffic() (finish_light leaves result.traffic empty, which
+//     would blind the deficit/ABR rules); diagnosis is bounded by a
+//     per-tower session budget.
 //
 // Towers fold their diagnoses into a diag::DiagRollup, which merges
 // post-join in tower order like every other fold, so the rollup is

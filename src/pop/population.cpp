@@ -383,7 +383,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       const core::SessionResult analyzed =
           hosted[i].session->finish_traffic(sim.now());
       const diag::Diagnosis diagnosis =
-          diag::diagnose(analyzed, *observers[i], {}, {}, capacity);
+          diag::diagnose(analyzed, *observers[i], {}, capacity);
       report.diag.fold(diagnosis);
       fold_blame_bins(timeline, diagnosis);
     }

@@ -86,15 +86,24 @@ TEST(Minimize, NarrowingTightensWindowsWhileTheOracleHolds)
 }
 
 TEST(Minimize, RespectsTheRunBudget) {
+  // Two copies of the five faults, all needed, while every narrowed window
+  // and softened intensity still fails: an unbounded shrink would spend
+  // more than the budget on them.
+  faults::FaultPlan plan = five_fault_plan();
+  const faults::FaultPlan copy = five_fault_plan();
+  plan.resets.insert(plan.resets.end(), copy.resets.begin(),
+                     copy.resets.end());
+  plan.latency.insert(plan.latency.end(), copy.latency.begin(),
+                      copy.latency.end());
+  plan.blackouts.insert(plan.blackouts.end(), copy.blackouts.begin(),
+                        copy.blackouts.end());
   int calls = 0;
-  const auto oracle = [&calls](const faults::FaultPlan& plan) {
+  const auto oracle = [&calls](const faults::FaultPlan& candidate) {
     ++calls;
-    return !plan.resets.empty() && !plan.latency.empty();
+    return fault_count(candidate) >= 10;
   };
-  MinimizeOptions options;
-  options.max_runs = 5;
-  const MinimizeResult result = minimize(five_fault_plan(), oracle, options);
-  EXPECT_LE(calls, 5);
+  const MinimizeResult result = minimize(plan, oracle);
+  EXPECT_EQ(calls, kMinimizeRuns);
   EXPECT_EQ(result.runs, calls);
   EXPECT_TRUE(oracle(result.plan)) << "even a truncated shrink stays confirmed";
 }

@@ -58,14 +58,6 @@ TEST(Rng, LognormalMedianRoughlyCorrect) {
   EXPECT_NEAR(xs[xs.size() / 2], 2.0, 0.1);
 }
 
-TEST(Rng, ChanceExtremes) {
-  Rng rng(42);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(rng.chance(0.0));
-    EXPECT_TRUE(rng.chance(1.0));
-  }
-}
-
 TEST(Rng, ForkedStreamsAreIndependent) {
   Rng parent(9);
   Rng child_a = parent.fork(1);

@@ -36,11 +36,6 @@ TEST(Percentile, SingleElement) {
   EXPECT_DOUBLE_EQ(percentile({7}, 50), 7);
 }
 
-TEST(Stddev, KnownValue) {
-  EXPECT_NEAR(stddev({2, 4, 4, 4, 5, 5, 7, 9}), 2.138, 1e-3);
-  EXPECT_DOUBLE_EQ(stddev({5}), 0.0);
-}
-
 TEST(MinMax, Basics) {
   EXPECT_DOUBLE_EQ(min_of({3, 1, 2}), 1);
   EXPECT_DOUBLE_EQ(max_of({3, 1, 2}), 3);

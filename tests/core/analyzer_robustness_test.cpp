@@ -117,29 +117,5 @@ TEST(AnalyzerRobustness, ClassifierPicksUpManifestsAsTheyArrive) {
   EXPECT_EQ(ref->type, media::ContentType::kVideo);
 }
 
-TEST(RebufferMinSegments, AppliesStartupAdviceToStallRecovery) {
-  // §4.3's closing remark: the segment-count constraint helps recovery too.
-  // An outage drains the buffer; on recovery, requiring 2 segments avoids
-  // the instant re-stall that resuming on a single long segment risks.
-  auto run = [](int min_segments) {
-    services::ServiceSpec spec = test_spec(manifest::Protocol::kHls);
-    spec.segment_duration = 8;
-    spec.player.startup_buffer = 8;
-    spec.player.rebuffer_duration = 4;  // deliberately skimpy
-    spec.player.rebuffer_min_segments = min_segments;
-    SessionConfig config;
-    config.spec = spec;
-    config.trace = net::BandwidthTrace::from_samples(
-        {{0, 3e6}, {30, 40e3}, {60, 700e3}}, 300);
-    config.session_duration = 300;
-    config.content_duration = 600;
-    return run_session(config);
-  };
-  SessionResult quick = run(1);
-  SessionResult careful = run(2);
-  // The careful player resumes later but re-stalls no more often.
-  EXPECT_LE(careful.events.stalls.size(), quick.events.stalls.size());
-}
-
 }  // namespace
 }  // namespace vodx::core

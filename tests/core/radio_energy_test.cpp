@@ -81,16 +81,5 @@ TEST(RadioEnergy, WiderThresholdGapSavesEnergy) {
   EXPECT_LT(wide.energy_joules, narrow.energy_joules);
 }
 
-TEST(RadioEnergy, TimerWhatIf) {
-  AnalyzedTraffic traffic = synthetic_traffic({{0, 10}, {25, 35}});
-  RrcConfig short_config;
-  short_config.demotion_timer = 5;
-  RrcConfig long_config;
-  long_config.demotion_timer = 30;
-  RadioEnergyReport short_timer = radio_energy(traffic, 35, short_config);
-  RadioEnergyReport long_timer = radio_energy(traffic, 35, long_config);
-  EXPECT_LT(short_timer.energy_joules, long_timer.energy_joules);
-}
-
 }  // namespace
 }  // namespace vodx::core

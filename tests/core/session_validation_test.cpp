@@ -7,6 +7,7 @@
 #include "core/session.h"
 #include "obs/observer.h"
 #include "trace/cellular_profiles.h"
+#include "testing/trace.h"
 
 namespace vodx::core {
 namespace {
@@ -87,7 +88,7 @@ TEST_P(ServiceValidation, TraceNarratesStartupAndStalls) {
   obs::Observer observer;
   SessionResult r = run(3, 300, &observer);  // 1.5 Mbps: stalls likely
 
-  std::vector<obs::Event> events = observer.trace.snapshot();
+  std::vector<obs::Event> events = testing::retained(observer.trace);
   ASSERT_FALSE(events.empty());
 
   // Events come out of the sink oldest-first with monotonic sequence

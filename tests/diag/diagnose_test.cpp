@@ -32,11 +32,10 @@ obs::Event capacity(Seconds t, double mbps) {
 /// Diagnoses synthetic events the way a session's trace ring holds them.
 Diagnosis diagnose_events(const core::SessionResult& r,
                           const std::vector<obs::Event>& events,
-                          const std::optional<faults::FaultPlan>& plan = {},
-                          const DiagOptions& options = {}) {
+                          const std::optional<faults::FaultPlan>& plan = {}) {
   obs::Observer observer;
   for (const obs::Event& e : events) observer.trace.emit(e);
-  return diagnose(r, observer, plan, options);
+  return diagnose(r, observer, plan);
 }
 
 /// A session that played from t=0 with one stall and a 1 Mbps bottom rung.
@@ -87,10 +86,10 @@ TEST(Diagnose, OutsideCapacityStepsPrecedeTracedOnesAtEqualStamps) {
   // The outside series alone says deficit from t=10; the traced 5 Mbps
   // step at the same stamp lands after it and wins.
   const std::vector<Step> outside = {{0, 5.0}, {10, 0.1}};
-  const Diagnosis merged = diagnose(r, observer, {}, {}, outside);
+  const Diagnosis merged = diagnose(r, observer, {}, outside);
   EXPECT_DOUBLE_EQ(
       merged.stall_blamed_s[static_cast<int>(Cause::kLinkDeficit)], 0);
-  const Diagnosis alone = diagnose(r, obs::Observer(), {}, {}, outside);
+  const Diagnosis alone = diagnose(r, obs::Observer(), {}, outside);
   EXPECT_DOUBLE_EQ(alone.stall_blamed_s[static_cast<int>(Cause::kLinkDeficit)],
                    4);
 }
@@ -196,9 +195,7 @@ TEST(Diagnose, FaultCarryForwardIsCapped) {
   std::vector<obs::Event> events = {
       event(10, obs::Category::kFault, obs::EventKind::kInstant,
             "fault.reset", 0)};
-  DiagOptions options;
-  options.lookback = 0;
-  const Diagnosis d = diagnose_events(r, events, {}, options);
+  const Diagnosis d = diagnose_events(r, events);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kFaultInjected)],
                    16);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kUnknown)], 14);

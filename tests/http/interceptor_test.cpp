@@ -59,9 +59,10 @@ TEST(Interceptor, RequestOrderedManifestOrderedResponseReversed) {
 
   Response r = proxy.resolve({Method::kGet, "/master.m3u8", {}}, 0);
   EXPECT_TRUE(r.ok());
+  // The manifest stage runs last, after every response stage.
   const std::vector<std::string> want = {"a.request", "b.request",
-                                         "a.manifest", "b.manifest",
-                                         "b.response", "a.response"};
+                                         "b.response", "a.response",
+                                         "a.manifest", "b.manifest"};
   EXPECT_EQ(journal, want);
   // Both manifest rewrites applied, in registration order.
   EXPECT_NE(r.body.find("#a#b"), std::string::npos);

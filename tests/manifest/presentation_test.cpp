@@ -42,9 +42,6 @@ TEST(ClientTrack, DurationAndStarts) {
   EXPECT_DOUBLE_EQ(t.duration(), 20);
   EXPECT_DOUBLE_EQ(t.segment_start(0), 0);
   EXPECT_DOUBLE_EQ(t.segment_start(3), 12);
-  EXPECT_EQ(t.segment_index_at(0), 0);
-  EXPECT_EQ(t.segment_index_at(11.9), 2);
-  EXPECT_EQ(t.segment_index_at(99), 4);
 }
 
 TEST(ClientTrack, AverageActualBitrate) {

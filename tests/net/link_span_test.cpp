@@ -95,7 +95,7 @@ Outcome run_scenario(std::uint64_t seed, int n_conns, SimCore core,
   if (traced) sim.set_observer(&observer);
 
   Link* link_ptr = nullptr;
-  const bool reader_first = rng.chance(0.5);
+  const bool reader_first = rng.uniform(0, 1) < 0.5;
   Reader reader(link_ptr, out.reads, rng.uniform(0.2, 1.5));
   if (reader_first) sim.add_tick_client(&reader);
   Link link(sim, trace);
@@ -106,10 +106,8 @@ Outcome run_scenario(std::uint64_t seed, int n_conns, SimCore core,
   std::vector<std::unique_ptr<TcpConnection>> conns;
   for (int i = 0; i < n_conns; ++i) {
     TcpConfig config;
-    config.persistent = rng.chance(0.7);
-    config.handshake_rtts = rng.chance(0.5) ? 1.0 : 3.0;
-    config.idle_restart_after = rng.uniform(0.1, 1.0);
-    if (rng.chance(0.25)) config.rtt = rng.uniform(0.02, 0.2);
+    config.persistent = rng.uniform(0, 1) < 0.7;
+    if (rng.uniform(0, 1) < 0.25) config.rtt = rng.uniform(0.02, 0.2);
     conns.push_back(
         std::make_unique<TcpConnection>(config, "c" + std::to_string(i)));
     if (traced) conns.back()->set_observer(&observer);
@@ -126,14 +124,14 @@ Outcome run_scenario(std::uint64_t seed, int n_conns, SimCore core,
     // Log-uniform sizes, 1 B to 2 MB: many spans end in a completion.
     const Bytes bytes =
         static_cast<Bytes>(std::exp(rng.uniform(0, std::log(2e6))));
-    const Seconds extra = rng.chance(0.3) ? rng.uniform(0, 0.4) : 0;
+    const Seconds extra = rng.uniform(0, 1) < 0.3 ? rng.uniform(0, 0.4) : 0;
     c.start_transfer(sim.now(), bytes, [&, i] {
       ConnHistory& h = out.conns[static_cast<std::size_t>(i)];
       const TcpConnection& done = *conns[static_cast<std::size_t>(i)];
       h.completed_at.push_back(sim.now());
       h.waits.push_back(done.transfer_wait());
       h.cwnd_at_end.push_back(done.cwnd());
-      if (rng.chance(0.4)) {
+      if (rng.uniform(0, 1) < 0.4) {
         start(i);
       } else {
         sim.schedule(rng.uniform(0, 0.8), [&, i] { start(i); });

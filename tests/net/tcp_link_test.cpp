@@ -49,7 +49,6 @@ TEST(Tcp, PersistentReuseSkipsHandshake) {
   Harness h(100e6);
   TcpConfig config;
   config.rtt = 0.1;
-  config.idle_slow_start_restart = false;
   TcpConnection conn(config, "c");
   h.link.attach(&conn);
 
@@ -95,19 +94,16 @@ TEST(Tcp, SlowStartRampsThroughput) {
 
 TEST(Tcp, IdleRestartSlowsFirstSegmentAfterPause) {
   Harness h(20e6);
-  TcpConfig config;
-  config.idle_slow_start_restart = true;
-  config.idle_restart_after = 0.5;
-  TcpConnection conn(config, "c");
+  TcpConnection conn({}, "c");
   h.link.attach(&conn);
   conn.start_transfer(h.sim.now(), 5'000'000, [] {});
   h.sim.run_until(5);
   const Bytes before_pause = conn.cwnd();
-  EXPECT_GT(before_pause, config.initial_cwnd);
+  EXPECT_GT(before_pause, kInitialCwnd);
   // Long idle, then a new transfer: cwnd must be back at initial.
   h.sim.run_until(15);
   conn.start_transfer(h.sim.now(), 1000, [] {});
-  EXPECT_EQ(conn.cwnd(), config.initial_cwnd);
+  EXPECT_EQ(conn.cwnd(), kInitialCwnd);
 }
 
 TEST(Tcp, AbortStopsDeliveryAndClosesConnection) {

@@ -10,6 +10,7 @@
 #include "net/tcp_connection.h"
 #include "obs/event.h"
 #include "obs/observer.h"
+#include "testing/trace.h"
 
 namespace vodx::net {
 namespace {
@@ -26,7 +27,7 @@ struct Harness {
 std::vector<obs::Event> events_named(const obs::Observer& observer,
                                      const char* name, obs::EventKind kind) {
   std::vector<obs::Event> out;
-  for (const obs::Event& e : observer.trace.snapshot()) {
+  for (const obs::Event& e : testing::retained(observer.trace)) {
     if (e.kind == kind && std::string(e.name) == name) out.push_back(e);
   }
   return out;
@@ -71,9 +72,7 @@ TEST(TcpMarkers, TransferEndCarriesTheDiagContract) {
 TEST(TcpMarkers, HandshakeMarksColdVersusRestart) {
   Harness h(8e6);
   obs::Observer observer;
-  TcpConfig config;
-  config.idle_restart_after = 0.5;
-  TcpConnection conn(config, "c");
+  TcpConnection conn({}, "c");
   conn.set_observer(&observer);
   h.link.attach(&conn);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/trace_sink.h"
+#include "testing/trace.h"
 
 namespace vodx::obs {
 namespace {
@@ -16,7 +17,7 @@ TEST(RingDrop, CapacityZeroRetainsNothingButCountsExactly) {
   EXPECT_EQ(sink.emitted(), 7u);
   EXPECT_EQ(sink.dropped(), 7u);
   EXPECT_EQ(sink.size(), 0u);
-  EXPECT_TRUE(sink.snapshot().empty());
+  EXPECT_TRUE(testing::retained(sink).empty());
 
   // clear() keeps the lifetime counters (they are exporter-facing totals).
   sink.clear();
@@ -32,7 +33,7 @@ TEST(RingDrop, CapacityOneKeepsOnlyTheNewest) {
   sink.instant(3.0, Category::kSim, "c", 0);
   EXPECT_EQ(sink.emitted(), 3u);
   EXPECT_EQ(sink.dropped(), 2u);
-  std::vector<Event> events = sink.snapshot();
+  std::vector<Event> events = testing::retained(sink);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].name, "c");
   EXPECT_EQ(events[0].seq, 2u);
@@ -54,7 +55,7 @@ TEST(RingDrop, OnePastCapacityDropsExactlyTheOldest) {
     sink.instant(i, Category::kSim, "tick", 0, {Field::n("i", i)});
   }
   EXPECT_EQ(sink.dropped(), 1u);
-  std::vector<Event> events = sink.snapshot();
+  std::vector<Event> events = testing::retained(sink);
   ASSERT_EQ(events.size(), 4u);
   EXPECT_DOUBLE_EQ(events.front().fields[0].num, 1.0);
   EXPECT_DOUBLE_EQ(events.back().fields[0].num, 4.0);
@@ -68,7 +69,7 @@ TEST(RingDrop, MultipleFullWrapsKeepCountersExact) {
   }
   EXPECT_EQ(sink.emitted(), 10u);
   EXPECT_EQ(sink.dropped(), 7u);
-  std::vector<Event> events = sink.snapshot();
+  std::vector<Event> events = testing::retained(sink);
   ASSERT_EQ(events.size(), 3u);
   for (std::size_t k = 0; k < events.size(); ++k) {
     EXPECT_DOUBLE_EQ(events[k].fields[0].num, 7.0 + k);
@@ -88,7 +89,7 @@ TEST(RingDrop, ClearAfterWrapKeepsLifetimeCountersAndEmptiesRing) {
   EXPECT_EQ(sink.dropped(), 3u);
   // The ring is usable again after clear(); seq keeps rising.
   sink.instant(9.0, Category::kSim, "after", 0);
-  std::vector<Event> events = sink.snapshot();
+  std::vector<Event> events = testing::retained(sink);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].seq, 5u);
 }

@@ -7,6 +7,7 @@
 #include "obs/export.h"
 #include "obs/observer.h"
 #include "obs/trace_sink.h"
+#include "testing/trace.h"
 
 namespace vodx::obs {
 namespace {
@@ -17,7 +18,7 @@ TEST(TraceSink, RetainsEventsInEmissionOrder) {
   sink.instant(2.0, Category::kPlayer, "b", 0);
   sink.instant(3.0, Category::kPlayer, "c", 0);
 
-  std::vector<Event> events = sink.snapshot();
+  std::vector<Event> events = testing::retained(sink);
   ASSERT_EQ(events.size(), 3u);
   EXPECT_STREQ(events[0].name, "a");
   EXPECT_STREQ(events[1].name, "b");
@@ -36,7 +37,7 @@ TEST(TraceSink, RingOverflowKeepsNewestAndCountsDropped) {
   EXPECT_EQ(sink.size(), 4u);
 
   // The window is contiguous and ends at the newest event (i = 6..9).
-  std::vector<Event> events = sink.snapshot();
+  std::vector<Event> events = testing::retained(sink);
   ASSERT_EQ(events.size(), 4u);
   for (std::size_t k = 0; k < events.size(); ++k) {
     EXPECT_DOUBLE_EQ(events[k].fields[0].num, 6.0 + k);
@@ -51,7 +52,7 @@ TEST(TraceSink, SequenceNumbersBreakTiesAtEqualSimTime) {
   sink.instant(5.0, Category::kTcp, "second", 0);
   sink.instant(5.0, Category::kTcp, "third", 0);
 
-  std::vector<Event> events = sink.snapshot();
+  std::vector<Event> events = testing::retained(sink);
   ASSERT_EQ(events.size(), 3u);
   EXPECT_LT(events[0].seq, events[1].seq);
   EXPECT_LT(events[1].seq, events[2].seq);
@@ -99,7 +100,7 @@ TEST(TraceSink, ScopedSpanEmitsBeginAndEndAtClockTime) {
                     sink.now(), {Field::n("id", 7)});
     now = 12.5;
   }
-  std::vector<Event> events = sink.snapshot();
+  std::vector<Event> events = testing::retained(sink);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, EventKind::kSpanBegin);
   EXPECT_DOUBLE_EQ(events[0].sim_time, 10.0);
@@ -122,8 +123,8 @@ TEST(TraceSink, ClearResetsRetainedWindowButNotTotals) {
   EXPECT_EQ(sink.size(), 0u);
   EXPECT_EQ(sink.emitted(), 6u);
   sink.instant(7.0, Category::kSim, "after", 0);
-  ASSERT_EQ(sink.snapshot().size(), 1u);
-  EXPECT_STREQ(sink.snapshot()[0].name, "after");
+  ASSERT_EQ(testing::retained(sink).size(), 1u);
+  EXPECT_STREQ(testing::retained(sink)[0].name, "after");
 }
 
 TEST(Export, JsonlOneObjectPerLine) {

@@ -27,7 +27,6 @@
 namespace vodx::origin {
 namespace {
 
-constexpr Seconds kPackaging = 0.5;  // every fill is ready this much later
 constexpr Seconds kTtl = 3;
 constexpr const char* kScope = "lru|1";
 
@@ -40,7 +39,8 @@ class ReferenceCache {
       : capacity_(capacity), coalesce_(coalesce),
         flushes_(std::move(flushes)) {}
 
-  void request(const std::string& key, Seconds now) {
+  /// A fill is ready `packaging` seconds after the miss that starts it.
+  void request(const std::string& key, Seconds now, Seconds packaging) {
     for (Seconds at : flushes_) {
       if (at > now) break;
       if (at <= last_flush_) continue;
@@ -68,7 +68,7 @@ class ReferenceCache {
       ++totals.dup_fills;
     }
     ++totals.misses;
-    entries_[key] = Entry{now + kTtl, now + kPackaging, ++tick_};
+    entries_[key] = Entry{now + kTtl, now + packaging, ++tick_};
     while (entries_.size() > capacity_) {
       auto victim = entries_.begin();
       for (auto e = entries_.begin(); e != entries_.end(); ++e) {
@@ -102,6 +102,15 @@ class ReferenceCache {
   std::uint64_t tick_ = 0;
   std::map<std::string, Entry> entries_;
 };
+
+/// The repackaging latency a fill of `response` pays at the tier.
+Seconds packaging_of(const http::Response& response) {
+  if (http::Proxy::is_manifest_content(response.content_type)) {
+    return kManifestPackaging;
+  }
+  const double mb = static_cast<double>(response.payload_size) / 1e6;
+  return kSegmentPackagingBase + kSegmentPackagingPerMb * mb;
+}
 
 /// The reference model's string form of a request identity.
 std::string model_key(const std::string& scope, http::Method method,
@@ -170,9 +179,6 @@ void run_stream(const Stream& stream) {
   options.cache_capacity = stream.capacity;
   options.cache_ttl_s = kTtl;
   options.coalesce = stream.coalesce;
-  options.manifest_package_s = kPackaging;
-  options.segment_package_base_s = kPackaging;
-  options.segment_package_per_mb_s = 0;
 
   // Three rungs of 15 four-second segments plus the playlists: about 50
   // URLs, several times that with HEADs and two byte ranges, against a
@@ -209,31 +215,32 @@ void run_stream(const Stream& stream) {
   std::size_t last = 0;
   int ranged = 0;
   for (int i = 0; i < kRequests; ++i) {
-    now += rng.chance(0.3) ? 0 : rng.uniform(0, 0.8);
+    now += rng.uniform(0, 1) < 0.3 ? 0 : rng.uniform(0, 0.8);
     std::size_t pick;
-    if (rng.chance(0.3)) {
+    if (rng.uniform(0, 1) < 0.3) {
       pick = last;
-    } else if (rng.chance(0.4)) {
+    } else if (rng.uniform(0, 1) < 0.4) {
       pick = static_cast<std::size_t>(rng.uniform_int(0, 2));
     } else {
       pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(urls.size()) - 1));
     }
     last = pick;
-    const bool head = rng.chance(0.2);
+    const bool head = rng.uniform(0, 1) < 0.2;
     const http::Method method = head ? http::Method::kHead
                                      : http::Method::kGet;
     // Two overlapping ranges, on segments only.
     std::optional<manifest::ByteRange> range;
-    if (urls[pick].ends_with(".ts") && rng.chance(0.3)) {
-      range = rng.chance(0.5) ? manifest::ByteRange{0, 99}
+    if (urls[pick].ends_with(".ts") && rng.uniform(0, 1) < 0.3) {
+      range = rng.uniform(0, 1) < 0.5 ? manifest::ByteRange{0, 99}
                               : manifest::ByteRange{50, 149};
       ++ranged;
     }
     const http::Response response =
         proxy.resolve({method, urls[pick], range}, now);
     ASSERT_TRUE(response.ok()) << urls[pick];
-    model.request(model_key(kScope, method, urls[pick], range), now);
+    model.request(model_key(kScope, method, urls[pick], range), now,
+                  packaging_of(response));
 
     SCOPED_TRACE(format("request %d (%s at %.3f s)", i, urls[pick].c_str(),
                         now));

@@ -88,10 +88,6 @@ TEST(OriginOptionsValidate, RejectsDegenerateKnobs) {
   EXPECT_THROW(options.validate(), ConfigError);
 
   options = hardened_origin();
-  options.manifest_package_s = -0.01;
-  EXPECT_THROW(options.validate(), ConfigError);
-
-  options = hardened_origin();
   options.retry_budget = -1;
   EXPECT_THROW(options.validate(), ConfigError);
 
@@ -101,16 +97,8 @@ TEST(OriginOptionsValidate, RejectsDegenerateKnobs) {
   EXPECT_THROW(options.validate(), ConfigError);
 
   options = hardened_origin();
-  options.backoff_jitter_s = -0.1;
-  EXPECT_THROW(options.validate(), ConfigError);
-
-  options = hardened_origin();
   options.breaker_threshold = 3;
   options.breaker_cooldown_s = 0;
-  EXPECT_THROW(options.validate(), ConfigError);
-
-  options = hardened_origin();
-  options.secondary_extra_s = -1;
   EXPECT_THROW(options.validate(), ConfigError);
 
   EXPECT_NO_THROW(hardened_origin().validate());
@@ -122,14 +110,13 @@ TEST(OriginCache, MissPaysPackagingThenHitPaysEdgeLatency) {
   const http::Response miss = world.get(kManifest, 0);
   ASSERT_TRUE(miss.ok());
   // A manifest miss pays the manifest repackaging cost.
-  EXPECT_DOUBLE_EQ(miss.added_latency,
-                   world.tier->options().manifest_package_s);
+  EXPECT_DOUBLE_EQ(miss.added_latency, kManifestPackaging);
   EXPECT_EQ(world.totals().misses, 1);
   EXPECT_EQ(world.totals().hits, 0);
 
   const http::Response hit = world.get(kManifest, 1.0);
   ASSERT_TRUE(hit.ok());
-  EXPECT_DOUBLE_EQ(hit.added_latency, world.tier->options().cache_hit_s);
+  EXPECT_DOUBLE_EQ(hit.added_latency, kCacheHitLatency);
   EXPECT_EQ(world.totals().misses, 1);
   EXPECT_EQ(world.totals().hits, 1);
   EXPECT_EQ(hit.body, miss.body);
@@ -139,10 +126,9 @@ TEST(OriginCache, SegmentPackagingScalesWithPayload) {
   World world(hardened_origin());
   const http::Response segment = world.get("/video/2/seg0.ts", 0);
   ASSERT_TRUE(segment.ok());
-  const OriginOptions& o = world.tier->options();
   const double mb = static_cast<double>(segment.payload_size) / 1e6;
   EXPECT_DOUBLE_EQ(segment.added_latency,
-                   o.segment_package_base_s + o.segment_package_per_mb_s * mb);
+                   kSegmentPackagingBase + kSegmentPackagingPerMb * mb);
 }
 
 TEST(OriginCache, TtlExpiryRefillsLikeAMiss) {
@@ -197,7 +183,7 @@ TEST(OriginCache, CoalescingServesWaitersFromTheInFlightFill) {
   EXPECT_EQ(world.totals().dup_fills, 0);
   EXPECT_EQ(world.totals().misses, 1);
   EXPECT_NEAR(waiter.added_latency,
-              first.added_latency + world.tier->options().cache_hit_s, 1e-9);
+              first.added_latency + kCacheHitLatency, 1e-9);
 }
 
 TEST(OriginCache, DisabledCoalescingDuplicatesTheFill) {
@@ -305,9 +291,9 @@ TEST(OriginFailover, RetryClearsATransientInjectedError) {
   // The client paid the first backoff (base + jitter in [0, jitter)) plus
   // the repackaging on the retried fetch.
   const OriginOptions& o = world.tier->options();
-  EXPECT_GE(response.added_latency, o.backoff_base_s + o.manifest_package_s);
+  EXPECT_GE(response.added_latency, o.backoff_base_s + kManifestPackaging);
   EXPECT_LT(response.added_latency,
-            o.backoff_base_s + o.backoff_jitter_s + o.manifest_package_s);
+            o.backoff_base_s + kBackoffJitter + kManifestPackaging);
 }
 
 TEST(OriginFailover, NaiveOriginPropagatesFailuresAndCachesNothing) {
@@ -378,7 +364,7 @@ TEST(OriginFailover, SecondaryExtraLatencyIsCharged) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(world.totals().trips, 1);
   EXPECT_DOUBLE_EQ(response.added_latency,
-                   options.manifest_package_s + options.secondary_extra_s);
+                   kManifestPackaging + kSecondaryExtraLatency);
 }
 
 TEST(OriginFailover, RetryJitterIsAPureFunctionOfTheSeed) {
@@ -413,6 +399,108 @@ TEST(OriginObs, CountersMirrorTheStateTotals) {
   EXPECT_EQ(observer.metrics.counter("origin.cache.expired").value(),
             world.totals().expired);
   EXPECT_EQ(observer.metrics.gauge("origin.coalesce.enabled").value(), 1);
+}
+
+// A session's manifest probe rewrites the body on the client side of the
+// tier: the edge stores, and retries and failover serve, the origin's bytes,
+// and every response the probed session gets carries the rewrite once.
+
+constexpr const char* kProbeLine = "#probe\n";
+
+/// Appends kProbeLine to every manifest body it sees (the Fig. 12 modifier's
+/// smallest form).
+http::InterceptorPtr probe() {
+  return http::transform_manifest(
+      [](const std::string&, std::string body) { return body + kProbeLine; });
+}
+
+/// Occurrences of kProbeLine in `body`.
+int probe_lines(const std::string& body) {
+  int count = 0;
+  for (std::size_t at = body.find(kProbeLine); at != std::string::npos;
+       at = body.find(kProbeLine, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+/// The manifest exactly as the origin serves it, with the probe applied once.
+std::string probed_manifest(const World& world) {
+  return world.server.handle({http::Method::kGet, kManifest, {}}).body +
+         kProbeLine;
+}
+
+TEST(OriginManifestProbe, MissAndHitCarryTheRewriteOnce) {
+  World world(hardened_origin());
+  world.proxy.use(probe());
+  const http::Response miss = world.get(kManifest, 0);
+  const http::Response hit = world.get(kManifest, 1);
+  ASSERT_EQ(world.totals().hits, 1);
+  EXPECT_EQ(miss.body, probed_manifest(world));
+  EXPECT_EQ(hit.body, miss.body);
+  EXPECT_EQ(probe_lines(hit.body), 1);
+  EXPECT_EQ(hit.payload_size, static_cast<Bytes>(hit.body.size()));
+}
+
+TEST(OriginManifestProbe, RewriteStaysWithTheProbedSession) {
+  // Two sessions of one title share the edge; only the first probes. Its
+  // miss fills the edge, the second session's hit must get the origin's
+  // bytes, and the first session's own hit the rewrite once.
+  auto state = std::make_shared<OriginState>();
+  World probed(hardened_origin(), state);
+  World plain(hardened_origin(), state);
+  probed.proxy.use(probe());
+  const std::string origin_body =
+      plain.server.handle({http::Method::kGet, kManifest, {}}).body;
+  probed.get(kManifest, 0);
+  const http::Response neighbour = plain.get(kManifest, 1);
+  const http::Response own = probed.get(kManifest, 2);
+  ASSERT_EQ(state->totals.hits, 2);
+  EXPECT_EQ(neighbour.body, origin_body);
+  EXPECT_EQ(own.body, probed_manifest(probed));
+}
+
+TEST(OriginManifestProbe, RetriedManifestKeepsTheRewrite) {
+  // The primary is dark for 0.1 s; the first backoff (at least 0.25 s)
+  // lands after it, so the retry serves the manifest.
+  World world(hardened_origin());
+  world.proxy.use(probe());
+  world.tier->set_fault_schedule({}, {faults::DcBlackoutFault{0, 0.1}});
+  const http::Response response = world.get(kManifest, 0);
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(world.totals().retries, 1);
+  EXPECT_EQ(response.body, probed_manifest(world));
+}
+
+TEST(OriginManifestProbe, FailedOverManifestKeepsTheRewrite) {
+  OriginOptions options = hardened_origin();
+  options.breaker_threshold = 1;
+  options.retry_budget = 0;
+  World world(options);
+  world.proxy.use(probe());
+  world.tier->set_fault_schedule({}, {faults::DcBlackoutFault{0, 100}});
+  const http::Response response = world.get(kManifest, 5);
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(world.totals().secondary, 1);
+  EXPECT_EQ(response.body, probed_manifest(world));
+}
+
+TEST(OriginManifestProbe, TamperedEntryStillFailsTheConsistencyCheck) {
+  // A probed session's hits are consistent and rewritten once; recording
+  // another title as the entry's filler still flags the next hit.
+  auto state = std::make_shared<OriginState>();
+  World world(hardened_origin(), state);
+  world.proxy.use(probe());
+  world.get(kManifest, 0);
+  const http::Response clean = world.get(kManifest, 1);
+  EXPECT_EQ(state->totals.consistency_failures, 0);
+  EXPECT_EQ(clean.body, probed_manifest(world));
+
+  ASSERT_EQ(state->lru.size(), 1u);
+  state->lru.front().filler = state->intern("test|43");
+  const http::Response tampered = world.get(kManifest, 2);
+  EXPECT_EQ(state->totals.consistency_failures, 1);
+  EXPECT_EQ(tampered.body, probed_manifest(world));
 }
 
 TEST(OriginTotals, MergeFromAddsFieldwise) {

@@ -45,50 +45,58 @@ PlayerConfig throughput_config(double safety = 0.75) {
   PlayerConfig config;
   config.abr = AbrKind::kThroughput;
   config.bandwidth_safety = safety;
-  config.switch_confirmation = 1;  // no damping unless a test wants it
   return config;
+}
+
+/// Repeats one decision kSwitchConfirmation times, so an up-switch the
+/// policy wants is confirmed; any other decision is stable under repetition.
+int confirmed_level(AbrPolicy& abr, const AbrContext& context) {
+  int level = 0;
+  for (int i = 0; i < kSwitchConfirmation; ++i) {
+    level = abr.select_video_level(context);
+  }
+  return level;
 }
 
 TEST(ThroughputAbr, PicksHighestAffordable) {
   manifest::Presentation p = four_rung_presentation();
   auto abr = make_abr(throughput_config());
-  EXPECT_EQ(abr->select_video_level(context_for(p, 1.2e6)), 1);  // 0.9M budget
-  EXPECT_EQ(abr->select_video_level(context_for(p, 5e6)), 3);
-  EXPECT_EQ(abr->select_video_level(context_for(p, 0.2e6)), 0);
+  EXPECT_EQ(confirmed_level(*abr, context_for(p, 1.2e6)), 1);  // 0.9M budget
+  EXPECT_EQ(confirmed_level(*abr, context_for(p, 5e6)), 3);
+  EXPECT_EQ(confirmed_level(*abr, context_for(p, 0.2e6)), 0);
 }
 
 TEST(ThroughputAbr, SafetyFactorScalesBudget) {
   manifest::Presentation p = four_rung_presentation();
   auto conservative = make_abr(throughput_config(0.5));
   auto aggressive = make_abr(throughput_config(1.2));
-  EXPECT_EQ(conservative->select_video_level(context_for(p, 2e6)), 1);
-  EXPECT_EQ(aggressive->select_video_level(context_for(p, 2e6)), 2);
+  EXPECT_EQ(confirmed_level(*conservative, context_for(p, 2e6)), 1);
+  EXPECT_EQ(confirmed_level(*aggressive, context_for(p, 2e6)), 2);
 }
 
 TEST(ThroughputAbr, HoldsStartupLevelUntilEnoughSamples) {
   manifest::Presentation p = four_rung_presentation();
-  PlayerConfig config = throughput_config();
-  config.estimator_min_samples = 2;
-  auto abr = make_abr(config);
-  EXPECT_EQ(abr->select_video_level(context_for(p, 5e6, 0, /*samples=*/1)), 1);
-  EXPECT_EQ(abr->select_video_level(context_for(p, 5e6, 0, /*samples=*/2)), 3);
+  auto abr = make_abr(throughput_config());
+  EXPECT_EQ(confirmed_level(*abr, context_for(p, 5e6, 0,
+                                              kEstimatorMinSamples - 1)),
+            1);
+  EXPECT_EQ(
+      confirmed_level(*abr, context_for(p, 5e6, 0, kEstimatorMinSamples)), 3);
 }
 
 TEST(ThroughputAbr, UpSwitchNeedsConfirmation) {
   manifest::Presentation p = four_rung_presentation();
-  PlayerConfig config = throughput_config();
-  config.switch_confirmation = 2;
-  auto abr = make_abr(config);
-  // One optimistic estimate: held. A second: allowed.
-  EXPECT_EQ(abr->select_video_level(context_for(p, 5e6, 1)), 1);
+  auto abr = make_abr(throughput_config());
+  // Optimistic estimates hold the track until kSwitchConfirmation agree.
+  for (int i = 1; i < kSwitchConfirmation; ++i) {
+    EXPECT_EQ(abr->select_video_level(context_for(p, 5e6, 1)), 1);
+  }
   EXPECT_EQ(abr->select_video_level(context_for(p, 5e6, 1)), 3);
 }
 
 TEST(ThroughputAbr, DownSwitchIsImmediate) {
   manifest::Presentation p = four_rung_presentation();
-  PlayerConfig config = throughput_config();
-  config.switch_confirmation = 2;
-  auto abr = make_abr(config);
+  auto abr = make_abr(throughput_config());
   EXPECT_EQ(abr->select_video_level(context_for(p, 0.6e6, 3)), 0);
 }
 
@@ -109,24 +117,21 @@ TEST(ThroughputAbr, ActualBitrateModeUsesSegmentSizes) {
   manifest::Presentation p = four_rung_presentation(/*sizes_known=*/true);
   PlayerConfig config = throughput_config();
   config.use_actual_bitrate = true;
-  config.actual_bitrate_lookahead = 3;
   auto abr = make_abr(config);
   // Actual need is half the declared: with a 1.2 Mbps estimate the budget is
   // 0.9 Mbps which affords actual 0.8 Mbps = declared 1.6 Mbps (level 2);
   // declared-only logic picked level 1 here.
-  EXPECT_EQ(abr->select_video_level(context_for(p, 1.2e6)), 2);
+  EXPECT_EQ(confirmed_level(*abr, context_for(p, 1.2e6)), 2);
 }
 
 TEST(ThroughputAbr, ActualBitrateModeSeesUpcomingSpike) {
   manifest::Presentation p = four_rung_presentation(/*sizes_known=*/true);
   PlayerConfig config = throughput_config();
   config.use_actual_bitrate = true;
-  config.actual_bitrate_lookahead = 3;
   auto abr = make_abr(config);
   // Next segments include the 0.9x-declared spike at index 10: level 2's
   // worst upcoming need is 1.44 Mbps > 0.9 Mbps budget, so back to level 1.
-  EXPECT_EQ(abr->select_video_level(context_for(p, 1.2e6, 0, 10, /*next=*/9)),
-            1);
+  EXPECT_EQ(confirmed_level(*abr, context_for(p, 1.2e6, 0, 10, /*next=*/9)), 1);
 }
 
 TEST(TrackRequiredRate, FallsBackToDeclared) {

@@ -24,7 +24,6 @@ TEST(Buffer, AppendAndContiguousEnd) {
   EXPECT_DOUBLE_EQ(buffer.contiguous_end(0), 8);
   EXPECT_DOUBLE_EQ(buffer.buffered_ahead(3), 5);
   EXPECT_EQ(buffer.contiguous_count(0), 2);
-  EXPECT_EQ(buffer.last_contiguous_index(0), 1);
 }
 
 TEST(Buffer, GapLimitsContiguousRegion) {
@@ -76,7 +75,6 @@ TEST(Buffer, DiscardFromDropsSuffix) {
   EXPECT_EQ(discarded.size(), 3u);
   EXPECT_EQ(discarded.front().index, 2);
   EXPECT_EQ(buffer.segments().size(), 2u);
-  EXPECT_EQ(buffer.last_contiguous_index(0), 1);
 }
 
 TEST(Buffer, DiscardFromBeyondEndIsNoop) {

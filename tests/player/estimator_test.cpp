@@ -31,9 +31,11 @@ TEST(Estimator, TimeWeightedNotSampleWeighted) {
 }
 
 TEST(Estimator, OldSamplesFallOutOfWindow) {
-  BandwidthEstimator est(0.5);  // window of 8
+  BandwidthEstimator est;
   for (int i = 0; i < 20; ++i) est.add_download(125000, 1.0);  // 1 Mbps
-  for (int i = 0; i < 8; ++i) est.add_download(250000, 1.0);   // 2 Mbps
+  for (std::size_t i = 0; i < kEstimatorWindow; ++i) {
+    est.add_download(250000, 1.0);  // 2 Mbps
+  }
   EXPECT_DOUBLE_EQ(est.estimate(), 2e6);
 }
 

@@ -1,5 +1,5 @@
-// Failure injection and user-control coverage: transient 5xx faults, the
-// retry budget, user pause/resume, and the data-saver resolution cap.
+// Failure injection coverage: transient 5xx faults, the retry budget and
+// its seeded jitter.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -180,69 +180,6 @@ TEST(Resilience, JitteredBackoffIsSeedDeterministic) {
   ASSERT_GE(a.size(), 2u);
   EXPECT_EQ(a, b);  // same seed, bit-identical schedule
   EXPECT_NE(a, c);  // different seed, different jitter
-}
-
-TEST(UserPause, FreezesPositionWhileDownloadsContinue) {
-  // A high pausing threshold keeps the downloader busy at t=15, so the
-  // buffer visibly grows while playback is frozen.
-  PlayerConfig config = Harness::base_config();
-  config.pausing_threshold = 60;
-  config.resuming_threshold = 50;
-  Harness h(1.5e6, config);
-  h.player.start(h.origin.manifest_url());
-  h.sim.run_until(15);
-  ASSERT_EQ(h.player.state(), PlayerState::kPlaying);
-  const Seconds pos = h.player.position();
-  const Seconds buffered = h.player.video_buffered();
-  h.player.pause();
-  h.sim.run_until(25);
-  EXPECT_DOUBLE_EQ(h.player.position(), pos);
-  // Buffer kept filling toward the pausing threshold.
-  EXPECT_GT(h.player.video_buffered(), buffered);
-  h.player.resume();
-  h.sim.run_until(30);
-  EXPECT_GT(h.player.position(), pos + 4);
-}
-
-TEST(UserPause, LooksLikeAStallToTheUiMonitor) {
-  // The known ambiguity: UI-based inference cannot tell a user pause from a
-  // stall — progress freezes either way.
-  Harness h;
-  std::vector<int> progress;
-  h.player.set_seekbar_callback(
-      [&](Seconds, int p) { progress.push_back(p); });
-  h.player.start(h.origin.manifest_url());
-  h.sim.run_until(15);
-  h.player.pause();
-  h.sim.run_until(20);
-  ASSERT_GE(progress.size(), 3u);
-  EXPECT_EQ(progress.back(), progress[progress.size() - 2]);
-}
-
-TEST(DataSaver, HeightCapBoundsSelection) {
-  PlayerConfig config = Harness::base_config();
-  config.max_height_cap = 360;
-  Harness h(20e6, config);  // bandwidth that would otherwise hit the top
-  h.player.start(h.origin.manifest_url());
-  h.sim.run_until(200);
-  for (const auto& e : h.player.events().displayed) {
-    EXPECT_LE(e.resolution.height, 360) << "segment " << e.index;
-  }
-}
-
-TEST(DataSaver, CapSavesData) {
-  PlayerConfig capped = Harness::base_config();
-  capped.max_height_cap = 360;
-  Harness a(20e6, capped);
-  a.player.start(a.origin.manifest_url());
-  a.sim.run_until(200);
-
-  Harness b(20e6);
-  b.player.start(b.origin.manifest_url());
-  b.sim.run_until(200);
-
-  EXPECT_LT(static_cast<double>(a.proxy.log().total_bytes()),
-            0.65 * static_cast<double>(b.proxy.log().total_bytes()));
 }
 
 }  // namespace

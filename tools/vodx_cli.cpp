@@ -716,9 +716,8 @@ int cmd_diagnose(Args& args) {
   config.content_duration = config.session_duration;
 
   if (validate_mode) {
-    diag::ValidateOptions options;
-    options.duration = config.session_duration;
-    const diag::ValidationReport report = diag::validate(options);
+    const diag::ValidationReport report =
+        diag::validate(config.session_duration);
     std::fputs(diag::validation_text(report, threshold).c_str(), stdout);
     return report.pass(threshold) ? 0 : 1;
   }
