@@ -262,17 +262,18 @@ class SyncFetcher {
   }
 
   /// Resolves the origin's presentation the way a player does.
-  manifest::Presentation resolve(manifest::Protocol protocol) {
-    std::optional<manifest::Presentation> out;
+  manifest::PresentationPtr resolve(manifest::Protocol protocol) {
+    manifest::PresentationPtr out;
     std::optional<std::string> error;
-    player::MediaSource source(client_, {.protocol = protocol});
+    player::MediaSource source(client_, {.protocol = protocol},
+                               origin_.resolution());
     source.resolve(
         origin_.manifest_url(),
-        [&](manifest::Presentation p) { out = std::move(p); },
+        [&](manifest::PresentationPtr p) { out = std::move(p); },
         [&](const std::string& reason) { error = reason; });
     while (!out && !error) sim_.run_for(0.1);
     if (error) throw Error("manifest resolution failed: " + *error);
-    return std::move(*out);
+    return out;
   }
 
  private:
@@ -337,11 +338,12 @@ EncodingProbe probe_encoding(const services::ServiceSpec& spec) {
   }
 
   SyncFetcher fetcher(spec);
-  const manifest::Presentation presentation = fetcher.resolve(spec.protocol);
-  VODX_ASSERT(!presentation.video.empty(), "presentation without video");
+  const manifest::PresentationPtr presentation =
+      fetcher.resolve(spec.protocol);
+  VODX_ASSERT(!presentation->video.empty(), "presentation without video");
   // DASH sizes come from the MPD or the sidx, HLS v4 sizes from byte
   // ranges; every other segment costs one HEAD.
-  const manifest::ClientTrack& top = presentation.video.back();
+  const manifest::ClientTrack& top = presentation->video.back();
   for (const manifest::ClientSegment& seg : top.segments) {
     Bytes size = seg.size;
     if (size > 0) {

@@ -16,45 +16,6 @@ namespace {
 /// manifest is unreadable: tracks this slow are audio.
 constexpr Bps kAudioBitrateCeiling = 192e3;
 
-/// Map from what is observable on the wire to segments.
-class RequestResolver {
- public:
-  /// Whole-resource segments (HLS .ts files, SS fragments): URL -> segment.
-  std::map<std::string, SegmentRef> by_url;
-
-  /// Range-served files (DASH, HLS v4): URL -> (segment range, key) list.
-  struct RangedSegment {
-    manifest::ByteRange range;
-    SegmentRef key;
-  };
-  std::map<std::string, std::vector<RangedSegment>> by_range;
-
-  /// Resolves a request to a segment. `full_coverage` reports whether the
-  /// request covered the whole segment (false = sub-range of a split
-  /// download).
-  std::optional<SegmentRef> resolve(
-      const std::string& url, const std::optional<manifest::ByteRange>& range,
-      bool* full_coverage) const {
-    *full_coverage = true;
-    if (auto it = by_url.find(url); it != by_url.end()) return it->second;
-    auto it = by_range.find(url);
-    if (it == by_range.end() || !range) return std::nullopt;
-    for (const RangedSegment& seg : it->second) {
-      if (range->first >= seg.range.first && range->last <= seg.range.last) {
-        *full_coverage = *range == seg.range;
-        return seg.key;
-      }
-    }
-    return std::nullopt;
-  }
-};
-
-struct LadderBuild {
-  std::vector<AnalyzedTrack> video;
-  std::vector<AnalyzedTrack> audio;
-  RequestResolver resolver;
-};
-
 const http::TransferRecord* find_manifest(
     const std::vector<http::TransferRecord>& records,
     manifest::Protocol* protocol, bool* encrypted) {
@@ -140,72 +101,57 @@ void add_sidx_tracks(const std::vector<http::TransferRecord>& records,
   }
 }
 
-/// The tracks the wire describes. A pending track whose resource never
-/// crossed the wire stays on the ladder without segments when it is an HLS
-/// variant (the master playlist still declares it) and is dropped when it
-/// is a DASH SegmentBase track (nothing maps to it).
-manifest::Presentation wire_presentation(
-    const std::vector<http::TransferRecord>& records,
-    const http::TransferRecord& manifest_record, manifest::Protocol protocol,
-    bool encrypted) {
-  manifest::Presentation presentation;
+/// The resolution of the manifests on the wire: the title's, when the log
+/// carries byte-equal copies of its manifest and of every resource its
+/// tracks wait on; otherwise one resolved from the wire into `own`. An HLS
+/// variant whose media playlist never crossed the wire stays on the ladder
+/// without segments; a DASH SegmentBase track whose sidx never did is
+/// dropped (nothing maps to it).
+const manifest::Resolution& wire_resolution(
+    const http::TrafficLog& log, const http::TransferRecord& manifest_record,
+    manifest::Protocol protocol, bool encrypted,
+    std::optional<manifest::Resolution>& own) {
+  const std::vector<http::TransferRecord>& records = log.records();
   if (encrypted) {
+    manifest::Presentation presentation;
     add_sidx_tracks(records, presentation);
-  } else {
-    for (manifest::TrackDraft& draft : manifest::resolve_manifest(
-             protocol, manifest_record.url, manifest_record.body_copy)) {
-      if (!draft.pending) {
-        presentation.add(std::move(draft.track));
-      } else if (const http::TransferRecord* r =
-                     find_body(records, *draft.pending)) {
-        presentation.add(
-            manifest::complete_track(std::move(draft), r->body_copy));
-      } else if (protocol == manifest::Protocol::kHls) {
-        presentation.add(std::move(draft.track));
-      }
-    }
+    return own.emplace(std::move(presentation));
   }
-  presentation.sort_tracks();
-  return presentation;
+  const manifest::Resolution::Fetch fetch =
+      [&](const manifest::MediaRef& ref) -> const std::string* {
+    const http::TransferRecord* r = find_body(records, ref);
+    return r != nullptr ? &r->body_copy : nullptr;
+  };
+  const manifest::Resolution* title = log.title();
+  if (title != nullptr &&
+      title->sources_for(protocol, manifest_record.url,
+                         manifest_record.body_copy) != nullptr &&
+      title->same_resources(fetch)) {
+    return *title;
+  }
+  return own.emplace(protocol, manifest_record.url, manifest_record.body_copy,
+                     fetch);
 }
 
-/// One ladder, in level order; moves the segment URLs into the resolver.
-void add_ladder(std::vector<manifest::ClientTrack>& tracks,
-                std::vector<AnalyzedTrack>& ladder,
-                RequestResolver& resolver) {
-  ladder.reserve(tracks.size());
+/// One ladder, in level order.
+std::vector<AnalyzedTrack> ladder_of(
+    const std::vector<manifest::ClientTrack>& tracks) {
+  std::vector<AnalyzedTrack> ladder(tracks.size());
   for (std::size_t i = 0; i < tracks.size(); ++i) {
-    manifest::ClientTrack& track = tracks[i];
-    AnalyzedTrack& out = ladder.emplace_back();
+    const manifest::ClientTrack& track = tracks[i];
+    AnalyzedTrack& out = ladder[i];
     out.type = track.type;
     out.level = static_cast<int>(i);
     out.declared_bitrate = track.declared_bitrate;
     out.resolution = track.resolution;
     out.segment_durations.reserve(track.segments.size());
-    for (manifest::ClientSegment& seg : track.segments) {
+    for (const manifest::ClientSegment& seg : track.segments) {
       out.segment_durations.push_back(seg.duration);
-      const SegmentRef key{track.type, out.level, seg.index};
-      if (seg.ref.range) {
-        // Range-served segments (DASH, HLS v4): sizes are on the wire.
-        out.segment_sizes.push_back(seg.size);
-        resolver.by_range[std::move(seg.ref.url)].push_back(
-            {*seg.ref.range, key});
-      } else {
-        resolver.by_url[std::move(seg.ref.url)] = key;
-      }
+      // Range-served segments (DASH, HLS v4): sizes are on the wire.
+      if (seg.ref.range) out.segment_sizes.push_back(seg.size);
     }
   }
-}
-
-LadderBuild build_ladders(const std::vector<http::TransferRecord>& records,
-                          const http::TransferRecord& manifest_record,
-                          manifest::Protocol protocol, bool encrypted) {
-  manifest::Presentation presentation =
-      wire_presentation(records, manifest_record, protocol, encrypted);
-  LadderBuild out;
-  add_ladder(presentation.video, out.video, out.resolver);
-  add_ladder(presentation.audio, out.audio, out.resolver);
-  return out;
+  return ladder;
 }
 
 }  // namespace
@@ -276,10 +222,11 @@ AnalyzedTraffic analyze_traffic(const http::TrafficLog& log) {
   }
   out.manifest_encrypted = encrypted;
 
-  LadderBuild build =
-      build_ladders(records, *manifest_record, out.protocol, encrypted);
-  out.video_tracks = std::move(build.video);
-  out.audio_tracks = std::move(build.audio);
+  std::optional<manifest::Resolution> own;
+  const manifest::Resolution& resolution =
+      wire_resolution(log, *manifest_record, out.protocol, encrypted, own);
+  out.video_tracks = ladder_of(resolution.presentation().video);
+  out.audio_tracks = ladder_of(resolution.presentation().audio);
 
   // Walk every record and resolve it to a segment. Sub-range requests of the
   // same segment (split downloads) are merged back into one download.
@@ -287,9 +234,10 @@ AnalyzedTraffic analyze_traffic(const http::TrafficLog& log) {
   for (const http::TransferRecord& r : records) {
     if (r.method != http::Method::kGet) continue;
     if (r.status < 200 || r.status >= 300) continue;  // rejected / errors
-    bool full = true;
-    std::optional<SegmentRef> key = build.resolver.resolve(r.url, r.range, &full);
+    const std::optional<manifest::SegmentLocation> key =
+        resolution.locate(r.url, r.range);
     if (!key) continue;
+    const bool full = key->whole;
     const auto& ladder = key->type == media::ContentType::kVideo
                              ? out.video_tracks
                              : out.audio_tracks;
@@ -361,30 +309,34 @@ struct SegmentClassifier::Impl {
 
   const http::TrafficLog& log;
   std::size_t built_from_records = 0;
-  std::optional<LadderBuild> build;
+  std::optional<manifest::Resolution> own;
+  const manifest::Resolution* resolution = nullptr;
 
   std::optional<SegmentRef> try_resolve(
       const std::string& url,
       const std::optional<manifest::ByteRange>& range) const {
-    if (!build) return std::nullopt;
-    bool full = true;
-    return build->resolver.resolve(url, range, &full);
+    if (resolution == nullptr) return std::nullopt;
+    const std::optional<manifest::SegmentLocation> at =
+        resolution->locate(url, range);
+    if (!at) return std::nullopt;
+    return SegmentRef{at->type, at->level, at->index};
   }
 
   void rebuild() {
     built_from_records = log.records().size();
-    build.reset();
+    resolution = nullptr;
+    own.reset();
     manifest::Protocol protocol;
     bool encrypted = false;
     const http::TransferRecord* manifest_record =
         find_manifest(log.records(), &protocol, &encrypted);
     if (manifest_record == nullptr) return;
     try {
-      build = build_ladders(log.records(), *manifest_record, protocol,
-                            encrypted);
+      resolution =
+          &wire_resolution(log, *manifest_record, protocol, encrypted, own);
     } catch (const ParseError&) {
       // Manifests still arriving; retry on the next classify.
-      build.reset();
+      own.reset();
     }
   }
 };

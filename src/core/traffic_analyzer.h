@@ -7,11 +7,22 @@
 // the client received through the client's own resolver
 // (manifest::resolve_manifest / complete_track), fed with the media
 // playlists and sidx boxes found on the wire. Each track's level is its
-// position in the sorted ladder, and each of its segments maps a request:
+// position in the sorted ladder, and each of its segments maps a request
+// through the resolution's locator (manifest::Resolution::locate):
 //
-//   whole resources (HLS .ts, DASH templates, SS fragments): URL -> segment
-//   byte ranges (DASH, HLS v4): (URL, range) -> segment; sub-range requests
-//          (the D3 split download) are grouped back into their segment
+//   whole resources (HLS .ts, DASH templates, SS fragments): URL -> segment,
+//          one hash probe
+//   byte ranges (DASH, HLS v4): (URL, range) -> segment, a binary search
+//          over the URL's ranges; sub-range requests (the D3 split
+//          download) are grouped back into their segment
+//
+// A log taken at a proxy carries its title's resolution (TrafficLog::title,
+// http::OriginServer::resolution). When the log holds byte-equal copies of
+// the title's manifest and of every playlist / sidx its tracks wait on —
+// every session that streamed the title undisturbed — the analyzer uses the
+// title's resolution as it is: nothing is parsed or indexed per log. Any
+// other log (a rewritten manifest, a lost resource, no title) is resolved
+// from the wire by the same code, with the same result.
 //
 // An HLS variant whose media playlist never crossed the wire stays on the
 // ladder without segments; a DASH SegmentBase track whose sidx never did is

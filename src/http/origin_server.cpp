@@ -45,6 +45,27 @@ OriginServer::OriginServer(media::VideoAsset asset, OriginConfig config)
     case manifest::Protocol::kDash: build_dash(); break;
     case manifest::Protocol::kSmooth: build_smooth(); break;
   }
+  resolve_own();
+}
+
+void OriginServer::resolve_own() {
+  const std::string url = manifest_url();
+  Response root = handle({Method::kGet, url, std::nullopt});
+  if (!root.ok()) return;
+  if (is_scrambled(root.body)) root.body = unscramble_manifest(root.body);
+  Response resource;
+  const manifest::Resolution::Fetch fetch =
+      [&](const manifest::MediaRef& ref) -> const std::string* {
+    resource = handle({Method::kGet, ref.url, ref.range});
+    return resource.ok() ? &resource.body : nullptr;
+  };
+  try {
+    resolution_ = std::make_shared<const manifest::Resolution>(
+        config_.protocol, url, std::move(root.body), fetch);
+  } catch (const ParseError&) {
+    // An asset whose manifests do not resolve (e.g. no video tracks): every
+    // session resolves what it receives itself.
+  }
 }
 
 std::string OriginServer::manifest_url() const {

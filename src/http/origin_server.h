@@ -15,14 +15,20 @@
 // scramble: worthless as cryptography, but it gives the man-in-the-middle
 // exactly the paper's situation — an opaque manifest it cannot read while the
 // client (which has the app's key) can.
+//
+// An origin is one title and immutable once built; it also resolves its own
+// manifests once (resolution()), which the player and the traffic analyzer
+// of every session on the title reuse where their bytes equal the title's.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "http/message.h"
 #include "manifest/dash_mpd.h"
+#include "manifest/presentation.h"
 #include "media/video_asset.h"
 
 namespace vodx::http {
@@ -58,6 +64,11 @@ class OriginServer {
   const media::VideoAsset& asset() const { return asset_; }
   const OriginConfig& config() const { return config_; }
 
+  /// The title's own manifests resolved as a client receives them (the
+  /// manifest descrambled), built with the title; nullptr when they do not
+  /// resolve.
+  const manifest::Resolution* resolution() const { return resolution_.get(); }
+
  private:
   struct MediaFile {
     Bytes total_size = 0;
@@ -75,6 +86,8 @@ class OriginServer {
   void build_hls();
   void build_dash();
   void build_smooth();
+  /// Builds resolution_ from what handle() serves.
+  void resolve_own();
   void add(std::string url, Bytes segment_size);
   void add(std::string url, Response text);
   void add(std::string url, MediaFile file);
@@ -86,6 +99,7 @@ class OriginServer {
   std::vector<MediaFile> files_;  ///< range-served files
   /// Every URL the origin serves; handle() probes it once. Never iterated.
   std::unordered_map<std::string, Resource> resources_;
+  std::shared_ptr<const manifest::Resolution> resolution_;
 };
 
 }  // namespace vodx::http

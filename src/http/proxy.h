@@ -20,7 +20,8 @@ namespace vodx::http {
 
 class Proxy {
  public:
-  explicit Proxy(const OriginServer& origin) : origin_(&origin) {}
+  explicit Proxy(const OriginServer& origin)
+      : origin_(&origin), log_(origin.resolution()) {}
 
   /// Appends an interceptor to the chain and attaches it to this proxy.
   /// Chain position determines stage ordering — see http/interceptor.h.

@@ -49,6 +49,15 @@ struct TransferRecord {
 
 class TrafficLog {
  public:
+  /// `title`: the resolution of the title the logged session streams (the
+  /// proxy's origin), or nullptr for a log of unknown provenance. The
+  /// traffic analyzer takes it instead of resolving the logged manifests
+  /// again when they are byte-equal to the title's.
+  explicit TrafficLog(const manifest::Resolution* title = nullptr)
+      : title_(title) {}
+
+  const manifest::Resolution* title() const { return title_; }
+
   /// Opens a record; returns its id. `connection` identifies the TCP
   /// connection, `connection_use` how many requests it has carried before
   /// (0 = a fresh connection, i.e. a handshake was observed).
@@ -69,6 +78,7 @@ class TrafficLog {
  private:
   TransferRecord& record_mut(int id);
 
+  const manifest::Resolution* title_ = nullptr;
   std::vector<TransferRecord> records_;
 };
 

@@ -1,8 +1,10 @@
 #include "manifest/presentation.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -11,6 +13,7 @@
 #include "manifest/smooth.h"
 #include "manifest/uri.h"
 #include "media/sidx.h"
+#include "obs/profiler.h"
 
 namespace vodx::manifest {
 
@@ -72,8 +75,8 @@ void Presentation::sort_tracks() {
   auto by_bitrate = [](const ClientTrack& a, const ClientTrack& b) {
     return a.declared_bitrate < b.declared_bitrate;
   };
-  std::sort(video.begin(), video.end(), by_bitrate);
-  std::sort(audio.begin(), audio.end(), by_bitrate);
+  std::stable_sort(video.begin(), video.end(), by_bitrate);
+  std::stable_sort(audio.begin(), audio.end(), by_bitrate);
 }
 
 namespace {
@@ -184,6 +187,9 @@ std::vector<TrackDraft> resolve_smooth(std::string_view url,
 std::vector<TrackDraft> resolve_manifest(Protocol protocol,
                                          std::string_view url,
                                          std::string_view body) {
+  // Counts the root manifests actually parsed: about one per title when
+  // sessions find their title's Resolution.
+  VODX_PROFILE_ZONE("manifest.resolve");
   switch (protocol) {
     case Protocol::kHls: return resolve_hls(url, body);
     case Protocol::kDash: return resolve_dash(url, body);
@@ -222,6 +228,147 @@ ClientTrack complete_track(TrackDraft draft, std::string_view body) {
   track.sizes_known =
       !track.segments.empty() && track.segments.front().size > 0;
   return track;
+}
+
+Resolution::Resolution(Protocol protocol, std::string url, std::string body,
+                       const Fetch& fetch)
+    : protocol_(protocol), url_(std::move(url)), body_(std::move(body)) {
+  std::vector<TrackDraft> drafts = resolve_manifest(protocol_, url_, body_);
+  std::vector<std::optional<ClientTrack>> tracks(drafts.size());
+  sources_.resize(drafts.size());
+  for (std::size_t i = 0; i < drafts.size(); ++i) {
+    TrackDraft& draft = drafts[i];
+    Source& source = sources_[i];
+    if (!draft.pending) {
+      tracks[i] = std::move(draft.track);
+      continue;
+    }
+    source.draft = draft;
+    if (const std::string* resource = fetch(*draft.pending)) {
+      source.body = *resource;
+      tracks[i] = complete_track(std::move(draft), *resource);
+    } else if (protocol_ == Protocol::kHls) {
+      tracks[i] = std::move(draft.track);
+    }
+  }
+
+  // Added in ascending bitrate, ties in manifest order: what adding in
+  // manifest order and sort_tracks() give, with each source's place known.
+  std::vector<std::size_t> order;
+  std::array<std::size_t, 2> per_type{};
+  for (std::size_t i = 0; i < tracks.size(); ++i) {
+    if (!tracks[i]) continue;
+    order.push_back(i);
+    ++per_type[tracks[i]->type == media::ContentType::kVideo ? 0 : 1];
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return tracks[a]->declared_bitrate <
+                            tracks[b]->declared_bitrate;
+                   });
+  auto presentation = std::make_shared<Presentation>();
+  // Reserved in full, so the addresses taken below stay valid.
+  presentation->video.reserve(per_type[0]);
+  presentation->audio.reserve(per_type[1]);
+  for (std::size_t i : order) {
+    const bool video = tracks[i]->type == media::ContentType::kVideo;
+    presentation->add(std::move(*tracks[i]));
+    sources_[i].track = video ? &presentation->video.back()
+                              : &presentation->audio.back();
+  }
+  presentation_ = std::move(presentation);
+  index();
+}
+
+Resolution::Resolution(Presentation presentation) {
+  presentation.sort_tracks();
+  presentation_ = std::make_shared<const Presentation>(std::move(presentation));
+  index();
+}
+
+void Resolution::index() {
+  std::size_t segments = 0;
+  for (const std::vector<ClientTrack>* ladder :
+       {&presentation_->video, &presentation_->audio}) {
+    for (const ClientTrack& track : *ladder) segments += track.segments.size();
+  }
+  urls_.reserve(segments);
+  // Whole-resource segments take the last location a URL gets; each ranged
+  // URL collects its segments into one slice of ranged_. A track's ranged
+  // segments share one URL, so the previous segment's list is usually the
+  // one to extend.
+  std::unordered_map<std::string_view, std::vector<Ranged>> ranges;
+  std::string_view last_url;
+  std::vector<Ranged>* last = nullptr;
+  for (const std::vector<ClientTrack>* ladder :
+       {&presentation_->video, &presentation_->audio}) {
+    for (std::size_t level = 0; level < ladder->size(); ++level) {
+      const ClientTrack& track = (*ladder)[level];
+      for (const ClientSegment& seg : track.segments) {
+        const SegmentLocation at{track.type, static_cast<int>(level),
+                                 seg.index, true};
+        if (!seg.ref.range) {
+          urls_[seg.ref.url].whole = at;
+          continue;
+        }
+        if (last == nullptr || seg.ref.url != last_url) {
+          last_url = seg.ref.url;
+          last = &ranges[last_url];
+        }
+        last->push_back({*seg.ref.range, at});
+      }
+    }
+  }
+  for (auto& [url, list] : ranges) {
+    std::stable_sort(list.begin(), list.end(),
+                     [](const Ranged& a, const Ranged& b) {
+                       return a.range.first < b.range.first;
+                     });
+    UrlSlot& slot = urls_[url];
+    slot.first = ranged_.size();
+    slot.count = list.size();
+    ranged_.insert(ranged_.end(), list.begin(), list.end());
+  }
+}
+
+const std::vector<Resolution::Source>* Resolution::sources_for(
+    Protocol protocol, std::string_view url, std::string_view body) const {
+  if (protocol != protocol_ || url != url_ || body != body_) return nullptr;
+  return &sources_;
+}
+
+bool Resolution::same_resources(const Fetch& fetch) const {
+  for (const Source& source : sources_) {
+    if (!source.draft) continue;
+    const std::string* resource = fetch(*source.draft->pending);
+    if (resource == nullptr ? source.body.has_value()
+                            : source.body != *resource) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::optional<SegmentLocation> Resolution::locate(
+    std::string_view url, const std::optional<ByteRange>& range) const {
+  const auto it = urls_.find(url);
+  if (it == urls_.end()) return std::nullopt;
+  const UrlSlot& slot = it->second;
+  if (slot.whole) return slot.whole;
+  if (!range || slot.count == 0) return std::nullopt;
+  const auto begin = ranged_.begin() + static_cast<std::ptrdiff_t>(slot.first);
+  const auto end = begin + static_cast<std::ptrdiff_t>(slot.count);
+  // The last segment starting at or before the request's first byte.
+  auto after = std::upper_bound(begin, end, range->first,
+                                [](Bytes first, const Ranged& r) {
+                                  return first < r.range.first;
+                                });
+  if (after == begin) return std::nullopt;
+  const Ranged& seg = *(after - 1);
+  if (range->last > seg.range.last) return std::nullopt;
+  SegmentLocation at = seg.at;
+  at.whole = *range == seg.range;
+  return at;
 }
 
 }  // namespace vodx::manifest

@@ -12,11 +12,24 @@
 // its HLS media playlist or its DASH sidx box. complete_track() finishes
 // such a track from that resource's bytes. The player fetches the resources
 // (player::MediaSource); the analyzer finds them on the wire.
+//
+// A Resolution is the result of both steps over one root manifest, kept
+// immutable: the tracks in manifest order with the bytes each was resolved
+// from, the sorted Presentation, and a locator from a request (URL plus
+// optional byte range) to its segment. Every title builds one of its own
+// manifests (http::OriginServer::resolution()). Since both steps are pure, a
+// caller holding bytes equal to the title's takes the title's result instead
+// of resolving again — the player per track, the traffic analyzer for a
+// whole log — and any other bytes go through the two steps as usual
+// (DESIGN.md "Manifest resolution").
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
@@ -93,9 +106,13 @@ struct Presentation {
 
   /// Appends `track` to the ladder of its content type.
   void add(ClientTrack track);
-  /// Sorts ladders ascending by declared bitrate (call after building).
+  /// Sorts ladders ascending by declared bitrate, ties in the order added
+  /// (call after building).
   void sort_tracks();
 };
+
+/// A presentation shared read-only, e.g. by every session of a title.
+using PresentationPtr = std::shared_ptr<const Presentation>;
 
 /// A track as its root manifest describes it. Without `pending` it is
 /// complete; with it, its segments come from one more resource: a media
@@ -118,5 +135,90 @@ std::vector<TrackDraft> resolve_manifest(Protocol protocol,
 /// Completes a pending track from the bytes of the resource it waits on.
 /// Throws ParseError when they are not a valid media playlist / sidx box.
 ClientTrack complete_track(TrackDraft draft, std::string_view body);
+
+/// Where a request lands on a presentation's ladders.
+struct SegmentLocation {
+  media::ContentType type = media::ContentType::kVideo;
+  int level = 0;  ///< position in the ladder of `type`
+  int index = 0;  ///< segment index
+  /// False when the request covers only part of a byte-range segment (one
+  /// piece of a split download).
+  bool whole = true;
+};
+
+/// One root manifest resolved with the resources its tracks wait on; see
+/// the file comment. Immutable once built, so threads may share it.
+class Resolution {
+ public:
+  /// The bytes of a pending track's resource, or nullptr when there are
+  /// none. A returned string must stay valid until the next call.
+  using Fetch = std::function<const std::string*(const MediaRef&)>;
+
+  /// One track of the root manifest, in manifest order.
+  struct Source {
+    /// The draft the root manifest gave, when the track waits on a
+    /// resource; empty when the root manifest completed it.
+    std::optional<TrackDraft> draft;
+    /// The bytes `fetch` gave for that resource; empty when it gave none.
+    std::optional<std::string> body;
+    /// The resolved track in presentation(); nullptr when dropped.
+    const ClientTrack* track = nullptr;
+  };
+
+  /// Resolves root manifest `body` fetched from `url` and completes each
+  /// pending track from `fetch`. A pending track `fetch` has no bytes for
+  /// stays on the ladder without segments when it is an HLS variant (its
+  /// master playlist still declares it) and is dropped otherwise. Throws
+  /// ParseError as resolve_manifest / complete_track do.
+  Resolution(Protocol protocol, std::string url, std::string body,
+             const Fetch& fetch);
+  /// Indexes tracks that did not come from a root manifest (the traffic
+  /// analyzer's footnote-4 ladder); sorts them by declared bitrate.
+  explicit Resolution(Presentation presentation);
+
+  const Presentation& presentation() const { return *presentation_; }
+  const PresentationPtr& shared_presentation() const { return presentation_; }
+
+  /// This resolution's tracks when `protocol`, `url` and `body` equal the
+  /// root manifest it was resolved from; nullptr otherwise.
+  const std::vector<Source>* sources_for(Protocol protocol,
+                                         std::string_view url,
+                                         std::string_view body) const;
+
+  /// True when resolving the same root manifest with `fetch` would give
+  /// this resolution: `fetch` gives every pending track the bytes it was
+  /// completed from (and none where it got none).
+  bool same_resources(const Fetch& fetch) const;
+
+  /// The segment a request for `url` (with `range`, if ranged) fetches, or
+  /// nullopt. Whole-resource URLs are hashed; byte ranges are found by
+  /// binary search over the ranges of their URL, which tile the file.
+  std::optional<SegmentLocation> locate(
+      std::string_view url, const std::optional<ByteRange>& range) const;
+
+ private:
+  struct Ranged {
+    ByteRange range;
+    SegmentLocation at;
+  };
+  /// What one URL serves: a whole segment, and/or the byte-range segments
+  /// ranged_[first, first + count), sorted by their first byte.
+  struct UrlSlot {
+    std::optional<SegmentLocation> whole;
+    std::size_t first = 0;
+    std::size_t count = 0;
+  };
+
+  void index();
+
+  Protocol protocol_ = Protocol::kHls;
+  std::string url_;
+  std::string body_;
+  std::vector<Source> sources_;
+  PresentationPtr presentation_;
+  /// Keys view the segment URLs of presentation_.
+  std::unordered_map<std::string_view, UrlSlot> urls_;
+  std::vector<Ranged> ranged_;
+};
 
 }  // namespace vodx::manifest

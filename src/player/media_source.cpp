@@ -1,5 +1,7 @@
 #include "player/media_source.h"
 
+#include <algorithm>
+#include <memory>
 #include <string_view>
 
 #include "common/error.h"
@@ -8,8 +10,9 @@
 
 namespace vodx::player {
 
-MediaSource::MediaSource(http::HttpClient& client, Options options)
-    : client_(client), options_(options) {}
+MediaSource::MediaSource(http::HttpClient& client, Options options,
+                         const manifest::Resolution* title)
+    : client_(client), options_(options), title_(title) {}
 
 void MediaSource::resolve(const std::string& manifest_url, ReadyFn on_ready,
                           ErrorFn on_error) {
@@ -82,8 +85,25 @@ void MediaSource::fail(const std::string& reason) {
 }
 
 void MediaSource::finish() {
-  presentation_.sort_tracks();
-  if (on_ready_) on_ready_(std::move(presentation_));
+  if (!on_ready_) return;
+  const bool all_shared =
+      title_manifest_ &&
+      std::all_of(slots_.begin(), slots_.end(),
+                  [](const Slot& slot) { return slot.shared != nullptr; });
+  if (all_shared) {
+    on_ready_(title_->shared_presentation());
+    return;
+  }
+  auto presentation = std::make_shared<manifest::Presentation>();
+  for (Slot& slot : slots_) {
+    if (slot.shared != nullptr) {
+      presentation->add(*slot.shared);
+    } else if (slot.own) {
+      presentation->add(std::move(*slot.own));
+    }
+  }
+  presentation->sort_tracks();
+  on_ready_(std::move(presentation));
 }
 
 void MediaSource::handle_manifest(const std::string& url,
@@ -92,27 +112,51 @@ void MediaSource::handle_manifest(const std::string& url,
   std::string clear;
   if (options_.protocol == manifest::Protocol::kDash &&
       http::is_scrambled(resp.body)) {
-    if (!options_.can_descramble) {
-      throw ParseError("manifest is encrypted and no key is available");
-    }
     clear = http::unscramble_manifest(resp.body);
     body = clear;
   }
-  for (manifest::TrackDraft& draft :
-       manifest::resolve_manifest(options_.protocol, url, body)) {
-    if (!draft.pending) {
-      presentation_.add(std::move(draft.track));
-      continue;
+  if (const std::vector<manifest::Resolution::Source>* sources =
+          title_ != nullptr
+              ? title_->sources_for(options_.protocol, url, body)
+              : nullptr) {
+    title_manifest_ = true;
+    slots_.resize(sources->size());
+    for (std::size_t i = 0; i < sources->size(); ++i) {
+      const manifest::Resolution::Source& source = (*sources)[i];
+      if (source.draft) {
+        fetch_track(i, *source.draft, &source);
+      } else {
+        slots_[i].shared = source.track;
+      }
     }
-    http::Request request{http::Method::kGet, draft.pending->url,
-                          draft.pending->range};
-    enqueue(
-        std::move(request),
-        [this, draft = std::move(draft)](const http::Response& r) mutable {
-          presentation_.add(manifest::complete_track(std::move(draft), r.body));
-        },
-        /*droppable=*/true);
+    return;
   }
+  drafts_ = manifest::resolve_manifest(options_.protocol, url, body);
+  slots_.resize(drafts_.size());
+  for (std::size_t i = 0; i < drafts_.size(); ++i) {
+    if (drafts_[i].pending) {
+      fetch_track(i, drafts_[i], nullptr);
+    } else {
+      slots_[i].own = std::move(drafts_[i].track);
+    }
+  }
+}
+
+void MediaSource::fetch_track(std::size_t slot,
+                              const manifest::TrackDraft& draft,
+                              const manifest::Resolution::Source* source) {
+  http::Request request{http::Method::kGet, draft.pending->url,
+                        draft.pending->range};
+  enqueue(
+      std::move(request),
+      [this, slot, &draft, source](const http::Response& r) {
+        if (source != nullptr && source->body == r.body) {
+          slots_[slot].shared = source->track;
+        } else {
+          slots_[slot].own = manifest::complete_track(draft, r.body);
+        }
+      },
+      /*droppable=*/true);
 }
 
 }  // namespace vodx::player

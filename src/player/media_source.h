@@ -11,12 +11,21 @@
 // business; this class is the fetch plumbing around them: one request at a
 // time, retries, droppable per-track fetches and descrambling. For the
 // D3-style service the MPD arrives application-layer encrypted; the client
-// holds the app key (can_descramble) while the man-in-the-middle does not.
+// holds the app key while the man-in-the-middle does not.
+//
+// The title behind the proxy has resolved its own manifests once
+// (http::OriginServer::resolution()). When the descrambled manifest this
+// source receives equals the title's, it takes the title's tracks instead of
+// parsing: each pending track whose resource arrives byte-equal is the
+// title's, and when every track is, the presentation handed over is the
+// title's shared one, not a copy. The fetches are the same either way.
 #pragma once
 
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "http/http_client.h"
 #include "manifest/presentation.h"
@@ -27,7 +36,6 @@ class MediaSource {
  public:
   struct Options {
     manifest::Protocol protocol = manifest::Protocol::kHls;
-    bool can_descramble = false;
     /// Extra attempts per manifest-path fetch before it counts as failed
     /// (0 = first failure is final).
     int retries = 0;
@@ -36,9 +44,13 @@ class MediaSource {
     bool tolerate_variant_loss = false;
   };
 
-  MediaSource(http::HttpClient& client, Options options);
+  /// `title`: the resolution of the title behind `client`'s proxy
+  /// (http::OriginServer::resolution()), or nullptr to resolve everything
+  /// received here.
+  MediaSource(http::HttpClient& client, Options options,
+              const manifest::Resolution* title);
 
-  using ReadyFn = std::function<void(manifest::Presentation)>;
+  using ReadyFn = std::function<void(manifest::PresentationPtr)>;
   using ErrorFn = std::function<void(const std::string&)>;
 
   /// Starts resolution; exactly one of the callbacks fires eventually.
@@ -63,15 +75,34 @@ class MediaSource {
   void fail(const std::string& reason);
   void finish();
 
+  /// One track of the root manifest, in manifest order.
+  struct Slot {
+    /// The title's resolved track, when this track's bytes equal the
+    /// title's.
+    const manifest::ClientTrack* shared = nullptr;
+    /// Resolved here otherwise; neither when a droppable fetch was lost.
+    std::optional<manifest::ClientTrack> own;
+  };
+
   /// Resolves the root manifest and queues each pending track's fetch.
   void handle_manifest(const std::string& url, const http::Response& resp);
+  /// Queues the fetch of the resource `draft` waits on; the bytes fill
+  /// slot `slot`. `source` is the title's track when the manifest was the
+  /// title's, else nullptr.
+  void fetch_track(std::size_t slot, const manifest::TrackDraft& draft,
+                   const manifest::Resolution::Source* source);
 
   http::HttpClient& client_;
   Options options_;
+  const manifest::Resolution* title_;
   std::deque<PendingFetch> queue_;
   bool in_flight_ = false;
   bool failed_ = false;
-  manifest::Presentation presentation_;
+  /// Whether the root manifest was the title's.
+  bool title_manifest_ = false;
+  /// The root manifest's tracks when it was not the title's.
+  std::vector<manifest::TrackDraft> drafts_;
+  std::vector<Slot> slots_;
   ReadyFn on_ready_;
   ErrorFn on_error_;
 };

@@ -10,6 +10,12 @@ namespace vodx::player {
 
 namespace {
 constexpr double kEps = 1e-9;
+/// What presentation() reads before the manifests resolve.
+const manifest::PresentationPtr& no_presentation() {
+  static const manifest::PresentationPtr empty =
+      std::make_shared<const manifest::Presentation>();
+  return empty;
+}
 constexpr int kVideoPipe = 0;
 constexpr int kAudioPipe = 1;
 /// Buffered seconds needed to resume after a stall.
@@ -43,6 +49,7 @@ Player::Player(net::Simulator& sim, net::Link& link, http::Proxy& proxy,
     : sim_(sim),
       config_(std::move(config)),
       protocol_(protocol),
+      presentation_(no_presentation()),
       video_buffer_(/*allow_mid_replacement=*/true),
       audio_buffer_(/*allow_mid_replacement=*/true),
       retry_rng_(config_.resilience_seed) {
@@ -51,10 +58,11 @@ Player::Player(net::Simulator& sim, net::Link& link, http::Proxy& proxy,
   options.tcp = config_.tcp;
   options.tcp.persistent = config_.persistent_connections;
   client_ = std::make_unique<http::HttpClient>(sim_, link, proxy, options);
-  MediaSource::Options source_options{protocol, /*can_descramble=*/true};
+  MediaSource::Options source_options{protocol};
   source_options.retries = config_.manifest_retries;
   source_options.tolerate_variant_loss = config_.tolerate_variant_loss;
-  media_source_ = std::make_unique<MediaSource>(*client_, source_options);
+  media_source_ = std::make_unique<MediaSource>(*client_, source_options,
+                                                proxy.origin().resolution());
   abr_ = make_abr(config_);
   if (config_.sr != SrPolicy::kNone && config_.sr != SrPolicy::kPerSegment) {
     VODX_ASSERT(config_.max_connections == 1 || config_.av_scheduling ==
@@ -139,7 +147,7 @@ void Player::sample_observability() {
   next_obs_sample_at_ = now + 1.0;
   obs_->trace.counter(now, obs::Category::kPlayer, "buffer.video_s",
                       player_track_, video_buffer_.buffered_ahead(position_));
-  if (presentation_.separate_audio()) {
+  if (presentation_->separate_audio()) {
     obs_->trace.counter(now, obs::Category::kPlayer, "buffer.audio_s",
                         player_track_,
                         audio_buffer_.buffered_ahead(position_));
@@ -158,7 +166,7 @@ void Player::start(const std::string& manifest_url) {
   // The resolution callbacks arrive from the link's tick: poke first.
   media_source_->resolve(
       manifest_url,
-      [this](manifest::Presentation p) {
+      [this](manifest::PresentationPtr p) {
         sim_.poke(this);
         on_manifest_ready(std::move(p));
       },
@@ -195,21 +203,21 @@ void Player::stop() {
   client_->shutdown();
 }
 
-void Player::on_manifest_ready(manifest::Presentation presentation) {
+void Player::on_manifest_ready(manifest::PresentationPtr presentation) {
   presentation_ = std::move(presentation);
-  if (presentation_.video.empty()) {
+  if (presentation_->video.empty()) {
     on_manifest_error("presentation has no video tracks");
     return;
   }
   // The ladder is immutable for the rest of the session and duration() walks
   // every segment; cache it for the per-tick paths.
-  presentation_duration_ = presentation_.duration();
+  presentation_duration_ = presentation_->duration();
   // Resolve the configured startup bitrate to the nearest ladder rung.
   double best_gap = -1;
-  for (int level = 0; level < static_cast<int>(presentation_.video.size());
+  for (int level = 0; level < static_cast<int>(presentation_->video.size());
        ++level) {
     const double gap =
-        std::abs(presentation_.video[static_cast<std::size_t>(level)]
+        std::abs(presentation_->video[static_cast<std::size_t>(level)]
                      .declared_bitrate -
                  config_.startup_bitrate);
     if (best_gap < 0 || gap < best_gap) {
@@ -237,19 +245,19 @@ void Player::on_manifest_error(const std::string& reason) {
 
 const manifest::ClientTrack& Player::video_track(int level) const {
   VODX_ASSERT(level >= 0 &&
-                  level < static_cast<int>(presentation_.video.size()),
+                  level < static_cast<int>(presentation_->video.size()),
               "video level out of range");
-  return presentation_.video[static_cast<std::size_t>(level)];
+  return presentation_->video[static_cast<std::size_t>(level)];
 }
 
 const manifest::ClientTrack& Player::audio_track() const {
-  VODX_ASSERT(!presentation_.audio.empty(), "no audio tracks");
-  return presentation_.audio.front();
+  VODX_ASSERT(!presentation_->audio.empty(), "no audio tracks");
+  return presentation_->audio.front();
 }
 
 Seconds Player::playable_end() const {
   Seconds end = video_buffer_.contiguous_end(position_);
-  if (presentation_.separate_audio()) {
+  if (presentation_->separate_audio()) {
     end = std::min(end, audio_buffer_.contiguous_end(position_));
   }
   return end;
@@ -307,7 +315,7 @@ Seconds Player::next_wake(Seconds now) {
   // conservative.)
   const int video_count = static_cast<int>(video_track(0).segments.size());
   const int audio_count =
-      presentation_.separate_audio()
+      presentation_->separate_audio()
           ? static_cast<int>(audio_track().segments.size())
           : 0;
   if (fetches_.empty()) {
@@ -359,7 +367,7 @@ Seconds Player::next_wake(Seconds now) {
                                     config_.resuming_threshold);
     };
     resume_crossing(kVideoPipe, video_count);
-    if (presentation_.separate_audio()) {
+    if (presentation_->separate_audio()) {
       resume_crossing(kAudioPipe, audio_count);
     }
     wake = std::min(wake, now + (target - position_) - 2 * dt);
@@ -398,7 +406,7 @@ void Player::fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) {
     position_ = std::min(position_ + dt, limit);
   }
   video_buffer_.consume_until(position_);
-  if (presentation_.separate_audio()) audio_buffer_.consume_until(position_);
+  if (presentation_->separate_audio()) audio_buffer_.consume_until(position_);
 }
 
 void Player::advance_playback(Seconds dt) {
@@ -407,7 +415,7 @@ void Player::advance_playback(Seconds dt) {
   position_ = std::min(position_ + dt, limit);
   record_display_if_new();
   video_buffer_.consume_until(position_);
-  if (presentation_.separate_audio()) audio_buffer_.consume_until(position_);
+  if (presentation_->separate_audio()) audio_buffer_.consume_until(position_);
 }
 
 void Player::record_display_if_new() {
@@ -503,12 +511,12 @@ void Player::schedule_downloads() {
     if (buffered <= config_.resuming_threshold) paused_[pipe] = false;
   };
   update_latch(kVideoPipe);
-  if (presentation_.separate_audio()) update_latch(kAudioPipe);
+  if (presentation_->separate_audio()) update_latch(kAudioPipe);
 
   // Keep issuing while connections are available and some pipeline wants one.
   while (client_->can_fetch()) {
     bool issued = false;
-    if (presentation_.separate_audio() &&
+    if (presentation_->separate_audio() &&
         config_.av_scheduling == AvScheduling::kSynced) {
       // Fetch for whichever content type is further behind, and never let
       // either run more than a small window ahead of the other — that is
@@ -525,7 +533,7 @@ void Player::schedule_downloads() {
         issued = (video_allowed && try_issue_video_fetch()) ||
                  (audio_allowed && try_issue_audio_fetch());
       }
-    } else if (presentation_.separate_audio()) {
+    } else if (presentation_->separate_audio()) {
       // Independent pipelines: audio gets one dedicated connection, video
       // greedily uses the rest (the D1 arrangement, §3.2).
       issued = try_issue_audio_fetch();
@@ -538,7 +546,7 @@ void Player::schedule_downloads() {
 }
 
 bool Player::try_issue_audio_fetch() {
-  if (!presentation_.separate_audio() || paused_[kAudioPipe]) return false;
+  if (!presentation_->separate_audio() || paused_[kAudioPipe]) return false;
   bool retry_blocked = false;
   if (service_retries(kAudioPipe, 1, &retry_blocked)) return true;
   if (retry_blocked) return false;
@@ -557,7 +565,7 @@ bool Player::try_issue_video_fetch() {
   int parallelism = 1;
   if (config_.av_scheduling == AvScheduling::kIndependent) {
     parallelism = std::max(
-        1, config_.max_connections - (presentation_.separate_audio() ? 1 : 0));
+        1, config_.max_connections - (presentation_->separate_audio() ? 1 : 0));
   }
   if (config_.split_segment_downloads) parallelism = 1;
   bool retry_blocked = false;
@@ -599,7 +607,7 @@ bool Player::try_issue_video_fetch() {
 int Player::select_video_level_for(int next_index) {
   VODX_PROFILE_ZONE("abr.decide");
   AbrContext context;
-  context.presentation = &presentation_;
+  context.presentation = presentation_.get();
   context.bandwidth_estimate = estimator_.estimate();
   context.estimator_samples = estimator_.sample_count();
   context.buffer = video_buffer_.buffered_ahead(position_);
@@ -609,7 +617,7 @@ int Player::select_video_level_for(int next_index) {
   context.startup_level = startup_level_;
   last_decision_buffer_ = context.buffer;
   int level = std::clamp(abr_->select_video_level(context), 0,
-                         static_cast<int>(presentation_.video.size()) - 1);
+                         static_cast<int>(presentation_->video.size()) - 1);
   if (decisions_metric_ != nullptr) {
     decisions_metric_->add();
     if (level != context.last_level) switches_metric_->add();

@@ -132,7 +132,7 @@ class Player : public net::TickClient {
     return state_ == PlayerState::kEnded || state_ == PlayerState::kFailed;
   }
   const PlayerEvents& events() const { return events_; }
-  const manifest::Presentation& presentation() const { return presentation_; }
+  const manifest::Presentation& presentation() const { return *presentation_; }
   const PlayerConfig& config() const { return config_; }
 
   Seconds position() const { return position_; }
@@ -180,7 +180,7 @@ class Player : public net::TickClient {
     Seconds eligible_at = 0;
   };
 
-  void on_manifest_ready(manifest::Presentation presentation);
+  void on_manifest_ready(manifest::PresentationPtr presentation);
   void on_manifest_error(const std::string& reason);
 
   /// Single funnel for state transitions: keeps the trace's state span per
@@ -235,8 +235,10 @@ class Player : public net::TickClient {
   BandwidthEstimator estimator_;
 
   PlayerState state_ = PlayerState::kIdle;
-  manifest::Presentation presentation_;
-  /// presentation_.duration(), cached at manifest time (it walks every
+  /// Empty until the manifests resolve; usually the title's own, shared by
+  /// every session of the title (MediaSource).
+  manifest::PresentationPtr presentation_;
+  /// presentation_->duration(), cached at manifest time (it walks every
   /// segment and the per-tick paths consult it constantly).
   Seconds presentation_duration_ = 0;
   PlaybackBuffer video_buffer_;

@@ -4,6 +4,11 @@
 // to manifest::resolve_manifest / complete_track and to analyze_traffic on
 // a log that carries it. Every input must resolve or throw vodx::Error;
 // nothing may abort, trip a VODX_ASSERT or throw anything else.
+//
+// Each log is analyzed twice: alone, and with the pristine title's
+// Resolution attached. Both must give the same analysis or the same error,
+// and the title must reject the mutated bytes: a byte mismatch never
+// returns the title's cached result.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,6 +23,7 @@
 #include "manifest/presentation.h"
 #include "services/content_factory.h"
 #include "services/service_catalog.h"
+#include "testing/analysis.h"
 
 namespace vodx::core {
 namespace {
@@ -109,10 +115,12 @@ Resources render(const services::ServiceSpec& spec,
 }
 
 /// The log a client leaves when it fetched `res` — with `root` and
-/// `second[mutated_second]` (if >= 0) replaced by the given bodies.
+/// `second[mutated_second]` (if >= 0) replaced by the given bodies — with
+/// `title` attached.
 http::TrafficLog log_of(const Resources& res, const std::string& root,
-                        int mutated_second, const std::string& second_body) {
-  http::TrafficLog log;
+                        int mutated_second, const std::string& second_body,
+                        const manifest::Resolution* title = nullptr) {
+  http::TrafficLog log(title);
   Seconds t = 0;
   auto add = [&](const std::string& url,
                  const std::optional<manifest::ByteRange>& range,
@@ -144,6 +152,34 @@ void expect_clean(const std::function<void()>& fn) {
   }
 }
 
+/// analyze_traffic on the log, or the message of the Error it threw.
+std::optional<AnalyzedTraffic> analyze(const http::TrafficLog& log,
+                                       std::string* error) {
+  try {
+    return analyze_traffic(log);
+  } catch (const Error& e) {
+    *error = e.what();
+    return std::nullopt;
+  }
+}
+
+/// The log analyzes cleanly, and to the same result or error with the
+/// pristine title attached as without it.
+void expect_title_changes_nothing(const Resources& res,
+                                  const manifest::Resolution& title,
+                                  const std::string& root, int mutated_second,
+                                  const std::string& second_body) {
+  std::string plain_error;
+  std::string titled_error;
+  const std::optional<AnalyzedTraffic> plain =
+      analyze(log_of(res, root, mutated_second, second_body), &plain_error);
+  const std::optional<AnalyzedTraffic> titled = analyze(
+      log_of(res, root, mutated_second, second_body, &title), &titled_error);
+  EXPECT_EQ(plain_error, titled_error);
+  ASSERT_EQ(plain.has_value(), titled.has_value());
+  if (plain) vodx::testing::expect_same_traffic(*plain, *titled);
+}
+
 /// The catalog, plus the two resolver branches no catalog service takes:
 /// HLS v4 byte-range segments and DASH SegmentTemplate.
 std::vector<services::ServiceSpec> services_under_test() {
@@ -164,9 +200,12 @@ TEST(ManifestMutation, EveryMutatedInputResolvesOrThrowsCleanly) {
   for (const services::ServiceSpec& spec : services_under_test()) {
     SCOPED_TRACE(spec.name);
     const http::OriginServer origin = services::make_origin(spec, 40, 7);
+    ASSERT_NE(origin.resolution(), nullptr);
+    const manifest::Resolution& title = *origin.resolution();
     const Resources res = render(spec, origin);
-    // The unmutated log analyzes.
+    // The unmutated log analyzes, alone and through the title.
     EXPECT_NO_THROW(analyze_traffic(log_of(res, res.root.body, -1, "")));
+    expect_title_changes_nothing(res, title, res.root.body, -1, "");
     Rng rng(static_cast<std::uint64_t>(spec.name.size() * 131 +
                                        static_cast<unsigned char>(
                                            spec.name.back())));
@@ -177,6 +216,8 @@ TEST(ManifestMutation, EveryMutatedInputResolvesOrThrowsCleanly) {
       expect_clean([&] {
         const std::string clear =
             scrambled ? http::unscramble_manifest(root) : root;
+        EXPECT_EQ(title.sources_for(spec.protocol, res.root_url, clear),
+                  nullptr);
         for (manifest::TrackDraft& draft :
              manifest::resolve_manifest(spec.protocol, res.root_url, clear)) {
           if (!draft.pending) continue;
@@ -186,17 +227,24 @@ TEST(ManifestMutation, EveryMutatedInputResolvesOrThrowsCleanly) {
               [&] { manifest::complete_track(std::move(draft), r.body); });
         }
       });
-      expect_clean([&] { analyze_traffic(log_of(res, root, -1, "")); });
+      expect_title_changes_nothing(res, title, root, -1, "");
     }
     for (std::size_t i = 0; i < res.pending.size(); ++i) {
       for (int m = 0; m < kMutationsPerInput; ++m) {
         ++inputs;
         const std::string body = mutate(res.second[i].body, rng);
         expect_clean([&] { manifest::complete_track(res.pending[i], body); });
-        expect_clean([&] {
-          analyze_traffic(
-              log_of(res, res.root.body, static_cast<int>(i), body));
-        });
+        EXPECT_FALSE(title.same_resources(
+            [&](const manifest::MediaRef& ref) -> const std::string* {
+              for (std::size_t k = 0; k < res.pending.size(); ++k) {
+                if (*res.pending[k].pending == ref) {
+                  return k == i ? &body : &res.second[k].body;
+                }
+              }
+              return nullptr;
+            }));
+        expect_title_changes_nothing(res, title, res.root.body,
+                                     static_cast<int>(i), body);
       }
     }
   }

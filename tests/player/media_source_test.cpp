@@ -17,7 +17,7 @@ struct SourceHarness {
         origin(std::move(asset), origin_config),
         proxy(origin),
         client(sim, link, proxy, client_options()),
-        source(client, options) {}
+        source(client, options, origin.resolution()) {}
 
   static http::HttpClient::Options client_options() {
     http::HttpClient::Options options;
@@ -32,8 +32,8 @@ struct SourceHarness {
     std::string error;
     source.resolve(
         origin.manifest_url(),
-        [&](manifest::Presentation p) {
-          result = std::move(p);
+        [&](manifest::PresentationPtr p) {
+          result = *p;
           done = true;
         },
         [&](const std::string& reason) { error = reason; });
@@ -54,7 +54,7 @@ TEST(MediaSource, HlsPresentationMatchesAsset) {
   media::VideoAsset asset = small_asset();
   const int segment_count = asset.video_track(0).segment_count();
   SourceHarness h(std::move(asset), {manifest::Protocol::kHls},
-                  {manifest::Protocol::kHls, false});
+                  {manifest::Protocol::kHls});
   manifest::Presentation p = h.resolve();
   ASSERT_EQ(p.video.size(), 3u);
   EXPECT_FALSE(p.separate_audio());
@@ -72,7 +72,7 @@ TEST(MediaSource, DashSidxExposesExactSizes) {
   config.protocol = manifest::Protocol::kDash;
   config.dash_index = manifest::DashIndexMode::kSidx;
   SourceHarness h(std::move(asset), config,
-                  {manifest::Protocol::kDash, false});
+                  {manifest::Protocol::kDash});
   manifest::Presentation p = h.resolve();
   ASSERT_EQ(p.video.size(), 3u);
   ASSERT_EQ(p.audio.size(), 1u);
@@ -85,7 +85,7 @@ TEST(MediaSource, DashSidxExposesExactSizes) {
 TEST(MediaSource, DashSidxRangesAreContiguous) {
   http::OriginConfig config;
   config.protocol = manifest::Protocol::kDash;
-  SourceHarness h(small_asset(), config, {manifest::Protocol::kDash, false});
+  SourceHarness h(small_asset(), config, {manifest::Protocol::kDash});
   manifest::Presentation p = h.resolve();
   const auto& segments = p.video[0].segments;
   for (std::size_t i = 1; i < segments.size(); ++i) {
@@ -98,7 +98,7 @@ TEST(MediaSource, DashSegmentListNeedsNoSidxFetch) {
   http::OriginConfig config;
   config.protocol = manifest::Protocol::kDash;
   config.dash_index = manifest::DashIndexMode::kSegmentList;
-  SourceHarness h(small_asset(), config, {manifest::Protocol::kDash, false});
+  SourceHarness h(small_asset(), config, {manifest::Protocol::kDash});
   manifest::Presentation p = h.resolve();
   EXPECT_TRUE(p.video[0].sizes_known);
   // Only the MPD crossed the wire.
@@ -109,7 +109,7 @@ TEST(MediaSource, DashSidxFetchesOneIndexPerTrack) {
   http::OriginConfig config;
   config.protocol = manifest::Protocol::kDash;
   SourceHarness h(small_asset(60, true), config,
-                  {manifest::Protocol::kDash, false});
+                  {manifest::Protocol::kDash});
   h.resolve();
   // MPD + 3 video sidx + 1 audio sidx.
   EXPECT_EQ(h.proxy.log().records().size(), 5u);
@@ -118,7 +118,7 @@ TEST(MediaSource, DashSidxFetchesOneIndexPerTrack) {
 TEST(MediaSource, SmoothBuildsFragmentUrls) {
   media::VideoAsset asset = small_asset(60, true, 3);
   SourceHarness h(std::move(asset), {manifest::Protocol::kSmooth},
-                  {manifest::Protocol::kSmooth, false});
+                  {manifest::Protocol::kSmooth});
   manifest::Presentation p = h.resolve();
   ASSERT_EQ(p.video.size(), 3u);
   ASSERT_EQ(p.audio.size(), 1u);
@@ -133,29 +133,17 @@ TEST(MediaSource, EncryptedMpdNeedsKey) {
   http::OriginConfig config;
   config.protocol = manifest::Protocol::kDash;
   config.encrypt_manifest = true;
-
-  {
-    SourceHarness h(small_asset(), config, {manifest::Protocol::kDash, true});
-    manifest::Presentation p = h.resolve();
-    EXPECT_EQ(p.video.size(), 3u);  // the app's key decodes it
-  }
-  {
-    SourceHarness h(small_asset(), config, {manifest::Protocol::kDash, false});
-    bool failed = false;
-    h.source.resolve(
-        h.origin.manifest_url(), [](manifest::Presentation) { FAIL(); },
-        [&](const std::string&) { failed = true; });
-    h.sim.run_until(10);
-    EXPECT_TRUE(failed);
-  }
+  SourceHarness h(small_asset(), config, {manifest::Protocol::kDash});
+  manifest::Presentation p = h.resolve();
+  EXPECT_EQ(p.video.size(), 3u);  // the app's key decodes it
 }
 
 TEST(MediaSource, ErrorCallbackOn404) {
   SourceHarness h(small_asset(), {manifest::Protocol::kHls},
-                  {manifest::Protocol::kHls, false});
+                  {manifest::Protocol::kHls});
   std::string error;
   h.source.resolve(
-      "/not-there.m3u8", [](manifest::Presentation) { FAIL(); },
+      "/not-there.m3u8", [](manifest::PresentationPtr) { FAIL(); },
       [&](const std::string& reason) { error = reason; });
   h.sim.run_until(10);
   EXPECT_NE(error.find("404"), std::string::npos);
@@ -163,10 +151,10 @@ TEST(MediaSource, ErrorCallbackOn404) {
 
 TEST(MediaSource, ManifestFetchTimeIsSimulated) {
   SourceHarness h(small_asset(), {manifest::Protocol::kHls},
-                  {manifest::Protocol::kHls, false});
+                  {manifest::Protocol::kHls});
   bool done = false;
   h.source.resolve(
-      h.origin.manifest_url(), [&](manifest::Presentation) { done = true; },
+      h.origin.manifest_url(), [&](manifest::PresentationPtr) { done = true; },
       [](const std::string&) {});
   EXPECT_FALSE(done);  // nothing resolves synchronously
   h.sim.run_until(0.05);
