@@ -13,8 +13,10 @@
 // series (TcpConnection::samples_cwnd), or the bandwidth trace steps
 // (BandwidthTrace::next_change_after, which also keeps the obs capacity
 // timeline lossless). next_wake() returns that tick, and fast_forward()
-// replays the slept ticks exactly, tick by tick over the span's busy
-// connections. Whatever changes a connection from outside the link's tick
+// replays the slept ticks exactly: a connection that waits through the span,
+// or streams saturated under the span's single rate cap, in closed form
+// (TcpConnection::coast); the rest tick by tick, as advance() would have run
+// them. Whatever changes a connection from outside the link's tick
 // pokes the link first: a transfer start, an abort or close, a detach. A
 // reader that changes nothing catches it up without rescheduling it
 // (total_delivered()).
@@ -74,6 +76,10 @@ class Link : public TickClient {
   /// caught up first, without being rescheduled.
   Bytes total_delivered();
 
+  /// Connection-ticks each path of fast_forward() has replayed over the
+  /// link's life.
+  const SpanReplayCounts& replay_counts() const { return counts_; }
+
   // --- TickClient --------------------------------------------------------
   void tick(Seconds now, Seconds dt) override;
   Seconds next_wake(Seconds now) override;
@@ -93,7 +99,12 @@ class Link : public TickClient {
   Bps allocate(const std::vector<Bps>& demands, Bps capacity,
                std::vector<Bps>& grants);
 
-  /// One slept tick at `now` over the span's busy connections.
+  /// Spans shorter than this replay per tick: the closed forms' checks cost
+  /// more than a few advance() calls.
+  static constexpr std::uint64_t kCoastFrom = 4;
+
+  /// One slept tick at `now` over the span's connections that did not
+  /// coast.
   void replay_tick(Seconds now, Seconds dt);
 
   Simulator& sim_;
@@ -125,6 +136,9 @@ class Link : public TickClient {
   /// replay allocates each tick afresh.
   Bps span_limit_ = -1;
   Seconds span_wake_ = kNeverWakes;  ///< what next_wake() returns
+  /// The span's connections fast_forward() replays per tick.
+  std::vector<TcpConnection*> replayed_;
+  SpanReplayCounts counts_;
   Seconds synced_at_ = 0;  ///< grid time of the last tick accounted for
 
   obs::Observer* obs_ = nullptr;

@@ -1,8 +1,10 @@
 #include "net/simulator.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.h"
+#include "common/repeat_add.h"
 #include "common/strings.h"
 #include "obs/profiler.h"
 
@@ -260,6 +262,40 @@ void Simulator::run_due_clients() {
   }
 }
 
+std::uint64_t Simulator::skip_ticks(Seconds wake, Seconds end) {
+  // A grid tick t (the exact recurrence executed ticks use) is skipped
+  // while both tests below pass. Each fails for every t past the first that
+  // fails it, so the skipped ticks are a prefix: a long one jumps to two
+  // ticks short of its estimated end with repeat_add, and walks the rest.
+  const auto skippable = [&](Seconds t) {
+    return !(t > end + 1e-12) && !(wake <= t + 1e-9);
+  };
+  std::uint64_t skipped = 0;
+  Seconds before = now_;
+  Seconds at = now_;
+  const double estimate =
+      std::floor((std::min(end + 1e-12, wake - 1e-9) - now_) / tick_) - 2;
+  if (estimate >= kJumpFrom && estimate < 0x1p52) {
+    const auto jump = static_cast<std::uint64_t>(estimate);
+    const Seconds jump_before = repeat_add(now_, tick_, jump - 1);
+    if (skippable(jump_before + tick_)) {
+      skipped = jump;
+      before = jump_before;
+      at = jump_before + tick_;
+    }
+  }
+  while (skippable(at + tick_)) {
+    before = at;
+    at += tick_;
+    ++skipped;
+  }
+  if (skipped > 0) {
+    prev_now_ = before;
+    now_ = at;
+  }
+  return skipped;
+}
+
 void Simulator::run_until(Seconds end) {
   VODX_PROFILE_ZONE("sim.run");
   // The wall clock is consulted only when a budget is armed, and only to
@@ -291,15 +327,7 @@ void Simulator::run_until(Seconds end) {
       Seconds wake = queue_.empty() ? TickClient::kNeverWakes
                                     : queue_.top().due;
       if (!wake_heap_.empty()) wake = std::min(wake, wake_heap_.top().wake);
-      std::uint64_t skipped = 0;
-      for (;;) {
-        const Seconds next_tick = now_ + tick_;
-        if (next_tick > end + 1e-12) break;
-        if (wake <= next_tick + 1e-9) break;
-        prev_now_ = now_;
-        now_ = next_tick;  // the exact recurrence executed ticks use
-        ++skipped;
-      }
+      const std::uint64_t skipped = skip_ticks(wake, end);
       if (skipped > 0) {
         // Sleeping clients replay the span when they next run or are poked.
         // The batch is one step of the wall-budget count.

@@ -342,6 +342,11 @@ class Simulator {
   void catch_up(std::uint32_t slot, std::uint64_t target);
   void run_fixed_tick();
   void run_due_clients();
+  /// Moves now() over every grid tick before `wake` (within the clients'
+  /// 1e-9 slack) and not past `end`; returns how many it skipped.
+  std::uint64_t skip_ticks(Seconds wake, Seconds end);
+  /// Skips shorter than this walk tick by tick, the cheaper way there.
+  static constexpr double kJumpFrom = 32;
 
   Seconds tick_;
   Seconds now_ = 0;

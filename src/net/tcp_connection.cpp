@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.h"
+#include "common/repeat_add.h"
 #include "net/link.h"
 
 namespace vodx::net {
@@ -180,6 +181,113 @@ void TcpConnection::grow_cwnd(Bytes acked, Bps granted, bool saturated) {
   }
 }
 
+bool TcpConnection::coast(Seconds now, Seconds dt, std::uint64_t ticks,
+                          Bps limit, SpanReplayCounts& counts) {
+  if (phase_ == Phase::kHandshake || phase_ == Phase::kRequestWait) {
+    // advance() subtracts dt per tick and hands over once the wait falls to
+    // 1e-12; a wait still above that after the span handed over on no tick.
+    // A wait half a tick short of the span cannot be.
+    if (wait_remaining_ < (static_cast<double>(ticks) - 0.5) * dt) {
+      return false;
+    }
+    const Seconds wait = repeat_add(wait_remaining_, -dt, ticks);
+    if (!(wait > 1e-12)) return false;
+    wait_remaining_ = wait;
+    counts.waiting += ticks;
+    return true;
+  }
+  // Saturated on every tick: granted the cap, so each tick delivers the same
+  // bytes and acks the same count. Demand grows with cwnd, and cwnd under
+  // saturation only grows or clamps to `clamped`, so saturation at the first
+  // cwnd and at `clamped` is saturation throughout.
+  const auto saturated_at = [&](Bytes cwnd) {
+    return limit + 1e-6 < static_cast<double>(cwnd) * 8.0 / config_.rtt;
+  };
+  if (phase_ != Phase::kStreaming || limit < 0 || !saturated_at(cwnd_)) {
+    return false;
+  }
+  const double delivered = limit * dt / 8.0;
+  const double cap = kQueueHeadroom * limit * config_.rtt / 8.0;
+  // A tick that takes more than one byte (plus the rounding of a count
+  // below 2^30) off the remainder delivers a whole byte: then the transfer
+  // notes its tally on every tick of the span. Under 2^40 bytes, the cap
+  // and the acks keep coast_cwnd's integers far from overflow.
+  if (!(delivered >= 1 + 0x1p-20) || !(delivered < 0x1p40) ||
+      !(transfer_remaining_ < 0x1p30) || !(cap < 0x1p40)) {
+    return false;
+  }
+  const Bytes clamped = std::max(kInitialCwnd, static_cast<Bytes>(cap));
+  if (!saturated_at(clamped)) return false;
+  // The remainder only falls; above the completion threshold at the end, it
+  // completed on no tick. A cwnd sample due by `now` needs its tick.
+  const double remaining = repeat_add(transfer_remaining_, -delivered, ticks);
+  if (!(remaining > 1e-9) ||
+      (samples_cwnd() && now - last_cwnd_emit_ >= config_.rtt)) {
+    return false;
+  }
+  link_limited_s_ = repeat_add(link_limited_s_, dt, ticks);
+  transfer_remaining_ = remaining;
+  // The whole-byte counts telescope to the final remainder.
+  const Bytes whole =
+      transfer_size_ - static_cast<Bytes>(transfer_remaining_ + 0.5);
+  lifetime_delivered_ += whole - transfer_delivered_;
+  transfer_delivered_ = whole;
+  if (tally_ != nullptr) tally_->note_span(now, ticks);
+  coast_cwnd(static_cast<Bytes>(delivered + 0.5), cap, clamped, ticks,
+             counts);
+  return true;
+}
+
+void TcpConnection::coast_cwnd(Bytes acked, double cap, Bytes clamped,
+                               std::uint64_t ticks,
+                               SpanReplayCounts& counts) {
+  // cwnd <= cap as doubles iff cwnd <= cap_floor (cap < 2^40).
+  const Bytes cap_floor = static_cast<Bytes>(cap);
+  const Bytes acked_mss = kMss * acked;
+  std::uint64_t left = ticks;
+  while (left > 0) {
+    const double cwnd = static_cast<double>(cwnd_);
+    if (cwnd > cap) {
+      if (cwnd_ == clamped && ssthresh_ == cwnd) {
+        // IW above the cap: every clamp lands where it started.
+        counts.fixed_point += left;
+        return;
+      }
+      cwnd_ = clamped;
+      ssthresh_ = static_cast<double>(clamped);
+      --left;
+      ++counts.climb;
+      continue;
+    }
+    Bytes step;
+    Bytes top = cap_floor;  // the last cwnd the step applies to
+    if (cwnd < ssthresh_) {
+      // Slow start, up to ssthresh.
+      step = acked;
+      if (std::isfinite(ssthresh_)) {
+        top = std::min(top, static_cast<Bytes>(std::ceil(ssthresh_)) - 1);
+      }
+    } else {
+      const Bytes quotient = acked_mss / cwnd_;
+      step = std::max<Bytes>(1, quotient);
+      if (cwnd_ == clamped && ssthresh_ == cwnd && cwnd_ + step > cap_floor) {
+        // One CA step from the clamp overshoots the cap and the next tick
+        // clamps back: cwnd follows the parity of the ticks left.
+        if (left % 2 != 0) cwnd_ += step;
+        counts.two_cycle += left;
+        return;
+      }
+      // Congestion avoidance keeps its step while kMss·acked/cwnd does.
+      if (quotient >= 1) top = std::min(top, acked_mss / quotient);
+    }
+    const std::uint64_t run = std::min<std::uint64_t>(
+        left, static_cast<std::uint64_t>((top - cwnd_) / step) + 1);
+    cwnd_ += static_cast<Bytes>(run) * step;
+    left -= run;
+    counts.climb += run;
+  }
+}
+
 void TcpConnection::advance(Seconds now, Seconds dt, Bps granted,
                             bool saturated) {
   switch (phase_) {
@@ -216,7 +324,6 @@ void TcpConnection::advance(Seconds now, Seconds dt, Bps granted,
       lifetime_delivered_ += newly;
       if (newly > 0 && tally_ != nullptr) tally_->note(now);
       grow_cwnd(static_cast<Bytes>(delivered + 0.5), granted, saturated);
-      const bool tracing = obs::trace_on(obs_, obs::Category::kTcp);
       if (samples_cwnd() && now - last_cwnd_emit_ >= config_.rtt) {
         // Sampled at RTT granularity: cwnd only changes meaningfully
         // per-RTT, and per-tick emission would swamp the ring.
@@ -233,7 +340,7 @@ void TcpConnection::advance(Seconds now, Seconds dt, Bps granted,
           goodput_metric_->record(
               rate_of(transfer_size_, now - transfer_started_) / 1e6);
         }
-        if (tracing) {
+        if (obs::trace_on(obs_, obs::Category::kTcp)) {
           // End the span before the callback: the HTTP layer closes its own
           // request span (and may start a new transfer) inside `done`.
           obs_->trace.end(now, obs::Category::kTcp, "tcp.transfer",

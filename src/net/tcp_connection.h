@@ -45,14 +45,43 @@ struct DeliveryTally {
   std::uint64_t ticks = 0;
   Seconds last_at = -1;  ///< grid time of the latest counted tick
 
+  /// A tick at or before the latest counted one was counted already.
   void note(Seconds now) {
-    if (now == last_at) return;
+    if (now <= last_at) return;
     last_at = now;
     ++ticks;
+  }
+  /// Counts the `span` ticks ending at `now` over which one connection
+  /// delivered on every tick, once however many of the group's connections
+  /// did. All of them lie after the latest counted tick: the link credits
+  /// them before it replays any of them per tick, so the per-tick notes of
+  /// the group's other connections add nothing to them.
+  void note_span(Seconds now, std::uint64_t span) {
+    if (now <= last_at) return;
+    last_at = now;
+    ticks += span;
   }
   /// Ticks counted strictly before the grid tick at `now`.
   std::uint64_t ticks_before(Seconds now) const {
     return last_at == now ? ticks - 1 : ticks;
+  }
+};
+
+/// Connection-ticks a link replayed after sleeping through a span, by the
+/// path that replayed them. A plain count, not an obs metric.
+struct SpanReplayCounts {
+  std::uint64_t fixed_point = 0;  ///< cwnd held at IW above the BDP cap
+  std::uint64_t two_cycle = 0;    ///< cwnd alternating clamp / one CA step
+  /// cwnd growing below the cap (slow start or congestion avoidance) or
+  /// clamping into one of the regimes above
+  std::uint64_t climb = 0;
+  std::uint64_t waiting = 0;      ///< a handshake or request wait
+  std::uint64_t per_tick = 0;     ///< TcpConnection::advance, tick by tick
+  /// per-tick connection-ticks whose DeliveryTally a closed form credited
+  std::uint64_t shared_tally = 0;
+
+  std::uint64_t closed_form() const {
+    return fixed_point + two_cycle + climb + waiting;
   }
 };
 
@@ -147,6 +176,17 @@ class TcpConnection {
   double ticks_before_streaming(Seconds dt) const;
   void enter_streaming(Seconds now);
   void grow_cwnd(Bytes acked, Bps granted, bool saturated);
+  /// Replays `ticks` slept ticks ending at `now` in closed form, exactly as
+  /// that many advance() calls would. `limit` is the span's single rate cap
+  /// (-1 when the link allocates per tick). Covers a wait that stays a wait,
+  /// and a transfer saturated under the cap on every tick; returns false,
+  /// changing nothing, for anything else.
+  bool coast(Seconds now, Seconds dt, std::uint64_t ticks, Bps limit,
+             SpanReplayCounts& counts);
+  /// grow_cwnd over `ticks` saturated ticks that each ack `acked` bytes
+  /// under the BDP cap `cap`, which clamps cwnd to `clamped`.
+  void coast_cwnd(Bytes acked, double cap, Bytes clamped, std::uint64_t ticks,
+                  SpanReplayCounts& counts);
   std::vector<obs::Field> transfer_end_fields(Bytes delivered,
                                               bool aborted) const;
 

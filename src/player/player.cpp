@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "common/repeat_add.h"
 #include "obs/profiler.h"
 
 namespace vodx::player {
@@ -376,11 +377,12 @@ Seconds Player::next_wake(Seconds now) {
 }
 
 void Player::account_meter(std::uint64_t delivered_ticks, Seconds dt) {
-  // One add per tick, as the per-tick loop makes them, so the float sum is
-  // the same however the ticks were batched.
-  for (; meter_ticks_seen_ < delivered_ticks; ++meter_ticks_seen_) {
-    meter_busy_time_ += dt;
-  }
+  // One dt per tick, added as the per-tick loop adds it (repeat_add), so
+  // the float sum is the same however the ticks were batched.
+  if (delivered_ticks <= meter_ticks_seen_) return;
+  meter_busy_time_ =
+      repeat_add(meter_busy_time_, dt, delivered_ticks - meter_ticks_seen_);
+  meter_ticks_seen_ = delivered_ticks;
 }
 
 void Player::fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) {
@@ -395,15 +397,17 @@ void Player::fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) {
   // so it reads the sum the per-tick loop had reached.
   account_meter(client_->deliveries().ticks_before(sim_.now()), dt);
   if (state_ != PlayerState::kPlaying) return;
-  // Replay advance_playback's position recurrence tick by tick. The limit
-  // is loop-invariant over a slept span (a completing download pokes the
+  // Replay advance_playback's position recurrence. The limit is
+  // loop-invariant over a slept span (a completing download pokes the
   // player, which catches up before the segment lands, and the contiguous
   // run containing the position cannot shrink ahead of it), and next_wake
   // guarantees no display boundary or state threshold is crossed, so the
-  // clamped additions are the span's only effect.
-  const Seconds limit = std::min(playable_end(), presentation_duration_);
-  for (std::uint64_t i = 0; i < ticks; ++i) {
-    position_ = std::min(position_ + dt, limit);
+  // clamped additions are the span's only effect. The unclamped sums only
+  // rise and the clamp holds once reached, so clamping the last sum is
+  // exact.
+  if (ticks > 0) {
+    const Seconds limit = std::min(playable_end(), presentation_duration_);
+    position_ = std::min(repeat_add(position_, dt, ticks), limit);
   }
   video_buffer_.consume_until(position_);
   if (presentation_->separate_audio()) audio_buffer_.consume_until(position_);

@@ -1,5 +1,6 @@
 #include "trace/trace_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -32,7 +33,12 @@ net::BandwidthTrace from_text(const std::string& text,
       }
       continue;
     }
-    samples.push_back(parse_double(trimmed));
+    const Bps sample = parse_double(trimmed);
+    if (!std::isfinite(sample)) {
+      throw ParseError("bandwidth sample is not finite: '" +
+                       std::string(trimmed) + "'");
+    }
+    samples.push_back(sample);
   }
   if (samples.empty()) throw ParseError("trace file holds no samples");
   net::BandwidthTrace trace = net::BandwidthTrace::per_second(samples);

@@ -17,7 +17,8 @@ namespace vodx::trace {
 /// Serialises a trace at 1 Hz (values are sampled at whole seconds).
 std::string to_text(const net::BandwidthTrace& trace);
 
-/// Parses the 1 Hz text format; '#' lines are comments. Throws ParseError.
+/// Parses the 1 Hz text format; '#' lines are comments. Throws ParseError
+/// on a malformed or non-finite sample, and ConfigError on a negative one.
 net::BandwidthTrace from_text(const std::string& text,
                               const std::string& name = "");
 

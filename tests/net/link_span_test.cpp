@@ -5,7 +5,9 @@
 // with steps, outages and trickles; transfers started mid-tick and from
 // events; aborts; link byte-counter reads from events and from a client
 // on either side of the link's registration slot) run on both cores, and
-// every connection's history must match exactly.
+// every connection's history must match exactly. Fixed scenarios then
+// drive each of the replay's paths (the closed forms of TcpConnection::coast
+// and the per-tick replay) and check that each is taken and exact.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -46,6 +48,7 @@ struct Outcome {
   std::vector<Bytes> reads;            ///< Link::total_delivered() readings
   std::string tcp_trace;               ///< traced runs: every tcp/link event
   SimCounters counters;
+  SpanReplayCounts replay;             ///< the link's replay paths
 };
 
 /// A client that reads the link's byte counter on its own schedule, as the
@@ -176,16 +179,12 @@ Outcome run_scenario(std::uint64_t seed, int n_conns, SimCore core,
     out.tcp_trace = jsonl.str();
   }
   out.counters = sim.counters();
+  out.replay = link.replay_counts();
   for (auto& c : conns) link.detach(c.get());
   return out;
 }
 
-void expect_identical(std::uint64_t seed, int n_conns, bool traced) {
-  const Outcome event = run_scenario(seed, n_conns, SimCore::kEvent, traced);
-  const Outcome fixed =
-      run_scenario(seed, n_conns, SimCore::kFixedTickReference, traced);
-  SCOPED_TRACE(::testing::Message() << "seed " << seed << ", " << n_conns
-                                  << " connections, traced " << traced);
+void expect_same(const Outcome& event, const Outcome& fixed) {
   ASSERT_EQ(event.conns.size(), fixed.conns.size());
   for (std::size_t i = 0; i < event.conns.size(); ++i) {
     SCOPED_TRACE(::testing::Message() << "connection " << i);
@@ -205,6 +204,80 @@ void expect_identical(std::uint64_t seed, int n_conns, bool traced) {
   EXPECT_EQ(event.tcp_trace, fixed.tcp_trace);
   EXPECT_EQ(event.counters.ticks_covered, fixed.counters.ticks_covered);
   EXPECT_EQ(event.counters.events_fired, fixed.counters.events_fired);
+}
+
+void expect_identical(std::uint64_t seed, int n_conns, bool traced) {
+  SCOPED_TRACE(::testing::Message() << "seed " << seed << ", " << n_conns
+                                  << " connections, traced " << traced);
+  expect_same(run_scenario(seed, n_conns, SimCore::kEvent, traced),
+              run_scenario(seed, n_conns, SimCore::kFixedTickReference,
+                           traced));
+}
+
+/// A fixed scenario aimed at one replay path: each connection repeats
+/// transfers of its own size, the next one started `gap` seconds after a
+/// completion (a gap over 0.5 s restarts slow start), and notes the tally
+/// of its group.
+struct PathScenario {
+  std::vector<Bps> trace;     ///< 1 Hz samples over the horizon
+  std::vector<Bytes> sizes;   ///< one connection per size
+  std::vector<int> groups;    ///< each connection's tally
+  Seconds gap = 0;
+};
+
+Outcome run_paths(const PathScenario& scenario, SimCore core) {
+  const std::size_t n = scenario.sizes.size();
+  Outcome out;
+  out.conns.resize(n);
+  std::vector<DeliveryTally> tallies(n);
+  Simulator sim(kTick);
+  sim.set_core(core);
+  Link link(sim, BandwidthTrace::per_second(scenario.trace));
+  std::vector<std::unique_ptr<TcpConnection>> conns;
+  for (std::size_t i = 0; i < n; ++i) {
+    conns.push_back(
+        std::make_unique<TcpConnection>(TcpConfig{}, "c" + std::to_string(i)));
+    conns.back()->set_delivery_tally(
+        &tallies[static_cast<std::size_t>(scenario.groups[i])]);
+    link.attach(conns.back().get());
+  }
+  std::function<void(std::size_t)> start = [&](std::size_t i) {
+    if (sim.now() >= kHorizon) return;
+    conns[i]->start_transfer(sim.now(), scenario.sizes[i], [&, i] {
+      ConnHistory& h = out.conns[i];
+      h.completed_at.push_back(sim.now());
+      h.waits.push_back(conns[i]->transfer_wait());
+      h.cwnd_at_end.push_back(conns[i]->cwnd());
+      sim.schedule(scenario.gap, [&, i] { start(i); });
+    });
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    sim.schedule(0.1 * static_cast<double>(i), [&, i] { start(i); });
+  }
+  sim.run_until(kHorizon);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.conns[i].lifetime = conns[i]->lifetime_delivered();
+    out.conns[i].cwnd = conns[i]->cwnd();
+  }
+  for (const DeliveryTally& t : tallies) out.tallies.push_back(t.ticks);
+  out.reads.push_back(link.total_delivered());
+  out.counters = sim.counters();
+  out.replay = link.replay_counts();
+  for (auto& c : conns) link.detach(c.get());
+  return out;
+}
+
+/// Runs `scenario` on both cores, requires them identical, and returns the
+/// event core's replay counts.
+SpanReplayCounts expect_paths_exact(const PathScenario& scenario) {
+  const Outcome event = run_paths(scenario, SimCore::kEvent);
+  expect_same(event, run_paths(scenario, SimCore::kFixedTickReference));
+  // Nothing replays on the fixed core, which never lets the link sleep.
+  return event.replay;
+}
+
+std::vector<Bps> flat(Bps rate) {
+  return std::vector<Bps>(static_cast<std::size_t>(kHorizon), rate);
 }
 
 TEST(LinkSpans, OneConnectionReplaysExactly) {
@@ -244,6 +317,54 @@ TEST(LinkSpans, ScenariosExerciseSpansCompletionsAndAborts) {
   }
   EXPECT_GT(completions, 1000u);
   EXPECT_GT(aborts, 40u);
+}
+
+TEST(LinkSpans, TrickleHoldsTheInitialWindowInClosedForm) {
+  // 600 kbps puts the BDP cap under IW: every clamp lands on IW.
+  const SpanReplayCounts counts =
+      expect_paths_exact({flat(600e3), {40'000'000}, {0}});
+  EXPECT_GT(counts.fixed_point, 1000u);
+  EXPECT_GT(counts.waiting, 0u);  // the handshake and the request wait
+}
+
+TEST(LinkSpans, SaturatedStreamerTwoCyclesInClosedForm) {
+  // 5 Mbps: clamp to the cap, one CA step above it, clamp again.
+  const SpanReplayCounts counts =
+      expect_paths_exact({flat(5e6), {40'000'000}, {0}});
+  EXPECT_GT(counts.two_cycle, 1000u);
+}
+
+TEST(LinkSpans, ClimbAfterATraceStepUpRunsInClosedForm) {
+  // 4 Mbps and 5 Mbps in turns of 5 s: after each step up the cwnd clamped
+  // under the old cap still saturates the link and climbs in congestion
+  // avoidance to the new cap; after each step down it clamps again.
+  std::vector<Bps> trace;
+  for (int s = 0; s < static_cast<int>(kHorizon); ++s) {
+    trace.push_back((s / 5) % 2 == 0 ? 4e6 : 5e6);
+  }
+  const SpanReplayCounts counts =
+      expect_paths_exact({trace, {40'000'000}, {0}});
+  EXPECT_GT(counts.climb, 200u);
+  EXPECT_GT(counts.two_cycle, 1000u);
+}
+
+TEST(LinkSpans, SlowStartLoneStreamerReplaysPerTick) {
+  // 20 Mbps dwarfs an idle-restarted window: the lone streamer ramps
+  // unsaturated, which only the per-tick replay covers.
+  const SpanReplayCounts counts =
+      expect_paths_exact({flat(20e6), {600'000}, {0}, 0.7});
+  EXPECT_GT(counts.per_tick, 100u);
+}
+
+TEST(LinkSpans, TallySharedByClosedFormAndPerTickCountsEachTickOnce) {
+  // One tally over a transfer past the closed form's 2^30-byte bound (so
+  // replayed per tick) and one that coasts: both deliver on every tick of
+  // the equal split's spans, and the tally counts each tick once.
+  const SpanReplayCounts counts = expect_paths_exact(
+      {flat(5e6), {Bytes{1} << 31, 300'000}, {0, 0}, 0.05});
+  EXPECT_GT(counts.shared_tally, 100u);
+  EXPECT_GT(counts.per_tick, 100u);
+  EXPECT_GT(counts.closed_form(), 100u);
 }
 
 }  // namespace

@@ -37,6 +37,8 @@ TEST(TraceIo, RejectsGarbage) {
   EXPECT_THROW(from_text(""), ParseError);
   EXPECT_THROW(from_text("# only comments\n"), ParseError);
   EXPECT_THROW(from_text("12x34\n"), ParseError);
+  EXPECT_THROW(from_text("1000\nnan\n"), ParseError);
+  EXPECT_THROW(from_text("inf\n"), ParseError);
 }
 
 TEST(TraceIo, FileRoundTrip) {
