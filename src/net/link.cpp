@@ -87,6 +87,14 @@ Bytes Link::total_delivered() {
   return total;
 }
 
+Bps Link::capacity_at(Seconds now) {
+  if (now >= piece_end_ - 1e-9) {
+    piece_capacity_ = trace_.at(now);
+    piece_end_ = trace_.next_change_after(now);
+  }
+  return piece_capacity_;
+}
+
 Bps Link::allocate(const std::vector<Bps>& demands, Bps capacity,
                    std::vector<Bps>& grants) {
   std::size_t active = 0;
@@ -131,7 +139,7 @@ void Link::tick(Seconds now, Seconds dt) {
   for (std::size_t i = 0; i < scratch_snapshot_.size(); ++i) {
     scratch_demands_[i] = scratch_snapshot_[i]->demand();
   }
-  const Bps capacity = trace_.at(now);
+  const Bps capacity = capacity_at(now);
   const Bps equal_share =
       allocate(scratch_demands_, capacity, scratch_grants_);
 
@@ -228,18 +236,18 @@ void Link::tick(Seconds now, Seconds dt) {
   }
   // Sleep through `quiet` ticks and wake on the next one; stop before a
   // cwnd sample and before the trace steps.
-  span_wake_ = std::min({now + (quiet + 0.5) * dt, sample_at - dt / 2,
-                         trace_.next_change_after(now)});
+  span_wake_ =
+      std::min({now + (quiet + 0.5) * dt, sample_at - dt / 2, piece_end_});
 }
 
 Seconds Link::next_wake(Seconds now) {
   if (obs::trace_on(obs_, obs::Category::kLink)) {
     // Pending on-change emissions must land on the very next tick; after
     // that the tracks only change at span ends and bandwidth-trace steps.
-    if (trace_.at(now) != last_capacity_emitted_) return now;
+    if (capacity_at(now) != last_capacity_emitted_) return now;
     if (span_.empty()) {
       if (last_active_emitted_ != 0) return now;
-      return trace_.next_change_after(now);
+      return piece_end_;
     }
   }
   return span_wake_;

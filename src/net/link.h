@@ -12,7 +12,8 @@
 // waiting connection could start streaming, a connection samples its cwnd
 // series (TcpConnection::samples_cwnd), or the bandwidth trace steps
 // (BandwidthTrace::next_change_after, which also keeps the obs capacity
-// timeline lossless). next_wake() returns that tick, and fast_forward()
+// timeline lossless; a tick inside one trace piece reads its cached
+// capacity, capacity_at). next_wake() returns that tick, and fast_forward()
 // replays the slept ticks exactly: a connection that waits through the span,
 // or streams saturated under the span's single rate cap, in closed form
 // (TcpConnection::coast); the rest tick by tick, as advance() would have run
@@ -22,6 +23,7 @@
 // (total_delivered()).
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "common/units.h"
@@ -92,6 +94,13 @@ class Link : public TickClient {
   /// next. A transfer that starts mid-tick thus wakes it on the next tick.
   void poke() { sim_.poke(this); }
 
+  /// trace_.at(now), from the trace piece the last lookup found. The piece
+  /// holds until piece_end_ (its next_change_after); a lookup afresh runs
+  /// once `now` comes within the simulator's 1e-9 wake slack of that end,
+  /// so a grid tick a rounding error short of a boundary reads the trace
+  /// as at() does. The link's clock never runs backwards.
+  Bps capacity_at(Seconds now);
+
   /// Allocates `capacity` over `demands` into `grants`. Two shapes skip
   /// max_min_shares with the same floats: every active demand above the
   /// equal share (an equal split) or none above it (every demand fits).
@@ -111,6 +120,8 @@ class Link : public TickClient {
   BandwidthTrace trace_;
   Seconds rtt_;
   std::vector<TcpConnection*> connections_;
+  Bps piece_capacity_ = 0;
+  Seconds piece_end_ = -std::numeric_limits<double>::infinity();
   Bytes delivered_by_detached_ = 0;
   /// Bumped by every detach; lets tick() skip the per-connection liveness
   /// scan (quadratic at population scale) unless a completion callback

@@ -1,13 +1,18 @@
 // The chaos engine end to end: jobs-independence of the report, the
 // detect -> minimize -> repro pipeline against a hook-injected violation,
-// and deterministic watchdog aborts.
+// deterministic watchdog aborts, and the evidence mask of a chaos session's
+// own observer.
 #include "chaos/chaos.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "common/error.h"
+#include "core/report.h"
+#include "services/service_catalog.h"
+#include "trace/cellular_profiles.h"
 
 namespace vodx::chaos {
 namespace {
@@ -151,6 +156,80 @@ TEST(ChaosEngine, ReportTextIsStableAndNamesEveryRow) {
   EXPECT_NE(text.find("chaos: 2 seed(s)"), std::string::npos);
   for (const ChaosRow& row : report.rows) {
     EXPECT_NE(text.find(row.service), std::string::npos);
+  }
+}
+
+/// What a checked run showed its hook: the QoE row, the sim.ticks counter
+/// and the tcp.cwnd_kb samples the observer kept.
+struct Evidence {
+  CheckedRun run;
+  std::string qoe_row;
+  std::int64_t ticks = -1;
+  int cwnd_samples = 0;
+};
+
+/// run_checked with `observer` (nullptr: the one run_checked creates).
+Evidence run_with(core::SessionConfig session, obs::Observer* observer) {
+  Evidence out;
+  session.observer = observer;
+  out.run = run_checked(
+      std::move(session),
+      [&out](const core::SessionConfig&, const core::SessionResult& result,
+             const obs::Observer& seen, InvariantReport&) {
+        out.qoe_row = core::qoe_csv_row("", result);
+        const obs::MetricsSnapshot snapshot =
+            seen.metrics.snapshot(result.session_end);
+        const obs::MetricsSnapshot::Entry* ticks = snapshot.find("sim.ticks");
+        if (ticks != nullptr) out.ticks = ticks->count;
+        seen.trace.for_each([&out](const obs::Event& event) {
+          if (std::string_view(event.name) == "tcp.cwnd_kb") {
+            ++out.cwnd_samples;
+          }
+        });
+      });
+  return out;
+}
+
+void expect_same_report(const InvariantReport& a, const InvariantReport& b) {
+  ASSERT_EQ(a.violations.size(), b.violations.size());
+  for (std::size_t i = 0; i < a.violations.size(); ++i) {
+    EXPECT_EQ(a.violations[i].invariant, b.violations[i].invariant);
+    EXPECT_EQ(a.violations[i].detail, b.violations[i].detail);
+    EXPECT_EQ(a.violations[i].time, b.violations[i].time);
+  }
+  EXPECT_EQ(a.skipped, b.skipped);
+}
+
+// run_checked's own observer leaves out the cwnd series: the catalog must
+// reach the same verdict, and the session the same outcome, as under a
+// caller's full-mask observer, on the plain path and behind the origin tier.
+TEST(ChaosEngine, EvidenceMaskHidesNoViolation) {
+  constexpr Seconds kDuration = 60;
+  const auto& catalog = services::catalog();
+  for (const origin::Mode mode :
+       {origin::Mode::kNone, origin::Mode::kHardened}) {
+    GenOptions gen;
+    gen.horizon = kDuration;
+    gen.origin_faults = mode != origin::Mode::kNone;
+    for (std::uint64_t seed = 0; seed < 64; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", origin "
+                                        << origin::to_string(mode));
+      const core::SessionConfig session = make_session(
+          catalog[seed % catalog.size()].name,
+          1 + static_cast<int>(seed % trace::kProfileCount), kDuration, seed,
+          generate_plan(seed, gen), mode);
+      obs::Observer full;
+      const Evidence unmasked = run_with(session, &full);
+      const Evidence masked = run_with(session, nullptr);
+      ASSERT_FALSE(unmasked.run.watchdog);
+      ASSERT_FALSE(masked.run.watchdog);
+      expect_same_report(masked.run.report, unmasked.run.report);
+      EXPECT_EQ(masked.qoe_row, unmasked.qoe_row);
+      EXPECT_EQ(masked.ticks, unmasked.ticks);
+      EXPECT_GT(masked.ticks, 0);
+      EXPECT_EQ(masked.cwnd_samples, 0);
+      EXPECT_GT(unmasked.cwnd_samples, 0);
+    }
   }
 }
 

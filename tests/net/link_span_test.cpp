@@ -7,7 +7,9 @@
 // on either side of the link's registration slot) run on both cores, and
 // every connection's history must match exactly. Fixed scenarios then
 // drive each of the replay's paths (the closed forms of TcpConnection::coast
-// and the per-tick replay) and check that each is taken and exact.
+// and the per-tick replay) and check that each is taken and exact, and a
+// traced one checks the link's cached trace piece against the trace on
+// every tick.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +18,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -47,6 +51,9 @@ struct Outcome {
   std::vector<std::uint64_t> tallies;  ///< DeliveryTally::ticks per group
   std::vector<Bytes> reads;            ///< Link::total_delivered() readings
   std::string tcp_trace;               ///< traced runs: every tcp/link event
+  std::vector<Seconds> grid;           ///< traced path runs: every tick's time
+  /// Traced path runs: the link's link.capacity_mbps counter, (time, value).
+  std::vector<std::pair<Seconds, double>> capacity;
   SimCounters counters;
   SpanReplayCounts replay;             ///< the link's replay paths
 };
@@ -219,24 +226,44 @@ void expect_identical(std::uint64_t seed, int n_conns, bool traced) {
 /// completion (a gap over 0.5 s restarts slow start), and notes the tally
 /// of its group.
 struct PathScenario {
-  std::vector<Bps> trace;     ///< 1 Hz samples over the horizon
+  BandwidthTrace trace;
   std::vector<Bytes> sizes;   ///< one connection per size
   std::vector<int> groups;    ///< each connection's tally
   Seconds gap = 0;
 };
 
-Outcome run_paths(const PathScenario& scenario, SimCore core) {
+/// Records the time of every grid tick: it is due on each one.
+class GridClock : public TickClient {
+ public:
+  explicit GridClock(std::vector<Seconds>& times) : times_(times) {}
+  void tick(Seconds now, Seconds) override { times_.push_back(now); }
+  Seconds next_wake(Seconds now) override { return now; }
+
+ private:
+  std::vector<Seconds>& times_;
+};
+
+Outcome run_paths(const PathScenario& scenario, SimCore core,
+                  bool traced = false) {
   const std::size_t n = scenario.sizes.size();
   Outcome out;
   out.conns.resize(n);
   std::vector<DeliveryTally> tallies(n);
   Simulator sim(kTick);
   sim.set_core(core);
-  Link link(sim, BandwidthTrace::per_second(scenario.trace));
+  obs::Observer observer;
+  GridClock clock(out.grid);
+  if (traced) sim.set_observer(&observer);
+  Link link(sim, scenario.trace);
+  if (traced) {
+    link.set_observer(&observer);
+    sim.add_tick_client(&clock);
+  }
   std::vector<std::unique_ptr<TcpConnection>> conns;
   for (std::size_t i = 0; i < n; ++i) {
     conns.push_back(
         std::make_unique<TcpConnection>(TcpConfig{}, "c" + std::to_string(i)));
+    if (traced) conns.back()->set_observer(&observer);
     conns.back()->set_delivery_tally(
         &tallies[static_cast<std::size_t>(scenario.groups[i])]);
     link.attach(conns.back().get());
@@ -261,6 +288,17 @@ Outcome run_paths(const PathScenario& scenario, SimCore core) {
   }
   for (const DeliveryTally& t : tallies) out.tallies.push_back(t.ticks);
   out.reads.push_back(link.total_delivered());
+  if (traced) {
+    std::ostringstream jsonl;
+    obs::write_jsonl(observer.trace, jsonl);
+    out.tcp_trace = jsonl.str();
+    observer.trace.for_each([&](const obs::Event& event) {
+      if (std::string_view(event.name) == "link.capacity_mbps") {
+        out.capacity.emplace_back(event.sim_time,
+                                  obs::field_num(event, "value"));
+      }
+    });
+  }
   out.counters = sim.counters();
   out.replay = link.replay_counts();
   for (auto& c : conns) link.detach(c.get());
@@ -276,8 +314,9 @@ SpanReplayCounts expect_paths_exact(const PathScenario& scenario) {
   return event.replay;
 }
 
-std::vector<Bps> flat(Bps rate) {
-  return std::vector<Bps>(static_cast<std::size_t>(kHorizon), rate);
+BandwidthTrace flat(Bps rate) {
+  return BandwidthTrace::per_second(
+      std::vector<Bps>(static_cast<std::size_t>(kHorizon), rate));
 }
 
 TEST(LinkSpans, OneConnectionReplaysExactly) {
@@ -342,8 +381,8 @@ TEST(LinkSpans, ClimbAfterATraceStepUpRunsInClosedForm) {
   for (int s = 0; s < static_cast<int>(kHorizon); ++s) {
     trace.push_back((s / 5) % 2 == 0 ? 4e6 : 5e6);
   }
-  const SpanReplayCounts counts =
-      expect_paths_exact({trace, {40'000'000}, {0}});
+  const SpanReplayCounts counts = expect_paths_exact(
+      {BandwidthTrace::per_second(trace), {40'000'000}, {0}});
   EXPECT_GT(counts.climb, 200u);
   EXPECT_GT(counts.two_cycle, 1000u);
 }
@@ -365,6 +404,39 @@ TEST(LinkSpans, TallySharedByClosedFormAndPerTickCountsEachTickOnce) {
   EXPECT_GT(counts.shared_tally, 100u);
   EXPECT_GT(counts.per_tick, 100u);
   EXPECT_GT(counts.closed_form(), 100u);
+}
+
+TEST(LinkSpans, CapacityMatchesTheTraceOnEveryTick) {
+  // Pieces start at fractional times, two neighbours share a rate, and the
+  // 4.37 s trace wraps six times over the horizon: accumulated grid ticks
+  // land a rounding error either side of piece ends.
+  const BandwidthTrace trace = BandwidthTrace::from_samples(
+      {{0, 3e6}, {0.37, 8e6}, {1.13, 1.2e6}, {1.9, 1.2e6}, {2.71, 0},
+       {3.05, 6e6}},
+      4.37);
+  const PathScenario scenario{trace, {3'000'000, 250'000}, {0, 1}, 0.3};
+  const Outcome event = run_paths(scenario, SimCore::kEvent, true);
+  const Outcome fixed =
+      run_paths(scenario, SimCore::kFixedTickReference, true);
+  expect_same(event, fixed);
+  for (const Outcome* out : {&event, &fixed}) {
+    // The capacity counter is emitted on change, on the tick the link
+    // allocates with it: the value in force at a tick is the last one
+    // emitted at or before it.
+    ASSERT_GT(out->grid.size(), 2000u);
+    std::size_t next = 0;
+    double current = -1;
+    int short_of_an_end = 0;
+    for (const Seconds now : out->grid) {
+      while (next < out->capacity.size() && out->capacity[next].first <= now) {
+        current = out->capacity[next++].second;
+      }
+      ASSERT_EQ(current, trace.at(now) / 1e6) << "tick at " << now;
+      if (trace.next_change_after(now) - now < 1e-9) ++short_of_an_end;
+    }
+    EXPECT_EQ(next, out->capacity.size());
+    EXPECT_GT(short_of_an_end, 0);
+  }
 }
 
 }  // namespace
