@@ -52,8 +52,9 @@ std::vector<double> ratio_distribution(const services::ServiceSpec& spec) {
       manifest::SmoothManifest manifest = manifest::SmoothManifest::parse(
           origin.handle({http::Method::kGet, "/manifest.ism", {}}).body);
       const manifest::SmoothStreamIndex& stream = manifest.stream_indexes[0];
-      url = "/" + stream.fragment_url(track.declared_bitrate(),
-                                      stream.chunk_start_ticks(segment.index));
+      stream.fragment_url(track.declared_bitrate(),
+                          stream.chunk_start_ticks(segment.index), url);
+      url = "/" + url;
     }
     http::Response head = origin.handle({http::Method::kHead, url, {}});
     if (!head.ok()) continue;

@@ -350,7 +350,7 @@ EncodingProbe probe_encoding(const services::ServiceSpec& spec) {
       probe.sizes_from_wire = true;
     } else {
       http::Response r =
-          fetcher.fetch({http::Method::kHead, seg.ref.url, std::nullopt});
+          fetcher.fetch({http::Method::kHead, top.url_of(seg), std::nullopt});
       size = r.ok() ? r.head_content_length : 0;
     }
     if (size > 0) {

@@ -148,7 +148,7 @@ std::vector<AnalyzedTrack> ladder_of(
     for (const manifest::ClientSegment& seg : track.segments) {
       out.segment_durations.push_back(seg.duration);
       // Range-served segments (DASH, HLS v4): sizes are on the wire.
-      if (seg.ref.range) out.segment_sizes.push_back(seg.size);
+      if (seg.range) out.segment_sizes.push_back(seg.size);
     }
   }
   return ladder;

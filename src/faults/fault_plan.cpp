@@ -1,6 +1,7 @@
 #include "faults/fault_plan.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.h"
 
@@ -11,29 +12,40 @@ net::BandwidthTrace apply_blackouts(
     const std::vector<BlackoutFault>& blackouts) {
   if (blackouts.empty()) return trace;
   const Seconds duration = trace.duration();
-  const auto blacked_out = [&](Seconds t) {
-    for (const BlackoutFault& b : blackouts) {
-      if (t >= b.start && t < b.start + b.duration) return true;
-    }
-    return false;
-  };
 
-  // Piecewise-constant output changes only at original sample starts and
-  // blackout edges; evaluate once per boundary.
-  std::vector<Seconds> cuts;
-  for (const auto& sample : trace.samples()) cuts.push_back(sample.start);
+  // The output is piecewise constant and changes only at the trace's own
+  // sample starts and at the blackout edges inside the trace: merge the two
+  // sorted lists in one walk. A boundary t is dark when a blackout starting
+  // at or before it ends after it, which the windows sorted by start and
+  // the furthest end among those begun tell in the same walk.
+  std::vector<Seconds> edges;
+  std::vector<std::pair<Seconds, Seconds>> windows;
   for (const BlackoutFault& b : blackouts) {
-    if (b.start >= 0 && b.start < duration) cuts.push_back(b.start);
     const Seconds end = b.start + b.duration;
-    if (end > 0 && end < duration) cuts.push_back(end);
+    if (b.start >= 0 && b.start < duration) edges.push_back(b.start);
+    if (end > 0 && end < duration) edges.push_back(end);
+    if (b.start < end) windows.emplace_back(b.start, end);
   }
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  std::sort(edges.begin(), edges.end());
+  std::sort(windows.begin(), windows.end());
 
+  const std::vector<net::BandwidthTrace::Sample>& in = trace.samples();
   std::vector<net::BandwidthTrace::Sample> samples;
-  samples.reserve(cuts.size());
-  for (Seconds t : cuts) {
-    samples.push_back({t, blacked_out(t) ? 0 : trace.at(t)});
+  samples.reserve(in.size() + edges.size());
+  // The trace starts at 0 and no edge lies below it, so the first boundary
+  // is in[0]; after it, in[next_sample - 1] is the sample covering t.
+  std::size_t next_sample = 0, next_edge = 0, begun = 0;
+  Seconds reach = -std::numeric_limits<Seconds>::infinity();
+  while (next_sample < in.size() || next_edge < edges.size()) {
+    const bool from_trace =
+        next_edge == edges.size() ||
+        (next_sample < in.size() && in[next_sample].start <= edges[next_edge]);
+    const Seconds t = from_trace ? in[next_sample++].start : edges[next_edge++];
+    if (!samples.empty() && samples.back().start == t) continue;
+    for (; begun < windows.size() && windows[begun].first <= t; ++begun) {
+      reach = std::max(reach, windows[begun].second);
+    }
+    samples.push_back({t, reach > t ? 0 : in[next_sample - 1].bandwidth});
   }
   net::BandwidthTrace result =
       net::BandwidthTrace::from_samples(std::move(samples), duration);

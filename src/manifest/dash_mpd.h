@@ -43,8 +43,9 @@ struct DashRepresentation {
   int start_number = 1;
   std::vector<Seconds> template_durations;
 
-  /// Expands the $Number$ template for segment `index` (0-based).
-  std::string template_url(int index) const;
+  /// Writes the $Number$ template's expansion for segment `index`
+  /// (0-based) into `out`, replacing what it held.
+  void template_url(int index, std::string& out) const;
 };
 
 struct DashAdaptationSet {

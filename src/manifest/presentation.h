@@ -24,12 +24,12 @@
 // (DESIGN.md "Manifest resolution").
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
@@ -72,7 +72,13 @@ struct MediaRef {
 struct ClientSegment {
   int index = 0;
   Seconds duration = 0;
-  MediaRef ref;
+  /// Presentation start: the durations of the segments before it, summed
+  /// in order (ClientTrack::add_segment sets it).
+  Seconds start = 0;
+  /// Where to fetch the segment: `url`, with `range` if ranged. An empty
+  /// `url` is its track's media_url (ClientTrack::url_of).
+  std::string url;
+  std::optional<ByteRange> range;
   /// Exact encoded size when the protocol exposes it (DASH byte ranges /
   /// sidx); 0 when unknown (HLS without ranges, SmoothStreaming).
   Bytes size = 0;
@@ -89,10 +95,22 @@ struct ClientTrack {
   /// "HLS also supports reporting the average bitrate"); 0 when absent.
   Bps average_bandwidth = 0;
   media::Resolution resolution;
+  /// The media file a byte-range track's segments are ranges of, held once
+  /// for all of them (their `url` is empty); empty for other tracks.
+  std::string media_url;
   std::vector<ClientSegment> segments;
   bool sizes_known = false;
 
+  /// Appends a segment of `duration` with the next index and its start.
+  ClientSegment& add_segment(Seconds duration);
+  /// The URL segment `s` of this track is fetched from.
+  const std::string& url_of(const ClientSegment& s) const {
+    return s.url.empty() ? media_url : s.url;
+  }
+
   Seconds duration() const;
+  /// The stored start of segment `index`; the track's duration for
+  /// index == segments.size().
   Seconds segment_start(int index) const;
   Bps average_actual_bitrate() const;  ///< 0 when sizes unknown
 };
@@ -191,7 +209,7 @@ class Resolution {
   bool same_resources(const Fetch& fetch) const;
 
   /// The segment a request for `url` (with `range`, if ranged) fetches, or
-  /// nullopt. Whole-resource URLs are hashed; byte ranges are found by
+  /// nullopt. The URL is found with one hash probe; byte ranges then by
   /// binary search over the ranges of their URL, which tile the file.
   std::optional<SegmentLocation> locate(
       std::string_view url, const std::optional<ByteRange>& range) const;
@@ -204,20 +222,29 @@ class Resolution {
   /// What one URL serves: a whole segment, and/or the byte-range segments
   /// ranged_[first, first + count), sorted by their first byte.
   struct UrlSlot {
+    std::string_view url;  ///< views a URL string of presentation_
     std::optional<SegmentLocation> whole;
     std::size_t first = 0;
     std::size_t count = 0;
   };
 
   void index();
+  /// The table_ position holding `url`'s slot, or the free one ending its
+  /// probe.
+  std::size_t probe(std::string_view url) const;
+  /// The slot of `url`, added if it has none (index() only).
+  UrlSlot& slot_for(std::string_view url);
 
   Protocol protocol_ = Protocol::kHls;
   std::string url_;
   std::string body_;
   std::vector<Source> sources_;
   PresentationPtr presentation_;
-  /// Keys view the segment URLs of presentation_.
-  std::unordered_map<std::string_view, UrlSlot> urls_;
+  /// One slot per segment URL, in one array rather than a node each.
+  std::vector<UrlSlot> slots_;
+  /// Open addressing over slots_ by URL hash: a power-of-two table at most
+  /// half full, of slot position + 1 (0 = free).
+  std::vector<std::uint32_t> table_;
   std::vector<Ranged> ranged_;
 };
 

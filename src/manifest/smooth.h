@@ -30,8 +30,10 @@ struct SmoothStreamIndex {
   std::vector<SmoothQualityLevel> quality_levels;
   std::vector<Seconds> chunk_durations;
 
-  /// Expands the template for one fragment.
-  std::string fragment_url(Bps bitrate, std::uint64_t start_ticks) const;
+  /// Writes the template's expansion for one fragment into `out`,
+  /// replacing what it held.
+  void fragment_url(Bps bitrate, std::uint64_t start_ticks,
+                    std::string& out) const;
 
   /// Start tick of chunk `index`.
   std::uint64_t chunk_start_ticks(int index) const;

@@ -13,10 +13,11 @@ VideoAsset::VideoAsset(std::string name, std::vector<Track> video_tracks,
       video_tracks_(std::move(video_tracks)),
       audio_tracks_(std::move(audio_tracks)) {
   VODX_ASSERT(!video_tracks_.empty(), "asset needs video tracks");
-  std::sort(video_tracks_.begin(), video_tracks_.end(),
-            [](const Track& a, const Track& b) {
-              return a.declared_bitrate() < b.declared_bitrate();
-            });
+  const auto by_bitrate = [](const Track& a, const Track& b) {
+    return a.declared_bitrate() < b.declared_bitrate();
+  };
+  std::sort(video_tracks_.begin(), video_tracks_.end(), by_bitrate);
+  std::stable_sort(audio_tracks_.begin(), audio_tracks_.end(), by_bitrate);
   const Seconds dur = video_tracks_.front().duration();
   for (const Track& t : video_tracks_) {
     VODX_ASSERT(t.type() == ContentType::kVideo, "video ladder holds video");

@@ -17,7 +17,8 @@ class VideoAsset {
 
   const std::string& name() const { return name_; }
 
-  /// Video tracks in ascending declared-bitrate order.
+  /// Tracks in ascending declared-bitrate order (audio ties in the order
+  /// given), the order of a client's ladders.
   const std::vector<Track>& video_tracks() const { return video_tracks_; }
   const std::vector<Track>& audio_tracks() const { return audio_tracks_; }
 

@@ -742,7 +742,7 @@ void Player::issue_segment_fetch(int pipeline, int index, int level,
   // D3-style split download: one segment as parallel sub-range requests.
   int parts = 1;
   if (pipeline == kVideoPipe && config_.split_segment_downloads &&
-      segment.ref.range && config_.max_connections > 1) {
+      segment.range && config_.max_connections > 1) {
     parts = std::min(config_.max_connections, client_->free_slots());
     parts = std::max(parts, 1);
   }
@@ -756,19 +756,19 @@ void Player::issue_segment_fetch(int pipeline, int index, int level,
   };
 
   if (parts == 1) {
-    http::Request request{http::Method::kGet, segment.ref.url,
-                          segment.ref.range};
+    http::Request request{http::Method::kGet, track.url_of(segment),
+                          segment.range};
     const int id = client_->fetch(request, deliver);
     VODX_ASSERT(id >= 0, "scheduler issued fetch without a free connection");
     fetches_[key].transfer_ids.push_back(id);
     return;
   }
-  const manifest::ByteRange range = *segment.ref.range;
+  const manifest::ByteRange range = *segment.range;
   const Bytes total = range.length();
   Bytes offset = range.first;
   for (int part = 0; part < parts; ++part) {
     const Bytes share = total / parts + (part < total % parts ? 1 : 0);
-    http::Request request{http::Method::kGet, segment.ref.url,
+    http::Request request{http::Method::kGet, track.url_of(segment),
                           manifest::ByteRange{offset, offset + share - 1}};
     offset += share;
     const int id = client_->fetch(request, deliver);

@@ -107,7 +107,8 @@ Resources render(const services::ServiceSpec& spec,
       track = std::move(draft.track);
     }
     if (track.segments.empty()) continue;
-    const manifest::MediaRef& ref = track.segments.front().ref;
+    const manifest::ClientSegment& first = track.segments.front();
+    const manifest::MediaRef ref{track.url_of(first), first.range};
     out.segments.emplace_back(
         ref, origin.handle({http::Method::kGet, ref.url, ref.range}));
   }

@@ -40,8 +40,11 @@ TEST(SegmentTemplate, MpdRoundTrip) {
   EXPECT_EQ(out.media_template, "video/0/seg$Number$.m4s");
   EXPECT_EQ(out.start_number, 1);
   ASSERT_EQ(out.template_durations.size(), 5u);
-  EXPECT_EQ(out.template_url(0), "video/0/seg1.m4s");
-  EXPECT_EQ(out.template_url(4), "video/0/seg5.m4s");
+  std::string url = "stale";
+  out.template_url(0, url);
+  EXPECT_EQ(url, "video/0/seg1.m4s");
+  out.template_url(4, url);
+  EXPECT_EQ(url, "video/0/seg5.m4s");
 }
 
 TEST(SegmentTemplate, FullSessionStreams) {

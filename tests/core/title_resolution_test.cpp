@@ -108,13 +108,16 @@ void expect_same_tracks(const std::vector<manifest::ClientTrack>& a,
     EXPECT_EQ(a[i].average_bandwidth, b[i].average_bandwidth);
     EXPECT_EQ(a[i].resolution, b[i].resolution);
     EXPECT_EQ(a[i].sizes_known, b[i].sizes_known);
+    EXPECT_EQ(a[i].media_url, b[i].media_url);
     ASSERT_EQ(a[i].segments.size(), b[i].segments.size());
     for (std::size_t k = 0; k < a[i].segments.size(); ++k) {
       const manifest::ClientSegment& x = a[i].segments[k];
       const manifest::ClientSegment& y = b[i].segments[k];
       EXPECT_EQ(x.index, y.index);
       EXPECT_EQ(x.duration, y.duration);
-      EXPECT_EQ(x.ref, y.ref);
+      EXPECT_EQ(x.start, y.start);
+      EXPECT_EQ(x.url, y.url);
+      EXPECT_EQ(x.range, y.range);
       EXPECT_EQ(x.size, y.size);
     }
   }

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "faults/fault_injector.h"
 #include "http/message.h"
 
@@ -45,6 +48,138 @@ TEST(ApplyBlackouts, CarvesZeroBandwidthWindows) {
   EXPECT_DOUBLE_EQ(cut.at(141), 5e6);
   EXPECT_DOUBLE_EQ(cut.at(310), 0);
   EXPECT_DOUBLE_EQ(cut.at(316), 5e6);
+}
+
+/// apply_blackouts as it was written before the one-walk merge: every cut
+/// valued through BandwidthTrace::at, every blackout scanned per cut.
+net::BandwidthTrace reference_blackouts(
+    const net::BandwidthTrace& trace,
+    const std::vector<BlackoutFault>& blackouts) {
+  if (blackouts.empty()) return trace;
+  const Seconds duration = trace.duration();
+  const auto blacked_out = [&](Seconds t) {
+    for (const BlackoutFault& b : blackouts) {
+      if (t >= b.start && t < b.start + b.duration) return true;
+    }
+    return false;
+  };
+  std::vector<Seconds> cuts;
+  for (const auto& sample : trace.samples()) cuts.push_back(sample.start);
+  for (const BlackoutFault& b : blackouts) {
+    if (b.start >= 0 && b.start < duration) cuts.push_back(b.start);
+    const Seconds end = b.start + b.duration;
+    if (end > 0 && end < duration) cuts.push_back(end);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  std::vector<net::BandwidthTrace::Sample> samples;
+  for (Seconds t : cuts) {
+    samples.push_back({t, blacked_out(t) ? 0 : trace.at(t)});
+  }
+  net::BandwidthTrace result =
+      net::BandwidthTrace::from_samples(std::move(samples), duration);
+  result.set_name(trace.name().empty() ? "blackout"
+                                       : trace.name() + "+blackout");
+  return result;
+}
+
+void expect_same_trace(const net::BandwidthTrace& a,
+                       const net::BandwidthTrace& b) {
+  EXPECT_EQ(a.name(), b.name());
+  EXPECT_EQ(a.duration(), b.duration());
+  ASSERT_EQ(a.samples().size(), b.samples().size());
+  for (std::size_t i = 0; i < a.samples().size(); ++i) {
+    EXPECT_EQ(a.samples()[i].start, b.samples()[i].start) << i;
+    EXPECT_EQ(a.samples()[i].bandwidth, b.samples()[i].bandwidth) << i;
+  }
+}
+
+TEST(ApplyBlackouts, OneWalkEqualsPerCutLookups) {
+  Rng rng(20261020);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 400; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // A trace of whole- and fractional-second steps, some repeating a value.
+    const Seconds duration = static_cast<double>(rng.uniform_int(1, 600));
+    std::vector<net::BandwidthTrace::Sample> steps{{0, 1e6}};
+    while (steps.back().start < duration - 1) {
+      const Seconds start =
+          steps.back().start + (rng.uniform_int(0, 3) == 0
+                                    ? rng.uniform(0.01, 2.0)
+                                    : static_cast<double>(rng.uniform_int(1, 9)));
+      if (start >= duration) break;
+      steps.push_back({start, rng.uniform_int(0, 4) == 0
+                                  ? steps.back().bandwidth
+                                  : rng.uniform(0, 20e6)});
+    }
+    net::BandwidthTrace trace =
+        net::BandwidthTrace::from_samples(steps, duration);
+    if (round % 2 == 0) trace.set_name("Profile " + std::to_string(round));
+
+    std::vector<BlackoutFault> blackouts;
+    const int count = static_cast<int>(rng.uniform_int(0, 6));
+    for (int i = 0; i < count; ++i) {
+      BlackoutFault b;
+      switch (rng.uniform_int(0, 6)) {
+        case 0:  // on a sample start
+          b.start = steps[static_cast<std::size_t>(rng.uniform_int(
+                              0, static_cast<std::int64_t>(steps.size()) - 1))]
+                        .start;
+          b.duration = rng.uniform(0.5, 30);
+          break;
+        case 1:  // touching the previous one
+          b.start = blackouts.empty()
+                        ? 0
+                        : blackouts.back().start + blackouts.back().duration;
+          b.duration = rng.uniform(0.5, 30);
+          break;
+        case 2:  // overlapping the previous one
+          b.start = blackouts.empty() ? duration / 2
+                                      : blackouts.back().start + 0.5;
+          b.duration = rng.uniform(0.5, 60);
+          break;
+        case 3:  // out of range on either side, or straddling an end
+          b.start = rng.uniform_int(0, 1) ? rng.uniform(-50, 5)
+                                          : rng.uniform(duration - 5,
+                                                        duration + 50);
+          b.duration = rng.uniform(0, 60);
+          break;
+        case 4:  // zero or negative length
+          b.start = rng.uniform(0, duration);
+          b.duration = rng.uniform_int(0, 1) ? 0 : -rng.uniform(0, 10);
+          break;
+        case 5:  // unbounded
+          b.start = rng.uniform(0, duration);
+          b.duration = inf;
+          break;
+        default:
+          b.start = static_cast<double>(rng.uniform_int(0, 600));
+          b.duration = static_cast<double>(rng.uniform_int(1, 40));
+      }
+      blackouts.push_back(b);
+    }
+    expect_same_trace(apply_blackouts(trace, blackouts),
+                      reference_blackouts(trace, blackouts));
+  }
+}
+
+TEST(ApplyBlackouts, FixedEdgeCases) {
+  const net::BandwidthTrace trace =
+      net::BandwidthTrace::from_samples({{0, 1e6}, {10, 2e6}, {20, 3e6}}, 30);
+  const std::vector<std::vector<BlackoutFault>> cases = {
+      {{10, 10}},                    // exactly one sample
+      {{5, 5}, {10, 5}},             // touching
+      {{5, 10}, {8, 20}},            // overlapping past the end
+      {{-10, 15}, {25, 100}},        // straddling both ends
+      {{40, 5}, {-20, 5}},           // wholly outside
+      {{12, 0}, {15, -3}},           // zero and negative length
+      {{0, 30}},                     // the whole trace
+      {{3, 4}, {3, 4}, {3, 2}},      // repeated
+  };
+  for (const std::vector<BlackoutFault>& blackouts : cases) {
+    expect_same_trace(apply_blackouts(trace, blackouts),
+                      reference_blackouts(trace, blackouts));
+  }
 }
 
 TEST(HardenedConfig, EnablesEveryResilienceKnob) {

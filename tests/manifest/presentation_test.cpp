@@ -13,11 +13,7 @@ ClientTrack make_track(const std::string& id, Bps declared, int segments,
   track.id = id;
   track.declared_bitrate = declared;
   for (int i = 0; i < segments; ++i) {
-    ClientSegment s;
-    s.index = i;
-    s.duration = seg_dur;
-    s.size = seg_size;
-    track.segments.push_back(s);
+    track.add_segment(seg_dur).size = seg_size;
   }
   track.sizes_known = seg_size > 0;
   return track;
@@ -42,6 +38,8 @@ TEST(ClientTrack, DurationAndStarts) {
   EXPECT_DOUBLE_EQ(t.duration(), 20);
   EXPECT_DOUBLE_EQ(t.segment_start(0), 0);
   EXPECT_DOUBLE_EQ(t.segment_start(3), 12);
+  EXPECT_DOUBLE_EQ(t.segment_start(5), 20);
+  EXPECT_EQ(t.segments[3].index, 3);
 }
 
 TEST(ClientTrack, AverageActualBitrate) {

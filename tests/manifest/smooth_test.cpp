@@ -48,8 +48,12 @@ TEST(Smooth, RoundTripPreservesStreams) {
 
 TEST(Smooth, FragmentUrlSubstitutesPlaceholders) {
   SmoothStreamIndex video = sample_manifest().stream_indexes[0];
-  EXPECT_EQ(video.fragment_url(1e6, 30000000),
-            "QualityLevels(1000000)/Fragments(video=30000000)");
+  std::string url = "stale";
+  video.fragment_url(1e6, 30000000, url);
+  EXPECT_EQ(url, "QualityLevels(1000000)/Fragments(video=30000000)");
+  video.url_template = "{bitrate}{x}{start time}{";
+  video.fragment_url(2e6, 18446744073709551615u, url);
+  EXPECT_EQ(url, "2000000{x}18446744073709551615{");
 }
 
 TEST(Smooth, ChunkStartTicks) {

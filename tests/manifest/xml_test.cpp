@@ -7,85 +7,133 @@
 namespace vodx::manifest {
 namespace {
 
+constexpr std::string_view kDeclaration =
+    "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
+
 TEST(Xml, SerializeSimpleElement) {
-  XmlNode node("Root");
-  node.set_attr("a", "1");
-  EXPECT_EQ(node.serialize(), "<Root a=\"1\"/>\n");
+  std::string out;
+  XmlWriter xml(out);
+  xml.open("Root");
+  xml.attr("a", "1");
+  xml.attr("n", std::int64_t{-42});
+  xml.close();
+  EXPECT_EQ(out, std::string(kDeclaration) + "<Root a=\"1\" n=\"-42\"/>\n");
 }
 
 TEST(Xml, SerializeNestedWithText) {
-  XmlNode node("Root");
-  node.add_child("Child").set_text("hello");
-  const std::string out = node.serialize();
-  EXPECT_NE(out.find("<Child>hello</Child>"), std::string::npos);
+  std::string out;
+  XmlWriter xml(out);
+  xml.open("Root");
+  xml.open("Child");
+  xml.text("hello");
+  xml.close();
+  xml.open("Parent");
+  xml.text("t");
+  xml.open("Leaf");
+  xml.close();
+  xml.close();
+  xml.close();
+  EXPECT_EQ(out, std::string(kDeclaration) +
+                     "<Root>\n"
+                     "  <Child>hello</Child>\n"
+                     "  <Parent>t\n"
+                     "    <Leaf/>\n"
+                     "  </Parent>\n"
+                     "</Root>\n");
 }
 
 TEST(Xml, AttributeOverwriteKeepsOrder) {
-  XmlNode node("N");
-  node.set_attr("a", "1");
-  node.set_attr("b", "2");
-  node.set_attr("a", "3");
-  EXPECT_EQ(*node.attr("a"), "3");
-  EXPECT_LT(node.serialize().find("a=\"3\""), node.serialize().find("b=\"2\""));
+  // A repeated attribute reads as its last value.
+  const XmlDocument doc("<N a=\"1\" b=\"2\" a=\"3\"/>");
+  EXPECT_EQ(*doc.root().attr("a"), "3");
+  EXPECT_EQ(*doc.root().attr("b"), "2");
 }
 
 TEST(Xml, RequiredAttrThrowsWhenMissing) {
-  XmlNode node("N");
-  EXPECT_THROW(node.required_attr("missing"), ParseError);
+  const XmlDocument doc("<N/>");
+  EXPECT_THROW(doc.root().required_attr("missing"), ParseError);
+  EXPECT_FALSE(doc.root().attr("missing").has_value());
 }
 
 TEST(Xml, ParseRoundTrip) {
-  XmlNode root("MPD");
-  root.set_attr("type", "static");
-  XmlNode& period = root.add_child("Period");
-  XmlNode& rep = period.add_child("Representation");
-  rep.set_attr("id", "video/0");
-  rep.add_child("BaseURL").set_text("video/0/media.mp4");
+  std::string out;
+  XmlWriter xml(out);
+  xml.open("MPD");
+  xml.attr("type", "static");
+  xml.open("Period");
+  xml.open("Representation");
+  xml.attr("id", "video/0");
+  xml.open("BaseURL");
+  xml.text("video/0/media.mp4");
+  xml.close();
+  xml.close();
+  xml.close();
+  xml.close();
 
-  auto parsed = parse_xml(serialize_document(root));
-  EXPECT_EQ(parsed->name(), "MPD");
-  EXPECT_EQ(*parsed->attr("type"), "static");
-  const XmlNode* p = parsed->child("Period");
+  const XmlDocument doc(out);
+  const XmlElement& parsed = doc.root();
+  EXPECT_EQ(parsed.name(), "MPD");
+  EXPECT_EQ(*parsed.attr("type"), "static");
+  const XmlElement* p = parsed.child("Period");
   ASSERT_NE(p, nullptr);
-  const XmlNode* r = p->child("Representation");
+  const XmlElement* r = p->child("Representation");
   ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->required_attr("id"), "video/0");
   EXPECT_EQ(r->child("BaseURL")->text(), "video/0/media.mp4");
 }
 
 TEST(Xml, ParseSelfClosing) {
-  auto parsed = parse_xml("<a><b x=\"1\"/><b x=\"2\"/></a>");
-  EXPECT_EQ(parsed->children_named("b").size(), 2u);
-  EXPECT_EQ(*parsed->children_named("b")[1]->attr("x"), "2");
+  const XmlDocument doc("<a><b x=\"1\"/><c/><b x=\"2\"/></a>");
+  const XmlElement* first = doc.root().child("b");
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(*first->attr("x"), "1");
+  const XmlElement* second = first->next("b");
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(*second->attr("x"), "2");
+  EXPECT_EQ(second->next("b"), nullptr);
+  EXPECT_NE(first->next("c"), nullptr);
 }
 
 TEST(Xml, ParseSkipsDeclarationAndComments) {
-  auto parsed = parse_xml(
+  const XmlDocument doc(
       "<?xml version=\"1.0\"?>\n<!-- hi -->\n<a><!-- inner --><b/></a>");
-  EXPECT_EQ(parsed->name(), "a");
-  EXPECT_NE(parsed->child("b"), nullptr);
+  EXPECT_EQ(doc.root().name(), "a");
+  EXPECT_NE(doc.root().child("b"), nullptr);
 }
 
 TEST(Xml, EscapesSpecialCharacters) {
-  XmlNode node("N");
-  node.set_attr("a", "x<y&\"z\"");
-  node.set_text("a<b>&c");
-  auto parsed = parse_xml(node.serialize());
-  EXPECT_EQ(*parsed->attr("a"), "x<y&\"z\"");
-  EXPECT_EQ(parsed->text(), "a<b>&c");
+  std::string out;
+  XmlWriter xml(out);
+  xml.open("N");
+  xml.attr("a", "x<y&\"z\"'");
+  xml.text("a<b>&c");
+  xml.close();
+  EXPECT_NE(out.find("a=\"x&lt;y&amp;&quot;z&quot;&apos;\""),
+            std::string::npos);
+  const XmlDocument doc(out);
+  EXPECT_EQ(*doc.root().attr("a"), "x<y&\"z\"'");
+  EXPECT_EQ(doc.root().text(), "a<b>&c");
 }
 
 TEST(Xml, ParseErrors) {
-  EXPECT_THROW(parse_xml("<a><b></a>"), ParseError);      // mismatched close
-  EXPECT_THROW(parse_xml("<a attr=1/>"), ParseError);     // unquoted attr
-  EXPECT_THROW(parse_xml("<a>"), ParseError);             // unterminated
-  EXPECT_THROW(parse_xml("<a/><b/>"), ParseError);        // two roots
-  EXPECT_THROW(parse_xml("<a>&unknown;</a>"), ParseError);  // bad entity
-  EXPECT_THROW(parse_xml(""), ParseError);
+  auto parse = [](std::string_view text) { XmlDocument doc(text); };
+  EXPECT_THROW(parse("<a><b></a>"), ParseError);      // mismatched close
+  EXPECT_THROW(parse("<a attr=1/>"), ParseError);     // unquoted attr
+  EXPECT_THROW(parse("<a>"), ParseError);             // unterminated
+  EXPECT_THROW(parse("<a/><b/>"), ParseError);        // two roots
+  EXPECT_THROW(parse("<a>&unknown;</a>"), ParseError);  // bad entity
+  EXPECT_THROW(parse("<a x=\"&amp\"/>"), ParseError);   // entity without ;
+  EXPECT_THROW(parse(""), ParseError);
 }
 
 TEST(Xml, WhitespaceAroundTextIsTrimmed) {
-  auto parsed = parse_xml("<a>  text  </a>");
-  EXPECT_EQ(parsed->text(), "text");
+  const XmlDocument doc("<a>  text  </a>");
+  EXPECT_EQ(doc.root().text(), "text");
+  // Text split by children and comments joins, inner whitespace kept.
+  const XmlDocument split("<a> x <b/> <!-- c --> y&amp; </a>");
+  EXPECT_EQ(split.root().text(), "x   y&");
+  const XmlDocument blank("<a>\n  <b/>\n</a>");
+  EXPECT_EQ(blank.root().text(), "");
 }
 
 }  // namespace

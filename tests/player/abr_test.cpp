@@ -12,14 +12,11 @@ manifest::Presentation four_rung_presentation(bool sizes_known = false) {
     track.id = "v" + std::to_string(static_cast<int>(declared));
     track.declared_bitrate = declared;
     for (int i = 0; i < 20; ++i) {
-      manifest::ClientSegment s;
-      s.index = i;
-      s.duration = 4;
       // Actual bitrate = half the declared, except segment 10 which spikes
       // to 0.9x declared (a complex scene).
       const double factor = i == 10 ? 0.9 : 0.5;
-      s.size = sizes_known ? bytes_for(declared * factor, 4) : 0;
-      track.segments.push_back(s);
+      track.add_segment(4).size =
+          sizes_known ? bytes_for(declared * factor, 4) : 0;
     }
     track.sizes_known = sizes_known;
     p.video.push_back(std::move(track));

@@ -62,7 +62,7 @@ TEST(MediaSource, HlsPresentationMatchesAsset) {
   EXPECT_DOUBLE_EQ(p.video[2].declared_bitrate, 1.6e6);
   EXPECT_EQ(static_cast<int>(p.video[1].segments.size()), segment_count);
   EXPECT_FALSE(p.video[0].sizes_known);
-  EXPECT_EQ(p.video[1].segments[3].ref.url, "/video/1/seg3.ts");
+  EXPECT_EQ(p.video[1].url_of(p.video[1].segments[3]), "/video/1/seg3.ts");
 }
 
 TEST(MediaSource, DashSidxExposesExactSizes) {
@@ -78,8 +78,12 @@ TEST(MediaSource, DashSidxExposesExactSizes) {
   ASSERT_EQ(p.audio.size(), 1u);
   EXPECT_TRUE(p.video[2].sizes_known);
   EXPECT_EQ(p.video[2].segments[7].size, expected_size);
-  ASSERT_TRUE(p.video[2].segments[7].ref.range.has_value());
-  EXPECT_EQ(p.video[2].segments[7].ref.range->length(), expected_size);
+  ASSERT_TRUE(p.video[2].segments[7].range.has_value());
+  EXPECT_EQ(p.video[2].segments[7].range->length(), expected_size);
+  // The track holds its media file's URL once for all its segments.
+  EXPECT_EQ(p.video[2].media_url, "/video/2/media.mp4");
+  EXPECT_TRUE(p.video[2].segments[7].url.empty());
+  EXPECT_EQ(p.video[2].url_of(p.video[2].segments[7]), "/video/2/media.mp4");
 }
 
 TEST(MediaSource, DashSidxRangesAreContiguous) {
@@ -89,8 +93,7 @@ TEST(MediaSource, DashSidxRangesAreContiguous) {
   manifest::Presentation p = h.resolve();
   const auto& segments = p.video[0].segments;
   for (std::size_t i = 1; i < segments.size(); ++i) {
-    EXPECT_EQ(segments[i].ref.range->first,
-              segments[i - 1].ref.range->last + 1);
+    EXPECT_EQ(segments[i].range->first, segments[i - 1].range->last + 1);
   }
 }
 
@@ -125,8 +128,8 @@ TEST(MediaSource, SmoothBuildsFragmentUrls) {
   EXPECT_FALSE(p.video[0].sizes_known);
   // Fragment URLs resolve on the origin.
   const manifest::ClientSegment& s = p.video[1].segments[2];
-  http::Response r = h.origin.handle({http::Method::kGet, s.ref.url, {}});
-  EXPECT_TRUE(r.ok()) << s.ref.url;
+  http::Response r = h.origin.handle({http::Method::kGet, s.url, {}});
+  EXPECT_TRUE(r.ok()) << s.url;
 }
 
 TEST(MediaSource, EncryptedMpdNeedsKey) {
