@@ -1,7 +1,5 @@
 #include "media/track.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace vodx::media {
@@ -14,7 +12,6 @@ Track::Track(std::string id, ContentType type, Bps declared_bitrate,
       resolution_(resolution),
       segments_(std::move(segments)) {
   VODX_ASSERT(!segments_.empty(), "track needs segments");
-  starts_.reserve(segments_.size());
   Bytes offset = 0;
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     Segment& s = segments_[i];
@@ -22,7 +19,6 @@ Track::Track(std::string id, ContentType type, Bps declared_bitrate,
     s.index = static_cast<int>(i);
     s.offset = offset;
     offset += s.size;
-    starts_.push_back(duration_);
     duration_ += s.duration;
     total_size_ += s.size;
   }
@@ -35,18 +31,6 @@ const Segment& Track::segment(int index) const {
 
 Bps Track::average_actual_bitrate() const {
   return rate_of(total_size_, duration_);
-}
-
-int Track::segment_index_at(Seconds t) const {
-  auto it = std::upper_bound(starts_.begin(), starts_.end(), t);
-  if (it == starts_.begin()) return 0;
-  int index = static_cast<int>(it - starts_.begin()) - 1;
-  return std::min(index, segment_count() - 1);
-}
-
-Seconds Track::segment_start(int index) const {
-  VODX_ASSERT(index >= 0 && index < segment_count(), "segment out of range");
-  return starts_[static_cast<std::size_t>(index)];
 }
 
 }  // namespace vodx::media

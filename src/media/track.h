@@ -45,19 +45,12 @@ class Track {
   /// Mean of per-segment actual bitrates, duration-weighted.
   Bps average_actual_bitrate() const;
 
-  /// Index of the segment covering presentation time t (clamped to the last).
-  int segment_index_at(Seconds t) const;
-
-  /// Presentation start time of a segment.
-  Seconds segment_start(int index) const;
-
  private:
   std::string id_;
   ContentType type_;
   Bps declared_bitrate_;
   Resolution resolution_;
   std::vector<Segment> segments_;
-  std::vector<Seconds> starts_;  // cumulative start times
   Seconds duration_ = 0;
   Bytes total_size_ = 0;
 };

@@ -22,7 +22,8 @@ net::BandwidthTrace from_text(const std::string& text,
                               const std::string& name) {
   std::vector<Bps> samples;
   std::string trace_name = name;
-  for (const std::string& line : split_lines(text)) {
+  for (std::string_view rest = text; !rest.empty();) {
+    const std::string_view line = next_line(rest);
     std::string_view trimmed = trim(line);
     if (trimmed.empty()) continue;
     if (trimmed.front() == '#') {

@@ -7,6 +7,7 @@
 
 #include "common/strings.h"
 #include "testing/fixtures.h"
+#include "testing/lines.h"
 
 namespace vodx::batch {
 namespace {

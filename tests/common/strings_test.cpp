@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "testing/lines.h"
 
 namespace vodx {
 namespace {
@@ -76,6 +77,11 @@ TEST(SplitLines, HandlesUnixAndDos) {
   EXPECT_EQ(split_lines("a\r\nb\r\n"), (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(split_lines("single"), (std::vector<std::string>{"single"}));
   EXPECT_TRUE(split_lines("").empty());
+  std::string_view text = "a\r\nb";
+  EXPECT_EQ(next_line(text), "a");
+  EXPECT_EQ(text, "b");
+  EXPECT_EQ(next_line(text), "b");
+  EXPECT_TRUE(text.empty());
 }
 
 TEST(SplitLines, TrailingNewlineProducesNoEmptyLine) {

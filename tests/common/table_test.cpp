@@ -6,6 +6,7 @@
 
 #include "common/json.h"
 #include "common/strings.h"
+#include "testing/lines.h"
 
 namespace vodx {
 namespace {

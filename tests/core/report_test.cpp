@@ -4,6 +4,7 @@
 
 #include "common/strings.h"
 #include "testing/fixtures.h"
+#include "testing/lines.h"
 
 namespace vodx::core {
 namespace {

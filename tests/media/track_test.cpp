@@ -37,22 +37,6 @@ TEST(Track, BitrateAggregates) {
   EXPECT_DOUBLE_EQ(t.segment(0).actual_bitrate(), 4000);
 }
 
-TEST(Track, SegmentIndexAtTime) {
-  Track t("video/0", ContentType::kVideo, 1e6, k360p, three_segments());
-  EXPECT_EQ(t.segment_index_at(0), 0);
-  EXPECT_EQ(t.segment_index_at(1.99), 0);
-  EXPECT_EQ(t.segment_index_at(2.0), 1);
-  EXPECT_EQ(t.segment_index_at(4.5), 2);
-  EXPECT_EQ(t.segment_index_at(99), 2);  // clamped
-}
-
-TEST(Track, SegmentStart) {
-  Track t("video/0", ContentType::kVideo, 1e6, k360p, three_segments());
-  EXPECT_DOUBLE_EQ(t.segment_start(0), 0);
-  EXPECT_DOUBLE_EQ(t.segment_start(1), 2);
-  EXPECT_DOUBLE_EQ(t.segment_start(2), 4);
-}
-
 TEST(TrackDeathTest, RejectsEmptyOrInvalidSegments) {
   EXPECT_DEATH(Track("x", ContentType::kVideo, 1e6, k360p, {}), "segments");
   Segment bad;

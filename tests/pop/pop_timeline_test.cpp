@@ -11,6 +11,7 @@
 #include "common/json.h"
 #include "common/strings.h"
 #include "pop/population.h"
+#include "testing/lines.h"
 
 namespace vodx::pop {
 namespace {
