@@ -53,7 +53,7 @@ core::SessionConfig make_session(const std::string& service, int profile_id,
 CheckedRun run_checked(core::SessionConfig config, const TestHook& hook) {
   CheckedRun out;
   obs::Observer local;
-  local.trace.set_category_mask(kInvariantEvidenceMask);
+  local.trace.set_category_mask(obs::kEvidenceMask);
   if (config.observer == nullptr) config.observer = &local;
   try {
     out.result = core::run_session(config);

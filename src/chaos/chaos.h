@@ -65,7 +65,7 @@ core::SessionConfig make_session(const std::string& service, int profile_id,
 /// Runs one session under its own simulator settings (watchdogs, core) and
 /// checks the invariant catalog, then `hook` when set. Forces an Observer
 /// (the evidence source) if the config doesn't carry one, masked to
-/// kInvariantEvidenceMask; a caller's observer keeps its own mask.
+/// obs::kEvidenceMask; a caller's observer keeps its own mask.
 CheckedRun run_checked(core::SessionConfig config, const TestHook& hook = {});
 
 /// The inherited net::SimSettings apply to every cell. Fuzzing both cores

@@ -73,13 +73,6 @@ struct InvariantReport {
   std::string summary() const;
 };
 
-/// What a chaos session's own observer records (chaos::run_checked): every
-/// category, since time.monotone walks every event, but not the
-/// obs::kTcpCwndSeries switch. No invariant reads the per-RTT cwnd samples,
-/// and each one would bound the link's span and wake it.
-constexpr std::uint32_t kInvariantEvidenceMask =
-    obs::kAllCategories & ~obs::kTcpCwndSeries;
-
 /// One catalog entry, for docs and `vodx chaos --invariants`.
 struct InvariantInfo {
   const char* name;

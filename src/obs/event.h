@@ -40,6 +40,13 @@ constexpr std::uint32_t kAllCategories = 0xffffffffu;
 /// leaves it out.
 constexpr std::uint32_t kTcpCwndSeries = 1u << 16;  ///< tcp.cwnd_kb per RTT
 
+/// What an observer that reads a session's events as evidence records
+/// (chaos::run_checked's invariants, batch::run_sweep's cells for diag):
+/// every category, since time.monotone walks every event, but not the
+/// kTcpCwndSeries switch. No evidence reader uses the per-RTT cwnd samples,
+/// and each one would bound the link's span and wake it.
+constexpr std::uint32_t kEvidenceMask = kAllCategories & ~kTcpCwndSeries;
+
 constexpr std::uint32_t bit(Category category) {
   return static_cast<std::uint32_t>(category);
 }
