@@ -24,18 +24,16 @@ int main() {
 
   std::map<std::string, double> max_ratio;
   for (double bw_mbps : bandwidths_mbps) {
-    std::vector<std::string> row{format("%.2f", bw_mbps)};
+    table.add(format("%.2f", bw_mbps));
     for (const char* name : names) {
       core::SteadyStateProbe probe = core::probe_steady_state(
           services::service(name),
           {.bandwidth = bw_mbps * 1e6, .duration = 420, .warmup = 100});
-      row.push_back(format("%.2f (%.2fx)",
-                           probe.modal_declared_bitrate / 1e6,
-                           probe.declared_over_bandwidth));
+      table.add(format("%.2f (%.2fx)", probe.modal_declared_bitrate / 1e6,
+                       probe.declared_over_bandwidth));
       max_ratio[name] =
           std::max(max_ratio[name], probe.declared_over_bandwidth);
     }
-    table.add_row(row);
   }
   table.print();
 

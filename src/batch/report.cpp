@@ -28,49 +28,25 @@ void fold(Rollup& rollup, const obs::MetricsSnapshot& snapshot) {
 //
 // Rollup snapshots are generic bags of metrics; the per-dimension tables
 // pull out the headline subset every instrumented session registers. A
-// metric a dimension never saw renders as "-" (e.g. faults.injected on a
-// fault-free sweep).
+// metric a dimension never saw has no value, rendered "-" (e.g.
+// faults.injected on a fault-free sweep).
 
-std::string counter_cell(const obs::MetricsSnapshot& snapshot,
-                         const char* name) {
+Value counter_cell(const obs::MetricsSnapshot& snapshot, const char* name) {
   const obs::MetricsSnapshot::Entry* entry = snapshot.find(name);
-  if (entry == nullptr) return "-";
-  return format("%lld", static_cast<long long>(entry->count));
+  return entry == nullptr ? Value::none() : Value(entry->count);
 }
 
-std::string counter_mb_cell(const obs::MetricsSnapshot& snapshot,
-                            const char* name) {
+Value counter_mb_cell(const obs::MetricsSnapshot& snapshot, const char* name) {
   const obs::MetricsSnapshot::Entry* entry = snapshot.find(name);
-  if (entry == nullptr) return "-";
-  return format("%.1f", static_cast<double>(entry->count) / 1e6);
+  return entry == nullptr ? Value::none()
+                          : Value(static_cast<double>(entry->count) / 1e6);
 }
 
-std::string histogram_p50_cell(const obs::MetricsSnapshot& snapshot,
-                               const char* name) {
+Value histogram_p50_cell(const obs::MetricsSnapshot& snapshot,
+                        const char* name) {
   const obs::MetricsSnapshot::Entry* entry = snapshot.find(name);
-  if (entry == nullptr || entry->count == 0) return "-";
-  return format("%.2f", entry->p50);
-}
-
-const std::vector<std::string>& headline_header() {
-  static const std::vector<std::string> header = {
-      "key",       "cells",     "stalls",       "switches",
-      "MB",        "wasted_MB", "fetch_fail",   "faults",
-      "goodput_p50"};
-  return header;
-}
-
-std::vector<std::string> headline_row(const Rollup& rollup) {
-  const obs::MetricsSnapshot& m = rollup.metrics;
-  return {rollup.key,
-          std::to_string(rollup.cells),
-          counter_cell(m, "session.stalls"),
-          counter_cell(m, "session.switches"),
-          counter_mb_cell(m, "session.total_bytes"),
-          counter_mb_cell(m, "session.wasted_bytes"),
-          counter_cell(m, "player.fetch_failures"),
-          counter_cell(m, "faults.injected"),
-          histogram_p50_cell(m, "tcp.goodput_mbps")};
+  return entry == nullptr || entry->count == 0 ? Value::none()
+                                               : Value(entry->p50);
 }
 
 struct Dimension {
@@ -86,8 +62,26 @@ std::vector<Dimension> dimensions(const SweepMetrics& metrics) {
 }
 
 Table dimension_table(const Dimension& dim) {
-  Table table(headline_header());
-  for (const Rollup& rollup : *dim.rollups) table.add_row(headline_row(rollup));
+  Table table({"key"});
+  for (const char* name : {"cells", "stalls", "switches"}) {
+    table.add_column(name, Format::integer());
+  }
+  table.add_column("MB", Format::fixed(1));
+  table.add_column("wasted_MB", Format::fixed(1));
+  table.add_column("fetch_fail", Format::integer());
+  table.add_column("faults", Format::integer());
+  table.add_column("goodput_p50", Format::fixed(2));
+  for (const Rollup& rollup : *dim.rollups) {
+    const obs::MetricsSnapshot& m = rollup.metrics;
+    table.add_row({rollup.key, rollup.cells,
+                   counter_cell(m, "session.stalls"),
+                   counter_cell(m, "session.switches"),
+                   counter_mb_cell(m, "session.total_bytes"),
+                   counter_mb_cell(m, "session.wasted_bytes"),
+                   counter_cell(m, "player.fetch_failures"),
+                   counter_cell(m, "faults.injected"),
+                   histogram_p50_cell(m, "tcp.goodput_mbps")});
+  }
   return table;
 }
 
@@ -165,31 +159,30 @@ std::string report_jsonl(const SweepResult& result,
   std::string out;
   JsonWriter w(out);
   w.begin_object().key("scope").string("sweep");
-  w.key("cells").raw(std::to_string(metrics.total_cells));
-  w.key("failed").raw(std::to_string(metrics.failed));
-  w.key("quarantined").raw(std::to_string(metrics.quarantined));
-  w.key("merged").raw(std::to_string(metrics.overall.cells)).end_object();
+  w.key("cells").integer(metrics.total_cells);
+  w.key("failed").integer(metrics.failed);
+  w.key("quarantined").integer(metrics.quarantined);
+  w.key("merged").integer(metrics.overall.cells).end_object();
   out += '\n';
   for (const CellResult& cell : result.cells) {
     w.begin_object().key("scope").string("cell");
     w.key("service").string(cell.service);
-    w.key("profile").raw(std::to_string(cell.profile_id));
-    w.key("seed").raw(std::to_string(cell.seed));
+    w.key("profile").integer(cell.profile_id);
+    w.key("seed").integer(cell.seed);
     w.key("fault").string(cell.fault).key("ok").boolean(cell.ok);
     if (cell.quarantined) w.key("quarantined").boolean(true);
     if (cell.trace_dropped > 0) {
-      w.key("trace_dropped").raw(std::to_string(cell.trace_dropped));
+      w.key("trace_dropped").integer(cell.trace_dropped);
     }
-    if (cell.has_metrics) {
-      w.key("snapshot").raw(obs::metrics_json(cell.metrics));
-    }
+    if (cell.has_metrics) obs::write_metrics(w.key("snapshot"), cell.metrics);
     w.end_object();
     out += '\n';
   }
   auto rollup_line = [&](const char* scope, const Rollup& rollup) {
     w.begin_object().key("scope").string(scope).key("key").string(rollup.key);
-    w.key("cells").raw(std::to_string(rollup.cells));
-    w.key("snapshot").raw(obs::metrics_json(rollup.metrics)).end_object();
+    w.key("cells").integer(rollup.cells);
+    obs::write_metrics(w.key("snapshot"), rollup.metrics);
+    w.end_object();
     out += '\n';
   };
   for (const Dimension& dim : dimensions(metrics)) {

@@ -9,6 +9,7 @@
 #include "net/simulator.h"
 #include "common/json.h"
 #include "common/strings.h"
+#include "common/table.h"
 #include "obs/export.h"
 #include "obs/profiler.h"
 #include "core/qoe.h"
@@ -296,21 +297,23 @@ std::vector<int> all_profile_ids() {
 }
 
 std::string sweep_csv(const SweepResult& result) {
-  // Reuse the session CSV columns; the "label" column becomes the three
-  // coordinate columns.
-  std::string header = core::qoe_csv_header();
-  const std::string label_prefix = "label,";
-  if (starts_with(header, label_prefix)) header.erase(0, label_prefix.size());
-  std::string out = "service,profile,seed,fault,origin," + header;
+  // The session CSV columns, after the cell's coordinates.
+  Table table({"service"});
+  table.add_column("profile", Format::integer());
+  table.add_column("seed", Format::integer());
+  table.add_column("fault").add_column("origin");
+  for (const core::QoeColumn& column : core::qoe_columns()) {
+    table.add_column(column.name, column.format);
+  }
   for (const CellResult& cell : result.cells) {
     if (!cell.ok) continue;
-    out += core::qoe_csv_row(
-        format("%s,%d,%llu,%s,%s", cell.service.c_str(), cell.profile_id,
-               static_cast<unsigned long long>(cell.seed), cell.fault.c_str(),
-               cell.origin.c_str()),
-        cell.result);
+    table.add(cell.service).add(cell.profile_id).add(cell.seed);
+    table.add(cell.fault).add(cell.origin);
+    for (const core::QoeColumn& column : core::qoe_columns()) {
+      table.add(column.value(cell.result));
+    }
   }
-  return out;
+  return table.csv();
 }
 
 std::string sweep_jsonl(const SweepResult& result) {
@@ -318,33 +321,24 @@ std::string sweep_jsonl(const SweepResult& result) {
   JsonWriter w(out);
   for (const CellResult& cell : result.cells) {
     w.begin_object().key("service").string(cell.service);
-    w.key("profile").raw(std::to_string(cell.profile_id));
-    w.key("seed").raw(std::to_string(cell.seed));
+    w.key("profile").integer(cell.profile_id);
+    w.key("seed").integer(cell.seed);
     w.key("fault").string(cell.fault).key("origin").string(cell.origin);
     w.key("ok").boolean(cell.ok);
     if (!cell.ok) {
       w.key("quarantined").boolean(cell.quarantined);
-      w.key("attempts").raw(std::to_string(cell.attempts));
+      w.key("attempts").integer(cell.attempts);
       w.key("error").string(cell.error);
     } else {
-      const core::QoeReport& q = cell.result.qoe;
-      w.key("startup_delay_s").raw(format("%.2f", q.startup_delay));
-      w.key("stall_count").raw(std::to_string(q.stall_count));
-      w.key("stall_time_s").raw(format("%.2f", q.total_stall));
-      w.key("avg_declared_bitrate_bps")
-          .raw(format("%.0f", q.average_declared_bitrate));
-      w.key("low_quality_fraction")
-          .raw(format("%.4f", q.low_quality_fraction));
-      w.key("switches").raw(std::to_string(q.switch_count));
-      w.key("nonconsecutive_switches")
-          .raw(std::to_string(q.nonconsecutive_switch_count));
-      w.key("media_bytes").raw(std::to_string(q.media_bytes));
-      w.key("total_bytes").raw(std::to_string(q.total_bytes));
-      w.key("wasted_bytes").raw(std::to_string(q.wasted_bytes));
-      w.key("qoe_score")
-          .raw(format("%.3f", core::qoe_score(q, cell.result.session_end)));
+      for (const core::QoeColumn& column : core::qoe_columns()) {
+        const Value value = column.value(cell.result);
+        w.key(column.name);
+        column.format.type == Format::Type::kInteger
+            ? w.integer(value.int_value())
+            : w.fixed(value.real(), column.format.digits);
+      }
       w.key("final_state").string(player::to_string(cell.result.final_state));
-      w.key("session_end_s").raw(format("%.2f", cell.result.session_end));
+      w.key("session_end_s").fixed(cell.result.session_end, 2);
     }
     w.end_object();
     out += '\n';

@@ -5,7 +5,9 @@
 #include "batch/sweep.h"
 #include "batch/thread_pool.h"
 #include "common/error.h"
+#include "common/report.h"
 #include "common/strings.h"
+#include "common/table.h"
 #include "core/session_factory.h"
 #include "net/simulator.h"
 #include "services/service_catalog.h"
@@ -193,40 +195,38 @@ CheckedRun replay(const ReproArtifact& artifact,
 }
 
 std::string chaos_report_text(const ChaosReport& report) {
-  std::string out =
-      format("chaos: %zu seed(s) — %d violation(s), %d watchdog abort(s)\n\n",
-             report.rows.size(), report.violations, report.watchdogs);
-  out += format("%8s  %-8s  %7s  %6s  %s\n", "seed", "service", "profile",
-                "faults", "status");
+  Table table;
+  table.layout(2, Table::Header::kPlain);
+  table.add_column("seed", Format::integer(), Table::Align::kRight, 8);
+  table.add_column("service", Format::text(), Table::Align::kLeft, 8);
+  table.add_column("profile", Format::integer(), Table::Align::kRight, 7);
+  table.add_column("faults", Format::integer(), Table::Align::kRight, 6);
+  table.add_column("status");
   for (const ChaosRow& row : report.rows) {
-    std::string status = "ok";
-    if (row.watchdog) {
-      status = "WATCHDOG";
-    } else if (!row.ok) {
-      status = "VIOLATION " + row.invariants;
-    }
-    out += format("%8llu  %-8s  %7d  %6zu  %s\n",
-                  static_cast<unsigned long long>(row.seed),
-                  row.service.c_str(), row.profile_id, row.faults,
-                  status.c_str());
+    table.add_row({row.seed, row.service, row.profile_id, row.faults,
+                   row.ok         ? std::string("ok")
+                   : row.watchdog ? std::string("WATCHDOG")
+                                  : "VIOLATION " + row.invariants});
   }
-
+  Report text;
+  text.line(format("chaos: %zu seed(s) — %d violation(s), %d watchdog "
+                   "abort(s)",
+                   report.rows.size(), report.violations, report.watchdogs));
+  text.line("").section("", std::move(table));
   for (const ChaosRow& row : report.rows) {
     if (row.ok) continue;
-    out += format("\nseed %llu — %s\n",
-                  static_cast<unsigned long long>(row.seed),
-                  row.watchdog ? "WATCHDOG" : ("VIOLATION " + row.invariants)
-                                                  .c_str());
-    out += format("  plan: %s\n", row.plan.c_str());
-    if (!row.detail.empty()) out += format("  first: %s\n", row.detail.c_str());
+    text.line("").line(format(
+        "seed %llu — %s", static_cast<unsigned long long>(row.seed),
+        row.watchdog ? "WATCHDOG" : ("VIOLATION " + row.invariants).c_str()));
+    text.line("  plan: " + row.plan);
+    if (!row.detail.empty()) text.line("  first: " + row.detail);
     if (row.minimized) {
-      out += format("  minimized: %zu -> %zu fault(s) in %d oracle run(s)\n",
-                    row.faults, row.minimized_faults, row.minimize_runs);
-      out += format("  minimized plan: %s\n",
-                    plan_summary(row.artifact.plan).c_str());
+      text.line(format("  minimized: %zu -> %zu fault(s) in %d oracle run(s)",
+                       row.faults, row.minimized_faults, row.minimize_runs));
+      text.line("  minimized plan: " + plan_summary(row.artifact.plan));
     }
   }
-  return out;
+  return text.text();
 }
 
 }  // namespace vodx::chaos

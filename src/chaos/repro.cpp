@@ -37,13 +37,13 @@ std::string to_json(const ReproArtifact& artifact) {
   std::string out;
   JsonWriter w(out);
   w.begin_object().key("service").string(artifact.service);
-  w.key("profile").raw(std::to_string(artifact.profile_id));
+  w.key("profile").integer(artifact.profile_id);
   w.key("duration_s").number(artifact.duration);
-  w.key("chaos_seed").raw(std::to_string(artifact.chaos_seed));
+  w.key("chaos_seed").integer(artifact.chaos_seed);
   w.key("invariants").string(artifact.invariants);
   w.key("origin_mode").string(artifact.origin_mode);
   w.key("plan").begin_object().key("name").string(plan.name);
-  w.key("seed").raw(std::to_string(plan.seed));
+  w.key("seed").integer(plan.seed);
   w.key("latency").begin_array();
   for (const faults::LatencyFault& f : plan.latency) {
     write_match(f.match, w.begin_object());
@@ -53,7 +53,7 @@ std::string to_json(const ReproArtifact& artifact) {
   w.end_array().key("errors").begin_array();
   for (const faults::ErrorFault& f : plan.errors) {
     write_match(f.match, w.begin_object());
-    w.key("status").raw(std::to_string(f.status));
+    w.key("status").integer(f.status);
     w.key("probability").number(f.probability).end_object();
   }
   w.end_array().key("resets").begin_array();
@@ -65,7 +65,7 @@ std::string to_json(const ReproArtifact& artifact) {
   w.end_array().key("rejects").begin_array();
   for (const faults::RejectFault& f : plan.rejects) {
     write_match(f.match, w.begin_object());
-    w.key("every_nth").raw(std::to_string(f.every_nth));
+    w.key("every_nth").integer(f.every_nth);
     w.key("probability").number(f.probability).end_object();
   }
   w.end_array().key("blackouts").begin_array();

@@ -93,9 +93,17 @@ JsonWriter& JsonWriter::string(std::string_view value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::raw(std::string_view value) {
+JsonWriter& JsonWriter::bare(std::string_view value) {
   start_value();
   out_ += value;
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::fixed(double value, int precision) {
+  if (!std::isfinite(value)) return bare("null");
+  start_value();
+  append_double(out_, value, std::chars_format::fixed, precision);
   need_comma_ = true;
   return *this;
 }

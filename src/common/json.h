@@ -4,11 +4,14 @@
 // them.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/strings.h"
 
 namespace vodx {
 
@@ -40,13 +43,24 @@ class JsonWriter {
   /// An object member's key; the next call writes its value.
   JsonWriter& key(std::string_view name);
   JsonWriter& string(std::string_view value);
-  JsonWriter& boolean(bool value) { return raw(value ? "true" : "false"); }
-  JsonWriter& number(double value) { return raw(json_number(value)); }
-  /// A value the caller already formatted ("%.3f", an integer, a nested
-  /// document), copied verbatim.
-  JsonWriter& raw(std::string_view value);
+  JsonWriter& boolean(bool value) { return bare(value ? "true" : "false"); }
+  /// The canonical json_number() rendering.
+  JsonWriter& number(double value) { return bare(json_number(value)); }
+  /// An integer in decimal, as printf's "%d" family writes it.
+  template <std::integral Int>
+  JsonWriter& integer(Int value) {
+    start_value();
+    append_int(out_, value);
+    need_comma_ = true;
+    return *this;
+  }
+  /// `value` with `precision` decimals, as printf's "%.*f" writes it; NaN
+  /// and inf, which that would write as "nan"/"inf", as null.
+  JsonWriter& fixed(double value, int precision);
 
  private:
+  /// A value already in JSON syntax, copied verbatim.
+  JsonWriter& bare(std::string_view value);
   void start_value();
   JsonWriter& open(char bracket, bool one_per_line);
   JsonWriter& close(char bracket);

@@ -73,13 +73,6 @@ double parse_double(std::string_view text) {
   return value;
 }
 
-std::string format_double(double value, std::chars_format style,
-                          int precision) {
-  std::string out;
-  append_double(out, value, style, precision);
-  return out;
-}
-
 void append_double(std::string& out, double value, std::chars_format style,
                    int precision) {
   // 400 bytes hold any double at the precisions the reports use; a longer

@@ -40,12 +40,9 @@ void append_int(std::string& out, Int value) {
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// `value` exactly as printf's "%.<precision>g" (style general) or
+/// Appends `value` exactly as printf's "%.<precision>g" (style general) or
 /// "%.<precision>f" (style fixed) prints it, but through std::to_chars:
 /// no format string to parse, no locale.
-std::string format_double(double value, std::chars_format style,
-                          int precision);
-/// Appends what format_double() returns.
 void append_double(std::string& out, double value, std::chars_format style,
                    int precision);
 

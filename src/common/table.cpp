@@ -1,6 +1,8 @@
 #include "common/table.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 #include "common/error.h"
@@ -9,48 +11,166 @@
 
 namespace vodx {
 
+namespace {
+
+/// A number's digits in its column's format, without the suffix.
+void append_number(std::string& out, const Format& format, const Value& value) {
+  if (format.type == Format::Type::kInteger) {
+    value.kind() == Value::Kind::kInt ? append_int(out, value.int_value())
+                                     : append_int(out, value.uint_value());
+  } else {
+    append_double(out, value.real(),
+                  format.type == Format::Type::kFixed
+                      ? std::chars_format::fixed
+                      : std::chars_format::general,
+                  format.digits);
+  }
+}
+
+bool suits(const Format& format, Value::Kind kind) {
+  switch (kind) {
+    case Value::Kind::kNone: return true;
+    case Value::Kind::kText: return format.type == Format::Type::kText;
+    case Value::Kind::kInt:
+    case Value::Kind::kUint: return format.type != Format::Type::kText;
+    case Value::Kind::kReal:
+      return format.type == Format::Type::kFixed ||
+             format.type == Format::Type::kGeneral;
+  }
+  return false;
+}
+
+}  // namespace
+
+void append_value(std::string& out, const Format& format, const Value& value) {
+  switch (value.kind()) {
+    case Value::Kind::kNone: out += '-'; return;
+    case Value::Kind::kText: out += value.text(); return;
+    default:
+      append_number(out, format, value);
+      out += format.suffix;
+  }
+}
+
 Table::Table(std::vector<std::string> header) {
-  add_columns(std::move(header));
+  for (std::string& name : header) add_column(std::move(name));
 }
 
-void Table::add_columns(std::vector<std::string> names, Kind kind) {
-  VODX_ASSERT(rows_.empty(), "table columns added after the first row");
-  kinds_.insert(kinds_.end(), names.size(), kind);
-  for (std::string& name : names) header_.push_back(std::move(name));
+Table& Table::add_column(std::string name, Format format, Align align,
+                         std::size_t width) {
+  VODX_ASSERT(slots_.empty(), "table columns added after the first row");
+  columns_.push_back({std::move(name), format, align, width});
+  return *this;
 }
 
-void Table::add_row(std::vector<std::string> cells) {
-  VODX_ASSERT(cells.size() == header_.size(), "table row arity mismatch");
-  rows_.push_back(std::move(cells));
+Table& Table::layout(std::size_t gap, Header header) {
+  gap_ = gap;
+  header_ = header;
+  return *this;
+}
+
+Table& Table::add(const Value& value) {
+  VODX_ASSERT(!columns_.empty(), "table value added before any column");
+  const Column& column = columns_[slots_.size() % columns_.size()];
+  VODX_ASSERT(suits(column.format, value.kind()),
+              "table value does not suit its column's format");
+  Slot slot;
+  slot.kind = value.kind();
+  switch (value.kind()) {
+    case Value::Kind::kNone: slot.int_value = 0; break;
+    case Value::Kind::kText:
+      slot.text = {static_cast<std::uint32_t>(text_.size()),
+                   static_cast<std::uint32_t>(value.text().size())};
+      text_ += value.text();
+      break;
+    case Value::Kind::kInt: slot.int_value = value.int_value(); break;
+    case Value::Kind::kUint: slot.uint_value = value.uint_value(); break;
+    case Value::Kind::kReal: slot.real = value.real(); break;
+  }
+  slots_.push_back(slot);
+  return *this;
+}
+
+Table& Table::add_row(std::initializer_list<Value> values) {
+  VODX_ASSERT(values.size() == columns_.size() &&
+                  slots_.size() % columns_.size() == 0,
+              "table row arity mismatch");
+  for (const Value& value : values) add(value);
+  return *this;
+}
+
+Value Table::cell(const Slot& slot) const {
+  switch (slot.kind) {
+    case Value::Kind::kText:
+      return std::string_view(text_).substr(slot.text.at, slot.text.size);
+    case Value::Kind::kInt: return slot.int_value;
+    case Value::Kind::kUint: return slot.uint_value;
+    case Value::Kind::kReal: return slot.real;
+    case Value::Kind::kNone: break;
+  }
+  return Value::none();
+}
+
+template <typename Fn>
+void Table::for_each_cell(std::size_t row, Fn&& fn) const {
+  VODX_ASSERT(slots_.size() % columns_.size() == 0, "table row unfinished");
+  const Slot* slot = slots_.data() + row * columns_.size();
+  for (const Column& column : columns_) fn(column, cell(*slot++));
 }
 
 std::string Table::render() const {
-  std::vector<std::size_t> widths(header_.size());
-  for (std::size_t i = 0; i < header_.size(); ++i) widths[i] = header_[i].size();
-  for (const auto& row : rows_) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      widths[i] = std::max(widths[i], row[i].size());
+  const std::size_t n = columns_.size();
+  std::vector<std::size_t> widths(n);
+  std::string scratch;
+  for (std::size_t i = 0; i < n; ++i) {
+    widths[i] = columns_[i].width;
+    if (widths[i] > 0) continue;
+    widths[i] = columns_[i].name.size();
+    for (std::size_t row = 0; row < rows(); ++row) {
+      scratch.clear();
+      append_value(scratch, columns_[i].format,
+                  cell(slots_[row * n + i]));
+      widths[i] = std::max(widths[i], scratch.size());
     }
   }
 
-  auto render_row = [&](const std::vector<std::string>& row) {
-    std::string line;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      line += row[i];
-      if (i + 1 < row.size()) {
-        line.append(widths[i] - row[i].size() + 2, ' ');
-      }
+  std::string out;
+  // Pads the value written since `start` to column i's width: blanks before
+  // it when right-aligned, after it when left-aligned (none after the last
+  // column), then the gap.
+  auto finish = [&](std::size_t i, std::size_t start) {
+    const std::size_t size = out.size() - start;
+    const std::size_t pad = widths[i] > size ? widths[i] - size : 0;
+    if (columns_[i].align == Align::kRight) {
+      out.insert(start, pad, ' ');
+    } else if (i + 1 < n) {
+      out.append(pad, ' ');
     }
-    line += '\n';
-    return line;
+    out.append(i + 1 < n ? gap_ : 0, ' ');
   };
-
-  std::string out = render_row(header_);
-  std::size_t total = 0;
-  for (std::size_t w : widths) total += w + 2;
-  out.append(total > 2 ? total - 2 : total, '-');
-  out += '\n';
-  for (const auto& row : rows_) out += render_row(row);
+  if (header_ != Header::kNone) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t start = out.size();
+      out += columns_[i].name;
+      finish(i, start);
+    }
+    out += '\n';
+  }
+  if (header_ == Header::kRuled) {
+    std::size_t total = n > 0 ? gap_ * (n - 1) : 0;
+    for (std::size_t w : widths) total += w;
+    out.append(total, '-');
+    out += '\n';
+  }
+  for (std::size_t row = 0; row < rows(); ++row) {
+    std::size_t i = 0;
+    for_each_cell(row, [&](const Column& column, const Value& value) {
+      const std::size_t start = out.size();
+      append_value(out, column.format, value);
+      finish(i++, start);
+    });
+    out += '\n';
+  }
   return out;
 }
 
@@ -58,15 +178,18 @@ void Table::print() const { std::fputs(render().c_str(), stdout); }
 
 std::string Table::html() const {
   std::string out = "<table><tr>";
-  for (const std::string& cell : header_) {
-    out += "<th>" + html_escape(cell) + "</th>";
+  for (const Column& column : columns_) {
+    out += "<th>" + html_escape(column.name) + "</th>";
   }
   out += "</tr>\n";
-  for (const auto& row : rows_) {
+  std::string cell_text;
+  for (std::size_t row = 0; row < rows(); ++row) {
     out += "<tr>";
-    for (const std::string& cell : row) {
-      out += "<td>" + html_escape(cell) + "</td>";
-    }
+    for_each_cell(row, [&](const Column& column, const Value& value) {
+      cell_text.clear();
+      append_value(cell_text, column.format, value);
+      out += "<td>" + html_escape(cell_text) + "</td>";
+    });
     out += "</tr>\n";
   }
   out += "</table>\n";
@@ -75,15 +198,20 @@ std::string Table::html() const {
 
 std::string Table::csv() const {
   std::string out;
-  auto append_row = [&out](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out += ',';
-      out += row[i];
-    }
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    if (i > 0) out += ',';
+    out += columns_[i].name;
+  }
+  out += '\n';
+  for (std::size_t row = 0; row < rows(); ++row) {
+    bool first = true;
+    for_each_cell(row, [&](const Column& column, const Value& value) {
+      if (!first) out += ',';
+      first = false;
+      append_value(out, column.format, value);
+    });
     out += '\n';
-  };
-  append_row(header_);
-  for (const auto& row : rows_) append_row(row);
+  }
   return out;
 }
 
@@ -93,24 +221,28 @@ std::string Table::jsonl(std::string_view type) const {
   w.begin_object();
   if (!type.empty()) w.key("type").string(type);
   // Each key with its separator, escaped once for every row.
-  std::vector<std::string> keys(header_.size());
-  for (std::size_t i = 0; i < header_.size(); ++i) {
+  std::vector<std::string> keys(columns_.size());
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
     const bool first = i == 0 && type.empty();
-    keys[i] = (first ? "\"" : ",\"") + json_escape(header_[i]) + "\":";
+    keys[i] = (first ? "\"" : ",\"") + json_escape(columns_[i].name) + "\":";
   }
   std::string out;
-  for (const auto& row : rows_) {
+  for (std::size_t row = 0; row < rows(); ++row) {
     out += lead;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      out += keys[i];
-      if (kinds_[i] == Kind::kText) {
+    std::size_t i = 0;
+    for_each_cell(row, [&](const Column& column, const Value& value) {
+      out += keys[i++];
+      if (value.kind() == Value::Kind::kText) {
         out += '"';
-        out += json_escape(row[i]);
+        out += json_escape(value.text());
         out += '"';
+      } else if (value.kind() == Value::Kind::kNone ||
+                 !std::isfinite(value.real())) {
+        out += "null";
       } else {
-        out += row[i];
+        append_number(out, column.format, value);
       }
-    }
+    });
     out += "}\n";
   }
   return out;

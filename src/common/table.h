@@ -1,32 +1,120 @@
-// One row model for every tabular output: a header, a kind per column and
-// rows of already-formatted cells. The same table renders as aligned ASCII
-// (the paper's tables in the bench harnesses), an HTML <table>, CSV or
-// JSONL, so sibling exports cannot drift apart.
+// One row model for every tabular output: typed columns and rows of values.
+// A column has a name and a Format (text, integer, fixed or general), and
+// for the terminal layout an alignment and a width. Every cell is written by
+// its column through one formatter, append_value: integers by to_chars,
+// reals by append_double (printf's bytes without printf). The same table
+// renders as aligned text (the paper's tables in the bench harnesses, the
+// fixed-width pop and chaos reports), an HTML <table>, CSV or JSONL, so
+// sibling exports cannot drift apart.
 #pragma once
 
+#include <concepts>
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace vodx {
 
+/// How a column turns its values into text.
+struct Format {
+  enum class Type : std::uint8_t { kText, kInteger, kFixed, kGeneral };
+  Type type = Type::kText;
+  /// kFixed: decimals (printf "%.<digits>f"); kGeneral: significant digits
+  /// ("%.<digits>g").
+  int digits = 0;
+  /// A unit written after every number in text, CSV and HTML ("%", " s");
+  /// JSONL writes the bare number.
+  const char* suffix = "";
+
+  static constexpr Format text() { return {}; }
+  static constexpr Format integer() { return {Type::kInteger}; }
+  static constexpr Format fixed(int decimals, const char* suffix = "") {
+    return {Type::kFixed, decimals, suffix};
+  }
+  static constexpr Format general(int digits) {
+    return {Type::kGeneral, digits};
+  }
+};
+
+/// One value of a row: text, an integer, a real, or none ("-" in text, CSV
+/// and HTML; null in JSONL). Text is viewed, not copied: a Table copies it
+/// when the value is added.
+class Value {
+ public:
+  enum class Kind : std::uint8_t { kNone, kText, kInt, kUint, kReal };
+
+  Value(std::string_view text) : kind_(Kind::kText), text_(text) {}
+  Value(const char* text) : Value(std::string_view(text)) {}
+  Value(const std::string& text) : Value(std::string_view(text)) {}
+  template <std::signed_integral T>
+  Value(T value) : kind_(Kind::kInt), int_(value) {}
+  template <std::unsigned_integral T>
+  Value(T value) : kind_(Kind::kUint), uint_(value) {}
+  Value(double value) : kind_(Kind::kReal), real_(value) {}
+  static Value none() { return Value(); }
+
+  Kind kind() const { return kind_; }
+  std::string_view text() const { return text_; }
+  std::int64_t int_value() const { return int_; }
+  std::uint64_t uint_value() const { return uint_; }
+  /// The value as a real, whichever numeric kind it holds.
+  double real() const {
+    return kind_ == Kind::kReal  ? real_
+           : kind_ == Kind::kInt ? static_cast<double>(int_)
+                                 : static_cast<double>(uint_);
+  }
+
+ private:
+  Value() = default;
+
+  Kind kind_ = Kind::kNone;
+  union {
+    std::int64_t int_;
+    std::uint64_t uint_;
+    double real_ = 0;
+  };
+  std::string_view text_;
+};
+
+/// Appends `value` as a column of `format` writes it in text, CSV and HTML:
+/// text verbatim, "-" for none, a number in its format plus the suffix.
+void append_value(std::string& out, const Format& format, const Value& value);
+
 class Table {
  public:
-  /// How jsonl() writes a column's cells: text quoted and escaped, numbers
-  /// verbatim (a number cell must already be a JSON number).
-  enum class Kind { kText, kNumber };
+  enum class Align : std::uint8_t { kLeft, kRight };
 
   Table() = default;
   /// Every column text.
   explicit Table(std::vector<std::string> header);
 
-  /// Appends columns of one kind; only before the first row.
-  void add_columns(std::vector<std::string> names, Kind kind = Kind::kText);
+  /// Appends a column; only before the first value. `align` and `width`
+  /// shape render() alone. The width is printf's field width: a shorter
+  /// value is padded, a longer one written whole. Width 0 fits the column
+  /// to its widest value.
+  Table& add_column(std::string name, Format format = {},
+                    Align align = Align::kLeft, std::size_t width = 0);
 
-  /// Appends a row; must have the same arity as the header.
-  void add_row(std::vector<std::string> cells);
+  /// What render() writes above the rows: the header and a line of dashes
+  /// (the default), the header alone, or nothing.
+  enum class Header : std::uint8_t { kRuled, kPlain, kNone };
 
-  /// Renders with column alignment and a header separator.
+  /// render()'s layout: `gap` spaces between columns (2 by default) and
+  /// what stands above the rows.
+  Table& layout(std::size_t gap, Header header);
+
+  /// Appends the next value of the row being filled. Its kind must suit
+  /// the column: text or none for text, integers or none for integer, any
+  /// number or none for fixed and general.
+  Table& add(const Value& value);
+
+  /// Appends a whole row; must have the same arity as the header.
+  Table& add_row(std::initializer_list<Value> values);
+
+  /// Renders the text layout: the header aligned like its column, each
+  /// value padded to its column's width, no trailing blanks.
   std::string render() const;
 
   /// Convenience: render straight to stdout.
@@ -40,14 +128,45 @@ class Table {
   /// (no padding, no quoting).
   std::string csv() const;
 
-  /// One JSON object per row, keyed by the header in column order. A
+  /// One JSON object per row, keyed by the header in column order: text
+  /// quoted and escaped, numbers bare, none and NaN/inf as null. A
   /// non-empty `type` leads every object as "type":"<type>".
   std::string jsonl(std::string_view type = {}) const;
 
  private:
-  std::vector<std::string> header_;
-  std::vector<Kind> kinds_;
-  std::vector<std::vector<std::string>> rows_;
+  struct Column {
+    std::string name;
+    Format format;
+    Align align;
+    std::size_t width;
+  };
+  /// A stored value: a Value whose text lives in `text_` at [at, at + size).
+  struct Slot {
+    struct Span {
+      std::uint32_t at, size;
+    };
+    union {
+      std::int64_t int_value;
+      std::uint64_t uint_value;
+      double real;
+      Span text;
+    };
+    Value::Kind kind;
+  };
+
+  Value cell(const Slot& slot) const;
+  std::size_t rows() const {
+    return columns_.empty() ? 0 : slots_.size() / columns_.size();
+  }
+  /// Calls fn(column, cell) for each value of row `row`.
+  template <typename Fn>
+  void for_each_cell(std::size_t row, Fn&& fn) const;
+
+  std::vector<Column> columns_;
+  std::vector<Slot> slots_;  ///< row-major
+  std::string text_;         ///< every text value's bytes
+  std::size_t gap_ = 2;
+  Header header_ = Header::kRuled;
 };
 
 }  // namespace vodx

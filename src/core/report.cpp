@@ -1,36 +1,66 @@
 #include "core/report.h"
 
-#include "common/strings.h"
 #include "core/qoe.h"
 
 namespace vodx::core {
 
+const std::vector<QoeColumn>& qoe_columns() {
+  using R = const SessionResult&;
+  static const std::vector<QoeColumn> columns = {
+      {"startup_delay_s", Format::fixed(2),
+       [](R r) { return Value(r.qoe.startup_delay); }},
+      {"stall_count", Format::integer(),
+       [](R r) { return Value(r.qoe.stall_count); }},
+      {"stall_time_s", Format::fixed(2),
+       [](R r) { return Value(r.qoe.total_stall); }},
+      {"avg_declared_bitrate_bps", Format::fixed(0),
+       [](R r) { return Value(r.qoe.average_declared_bitrate); }},
+      {"low_quality_fraction", Format::fixed(4),
+       [](R r) { return Value(r.qoe.low_quality_fraction); }},
+      {"switches", Format::integer(),
+       [](R r) { return Value(r.qoe.switch_count); }},
+      {"nonconsecutive_switches", Format::integer(),
+       [](R r) { return Value(r.qoe.nonconsecutive_switch_count); }},
+      {"media_bytes", Format::integer(),
+       [](R r) { return Value(r.qoe.media_bytes); }},
+      {"total_bytes", Format::integer(),
+       [](R r) { return Value(r.qoe.total_bytes); }},
+      {"wasted_bytes", Format::integer(),
+       [](R r) { return Value(r.qoe.wasted_bytes); }},
+      {"qoe_score", Format::fixed(3),
+       [](R r) { return Value(qoe_score(r.qoe, r.session_end)); }},
+  };
+  return columns;
+}
+
 std::string qoe_csv_header() {
-  return "label,startup_delay_s,stall_count,stall_time_s,"
-         "avg_declared_bitrate_bps,low_quality_fraction,switches,"
-         "nonconsecutive_switches,media_bytes,total_bytes,wasted_bytes,"
-         "qoe_score\n";
+  std::string out = "label";
+  for (const QoeColumn& column : qoe_columns()) {
+    out += ',';
+    out += column.name;
+  }
+  return out + '\n';
 }
 
 std::string qoe_csv_row(const std::string& label,
                         const SessionResult& result) {
-  const QoeReport& q = result.qoe;
-  return format("%s,%.2f,%d,%.2f,%.0f,%.4f,%d,%d,%lld,%lld,%lld,%.3f\n",
-                label.c_str(), q.startup_delay, q.stall_count, q.total_stall,
-                q.average_declared_bitrate, q.low_quality_fraction,
-                q.switch_count, q.nonconsecutive_switch_count,
-                static_cast<long long>(q.media_bytes),
-                static_cast<long long>(q.total_bytes),
-                static_cast<long long>(q.wasted_bytes),
-                qoe_score(q, result.session_end));
+  std::string out = label;
+  for (const QoeColumn& column : qoe_columns()) {
+    out += ',';
+    append_value(out, column.format, column.value(result));
+  }
+  return out + '\n';
 }
 
 std::string buffer_csv(const SessionResult& result) {
-  std::string out = "wall_s,video_buffer_s,audio_buffer_s\n";
+  Table table;
+  table.add_column("wall_s", Format::fixed(0));
+  table.add_column("video_buffer_s", Format::fixed(2));
+  table.add_column("audio_buffer_s", Format::fixed(2));
   for (const BufferSample& s : result.buffer) {
-    out += format("%.0f,%.2f,%.2f\n", s.wall, s.video_buffer, s.audio_buffer);
+    table.add_row({s.wall, s.video_buffer, s.audio_buffer});
   }
-  return out;
+  return table.csv();
 }
 
 }  // namespace vodx::core

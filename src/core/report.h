@@ -2,10 +2,25 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
+#include "common/table.h"
 #include "core/session.h"
 
 namespace vodx::core {
+
+/// One QoE column of a session export: its CSV header and JSONL key, its
+/// format, and its value in a session's result.
+struct QoeColumn {
+  const char* name;
+  Format format;
+  Value (*value)(const SessionResult& result);
+};
+
+/// The session QoE columns in export order, each an integer or fixed
+/// format. qoe_csv_header/qoe_csv_row, batch::sweep_csv and the ok cells of
+/// batch::sweep_jsonl all read this one list.
+const std::vector<QoeColumn>& qoe_columns();
 
 /// One-line CSV header matching qoe_csv_row().
 std::string qoe_csv_header();

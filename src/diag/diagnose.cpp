@@ -524,36 +524,36 @@ std::string diagnosis_text(const Diagnosis& diagnosis) {
         static_cast<unsigned long long>(diagnosis.trace_dropped)));
   }
 
-  Table spans({"interval", "window", "cause", "seconds", "conf", "evidence"});
+  Table spans({"interval", "window", "cause"});
+  spans.add_column("seconds", Format::fixed(2));
+  spans.add_column("conf", Format::fixed(2)).add_column("evidence");
   int stall_index = 0;
   for (const IntervalDiagnosis& interval : diagnosis.intervals) {
     const std::string label =
         interval.startup ? "startup" : format("stall %d", ++stall_index);
     for (const BlameSpan& span : interval.spans) {
-      spans.add_row({label,
-                     format("[%.2f, %.2f)", span.start, span.end),
-                     to_string(span.cause),
-                     format("%.2f", span.duration()),
-                     span.cause == Cause::kUnknown
-                         ? "-"
-                         : format("%.2f", span.confidence),
-                     span.note.empty() ? "-" : span.note});
+      spans.add_row({label, format("[%.2f, %.2f)", span.start, span.end),
+                     to_string(span.cause), span.duration(),
+                     span.cause == Cause::kUnknown ? Value::none()
+                                                   : Value(span.confidence),
+                     span.note.empty() ? Value::none() : Value(span.note)});
     }
   }
   report.line("").section("", std::move(spans));
 
-  Table totals({"cause", "total_s", "stall_s", "share", "conf"});
+  Table totals({"cause"});
+  totals.add_column("total_s", Format::fixed(2));
+  totals.add_column("stall_s", Format::fixed(2));
+  totals.add_column("share", Format::fixed(1, "%"));
+  totals.add_column("conf", Format::fixed(2));
   const Seconds problem = diagnosis.problem_s();
   for (Cause cause : all_causes()) {
     const int c = static_cast<int>(cause);
+    const double blamed = diagnosis.blamed_s[c];
     totals.add_row(
-        {to_string(cause), format("%.2f", diagnosis.blamed_s[c]),
-         format("%.2f", diagnosis.stall_blamed_s[c]),
-         problem > 0
-             ? format("%.1f%%", 100 * diagnosis.blamed_s[c] / problem)
-             : "-",
-         diagnosis.blamed_s[c] > 0 ? format("%.2f", diagnosis.confidence[c])
-                                   : "-"});
+        {to_string(cause), blamed, diagnosis.stall_blamed_s[c],
+         problem > 0 ? Value(100 * blamed / problem) : Value::none(),
+         blamed > 0 ? Value(diagnosis.confidence[c]) : Value::none()});
   }
   report.line("").section("", std::move(totals));
   return report.text();

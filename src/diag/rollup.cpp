@@ -30,34 +30,36 @@ std::vector<Dimension> dimensions(const SweepDiagnosis& diagnosis) {
           {"root causes by fault", "diag.fault", &diagnosis.by_fault}};
 }
 
-std::vector<std::string> diag_header() {
-  std::vector<std::string> header = {"key", "cells", "problem_s", "stall_s",
-                                     "attributed", "conf"};
+/// The rollup table's columns: cells, problem and stall time, the share
+/// attributed, the mean confidence, then seconds blamed per cause.
+Table diag_table() {
+  Table table({"key"});
+  table.add_column("cells", Format::integer());
+  table.add_column("problem_s", Format::fixed(2));
+  table.add_column("stall_s", Format::fixed(2));
+  table.add_column("attributed", Format::fixed(1, "%"));
+  table.add_column("conf", Format::fixed(2));
   for (Cause cause : all_causes()) {
-    header.push_back(short_label(cause));
+    table.add_column(short_label(cause), Format::fixed(2));
   }
-  return header;
+  return table;
 }
 
-std::vector<std::string> diag_row(const DiagRollup& rollup) {
-  std::vector<std::string> row = {
-      rollup.key,
-      std::to_string(rollup.cells),
-      format("%.2f", rollup.problem_s),
-      format("%.2f", rollup.stall_s),
-      format("%.1f%%", 100 * rollup.attributed_fraction()),
-      rollup.mean_confidence() > 0 ? format("%.2f", rollup.mean_confidence())
-                                   : "-"};
+/// Appends one rollup's row; a confidence or blame of zero shows as "-".
+void add_diag_row(Table& table, const DiagRollup& rollup) {
+  const double conf = rollup.mean_confidence();
+  table.add(rollup.key).add(rollup.cells).add(rollup.problem_s);
+  table.add(rollup.stall_s).add(100 * rollup.attributed_fraction());
+  table.add(conf > 0 ? Value(conf) : Value::none());
   for (Cause cause : all_causes()) {
     const double s = rollup.blamed_s[static_cast<int>(cause)];
-    row.push_back(s > 0 ? format("%.2f", s) : "-");
+    table.add(s > 0 ? Value(s) : Value::none());
   }
-  return row;
 }
 
 Table dimension_table(const Dimension& dim) {
-  Table table(diag_header());
-  for (const DiagRollup& rollup : *dim.rollups) table.add_row(diag_row(rollup));
+  Table table = diag_table();
+  for (const DiagRollup& rollup : *dim.rollups) add_diag_row(table, rollup);
   return table;
 }
 
@@ -162,8 +164,8 @@ Report diag_report(const SweepDiagnosis& diagnosis) {
         "WARNING: trace rings dropped %llu events — attribution is partial",
         static_cast<unsigned long long>(o.trace_dropped)));
   }
-  Table overall(diag_header());
-  overall.add_row(diag_row(o));
+  Table overall = diag_table();
+  add_diag_row(overall, o);
   report.section("overall root causes", std::move(overall));
   for (const Dimension& dim : dimensions(diagnosis)) {
     report.section(dim.title, dimension_table(dim));
@@ -188,24 +190,24 @@ std::string diag_jsonl(const SweepDiagnosis& diagnosis) {
   std::string out;
   JsonWriter w(out);
   w.begin_object().key("scope").string("diag");
-  w.key("cells").raw(std::to_string(diagnosis.total_cells));
-  w.key("failed").raw(std::to_string(diagnosis.failed));
-  w.key("problem_s").raw(format("%.3f", o.problem_s));
-  w.key("stall_s").raw(format("%.3f", o.stall_s));
-  w.key("attributed").raw(format("%.4f", o.attributed_fraction()));
-  w.key("stall_attributed").raw(format("%.4f", o.stall_attributed_fraction()));
+  w.key("cells").integer(diagnosis.total_cells);
+  w.key("failed").integer(diagnosis.failed);
+  w.key("problem_s").fixed(o.problem_s, 3);
+  w.key("stall_s").fixed(o.stall_s, 3);
+  w.key("attributed").fixed(o.attributed_fraction(), 4);
+  w.key("stall_attributed").fixed(o.stall_attributed_fraction(), 4);
   w.end_object();
   out += '\n';
   auto emit = [&](const char* scope, const DiagRollup& rollup) {
     w.begin_object().key("scope").string(scope).key("key").string(rollup.key);
-    w.key("cells").raw(std::to_string(rollup.cells));
-    w.key("problem_s").raw(format("%.3f", rollup.problem_s));
-    w.key("stall_s").raw(format("%.3f", rollup.stall_s));
-    w.key("attributed").raw(format("%.4f", rollup.attributed_fraction()));
+    w.key("cells").integer(rollup.cells);
+    w.key("problem_s").fixed(rollup.problem_s, 3);
+    w.key("stall_s").fixed(rollup.stall_s, 3);
+    w.key("attributed").fixed(rollup.attributed_fraction(), 4);
     w.key("causes").begin_object();
     for (Cause cause : all_causes()) {
       w.key(to_string(cause))
-          .raw(format("%.3f", rollup.blamed_s[static_cast<int>(cause)]));
+          .fixed(rollup.blamed_s[static_cast<int>(cause)], 3);
     }
     w.end_object().end_object();
     out += '\n';

@@ -153,14 +153,15 @@ ValidationReport validate(Seconds duration) {
 
 std::string validation_text(const ValidationReport& report,
                             double threshold) {
-  Table table({"scenario", "cells", "truth_s", "fault_blamed_s", "precision",
-               "recall"});
+  Table table({"scenario"});
+  table.add_column("cells", Format::integer());
+  table.add_column("truth_s", Format::fixed(2));
+  table.add_column("fault_blamed_s", Format::fixed(2));
+  table.add_column("precision", Format::fixed(3));
+  table.add_column("recall", Format::fixed(3));
   for (const ScenarioScore& score : report.scores) {
-    table.add_row({score.scenario, std::to_string(score.cells),
-                   format("%.2f", score.truth_s),
-                   format("%.2f", score.blamed_s),
-                   format("%.3f", score.precision()),
-                   format("%.3f", score.recall())});
+    table.add_row({score.scenario, score.cells, score.truth_s,
+                   score.blamed_s, score.precision(), score.recall()});
   }
   return Report()
       .line("fault-attribution validation (per catalog scenario):")

@@ -23,12 +23,6 @@ void append_components(std::string& out, std::string_view path) {
 
 }  // namespace
 
-std::string uri_directory(std::string_view url) {
-  std::size_t slash = url.rfind('/');
-  if (slash == std::string_view::npos) return "/";
-  return std::string(url.substr(0, slash + 1));
-}
-
 std::string uri_resolve(std::string_view base_url, std::string_view reference) {
   // A relative reference joins the base's directory, which ends in '/', so
   // the two are walked one after the other without building the join.

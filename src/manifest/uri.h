@@ -10,9 +10,6 @@
 
 namespace vodx::manifest {
 
-/// Directory of a URL path: "/a/b/c.m3u8" -> "/a/b/".
-std::string uri_directory(std::string_view url);
-
 /// Resolves `reference` against `base_url`. Absolute references (leading '/')
 /// are returned as-is; relative ones are joined to the base's directory.
 /// "." and ".." path components are normalised.

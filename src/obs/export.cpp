@@ -42,10 +42,10 @@ void write_jsonl(const TraceSink& sink, std::ostream& out) {
   sink.for_each([&](const Event& event) {
     line.clear();
     w.begin_object().key("t").number(event.sim_time);
-    w.key("seq").raw(std::to_string(event.seq));
+    w.key("seq").integer(event.seq);
     w.key("cat").string(to_string(event.category));
     w.key("kind").string(kind_name(event.kind)).key("name").string(event.name);
-    w.key("track").raw(std::to_string(event.track));
+    w.key("track").integer(event.track);
     write_fields(event, w);
     w.end_object();
     out << line << '\n';
@@ -53,9 +53,9 @@ void write_jsonl(const TraceSink& sink, std::ostream& out) {
   line.clear();
   w.begin_object().key("kind").string("summary");
   w.key("name").string("obs.dropped");
-  w.key("emitted").raw(std::to_string(sink.emitted()));
-  w.key("dropped").raw(std::to_string(sink.dropped()));
-  w.key("retained").raw(std::to_string(sink.size())).end_object();
+  w.key("emitted").integer(sink.emitted());
+  w.key("dropped").integer(sink.dropped());
+  w.key("retained").integer(sink.size()).end_object();
   out << line << '\n';
 }
 
@@ -67,7 +67,7 @@ void write_chrome_trace(const TraceSink& sink, std::ostream& out) {
   // Opens a metadata event on thread `tid` and its "args" object.
   auto metadata = [&w](const char* name, std::size_t tid) -> JsonWriter& {
     w.begin_object().key("name").string(name).key("ph").string("M");
-    w.key("pid").raw("1").key("tid").raw(std::to_string(tid));
+    w.key("pid").integer(1).key("tid").integer(tid);
     return w.key("args").begin_object();
   };
   metadata("process_name", 0).key("name").string("vodx session");
@@ -77,7 +77,7 @@ void write_chrome_trace(const TraceSink& sink, std::ostream& out) {
     metadata("thread_name", i).key("name").string(tracks[i]);
     w.end_object().end_object();
     // Keep Perfetto's track order equal to registration order.
-    metadata("thread_sort_index", i).key("sort_index").raw(std::to_string(i));
+    metadata("thread_sort_index", i).key("sort_index").integer(i);
     w.end_object().end_object();
   }
   out << json;
@@ -87,8 +87,8 @@ void write_chrome_trace(const TraceSink& sink, std::ostream& out) {
     w.begin_object().key("name").string(event.name);
     w.key("cat").string(to_string(event.category));
     w.key("ph").string(chrome_phase(event.kind));
-    w.key("ts").raw(format("%.3f", event.sim_time * 1e6));
-    w.key("pid").raw("1").key("tid").raw(std::to_string(event.track));
+    w.key("ts").fixed(event.sim_time * 1e6, 3);
+    w.key("pid").integer(1).key("tid").integer(event.track);
     if (event.kind == EventKind::kInstant) w.key("s").string("t");
     w.key("args").begin_object();
     write_fields(event, w);
@@ -99,33 +99,33 @@ void write_chrome_trace(const TraceSink& sink, std::ostream& out) {
   json.clear();
   w.end_array().key("displayTimeUnit").string("ms");
   w.key("otherData").begin_object();
-  w.key("emitted").raw(std::to_string(sink.emitted()));
-  w.key("dropped").raw(std::to_string(sink.dropped()));
+  w.key("emitted").integer(sink.emitted());
+  w.key("dropped").integer(sink.dropped());
   w.end_object().end_object();
   out << json << '\n';
 }
 
 Table metrics_table(const MetricsSnapshot& snapshot) {
-  Table table({"metric", "type", "count", "value", "mean", "p50", "p90",
-               "p99", "max"});
+  Table table({"metric", "type"});
+  table.add_column("count", Format::integer());
+  for (const char* name : {"value", "mean", "p50", "p90", "p99", "max"}) {
+    table.add_column(name, Format::fixed(3));
+  }
+  const Value none = Value::none();
   for (const MetricsSnapshot::Entry& entry : snapshot.entries) {
     switch (entry.type) {
       case MetricsSnapshot::Type::kCounter:
-        table.add_row({entry.name, "counter",
-                       format("%lld", static_cast<long long>(entry.count)),
-                       "-", "-", "-", "-", "-", "-"});
+        table.add_row({entry.name, "counter", entry.count, none, none, none,
+                       none, none, none});
         break;
       case MetricsSnapshot::Type::kGauge:
-        table.add_row({entry.name, "gauge", "-", format("%.3f", entry.value),
-                       "-", "-", "-", "-", "-"});
+        table.add_row({entry.name, "gauge", none, entry.value, none, none,
+                       none, none, none});
         break;
       case MetricsSnapshot::Type::kHistogram:
-        table.add_row({entry.name, "histogram",
-                       format("%lld", static_cast<long long>(entry.count)),
-                       format("%.3f", entry.value),
-                       format("%.3f", entry.mean), format("%.3f", entry.p50),
-                       format("%.3f", entry.p90), format("%.3f", entry.p99),
-                       format("%.3f", entry.max)});
+        table.add_row({entry.name, "histogram", entry.count, entry.value,
+                       entry.mean, entry.p50, entry.p90, entry.p99,
+                       entry.max});
         break;
     }
   }
@@ -139,39 +139,34 @@ std::string metrics_report(const MetricsSnapshot& snapshot) {
       .text();
 }
 
-std::string metrics_json(const MetricsSnapshot& snapshot) {
-  std::string out;
-  JsonWriter w(out);
+void write_metrics(JsonWriter& w, const MetricsSnapshot& snapshot) {
   w.begin_object().key("sim_time").number(snapshot.sim_time);
   w.key("metrics").begin_object();
   for (const MetricsSnapshot::Entry& entry : snapshot.entries) {
     w.key(entry.name).begin_object();
     switch (entry.type) {
       case MetricsSnapshot::Type::kCounter:
-        w.key("type").string("counter");
-        w.key("count").raw(std::to_string(entry.count));
+        w.key("type").string("counter").key("count").integer(entry.count);
         break;
       case MetricsSnapshot::Type::kGauge:
         w.key("type").string("gauge").key("value").number(entry.value);
         w.key("time").number(entry.time);
         break;
       case MetricsSnapshot::Type::kHistogram:
-        w.key("type").string("histogram");
-        w.key("count").raw(std::to_string(entry.count));
+        w.key("type").string("histogram").key("count").integer(entry.count);
         w.key("sum").number(entry.value).key("min").number(entry.min);
         w.key("mean").number(entry.mean).key("p50").number(entry.p50);
         w.key("p90").number(entry.p90).key("p99").number(entry.p99);
         w.key("max").number(entry.max).key("bounds").begin_array();
         for (const double bound : entry.bounds) w.number(bound);
         w.end_array().key("buckets").begin_array();
-        for (const auto bucket : entry.buckets) w.raw(std::to_string(bucket));
+        for (const auto bucket : entry.buckets) w.integer(bucket);
         w.end_array();
         break;
     }
     w.end_object();
   }
   w.end_object().end_object();
-  return out;
 }
 
 }  // namespace vodx::obs

@@ -38,11 +38,11 @@ Table metrics_table(const MetricsSnapshot& snapshot);
 /// metrics_table plus a sim-time header, rendered to a string.
 std::string metrics_report(const MetricsSnapshot& snapshot);
 
-/// Canonical single-line JSON rendering of a snapshot:
+/// Writes a snapshot as one JSON object into `w`:
 /// {"sim_time":..,"metrics":{"<name>":{"type":..,...},...}} in entry order.
-/// Byte-stable for identical snapshots — the merge/determinism tests and
-/// the sweep report JSONL compare and embed exactly this string.
-std::string metrics_json(const MetricsSnapshot& snapshot);
+/// Byte-stable for identical snapshots: the merge/determinism tests compare
+/// it and the sweep report JSONL embeds it in each cell and rollup line.
+void write_metrics(JsonWriter& w, const MetricsSnapshot& snapshot);
 
 /// The one escaper lives in common/json; exporters spell it obs::json_escape.
 using vodx::json_escape;

@@ -42,8 +42,6 @@ class TraceSink {
 
   /// Per-category mask (plus series bits); defaults to everything.
   void set_category_mask(std::uint32_t mask) { mask_ = mask; }
-  void enable(Category category) { mask_ |= bit(category); }
-  void disable(Category category) { mask_ &= ~bit(category); }
 
   // --- Tracks -------------------------------------------------------------
 

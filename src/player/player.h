@@ -136,9 +136,6 @@ class Player : public net::TickClient {
   const PlayerConfig& config() const { return config_; }
 
   Seconds position() const { return position_; }
-  Seconds video_buffered() const {
-    return video_buffer_.buffered_ahead(position_);
-  }
   const PlaybackBuffer& video_buffer() const { return video_buffer_; }
   Bps bandwidth_estimate() const { return estimator_.estimate(); }
 

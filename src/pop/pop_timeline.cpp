@@ -197,16 +197,15 @@ void for_each_row(const PopulationReport& report,
 /// the union schema; its series order is the canonical column order for
 /// every row, and a series a row lacks exports as 0.
 Table timeline_table(const PopulationReport& report) {
-  constexpr std::chars_format kFixed = std::chars_format::fixed;
-  constexpr std::chars_format kGeneral = std::chars_format::general;
   const std::vector<obs::Timeline::Series>& schema = report.timeline.all();
-  std::vector<std::string> numbers = {"bin", "t_start_s"};
-  for (const obs::Timeline::Series& series : schema) {
-    numbers.push_back(series.name);
-  }
-  numbers.insert(numbers.end(), {"stalled_frac", "utilization"});
   Table table({"tower"});
-  table.add_columns(std::move(numbers), Table::Kind::kNumber);
+  table.add_column("bin", Format::integer());
+  table.add_column("t_start_s", Format::fixed(3));
+  for (const obs::Timeline::Series& series : schema) {
+    table.add_column(series.name, Format::general(6));
+  }
+  table.add_column("stalled_frac", Format::general(6));
+  table.add_column("utilization", Format::general(6));
   for_each_row(report, [&](const std::string& key,
                            const obs::Timeline& timeline) {
     std::vector<int> columns;  // -1: absent
@@ -215,19 +214,11 @@ Table timeline_table(const PopulationReport& report) {
     }
     const DerivedSeries derived = derived_series(timeline);
     for (int bin = 0; bin < timeline.bin_count(); ++bin) {
-      std::vector<std::string> row;
-      row.reserve(schema.size() + 5);
-      row.push_back(key);
-      row.push_back(std::to_string(bin));
-      // About 324k cells per pop pass: to_chars, not printf, renders them.
-      row.push_back(format_double(timeline.bin_start(bin), kFixed, 3));
+      table.add(key).add(bin).add(timeline.bin_start(bin));
       for (const int index : columns) {
-        row.push_back(format_double(
-            index >= 0 ? timeline.value(index, bin) : 0.0, kGeneral, 6));
+        table.add(index >= 0 ? timeline.value(index, bin) : 0.0);
       }
-      row.push_back(format_double(derived.stalled_frac[bin], kGeneral, 6));
-      row.push_back(format_double(derived.utilization[bin], kGeneral, 6));
-      table.add_row(std::move(row));
+      table.add(derived.stalled_frac[bin]).add(derived.utilization[bin]);
     }
   });
   return table;

@@ -91,7 +91,6 @@ class TowerSampler : public net::TickClient {
   /// Closes every still-open bin as of `end` (idempotent).
   void finalize(Seconds end);
 
-  int bins_closed() const { return closed_; }
 
  private:
   void close_bin();

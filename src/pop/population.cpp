@@ -7,6 +7,7 @@
 #include "batch/sweep.h"
 #include "batch/thread_pool.h"
 #include "common/error.h"
+#include "common/report.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/table.h"
@@ -505,64 +506,105 @@ Completion completed_sessions(const PopulationReport& report) {
   return completion;
 }
 
+namespace {
+
+constexpr Table::Align kRight = Table::Align::kRight;
+
+/// Six right-aligned 10-wide "%.2f" columns: p50/p95/p99 of startup, then
+/// of stall time.
+void add_quantile_columns(Table& table) {
+  for (const char* name : {"start_p50", "start_p95", "start_p99", "stall_p50",
+                           "stall_p95", "stall_p99"}) {
+    table.add_column(name, Format::fixed(2), kRight, 10);
+  }
+}
+
+void add_quantiles(Table& table, const QuantileSummary& startup,
+                   const QuantileSummary& stall) {
+  table.add(startup.p50).add(startup.p95).add(startup.p99);
+  table.add(stall.p50).add(stall.p95).add(stall.p99);
+}
+
+}  // namespace
+
 std::string population_text(const PopulationReport& report) {
-  std::string out = format(
-      "population: %zu tower(s), %d session(s), %d never started playback\n",
-      report.towers.size(), report.total_sessions, report.never_started);
-  out +=
-      "tower profile sessions capped  peak   peak_t  start_p50  start_p95  "
-      "start_p99  stall_p50  stall_p95  stall_p99   jain  mean_mbps\n";
+  Report text;
+  text.line(format(
+      "population: %zu tower(s), %d session(s), %d never started playback",
+      report.towers.size(), report.total_sessions, report.never_started));
+  Table towers;
+  towers.layout(1, Table::Header::kPlain);
+  towers.add_column("tower", Format::integer(), kRight, 5)
+      .add_column("profile", Format::integer(), kRight, 7)
+      .add_column("sessions", Format::integer(), kRight, 8)
+      .add_column("capped", Format::integer(), kRight, 6)
+      .add_column("peak", Format::integer(), kRight, 5)
+      .add_column("peak_t", Format::fixed(1), kRight, 8);
+  add_quantile_columns(towers);
+  towers.add_column("jain", Format::fixed(3), kRight, 6)
+      .add_column("mean_mbps", Format::fixed(3), kRight, 10);
   for (std::size_t i = 0; i < report.towers.size(); ++i) {
     const TowerReport& t = report.towers[i];
-    out += format(
-        "%5zu %7d %8d %6d %5d %8.1f %10.2f %10.2f %10.2f %10.2f %10.2f "
-        "%10.2f %6.3f %10.3f\n",
-        i, t.profile_id, t.sessions, t.capped_arrivals, t.peak_concurrent,
-        t.time_of_peak, t.startup.p50, t.startup.p95, t.startup.p99,
-        t.stall.p50, t.stall.p95, t.stall.p99, t.jain, t.mean_mbps);
+    towers.add(i).add(t.profile_id).add(t.sessions).add(t.capped_arrivals);
+    towers.add(t.peak_concurrent).add(t.time_of_peak);
+    add_quantiles(towers, t.startup, t.stall);
+    towers.add(t.jain).add(t.mean_mbps);
   }
+  text.section("", std::move(towers));
   for (std::size_t i = 0; i < report.towers.size(); ++i) {
     const TowerReport& t = report.towers[i];
     if (t.capped_arrivals == 0) continue;
-    out += format(
+    text.line(format(
         "warning: tower %zu dropped %d arrival(s) at the "
-        "max-sessions-per-tower cap; its distributions are censored\n",
-        i, t.capped_arrivals);
+        "max-sessions-per-tower cap; its distributions are censored",
+        i, t.capped_arrivals));
   }
-  out += "service  sessions  start_p50  start_p95  start_p99  stall_p50  "
-         "stall_p95  stall_p99  mean_mbps\n";
+  Table services;
+  services.layout(1, Table::Header::kPlain);
+  services.add_column("service", Format::text(), Table::Align::kLeft, 7)
+      .add_column("sessions", Format::integer(), kRight, 9);
+  add_quantile_columns(services);
+  services.add_column("mean_mbps", Format::fixed(3), kRight, 10);
   for (const ServiceRollup& s : report.by_service) {
     if (s.sessions == 0) continue;
-    out += format(
-        "%-7s %9d %10.2f %10.2f %10.2f %10.2f %10.2f %10.2f %10.3f\n",
-        s.service.c_str(), s.sessions, s.startup.p50, s.startup.p95,
-        s.startup.p99, s.stall.p50, s.stall.p95, s.stall.p99, s.mean_mbps);
+    services.add(s.service).add(s.sessions);
+    add_quantiles(services, s.startup, s.stall);
+    services.add(s.mean_mbps);
   }
-  out += format(
+  text.section("", std::move(services));
+  text.line(format(
       "overall: startup p50/p95/p99 = %.2f/%.2f/%.2f s, "
-      "stall p50/p95/p99 = %.2f/%.2f/%.2f s\n",
+      "stall p50/p95/p99 = %.2f/%.2f/%.2f s",
       report.startup.p50, report.startup.p95, report.startup.p99,
-      report.stall.p50, report.stall.p95, report.stall.p99);
+      report.stall.p50, report.stall.p95, report.stall.p99));
   if (report.diagnosed) {
     const diag::DiagRollup& d = report.diag;
-    out += format(
+    text.line(format(
         "diag: %d session(s) diagnosed, %d skipped (budget); "
-        "stall %.2f s, startup %.2f s, stall attribution %.1f%%\n",
+        "stall %.2f s, startup %.2f s, stall attribution %.1f%%",
         d.cells, report.diag_skipped, d.stall_s, d.startup_s,
-        d.stall_attributed_fraction() * 100.0);
-    out += "cause                 blamed_s    stall_s  stall_share\n";
+        d.stall_attributed_fraction() * 100.0));
+    // This header line is older than the table and sits one column left
+    // of the values under it; it stays as written.
+    text.line("cause                 blamed_s    stall_s  stall_share");
+    Table causes;
+    causes.layout(1, Table::Header::kNone);
+    causes.add_column("cause", Format::text(), Table::Align::kLeft, 22)
+        .add_column("blamed_s", Format::fixed(2), kRight, 8)
+        .add_column("stall_s", Format::fixed(2), kRight, 10)
+        .add_column("stall_share", Format::fixed(3), kRight, 12);
     for (int c = 0; c < diag::kCauseCount; ++c) {
       const double share =
           d.stall_s > 0 ? d.stall_blamed_s[c] / d.stall_s : 0.0;
-      out += format("%-22s %8.2f %10.2f %12.3f\n",
-                    diag::to_string(static_cast<diag::Cause>(c)),
-                    d.blamed_s[c], d.stall_blamed_s[c], share);
+      causes.add_row({diag::to_string(static_cast<diag::Cause>(c)),
+                      d.blamed_s[c], d.stall_blamed_s[c], share});
     }
+    text.section("", std::move(causes));
     if (d.trace_dropped > 0) {
-      out += format(
+      text.line(format(
           "warning: %llu trace event(s) dropped across diagnosed sessions; "
-          "evidence may be incomplete\n",
-          static_cast<unsigned long long>(d.trace_dropped));
+          "evidence may be incomplete",
+          static_cast<unsigned long long>(d.trace_dropped)));
     }
   }
   if (report.origin_enabled) {
@@ -570,102 +612,101 @@ std::string population_text(const PopulationReport& report) {
     const std::int64_t lookups = o.hits + o.misses;
     const double hit_rate =
         lookups > 0 ? static_cast<double>(o.hits) / lookups : 0.0;
-    out += format(
+    text.line(format(
         "origin: %lld hit(s) / %lld miss(es) (%.1f%% hit rate), "
         "%lld expired, %lld coalesced, %lld duplicate fill(s), "
-        "%lld flush(es)\n",
-        static_cast<long long>(o.hits), static_cast<long long>(o.misses),
-        hit_rate * 100.0, static_cast<long long>(o.expired),
-        static_cast<long long>(o.coalesced),
-        static_cast<long long>(o.dup_fills),
-        static_cast<long long>(o.flushes));
-    out += format(
+        "%lld flush(es)",
+        o.hits, o.misses,
+        hit_rate * 100.0, o.expired,
+        o.coalesced,
+        o.dup_fills,
+        o.flushes));
+    text.line(format(
         "origin failover: %lld retry(ies), %lld breaker trip(s), "
-        "%lld probe(s), %lld served by secondary, %lld error(s)\n",
-        static_cast<long long>(o.retries), static_cast<long long>(o.trips),
-        static_cast<long long>(o.probes),
-        static_cast<long long>(o.secondary),
-        static_cast<long long>(o.errors));
+        "%lld probe(s), %lld served by secondary, %lld error(s)",
+        o.retries, o.trips,
+        o.probes,
+        o.secondary,
+        o.errors));
     if (o.consistency_failures > 0) {
-      out += format(
+      text.line(format(
           "warning: %lld cache-consistency failure(s) — cached bytes "
-          "diverged from the origin copy\n",
-          static_cast<long long>(o.consistency_failures));
+          "diverged from the origin copy",
+          o.consistency_failures));
     }
   }
-  return out;
+  return text.text();
 }
 
 namespace {
 
 /// One row per tower: the union of the tower CSV and the JSONL tower line.
 Table tower_table(const PopulationReport& report) {
-  std::vector<std::string> columns = {
-      "tower", "profile", "sessions", "capped_arrivals", "peak_concurrent",
-      "time_of_peak_s", "startup_p50", "startup_p95", "startup_p99",
-      "stall_p50", "stall_p95", "stall_p99", "jain", "mean_mbps"};
+  Table table;
+  for (const char* name : {"tower", "profile", "sessions", "capped_arrivals",
+                           "peak_concurrent"}) {
+    table.add_column(name, Format::integer());
+  }
+  for (const char* name : {"time_of_peak_s", "startup_p50", "startup_p95",
+                           "startup_p99", "stall_p50", "stall_p95",
+                           "stall_p99"}) {
+    table.add_column(name, Format::fixed(3));
+  }
+  table.add_column("jain", Format::fixed(4));
+  table.add_column("mean_mbps", Format::fixed(4));
   if (report.diagnosed) {
-    columns.insert(columns.end(), {"sessions_diagnosed", "sessions_skipped",
-                                   "stall_attributed_frac"});
+    table.add_column("sessions_diagnosed", Format::integer());
+    table.add_column("sessions_skipped", Format::integer());
+    table.add_column("stall_attributed_frac", Format::fixed(4));
     for (int c = 0; c < diag::kCauseCount; ++c) {
-      columns.push_back(std::string("stall_s_") +
-                        diag::to_string(static_cast<diag::Cause>(c)));
+      table.add_column(std::string("stall_s_") +
+                            diag::to_string(static_cast<diag::Cause>(c)),
+                        Format::fixed(3));
     }
   }
-  columns.insert(columns.end(),
-                 {"ticks_covered", "ticks_executed", "client_ticks",
-                  "client_fast_forwards", "events_fired"});
-  Table table;
-  table.add_columns(std::move(columns), Table::Kind::kNumber);
+  for (const char* name : {"ticks_covered", "ticks_executed", "client_ticks",
+                           "client_fast_forwards", "events_fired"}) {
+    table.add_column(name, Format::integer());
+  }
   for (std::size_t i = 0; i < report.towers.size(); ++i) {
     const TowerReport& t = report.towers[i];
-    std::vector<std::string> row = {
-        std::to_string(i), std::to_string(t.profile_id),
-        std::to_string(t.sessions), std::to_string(t.capped_arrivals),
-        std::to_string(t.peak_concurrent)};
-    for (const double v : {t.time_of_peak, t.startup.p50, t.startup.p95,
-                           t.startup.p99, t.stall.p50, t.stall.p95,
-                           t.stall.p99}) {
-      row.push_back(format("%.3f", v));
-    }
-    row.insert(row.end(), {format("%.4f", t.jain), format("%.4f", t.mean_mbps)});
+    table.add(i).add(t.profile_id).add(t.sessions).add(t.capped_arrivals);
+    table.add(t.peak_concurrent).add(t.time_of_peak);
+    table.add(t.startup.p50).add(t.startup.p95).add(t.startup.p99);
+    table.add(t.stall.p50).add(t.stall.p95).add(t.stall.p99);
+    table.add(t.jain).add(t.mean_mbps);
     if (report.diagnosed) {
-      row.insert(row.end(), {std::to_string(t.diag.cells),
-                             std::to_string(t.diag_skipped),
-                             format("%.4f", t.diag.stall_attributed_fraction())});
-      for (const double blamed : t.diag.stall_blamed_s) {
-        row.push_back(format("%.3f", blamed));
-      }
+      table.add(t.diag.cells).add(t.diag_skipped);
+      table.add(t.diag.stall_attributed_fraction());
+      for (const double blamed : t.diag.stall_blamed_s) table.add(blamed);
     }
-    for (const std::uint64_t n :
-         {t.sim.ticks_covered, t.sim.ticks_executed, t.sim.client_ticks,
-          t.sim.fast_forwards, t.sim.events_fired}) {
-      row.push_back(std::to_string(n));
-    }
-    table.add_row(std::move(row));
+    table.add(t.sim.ticks_covered).add(t.sim.ticks_executed);
+    table.add(t.sim.client_ticks).add(t.sim.fast_forwards);
+    table.add(t.sim.events_fired);
   }
   return table;
 }
 
 /// One row per session, tower-index then arrival order.
 Table session_table(const PopulationReport& report) {
-  using Kind = Table::Kind;
   Table table;
-  table.add_columns({"tower", "profile", "ordinal"}, Kind::kNumber);
-  table.add_columns({"service"});
-  table.add_columns({"arrival_s", "departure_s", "startup_delay_s",
-                     "stall_time_s", "stall_count", "total_bytes", "mbps"},
-                    Kind::kNumber);
-  table.add_columns({"final_state"});
+  for (const char* name : {"tower", "profile", "ordinal"}) {
+    table.add_column(name, Format::integer());
+  }
+  table.add_column("service");
+  for (const char* name :
+       {"arrival_s", "departure_s", "startup_delay_s", "stall_time_s"}) {
+    table.add_column(name, Format::fixed(3));
+  }
+  table.add_column("stall_count", Format::integer());
+  table.add_column("total_bytes", Format::integer());
+  table.add_column("mbps", Format::fixed(4));
+  table.add_column("final_state");
   for (const TowerReport& tower : report.towers) {
     for (const SessionOutcome& s : tower.outcomes) {
-      table.add_row({std::to_string(s.tower), std::to_string(tower.profile_id),
-                     std::to_string(s.ordinal), s.service,
-                     format("%.3f", s.arrival), format("%.3f", s.departure),
-                     format("%.3f", s.startup_delay), format("%.3f", s.stall_time),
-                     std::to_string(s.stall_count),
-                     std::to_string(s.total_bytes), format("%.4f", s.mbps),
-                     s.final_state});
+      table.add_row({s.tower, tower.profile_id, s.ordinal, s.service,
+                     s.arrival, s.departure, s.startup_delay, s.stall_time,
+                     s.stall_count, s.total_bytes, s.mbps, s.final_state});
     }
   }
   return table;

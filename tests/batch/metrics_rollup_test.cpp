@@ -8,6 +8,7 @@
 #include "batch/sweep.h"
 #include "obs/export.h"
 #include "services/service_catalog.h"
+#include "testing/metrics_json.h"
 
 namespace vodx::batch {
 namespace {
@@ -28,7 +29,7 @@ TEST(MetricsRollup, AggregateIsByteIdenticalAcrossJobCounts) {
   ASSERT_EQ(r1.failed, 0);
   ASSERT_EQ(r1.cells.size(), 36u);
   const SweepMetrics m1 = aggregate_metrics(r1);
-  const std::string merged1 = obs::metrics_json(m1.overall.metrics);
+  const std::string merged1 = testing::metrics_json(m1.overall.metrics);
   const std::string text1 = report_text(m1);
   const std::string jsonl1 = report_jsonl(r1, m1);
 
@@ -36,7 +37,7 @@ TEST(MetricsRollup, AggregateIsByteIdenticalAcrossJobCounts) {
     const SweepResult rn = run_sweep(grid(jobs));
     ASSERT_EQ(rn.failed, 0);
     const SweepMetrics mn = aggregate_metrics(rn);
-    EXPECT_EQ(obs::metrics_json(mn.overall.metrics), merged1)
+    EXPECT_EQ(testing::metrics_json(mn.overall.metrics), merged1)
         << "merged snapshot differs at jobs=" << jobs;
     EXPECT_EQ(report_text(mn), text1) << "text report differs at jobs=" << jobs;
     EXPECT_EQ(report_jsonl(rn, mn), jsonl1)

@@ -21,6 +21,12 @@ std::string printf_double(const char* conversion, int precision,
   return buffer;
 }
 
+std::string appended(double value, std::chars_format style, int precision) {
+  std::string out;
+  append_double(out, value, style, precision);
+  return out;
+}
+
 TEST(FormatDouble, MatchesPrintfGeneralAndFixed) {
   std::vector<double> values = {
       0.0,
@@ -55,10 +61,10 @@ TEST(FormatDouble, MatchesPrintfGeneralAndFixed) {
   }
   for (const double v : values) {
     for (const int precision : {0, 1, 3, 4, 6, 10, 17}) {
-      ASSERT_EQ(format_double(v, std::chars_format::general, precision),
+      ASSERT_EQ(appended(v, std::chars_format::general, precision),
                 printf_double("g", precision, v))
           << "value " << v << " precision " << precision;
-      ASSERT_EQ(format_double(v, std::chars_format::fixed, precision),
+      ASSERT_EQ(appended(v, std::chars_format::fixed, precision),
                 printf_double("f", precision, v))
           << "value " << v << " precision " << precision;
     }

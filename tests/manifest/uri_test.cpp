@@ -11,6 +11,13 @@
 namespace vodx::manifest {
 namespace {
 
+/// Directory of a URL path: "/a/b/c.m3u8" -> "/a/b/".
+std::string directory(std::string_view url) {
+  const std::size_t slash = url.rfind('/');
+  if (slash == std::string_view::npos) return "/";
+  return std::string(url.substr(0, slash + 1));
+}
+
 /// The split-based resolver uri_resolve replaced, kept as the reference
 /// the allocation-free walk must agree with on every input.
 std::string reference_resolve(std::string_view base_url,
@@ -19,7 +26,7 @@ std::string reference_resolve(std::string_view base_url,
   if (!reference.empty() && reference.front() == '/') {
     joined = std::string(reference);
   } else {
-    joined = uri_directory(base_url) + std::string(reference);
+    joined = directory(base_url) + std::string(reference);
   }
   std::vector<std::string> parts;
   for (const std::string& part : split(joined, '/')) {
@@ -33,12 +40,6 @@ std::string reference_resolve(std::string_view base_url,
   std::string out;
   for (const std::string& part : parts) out += "/" + part;
   return out.empty() ? "/" : out;
-}
-
-TEST(Uri, DirectoryOfPath) {
-  EXPECT_EQ(uri_directory("/a/b/c.m3u8"), "/a/b/");
-  EXPECT_EQ(uri_directory("/master.m3u8"), "/");
-  EXPECT_EQ(uri_directory("noslash"), "/");
 }
 
 TEST(Uri, ResolveRelative) {

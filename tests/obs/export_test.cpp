@@ -1,5 +1,5 @@
 // Exporter edge cases: JSON escaping of hostile strings, the JSONL
-// dropped-event summary line, and the canonical metrics_json rendering.
+// dropped-event summary line, and the canonical write_metrics rendering.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -7,12 +7,14 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
+#include "testing/metrics_json.h"
 #include "testing/merge.h"
 
 namespace vodx::obs {
 namespace {
 
 using vodx::testing::merge;
+using vodx::testing::metrics_json;
 
 TEST(JsonEscape, EmbeddedNulSurvivesAsUnicodeEscape) {
   const std::string with_nul("a\0b", 3);

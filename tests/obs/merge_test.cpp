@@ -7,12 +7,14 @@
 #include "common/error.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "testing/metrics_json.h"
 #include "testing/merge.h"
 
 namespace vodx::obs {
 namespace {
 
 using vodx::testing::merge;
+using vodx::testing::metrics_json;
 
 MetricsSnapshot snap_a() {
   MetricsRegistry r;

@@ -70,9 +70,8 @@ TEST(TraceSink, CategoryMaskGatesEnabledCheck) {
   EXPECT_FALSE(sink.enabled(Category::kTcp));
   EXPECT_FALSE(sink.enabled(Category::kSim));
 
-  sink.enable(Category::kTcp);
+  sink.set_category_mask(bit(Category::kAbr) | bit(Category::kTcp));
   EXPECT_TRUE(sink.enabled(Category::kTcp));
-  sink.disable(Category::kPlayer);
   EXPECT_FALSE(sink.enabled(Category::kPlayer));
 
   // The master switch overrides the mask entirely.
@@ -110,7 +109,7 @@ TEST(TraceSink, ScopedSpanEmitsBeginAndEndAtClockTime) {
 
 TEST(TraceSink, ScopedSpanInactiveWhenDisabled) {
   TraceSink sink;
-  sink.disable(Category::kHttp);
+  sink.set_category_mask(kAllCategories & ~bit(Category::kHttp));
   { ScopedSpan span(&sink, Category::kHttp, "http.request", 0, 1.0); }
   { ScopedSpan span(nullptr, Category::kHttp, "http.request", 0, 1.0); }
   EXPECT_EQ(sink.size(), 0u);
@@ -175,7 +174,7 @@ TEST(Export, JsonEscapeHandlesControlCharacters) {
 TEST(Observer, TraceOnHelperChecksSinkAndCategory) {
   Observer observer;
   EXPECT_TRUE(trace_on(&observer, Category::kPlayer));
-  observer.trace.disable(Category::kPlayer);
+  observer.trace.set_category_mask(kAllCategories & ~bit(Category::kPlayer));
   EXPECT_FALSE(trace_on(&observer, Category::kPlayer));
   EXPECT_FALSE(trace_on(nullptr, Category::kTcp));
 }

@@ -153,7 +153,8 @@ TEST(Player, PauseResumeCyclesRespectThresholds) {
   bool saw_resume_region = false;
   for (int step = 0; step < 2000; ++step) {
     h.sim.run_for(0.1);
-    const double buffered = h.player.video_buffered();
+    const double buffered =
+        h.player.video_buffer().buffered_ahead(h.player.position());
     max_buffer = std::max(max_buffer, buffered);
     if (h.player.state() == PlayerState::kPlaying && buffered > 0 &&
         buffered < 13) {

@@ -224,11 +224,15 @@ TEST(PopulationTimeline, SamplerForcesExactlyOneTickPerBin) {
   net::Simulator sim(0.01);
   net::Link link(sim, trace);
   obs::Timeline timeline = make_tower_timeline(10, 60, false);
-  TowerSampler sampler(timeline, link, [] { return LiveSample{}; });
+  int samples = 0;
+  TowerSampler sampler(timeline, link, [&samples] {
+    ++samples;
+    return LiveSample{};
+  });
   sim.add_tick_client(&sampler);
   sim.run_until(60);
   sampler.finalize(60);
-  EXPECT_EQ(sampler.bins_closed(), 6);
+  EXPECT_EQ(samples, 6);
   EXPECT_EQ(sim.ticks_executed(), 6u);
   EXPECT_EQ(sim.ticks_covered(), 6000u);
 }

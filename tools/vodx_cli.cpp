@@ -154,8 +154,12 @@ int usage() {
 }
 
 int cmd_list() {
-  Table table({"service", "protocol", "tracks", "segdur", "audio",
-               "startup", "pausing/resuming", "notes"});
+  Table table({"service", "protocol"});
+  table.add_column("tracks", Format::integer());
+  table.add_column("segdur", Format::fixed(0, " s"));
+  for (const char* name : {"audio", "startup", "pausing/resuming", "notes"}) {
+    table.add_column(name);
+  }
   for (const services::ServiceSpec& s : services::catalog()) {
     std::string notes;
     if (s.player.sr != player::SrPolicy::kNone) notes += "SR ";
@@ -163,15 +167,13 @@ int cmd_list() {
     if (s.encrypt_manifest) notes += "encrypted-mpd ";
     if (s.player.split_segment_downloads) notes += "split-dl ";
     if (!s.player.persistent_connections) notes += "non-persistent ";
-    table.add_row({s.name, to_string(s.protocol),
-                   std::to_string(s.video_ladder.size()),
-                   format("%.0f s", s.segment_duration),
-                   s.separate_audio ? "separate" : "muxed",
+    table.add_row({s.name, to_string(s.protocol), s.video_ladder.size(),
+                   s.segment_duration, s.separate_audio ? "separate" : "muxed",
                    format("%.0f s @%.2f M", s.player.startup_buffer,
                           s.player.startup_bitrate / 1e6),
                    format("%.0f/%.0f s", s.player.pausing_threshold,
                           s.player.resuming_threshold),
-                   notes.empty() ? "-" : notes});
+                   notes.empty() ? Value::none() : Value(notes)});
   }
   table.print();
   return 0;
@@ -521,27 +523,30 @@ int run_grid(batch::SweepConfig& config, const GridFlags& flags,
   if (print_table) {
     // Per-cell resilience summary in grid order — byte-identical for every
     // --jobs value (the grid order never depends on scheduling).
-    Table table({"service", "fault", "state", "startup", "stalls", "stall_s",
-                 "rej", "err", "rst", "lat", "qoe"});
+    Table table({"service", "fault", "state"});
+    table.add_column("startup", Format::fixed(1));
+    table.add_column("stalls", Format::integer());
+    table.add_column("stall_s", Format::fixed(1));
+    for (const char* name : {"rej", "err", "rst", "lat"}) {
+      table.add_column(name, Format::integer());
+    }
+    table.add_column("qoe", Format::fixed(2));
     for (const batch::CellResult& cell : result.cells) {
       if (!cell.ok) {
         // Quarantined cells surface as explicit rows, never silently
         // dropped from the grid summary.
-        table.add_row({cell.service, cell.fault,
-                       cell.quarantined ? "QUARANTINED" : "FAILED", "-", "-",
-                       "-", "-", "-", "-", "-", "-"});
+        table.add(cell.service).add(cell.fault);
+        table.add(cell.quarantined ? "QUARANTINED" : "FAILED");
+        for (int i = 0; i < 8; ++i) table.add(Value::none());
         continue;
       }
       const core::QoeReport& q = cell.result.qoe;
       const faults::FaultInjector::Stats& f = cell.result.faults;
-      table.add_row(
-          {cell.service, cell.fault,
-           player::to_string(cell.result.final_state),
-           format("%.1f", q.startup_delay), std::to_string(q.stall_count),
-           format("%.1f", q.total_stall), std::to_string(f.rejected),
-           std::to_string(f.errors), std::to_string(f.resets),
-           std::to_string(f.delayed),
-           format("%.2f", core::qoe_score(q, cell.result.session_end))});
+      table.add_row({cell.service, cell.fault,
+                     player::to_string(cell.result.final_state),
+                     q.startup_delay, q.stall_count, q.total_stall,
+                     f.rejected, f.errors, f.resets, f.delayed,
+                     core::qoe_score(q, cell.result.session_end)});
     }
     table.print();
   }
