@@ -43,9 +43,9 @@ int main() {
 
   auto add = [&](const char* label, services::ServiceSpec spec) {
     FamilyResult r = evaluate(std::move(spec));
-    table.add_row({label, bench::fmt_mbps(r.median_bitrate) + " Mbps",
+    table.add_row(label, bench::fmt_mbps(r.median_bitrate) + " Mbps",
                    bench::fmt_secs(r.stall_total), std::to_string(r.switches),
-                   bench::fmt_pct(r.low_fraction)});
+                   bench::fmt_pct(r.low_fraction));
   };
 
   {

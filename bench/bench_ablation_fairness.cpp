@@ -77,24 +77,22 @@ int main() {
                "A/B ratio", "stalls A/B"});
   for (double bw_mbps : {3.0, 6.0}) {
     PairOutcome same = run_pair(conservative, conservative, bw_mbps * 1e6, 30);
-    table.add_row(
-        {"conservative vs conservative", format("%.0f Mbps", bw_mbps),
+    table.add_row("conservative vs conservative", format("%.0f Mbps", bw_mbps),
          bench::fmt_mbps(same.bitrate_a) + " Mbps",
          bench::fmt_mbps(same.bitrate_b) + " Mbps",
          format("%.2f", same.bitrate_b > 0 ? same.bitrate_a / same.bitrate_b
                                            : 0),
          bench::fmt_secs(same.stalls_a) + " / " +
-             bench::fmt_secs(same.stalls_b)});
+             bench::fmt_secs(same.stalls_b));
 
     PairOutcome mixed = run_pair(aggressive, conservative, bw_mbps * 1e6, 30);
-    table.add_row(
-        {"aggressive (A) vs conservative (B)", format("%.0f Mbps", bw_mbps),
+    table.add_row("aggressive (A) vs conservative (B)", format("%.0f Mbps", bw_mbps),
          bench::fmt_mbps(mixed.bitrate_a) + " Mbps",
          bench::fmt_mbps(mixed.bitrate_b) + " Mbps",
          format("%.2f", mixed.bitrate_b > 0 ? mixed.bitrate_a / mixed.bitrate_b
                                             : 0),
          bench::fmt_secs(mixed.stalls_a) + " / " +
-             bench::fmt_secs(mixed.stalls_b)});
+             bench::fmt_secs(mixed.stalls_b));
   }
   table.print();
 

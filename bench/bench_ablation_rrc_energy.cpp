@@ -59,12 +59,12 @@ int main() {
         as_shipped.energy_joules > 0
             ? 1.0 - fixed.energy_joules / as_shipped.energy_joules
             : 0;
-    table.add_row({spec.name, format("%.0f", gap),
+    table.add_row(spec.name, format("%.0f", gap),
                    gap > core::kDemotionTimer ? "yes" : "NO",
                    bench::fmt_pct(as_shipped.high_power_fraction()),
                    format("%.0f", as_shipped.energy_joules),
                    format("%.0f", fixed.energy_joules),
-                   bench::fmt_pct(saving)});
+                   bench::fmt_pct(saving));
   }
   table.print();
 

@@ -38,11 +38,11 @@ int main() {
       requests += static_cast<long>(r.traffic.media_transfer_intervals.size());
       data_mb += static_cast<double>(r.qoe.total_bytes) / 1e6;
     }
-    table.add_row({format("%.0f s", seg_dur),
+    table.add_row(format("%.0f s", seg_dur),
                    bench::fmt_mbps(median(bitrates)) + " Mbps",
                    bench::fmt_secs(stalls), std::to_string(switches),
                    bench::fmt_secs(startup_sum / trace::kProfileCount),
-                   std::to_string(requests), format("%.0f MB", data_mb)});
+                   std::to_string(requests), format("%.0f MB", data_mb));
   }
   table.print();
 

@@ -56,10 +56,10 @@ int main() {
       peak_concurrency =
           std::max(peak_concurrency, r.traffic.max_concurrent_transfers());
     }
-    table.add_row({s.label, bench::fmt_mbps(median(bitrates)) + " Mbps",
+    table.add_row(s.label, bench::fmt_mbps(median(bitrates)) + " Mbps",
                    bench::fmt_secs(stalls),
                    bench::fmt_secs(median(startups)),
-                   std::to_string(peak_concurrency)});
+                   std::to_string(peak_concurrency));
   }
   table.print();
 

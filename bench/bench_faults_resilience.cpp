@@ -56,12 +56,11 @@ int main() {
     const batch::CellResult& h = hard.cells[i];
     const core::QoeReport& dq = d.result.qoe;
     const core::QoeReport& hq = h.result.qoe;
-    table.add_row(
-        {d.service, d.fault, to_string(d.result.final_state),
+    table.add_row(d.service, d.fault, to_string(d.result.final_state),
          format("%.1f", dq.total_stall),
          format("%.2f", core::qoe_score(dq, d.result.session_end)),
          to_string(h.result.final_state), format("%.1f", hq.total_stall),
-         format("%.2f", core::qoe_score(hq, h.result.session_end))});
+         format("%.2f", core::qoe_score(hq, h.result.session_end)));
   }
   table.print();
 

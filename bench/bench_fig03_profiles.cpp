@@ -19,11 +19,11 @@ int main() {
       samples.push_back(t.at(wall));
       if (t.at(wall) < 0.25 * t.mean()) ++faded;
     }
-    table.add_row({std::to_string(id), bench::fmt_mbps(t.mean()),
+    table.add_row(std::to_string(id), bench::fmt_mbps(t.mean()),
                    bench::fmt_mbps(percentile(samples, 10)),
                    bench::fmt_mbps(percentile(samples, 90)),
                    bench::fmt_mbps(t.peak()),
-                   bench::fmt_pct(faded / t.duration())});
+                   bench::fmt_pct(faded / t.duration()));
   }
   table.print();
 

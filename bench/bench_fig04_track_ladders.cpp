@@ -33,9 +33,9 @@ int main() {
     if (low > 500e3) ++high_bottom_count;
     lowest_high = std::min(lowest_high, high);
     highest_high = std::max(highest_high, high);
-    table.add_row({spec.name,
+    table.add_row(spec.name,
                    std::to_string(r.traffic.video_tracks.size()), ladder,
-                   bench::fmt_mbps(low), bench::fmt_mbps(high)});
+                   bench::fmt_mbps(low), bench::fmt_mbps(high));
   }
   table.print();
 

@@ -80,11 +80,11 @@ int main() {
                       ? " (declared~peak)"
                       : " (declared~avg)";
     }
-    table.add_row({spec.name, format("%.2f", min_of(ratios)),
+    table.add_row(spec.name, format("%.2f", min_of(ratios)),
                    format("%.2f", percentile(ratios, 25)),
                    format("%.2f", median(ratios)),
                    format("%.2f", percentile(ratios, 75)),
-                   format("%.2f", max_of(ratios)), encoding});
+                   format("%.2f", max_of(ratios)), encoding);
   }
   table.print();
 

@@ -56,23 +56,23 @@ int main() {
   for (int profile : {1, 2}) {
     AvStats broken = measure(d1, profile);
     gaps[profile - 1] = broken.mean_gap;
-    table.add_row({"D1 (independent A/V)", std::to_string(profile),
+    table.add_row("D1 (independent A/V)", std::to_string(profile),
                    bench::fmt_secs(broken.mean_gap),
                    bench::fmt_secs(broken.max_gap),
                    bench::fmt_secs(broken.stall_time),
                    broken.video_buffer_at_stall >= 0
                        ? bench::fmt_secs(broken.video_buffer_at_stall) + " / " +
                              bench::fmt_secs(broken.audio_buffer_at_stall)
-                       : "-"});
+                       : "-");
     AvStats repaired = measure(synced, profile);
-    table.add_row({"best practice (synced A/V)", std::to_string(profile),
+    table.add_row("best practice (synced A/V)", std::to_string(profile),
                    bench::fmt_secs(repaired.mean_gap),
                    bench::fmt_secs(repaired.max_gap),
                    bench::fmt_secs(repaired.stall_time),
                    repaired.video_buffer_at_stall >= 0
                        ? bench::fmt_secs(repaired.video_buffer_at_stall) + " / " +
                              bench::fmt_secs(repaired.audio_buffer_at_stall)
-                       : "-"});
+                       : "-");
   }
   table.print();
 

@@ -24,13 +24,12 @@ int main() {
     core::SessionResult repaired = bench::run_profile(raised, profile);
     stalls_s2 += static_cast<int>(broken.events.stalls.size());
     stalls_fixed += static_cast<int>(repaired.events.stalls.size());
-    table.add_row(
-        {std::to_string(profile),
+    table.add_row(std::to_string(profile),
          std::to_string(broken.events.stalls.size()),
          bench::fmt_secs(broken.events.total_stall_time(broken.session_end)),
          std::to_string(repaired.events.stalls.size()),
          bench::fmt_secs(
-             repaired.events.total_stall_time(repaired.session_end))});
+             repaired.events.total_stall_time(repaired.session_end)));
   }
   table.print();
 

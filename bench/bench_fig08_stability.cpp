@@ -61,9 +61,9 @@ int main() {
       }
       previous = d.level;
     }
-    table.add_row({name, std::to_string(switches),
+    table.add_row(name, std::to_string(switches),
                    std::to_string(levels.size()), std::to_string(jumps),
-                   levels.size() <= 1 ? "Y" : "N"});
+                   levels.size() <= 1 ? "Y" : "N");
   }
   std::printf("\n");
   table.print();

@@ -38,12 +38,12 @@ void analyze_service(const std::string& name) {
     replacement_total += a.replacement_downloads;
     if (a.sr_observed) cascades.push_back(a.p90_cascade_length);
     if (a.bitrate_change < 0) quality_drop_seen = true;
-    table.add_row({std::to_string(i + 1), bench::fmt_pct(a.data_increase),
+    table.add_row(std::to_string(i + 1), bench::fmt_pct(a.data_increase),
                    bench::fmt_pct(a.bitrate_change),
                    bench::fmt_pct(a.replacements_lower),
                    bench::fmt_pct(a.replacements_equal),
                    a.sr_observed ? std::to_string(a.p90_cascade_length)
-                                 : "-"});
+                                 : "-");
   }
 
   std::printf("--- %s (%s) ---\n", name.c_str(),

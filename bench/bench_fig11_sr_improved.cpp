@@ -59,12 +59,12 @@ int main() {
     data_increase.push_back(data);
     waste_fraction.push_back(
         with[static_cast<std::size_t>(i)].analysis.wasted_fraction);
-    table.add_row({std::to_string(i + 1),
+    table.add_row(std::to_string(i + 1),
                    bench::fmt_pct(q0.fraction_at_or_below(360)),
                    bench::fmt_pct(q1.fraction_at_or_below(360)),
                    bench::fmt_pct(q0.fraction_at_or_below(480)),
                    bench::fmt_pct(q1.fraction_at_or_below(480)),
-                   bench::fmt_pct(gain), bench::fmt_pct(data)});
+                   bench::fmt_pct(gain), bench::fmt_pct(data));
   }
   table.print();
 
@@ -108,12 +108,12 @@ int main() {
     auto above_720 = [](const core::QoeReport& q) {
       return 1.0 - q.fraction_at_or_below(720);
     };
-    ablation.add_row({std::to_string(profile),
+    ablation.add_row(std::to_string(profile),
                       format("%.1f MB", uncapped.analysis.wasted_bytes / 1e6),
                       format("%.1f MB", capped_analysis.wasted_bytes / 1e6),
                       bench::fmt_pct(cut),
                       bench::fmt_pct(above_720(uncapped.result.qoe)),
-                      bench::fmt_pct(above_720(capped_run.qoe))});
+                      bench::fmt_pct(above_720(capped_run.qoe)));
   }
   ablation.print();
   std::printf("\n");

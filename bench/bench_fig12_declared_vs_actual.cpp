@@ -26,10 +26,10 @@ int main() {
         core::probe_declared_vs_actual(
             d2, {.bandwidth = bw_mbps * 1e6, .duration = 420});
     all_same = all_same && probe.declared_only;
-    table.add_row({format("%.1f Mbps", bw_mbps),
+    table.add_row(format("%.1f Mbps", bw_mbps),
                    bench::fmt_mbps(probe.selected_declared_variant1) + " Mbps",
                    bench::fmt_mbps(probe.selected_declared_variant2) + " Mbps",
-                   probe.declared_only ? "yes" : "NO"});
+                   probe.declared_only ? "yes" : "NO");
   }
   table.print();
 

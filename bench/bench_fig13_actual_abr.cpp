@@ -51,12 +51,12 @@ int main() {
     }
     stall_base_total += q0.total_stall;
     stall_aware_total += q1.total_stall;
-    table.add_row({std::to_string(i + 1),
+    table.add_row(std::to_string(i + 1),
                    bench::fmt_mbps(q0.average_declared_bitrate) + " Mbps",
                    bench::fmt_mbps(q1.average_declared_bitrate) + " Mbps",
                    bench::fmt_pct(gain), bench::fmt_secs(low0),
                    bench::fmt_secs(low1), bench::fmt_secs(q0.total_stall),
-                   bench::fmt_secs(q1.total_stall)});
+                   bench::fmt_secs(q1.total_stall));
   }
   table.print();
 

@@ -52,14 +52,14 @@ int main() {
       if (outcome.early_stall) {
         (std::string(name) == "H3" ? h3_stalls : h2_stalls)++;
       }
-      table.add_row({format("%.0f kbps", bw_kbps), name,
+      table.add_row(format("%.0f kbps", bw_kbps), name,
                      outcome.startup_delay >= 0
                          ? bench::fmt_secs(outcome.startup_delay)
                          : "never started",
                      outcome.early_stall ? "YES" : "no",
                      outcome.first_stall_at >= 0
                          ? bench::fmt_secs(outcome.first_stall_at)
-                         : "-"});
+                         : "-");
     }
   }
   table.print();

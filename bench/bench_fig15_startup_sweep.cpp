@@ -86,10 +86,10 @@ int main() {
             sweep_spec(seg_dur, track_mbps * 1e6, nseg);
         SweepResult r = run_sweep(spec, pieces);
         results[format("%.0f-%.1f-%d", seg_dur, track_mbps, nseg)] = r;
-        table.add_row({format("%.0f s", seg_dur),
+        table.add_row(format("%.0f s", seg_dur),
                        format("%.1f Mbps", track_mbps), std::to_string(nseg),
                        bench::fmt_secs(r.mean_startup),
-                       bench::fmt_pct(r.stall_ratio)});
+                       bench::fmt_pct(r.stall_ratio));
       }
     }
   }

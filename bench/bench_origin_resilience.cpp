@@ -97,13 +97,12 @@ int main() {
     const pop::PopulationReport& r = reports[i];
     const origin::OriginState::Totals& o = r.origin_totals;
     const long long lookups = o.hits + o.misses;
-    table.add_row(
-        {origin::to_string(modes[i]), std::to_string(completion[i].total),
+    table.add_row(origin::to_string(modes[i]), std::to_string(completion[i].total),
          std::to_string(completion[i].completed),
          format("%.1f", completion[i].fraction() * 100.0),
          format("%.2f", r.startup.p95), format("%.2f", r.stall.p95),
          format("%.1f", lookups > 0 ? 100.0 * o.hits / lookups : 0.0),
-         std::to_string(o.secondary), std::to_string(o.errors)});
+         std::to_string(o.secondary), std::to_string(o.errors));
   }
   table.print();
   std::printf(

@@ -74,8 +74,7 @@ int main() {
             ? format("%.0f s", spec.player.decrease_buffer)
             : "immediate";
 
-    table.add_row(
-        {spec.name, to_string(spec.protocol),
+    table.add_row(spec.name, to_string(spec.protocol),
          with_truth(format("%.0f s", d.segment_duration),
                     format("%.0f s", spec.segment_duration)),
          with_truth(yn(d.separate_audio), yn(spec.separate_audio)),
@@ -107,7 +106,7 @@ int main() {
          with_truth(yn(d.aggressive), yn(spec.player.bandwidth_safety >= 1.0 ||
                                          spec.player.abr ==
                                              player::AbrKind::kOscillating)),
-         with_truth(decrease, decrease_truth)});
+         with_truth(decrease, decrease_truth));
   }
   table.print();
 

@@ -40,8 +40,8 @@ int main() {
     for (const services::ServiceSpec& spec : services::catalog()) {
       if (spec.video_ladder.front() > 500e3) detected.insert(spec.name);
     }
-    table.add_row({"Track setting", "lowest track bitrate set high",
-                   "H2,H5,S1", join(detected)});
+    table.add_row("Track setting", "lowest track bitrate set high",
+                   "H2,H5,S1", join(detected));
   }
 
   // --- Encoding scheme: ABR ignores actual bitrate -> low quality -------
@@ -64,9 +64,9 @@ int main() {
         detected.insert(names[i]);
       }
     }
-    table.add_row({"Encoding scheme",
+    table.add_row("Encoding scheme",
                    "adaptation ignores actual segment bitrate", "D2",
-                   join(detected)});
+                   join(detected));
   }
 
   // --- TCP utilization: A/V out of sync -> unexpected stalls -----------
@@ -97,9 +97,9 @@ int main() {
       }
       if (worst_gap > 30 && starved_stall) detected.insert(cells[i].first.name);
     }
-    table.add_row({"TCP utilization",
+    table.add_row("TCP utilization",
                    "audio/video download progress out of sync", "D1",
-                   join(detected)});
+                   join(detected));
   }
 
   // --- TCP persistence: non-persistent -> lower quality ----------------
@@ -123,8 +123,8 @@ int main() {
         detected.insert(cells[i].first.name);
       }
     }
-    table.add_row({"TCP persistence", "non-persistent TCP connections",
-                   "H2,H3,H5", join(detected)});
+    table.add_row("TCP persistence", "non-persistent TCP connections",
+                   "H2,H3,H5", join(detected));
   }
 
   // --- Download control: resume threshold too low -> frequent stalls ----
@@ -156,9 +156,9 @@ int main() {
     for (const auto& [name, count] : stalls) {
       if (count > stalls_fixed[name]) detected.insert(name);
     }
-    table.add_row({"Download control",
+    table.add_row("Download control",
                    "downloads resume only when buffer nearly empty", "S2",
-                   join(detected)});
+                   join(detected));
   }
 
   // --- Startup logic: playback after a single segment -> early stall ----
@@ -174,8 +174,8 @@ int main() {
         detected.insert(specs[i].name);
       }
     }
-    table.add_row({"Startup logic", "playback starts with one segment",
-                   "H3,H4,H6,D2,D4", join(detected)});
+    table.add_row("Startup logic", "playback starts with one segment",
+                   "H3,H4,H6,D2,D4", join(detected));
   }
 
   // --- Adaptation: selection does not stabilise -------------------------
@@ -192,9 +192,9 @@ int main() {
     for (std::size_t i = 0; i < specs.size(); ++i) {
       if (!probes[i].converged) detected.insert(specs[i].name);
     }
-    table.add_row({"Adaptation logic",
+    table.add_row("Adaptation logic",
                    "bitrate selection unstable at constant bandwidth", "D1",
-                   join(detected)});
+                   join(detected));
   }
 
   // --- Adaptation: ramp down despite high buffer -------------------------
@@ -219,9 +219,9 @@ int main() {
         detected.insert(probed[i].name);
       }
     }
-    table.add_row({"Adaptation logic",
+    table.add_row("Adaptation logic",
                    "switches down despite high buffer occupancy",
-                   "H1,H4,H6,D1", join(detected)});
+                   "H1,H4,H6,D1", join(detected));
   }
 
   // --- Adaptation: SR can replace with worse quality --------------------
@@ -245,9 +245,9 @@ int main() {
     for (const auto& [name, count] : observed) {
       if (count > 0 && lower_or_equal[name] > 0) detected.insert(name);
     }
-    table.add_row({"Adaptation logic",
+    table.add_row("Adaptation logic",
                    "replaces buffered segments with worse/equal quality",
-                   "H1,H4", join(detected)});
+                   "H1,H4", join(detected));
   }
 
   table.print();

@@ -31,22 +31,25 @@ void fold(Rollup& rollup, const obs::MetricsSnapshot& snapshot) {
 // metric a dimension never saw has no value, rendered "-" (e.g.
 // faults.injected on a fault-free sweep).
 
-Value counter_cell(const obs::MetricsSnapshot& snapshot, const char* name) {
+std::optional<std::int64_t> counter(const obs::MetricsSnapshot& snapshot,
+                                    const char* name) {
   const obs::MetricsSnapshot::Entry* entry = snapshot.find(name);
-  return entry == nullptr ? Value::none() : Value(entry->count);
+  if (entry == nullptr) return std::nullopt;
+  return entry->count;
 }
 
-Value counter_mb_cell(const obs::MetricsSnapshot& snapshot, const char* name) {
-  const obs::MetricsSnapshot::Entry* entry = snapshot.find(name);
-  return entry == nullptr ? Value::none()
-                          : Value(static_cast<double>(entry->count) / 1e6);
+std::optional<double> counter_mb(const obs::MetricsSnapshot& snapshot,
+                                 const char* name) {
+  const std::optional<std::int64_t> bytes = counter(snapshot, name);
+  if (!bytes) return std::nullopt;
+  return static_cast<double>(*bytes) / 1e6;
 }
 
-Value histogram_p50_cell(const obs::MetricsSnapshot& snapshot,
-                        const char* name) {
+std::optional<double> histogram_p50(const obs::MetricsSnapshot& snapshot,
+                                    const char* name) {
   const obs::MetricsSnapshot::Entry* entry = snapshot.find(name);
-  return entry == nullptr || entry->count == 0 ? Value::none()
-                                               : Value(entry->p50);
+  if (entry == nullptr || entry->count == 0) return std::nullopt;
+  return entry->p50;
 }
 
 struct Dimension {
@@ -73,14 +76,14 @@ Table dimension_table(const Dimension& dim) {
   table.add_column("goodput_p50", Format::fixed(2));
   for (const Rollup& rollup : *dim.rollups) {
     const obs::MetricsSnapshot& m = rollup.metrics;
-    table.add_row({rollup.key, rollup.cells,
-                   counter_cell(m, "session.stalls"),
-                   counter_cell(m, "session.switches"),
-                   counter_mb_cell(m, "session.total_bytes"),
-                   counter_mb_cell(m, "session.wasted_bytes"),
-                   counter_cell(m, "player.fetch_failures"),
-                   counter_cell(m, "faults.injected"),
-                   histogram_p50_cell(m, "tcp.goodput_mbps")});
+    table.add_row(rollup.key, rollup.cells,
+                   counter(m, "session.stalls"),
+                   counter(m, "session.switches"),
+                   counter_mb(m, "session.total_bytes"),
+                   counter_mb(m, "session.wasted_bytes"),
+                   counter(m, "player.fetch_failures"),
+                   counter(m, "faults.injected"),
+                   histogram_p50(m, "tcp.goodput_mbps"));
   }
   return table;
 }

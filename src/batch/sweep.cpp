@@ -309,9 +309,7 @@ std::string sweep_csv(const SweepResult& result) {
     if (!cell.ok) continue;
     table.add(cell.service).add(cell.profile_id).add(cell.seed);
     table.add(cell.fault).add(cell.origin);
-    for (const core::QoeColumn& column : core::qoe_columns()) {
-      table.add(column.value(cell.result));
-    }
+    for (const double value : core::qoe_values(cell.result)) table.add(value);
   }
   return table.csv();
 }
@@ -330,12 +328,13 @@ std::string sweep_jsonl(const SweepResult& result) {
       w.key("attempts").integer(cell.attempts);
       w.key("error").string(cell.error);
     } else {
-      for (const core::QoeColumn& column : core::qoe_columns()) {
-        const Value value = column.value(cell.result);
+      const auto values = core::qoe_values(cell.result);
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        const core::QoeColumn& column = core::qoe_columns()[i];
         w.key(column.name);
         column.format.type == Format::Type::kInteger
-            ? w.integer(value.int_value())
-            : w.fixed(value.real(), column.format.digits);
+            ? w.integer(static_cast<long long>(values[i]))
+            : w.fixed(values[i], column.format.digits);
       }
       w.key("final_state").string(player::to_string(cell.result.final_state));
       w.key("session_end_s").fixed(cell.result.session_end, 2);

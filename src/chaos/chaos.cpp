@@ -198,15 +198,15 @@ std::string chaos_report_text(const ChaosReport& report) {
   Table table;
   table.layout(2, Table::Header::kPlain);
   table.add_column("seed", Format::integer(), Table::Align::kRight, 8);
-  table.add_column("service", Format::text(), Table::Align::kLeft, 8);
+  table.add_column("service", Format{}, Table::Align::kLeft, 8);
   table.add_column("profile", Format::integer(), Table::Align::kRight, 7);
   table.add_column("faults", Format::integer(), Table::Align::kRight, 6);
   table.add_column("status");
   for (const ChaosRow& row : report.rows) {
-    table.add_row({row.seed, row.service, row.profile_id, row.faults,
+    table.add_row(row.seed, row.service, row.profile_id, row.faults,
                    row.ok         ? std::string("ok")
                    : row.watchdog ? std::string("WATCHDOG")
-                                  : "VIOLATION " + row.invariants});
+                                  : "VIOLATION " + row.invariants);
   }
   Report text;
   text.line(format("chaos: %zu seed(s) — %d violation(s), %d watchdog "

@@ -1,7 +1,8 @@
 // One report model for every text/HTML report pair: an ordered list of
 // blocks (lines, titled lists of lines, optionally titled Table sections)
 // that renders once as terminal text and once as an HTML page, so the two
-// formats of a report cannot drift apart.
+// formats of a report cannot drift apart. The pop and chaos text reports
+// are Reports of fixed-width tables.
 #pragma once
 
 #include <string>

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/json.h"
@@ -11,44 +12,15 @@
 
 namespace vodx {
 
-namespace {
-
-/// A number's digits in its column's format, without the suffix.
-void append_number(std::string& out, const Format& format, const Value& value) {
+void append_number(std::string& out, const Format& format, double value) {
   if (format.type == Format::Type::kInteger) {
-    value.kind() == Value::Kind::kInt ? append_int(out, value.int_value())
-                                     : append_int(out, value.uint_value());
+    append_int(out, static_cast<long long>(value));
   } else {
-    append_double(out, value.real(),
+    append_double(out, value,
                   format.type == Format::Type::kFixed
                       ? std::chars_format::fixed
                       : std::chars_format::general,
                   format.digits);
-  }
-}
-
-bool suits(const Format& format, Value::Kind kind) {
-  switch (kind) {
-    case Value::Kind::kNone: return true;
-    case Value::Kind::kText: return format.type == Format::Type::kText;
-    case Value::Kind::kInt:
-    case Value::Kind::kUint: return format.type != Format::Type::kText;
-    case Value::Kind::kReal:
-      return format.type == Format::Type::kFixed ||
-             format.type == Format::Type::kGeneral;
-  }
-  return false;
-}
-
-}  // namespace
-
-void append_value(std::string& out, const Format& format, const Value& value) {
-  switch (value.kind()) {
-    case Value::Kind::kNone: out += '-'; return;
-    case Value::Kind::kText: out += value.text(); return;
-    default:
-      append_number(out, format, value);
-      out += format.suffix;
   }
 }
 
@@ -58,7 +30,7 @@ Table::Table(std::vector<std::string> header) {
 
 Table& Table::add_column(std::string name, Format format, Align align,
                          std::size_t width) {
-  VODX_ASSERT(slots_.empty(), "table columns added after the first row");
+  VODX_ASSERT(cells_.empty(), "table columns added after the first row");
   columns_.push_back({std::move(name), format, align, width});
   return *this;
 }
@@ -69,107 +41,101 @@ Table& Table::layout(std::size_t gap, Header header) {
   return *this;
 }
 
-Table& Table::add(const Value& value) {
+const Table::Column& Table::next_column() const {
   VODX_ASSERT(!columns_.empty(), "table value added before any column");
-  const Column& column = columns_[slots_.size() % columns_.size()];
-  VODX_ASSERT(suits(column.format, value.kind()),
-              "table value does not suit its column's format");
-  Slot slot;
-  slot.kind = value.kind();
-  switch (value.kind()) {
-    case Value::Kind::kNone: slot.int_value = 0; break;
-    case Value::Kind::kText:
-      slot.text = {static_cast<std::uint32_t>(text_.size()),
-                   static_cast<std::uint32_t>(value.text().size())};
-      text_ += value.text();
-      break;
-    case Value::Kind::kInt: slot.int_value = value.int_value(); break;
-    case Value::Kind::kUint: slot.uint_value = value.uint_value(); break;
-    case Value::Kind::kReal: slot.real = value.real(); break;
-  }
-  slots_.push_back(slot);
-  return *this;
+  return columns_[cells_.size() % columns_.size()];
 }
 
-Table& Table::add_row(std::initializer_list<Value> values) {
-  VODX_ASSERT(values.size() == columns_.size() &&
-                  slots_.size() % columns_.size() == 0,
+void Table::start_row(std::size_t arity) const {
+  VODX_ASSERT(arity == columns_.size() &&
+                  cells_.size() % columns_.size() == 0,
               "table row arity mismatch");
-  for (const Value& value : values) add(value);
+}
+
+Table& Table::close(std::size_t at, Cell::Kind kind) {
+  cells_.push_back({static_cast<std::uint32_t>(at),
+                    static_cast<std::uint32_t>(text_.size() - at), kind});
   return *this;
 }
 
-Value Table::cell(const Slot& slot) const {
-  switch (slot.kind) {
-    case Value::Kind::kText:
-      return std::string_view(text_).substr(slot.text.at, slot.text.size);
-    case Value::Kind::kInt: return slot.int_value;
-    case Value::Kind::kUint: return slot.uint_value;
-    case Value::Kind::kReal: return slot.real;
-    case Value::Kind::kNone: break;
-  }
-  return Value::none();
+Table& Table::add(std::string_view text) {
+  VODX_ASSERT(next_column().format.type == Format::Type::kText,
+              "table text added to a number column");
+  const std::size_t at = text_.size();
+  text_ += text;
+  return close(at, Cell::Kind::kText);
 }
 
-template <typename Fn>
-void Table::for_each_cell(std::size_t row, Fn&& fn) const {
-  VODX_ASSERT(slots_.size() % columns_.size() == 0, "table row unfinished");
-  const Slot* slot = slots_.data() + row * columns_.size();
-  for (const Column& column : columns_) fn(column, cell(*slot++));
+Table& Table::add(double value) {
+  const Format& format = next_column().format;
+  VODX_ASSERT(format.type != Format::Type::kText,
+              "table number added to a text column");
+  const std::size_t at = text_.size();
+  append_number(text_, format, value);
+  text_ += format.suffix;
+  return close(at, std::isfinite(value) ? Cell::Kind::kNumber
+                                        : Cell::Kind::kNull);
+}
+
+template <typename Int>
+Table& Table::add_integer(Int value) {
+  const Format& format = next_column().format;
+  if (format.type != Format::Type::kInteger) {
+    return add(static_cast<double>(value));
+  }
+  const std::size_t at = text_.size();
+  append_int(text_, value);
+  text_ += format.suffix;
+  return close(at, Cell::Kind::kNumber);
+}
+template Table& Table::add_integer(long long);
+template Table& Table::add_integer(unsigned long long);
+
+Table& Table::add(std::nullopt_t) {
+  next_column();
+  const std::size_t at = text_.size();
+  text_ += '-';
+  return close(at, Cell::Kind::kNull);
 }
 
 std::string Table::render() const {
   const std::size_t n = columns_.size();
   std::vector<std::size_t> widths(n);
-  std::string scratch;
   for (std::size_t i = 0; i < n; ++i) {
     widths[i] = columns_[i].width;
     if (widths[i] > 0) continue;
     widths[i] = columns_[i].name.size();
-    for (std::size_t row = 0; row < rows(); ++row) {
-      scratch.clear();
-      append_value(scratch, columns_[i].format,
-                  cell(slots_[row * n + i]));
-      widths[i] = std::max(widths[i], scratch.size());
+    for (std::size_t c = i; c < cells_.size(); c += n) {
+      widths[i] = std::max<std::size_t>(widths[i], cells_[c].size);
     }
   }
 
   std::string out;
-  // Pads the value written since `start` to column i's width: blanks before
-  // it when right-aligned, after it when left-aligned (none after the last
+  // Column i's text, padded to its width: blanks before it when
+  // right-aligned, after it when left-aligned (none after the last
   // column), then the gap.
-  auto finish = [&](std::size_t i, std::size_t start) {
-    const std::size_t size = out.size() - start;
-    const std::size_t pad = widths[i] > size ? widths[i] - size : 0;
-    if (columns_[i].align == Align::kRight) {
-      out.insert(start, pad, ' ');
-    } else if (i + 1 < n) {
-      out.append(pad, ' ');
-    }
-    out.append(i + 1 < n ? gap_ : 0, ' ');
+  auto put = [&](std::size_t i, std::string_view text) {
+    const std::size_t pad =
+        widths[i] > text.size() ? widths[i] - text.size() : 0;
+    const bool last = i + 1 == n;
+    if (columns_[i].align == Align::kRight) out.append(pad, ' ');
+    out += text;
+    if (columns_[i].align == Align::kLeft && !last) out.append(pad, ' ');
+    if (!last) out.append(gap_, ' ');
   };
   if (header_ != Header::kNone) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t start = out.size();
-      out += columns_[i].name;
-      finish(i, start);
-    }
+    for (std::size_t i = 0; i < n; ++i) put(i, columns_[i].name);
     out += '\n';
   }
   if (header_ == Header::kRuled) {
     std::size_t total = n > 0 ? gap_ * (n - 1) : 0;
-    for (std::size_t w : widths) total += w;
+    for (const std::size_t w : widths) total += w;
     out.append(total, '-');
     out += '\n';
   }
-  for (std::size_t row = 0; row < rows(); ++row) {
-    std::size_t i = 0;
-    for_each_cell(row, [&](const Column& column, const Value& value) {
-      const std::size_t start = out.size();
-      append_value(out, column.format, value);
-      finish(i++, start);
-    });
-    out += '\n';
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    put(c % n, text(cells_[c]));
+    if ((c + 1) % n == 0) out += '\n';
   }
   return out;
 }
@@ -182,15 +148,10 @@ std::string Table::html() const {
     out += "<th>" + html_escape(column.name) + "</th>";
   }
   out += "</tr>\n";
-  std::string cell_text;
-  for (std::size_t row = 0; row < rows(); ++row) {
-    out += "<tr>";
-    for_each_cell(row, [&](const Column& column, const Value& value) {
-      cell_text.clear();
-      append_value(cell_text, column.format, value);
-      out += "<td>" + html_escape(cell_text) + "</td>";
-    });
-    out += "</tr>\n";
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    if (c % columns_.size() == 0) out += "<tr>";
+    out += "<td>" + html_escape(text(cells_[c])) + "</td>";
+    if ((c + 1) % columns_.size() == 0) out += "</tr>\n";
   }
   out += "</table>\n";
   return out;
@@ -203,14 +164,9 @@ std::string Table::csv() const {
     out += columns_[i].name;
   }
   out += '\n';
-  for (std::size_t row = 0; row < rows(); ++row) {
-    bool first = true;
-    for_each_cell(row, [&](const Column& column, const Value& value) {
-      if (!first) out += ',';
-      first = false;
-      append_value(out, column.format, value);
-    });
-    out += '\n';
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    out += text(cells_[c]);
+    out += (c + 1) % columns_.size() == 0 ? '\n' : ',';
   }
   return out;
 }
@@ -227,23 +183,24 @@ std::string Table::jsonl(std::string_view type) const {
     keys[i] = (first ? "\"" : ",\"") + json_escape(columns_[i].name) + "\":";
   }
   std::string out;
-  for (std::size_t row = 0; row < rows(); ++row) {
-    out += lead;
-    std::size_t i = 0;
-    for_each_cell(row, [&](const Column& column, const Value& value) {
-      out += keys[i++];
-      if (value.kind() == Value::Kind::kText) {
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    const std::size_t i = c % columns_.size();
+    if (i == 0) out += lead;
+    out += keys[i];
+    const std::string_view value = text(cells_[c]);
+    switch (cells_[c].kind) {
+      case Cell::Kind::kText:
         out += '"';
-        out += json_escape(value.text());
+        out += json_escape(value);
         out += '"';
-      } else if (value.kind() == Value::Kind::kNone ||
-                 !std::isfinite(value.real())) {
-        out += "null";
-      } else {
-        append_number(out, column.format, value);
-      }
-    });
-    out += "}\n";
+        break;
+      case Cell::Kind::kNumber:
+        out += value.substr(
+            0, value.size() - std::strlen(columns_[i].format.suffix));
+        break;
+      case Cell::Kind::kNull: out += "null"; break;
+    }
+    if (i + 1 == columns_.size()) out += "}\n";
   }
   return out;
 }

@@ -1,16 +1,16 @@
 // One row model for every tabular output: typed columns and rows of values.
 // A column has a name and a Format (text, integer, fixed or general), and
-// for the terminal layout an alignment and a width. Every cell is written by
-// its column through one formatter, append_value: integers by to_chars,
-// reals by append_double (printf's bytes without printf). The same table
-// renders as aligned text (the paper's tables in the bench harnesses, the
-// fixed-width pop and chaos reports), an HTML <table>, CSV or JSONL, so
-// sibling exports cannot drift apart.
+// for the text layout an alignment and a width. A value is formatted once,
+// by its column, when it is added: integers by to_chars, reals by
+// append_double (printf's bytes without printf), all into one buffer the
+// table owns. The same table renders as aligned text (the paper's tables in
+// the bench harnesses, the fixed-width pop and chaos reports), an HTML
+// <table>, CSV or JSONL, so sibling exports cannot drift apart.
 #pragma once
 
 #include <concepts>
 #include <cstdint>
-#include <initializer_list>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,11 +24,10 @@ struct Format {
   /// kFixed: decimals (printf "%.<digits>f"); kGeneral: significant digits
   /// ("%.<digits>g").
   int digits = 0;
-  /// A unit written after every number in text, CSV and HTML ("%", " s");
-  /// JSONL writes the bare number.
+  /// A unit after every number in text, CSV and HTML ("%", " s"); JSONL
+  /// writes the bare number.
   const char* suffix = "";
 
-  static constexpr Format text() { return {}; }
   static constexpr Format integer() { return {Type::kInteger}; }
   static constexpr Format fixed(int decimals, const char* suffix = "") {
     return {Type::kFixed, decimals, suffix};
@@ -38,53 +37,16 @@ struct Format {
   }
 };
 
-/// One value of a row: text, an integer, a real, or none ("-" in text, CSV
-/// and HTML; null in JSONL). Text is viewed, not copied: a Table copies it
-/// when the value is added.
-class Value {
- public:
-  enum class Kind : std::uint8_t { kNone, kText, kInt, kUint, kReal };
-
-  Value(std::string_view text) : kind_(Kind::kText), text_(text) {}
-  Value(const char* text) : Value(std::string_view(text)) {}
-  Value(const std::string& text) : Value(std::string_view(text)) {}
-  template <std::signed_integral T>
-  Value(T value) : kind_(Kind::kInt), int_(value) {}
-  template <std::unsigned_integral T>
-  Value(T value) : kind_(Kind::kUint), uint_(value) {}
-  Value(double value) : kind_(Kind::kReal), real_(value) {}
-  static Value none() { return Value(); }
-
-  Kind kind() const { return kind_; }
-  std::string_view text() const { return text_; }
-  std::int64_t int_value() const { return int_; }
-  std::uint64_t uint_value() const { return uint_; }
-  /// The value as a real, whichever numeric kind it holds.
-  double real() const {
-    return kind_ == Kind::kReal  ? real_
-           : kind_ == Kind::kInt ? static_cast<double>(int_)
-                                 : static_cast<double>(uint_);
-  }
-
- private:
-  Value() = default;
-
-  Kind kind_ = Kind::kNone;
-  union {
-    std::int64_t int_;
-    std::uint64_t uint_;
-    double real_ = 0;
-  };
-  std::string_view text_;
-};
-
-/// Appends `value` as a column of `format` writes it in text, CSV and HTML:
-/// text verbatim, "-" for none, a number in its format plus the suffix.
-void append_value(std::string& out, const Format& format, const Value& value);
+/// Appends `value` as a number column of `format` writes it, without the
+/// suffix (an integer column drops the fraction).
+void append_number(std::string& out, const Format& format, double value);
 
 class Table {
  public:
   enum class Align : std::uint8_t { kLeft, kRight };
+  /// What render() writes above the rows: the header and a line of dashes
+  /// (the default), the header alone, or nothing.
+  enum class Header : std::uint8_t { kRuled, kPlain, kNone };
 
   Table() = default;
   /// Every column text.
@@ -97,21 +59,36 @@ class Table {
   Table& add_column(std::string name, Format format = {},
                     Align align = Align::kLeft, std::size_t width = 0);
 
-  /// What render() writes above the rows: the header and a line of dashes
-  /// (the default), the header alone, or nothing.
-  enum class Header : std::uint8_t { kRuled, kPlain, kNone };
-
-  /// render()'s layout: `gap` spaces between columns (2 by default) and
+  /// render()'s layout: `gap` blanks between columns (2 by default) and
   /// what stands above the rows.
   Table& layout(std::size_t gap, Header header);
 
-  /// Appends the next value of the row being filled. Its kind must suit
-  /// the column: text or none for text, integers or none for integer, any
-  /// number or none for fixed and general.
-  Table& add(const Value& value);
+  /// Appends the next value of the row being filled: text to a text
+  /// column, a number to any other. No value (std::nullopt) suits every
+  /// column: it reads "-", and null in JSONL, as NaN and inf do there.
+  Table& add(std::string_view text);
+  Table& add(double value);
+  template <std::integral Int>
+  Table& add(Int value) {
+    if constexpr (std::is_signed_v<Int>) {
+      return add_integer(static_cast<long long>(value));
+    } else {
+      return add_integer(static_cast<unsigned long long>(value));
+    }
+  }
+  Table& add(std::nullopt_t);
+  template <typename T>
+  Table& add(const std::optional<T>& value) {
+    return value ? add(*value) : add(std::nullopt);
+  }
 
   /// Appends a whole row; must have the same arity as the header.
-  Table& add_row(std::initializer_list<Value> values);
+  template <typename... Values>
+  Table& add_row(const Values&... values) {
+    start_row(sizeof...(Values));
+    (add(values), ...);
+    return *this;
+  }
 
   /// Renders the text layout: the header aligned like its column, each
   /// value padded to its column's width, no trailing blanks.
@@ -129,8 +106,8 @@ class Table {
   std::string csv() const;
 
   /// One JSON object per row, keyed by the header in column order: text
-  /// quoted and escaped, numbers bare, none and NaN/inf as null. A
-  /// non-empty `type` leads every object as "type":"<type>".
+  /// quoted and escaped, numbers bare. A non-empty `type` leads every
+  /// object as "type":"<type>".
   std::string jsonl(std::string_view type = {}) const;
 
  private:
@@ -140,31 +117,27 @@ class Table {
     Align align;
     std::size_t width;
   };
-  /// A stored value: a Value whose text lives in `text_` at [at, at + size).
-  struct Slot {
-    struct Span {
-      std::uint32_t at, size;
-    };
-    union {
-      std::int64_t int_value;
-      std::uint64_t uint_value;
-      double real;
-      Span text;
-    };
-    Value::Kind kind;
+  /// A formatted value: `text_` at [at, at + size), suffix included.
+  struct Cell {
+    enum class Kind : std::uint8_t { kText, kNumber, kNull };
+    std::uint32_t at, size;
+    Kind kind;
   };
 
-  Value cell(const Slot& slot) const;
-  std::size_t rows() const {
-    return columns_.empty() ? 0 : slots_.size() / columns_.size();
+  const Column& next_column() const;
+  void start_row(std::size_t arity) const;
+  /// Defined for long long and unsigned long long.
+  template <typename Int>
+  Table& add_integer(Int value);
+  /// Records what was written to `text_` since `at` as the next cell.
+  Table& close(std::size_t at, Cell::Kind kind);
+  std::string_view text(const Cell& cell) const {
+    return std::string_view(text_).substr(cell.at, cell.size);
   }
-  /// Calls fn(column, cell) for each value of row `row`.
-  template <typename Fn>
-  void for_each_cell(std::size_t row, Fn&& fn) const;
 
   std::vector<Column> columns_;
-  std::vector<Slot> slots_;  ///< row-major
-  std::string text_;         ///< every text value's bytes
+  std::vector<Cell> cells_;  ///< row-major
+  std::string text_;         ///< every value, formatted
   std::size_t gap_ = 2;
   Header header_ = Header::kRuled;
 };

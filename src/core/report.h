@@ -1,26 +1,29 @@
 // Machine-readable exports of session results, for spreadsheets/plotters.
 #pragma once
 
+#include <array>
 #include <string>
-#include <vector>
 
 #include "common/table.h"
 #include "core/session.h"
 
 namespace vodx::core {
 
-/// One QoE column of a session export: its CSV header and JSONL key, its
-/// format, and its value in a session's result.
+/// One QoE column of a session export: its CSV header and JSONL key, and
+/// its format, integer or fixed.
 struct QoeColumn {
   const char* name;
   Format format;
-  Value (*value)(const SessionResult& result);
 };
+inline constexpr std::size_t kQoeColumnCount = 11;
 
-/// The session QoE columns in export order, each an integer or fixed
-/// format. qoe_csv_header/qoe_csv_row, batch::sweep_csv and the ok cells of
-/// batch::sweep_jsonl all read this one list.
-const std::vector<QoeColumn>& qoe_columns();
+/// The session QoE columns in export order. qoe_csv_header/qoe_csv_row,
+/// batch::sweep_csv and the ok cells of batch::sweep_jsonl all read this
+/// one list.
+const std::array<QoeColumn, kQoeColumnCount>& qoe_columns();
+
+/// A session's value in each of qoe_columns(), in the same order.
+std::array<double, kQoeColumnCount> qoe_values(const SessionResult& result);
 
 /// One-line CSV header matching qoe_csv_row().
 std::string qoe_csv_header();

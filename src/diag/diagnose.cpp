@@ -532,11 +532,11 @@ std::string diagnosis_text(const Diagnosis& diagnosis) {
     const std::string label =
         interval.startup ? "startup" : format("stall %d", ++stall_index);
     for (const BlameSpan& span : interval.spans) {
-      spans.add_row({label, format("[%.2f, %.2f)", span.start, span.end),
+      spans.add_row(label, format("[%.2f, %.2f)", span.start, span.end),
                      to_string(span.cause), span.duration(),
-                     span.cause == Cause::kUnknown ? Value::none()
-                                                   : Value(span.confidence),
-                     span.note.empty() ? Value::none() : Value(span.note)});
+                     span.cause == Cause::kUnknown ? std::nullopt
+                                                   : std::optional(span.confidence),
+                     span.note.empty() ? "-" : span.note);
     }
   }
   report.line("").section("", std::move(spans));
@@ -550,10 +550,9 @@ std::string diagnosis_text(const Diagnosis& diagnosis) {
   for (Cause cause : all_causes()) {
     const int c = static_cast<int>(cause);
     const double blamed = diagnosis.blamed_s[c];
-    totals.add_row(
-        {to_string(cause), blamed, diagnosis.stall_blamed_s[c],
-         problem > 0 ? Value(100 * blamed / problem) : Value::none(),
-         blamed > 0 ? Value(diagnosis.confidence[c]) : Value::none()});
+    totals.add_row(to_string(cause), blamed, diagnosis.stall_blamed_s[c],
+         problem > 0 ? std::optional(100 * blamed / problem) : std::nullopt,
+         blamed > 0 ? std::optional(diagnosis.confidence[c]) : std::nullopt);
   }
   report.line("").section("", std::move(totals));
   return report.text();

@@ -50,10 +50,10 @@ void add_diag_row(Table& table, const DiagRollup& rollup) {
   const double conf = rollup.mean_confidence();
   table.add(rollup.key).add(rollup.cells).add(rollup.problem_s);
   table.add(rollup.stall_s).add(100 * rollup.attributed_fraction());
-  table.add(conf > 0 ? Value(conf) : Value::none());
+  table.add(conf > 0 ? std::optional(conf) : std::nullopt);
   for (Cause cause : all_causes()) {
     const double s = rollup.blamed_s[static_cast<int>(cause)];
-    table.add(s > 0 ? Value(s) : Value::none());
+    table.add(s > 0 ? std::optional(s) : std::nullopt);
   }
 }
 
@@ -176,7 +176,7 @@ Report diag_report(const SweepDiagnosis& diagnosis) {
 Table cause_taxonomy() {
   Table table({"cause", "label", "meaning"});
   for (Cause cause : all_causes()) {
-    table.add_row({to_string(cause), short_label(cause), describe(cause)});
+    table.add_row(to_string(cause), short_label(cause), describe(cause));
   }
   return table;
 }

@@ -160,8 +160,8 @@ std::string validation_text(const ValidationReport& report,
   table.add_column("precision", Format::fixed(3));
   table.add_column("recall", Format::fixed(3));
   for (const ScenarioScore& score : report.scores) {
-    table.add_row({score.scenario, score.cells, score.truth_s,
-                   score.blamed_s, score.precision(), score.recall()});
+    table.add_row(score.scenario, score.cells, score.truth_s,
+                   score.blamed_s, score.precision(), score.recall());
   }
   return Report()
       .line("fault-attribution validation (per catalog scenario):")

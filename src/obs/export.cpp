@@ -111,21 +111,21 @@ Table metrics_table(const MetricsSnapshot& snapshot) {
   for (const char* name : {"value", "mean", "p50", "p90", "p99", "max"}) {
     table.add_column(name, Format::fixed(3));
   }
-  const Value none = Value::none();
+  const std::nullopt_t none = std::nullopt;
   for (const MetricsSnapshot::Entry& entry : snapshot.entries) {
     switch (entry.type) {
       case MetricsSnapshot::Type::kCounter:
-        table.add_row({entry.name, "counter", entry.count, none, none, none,
-                       none, none, none});
+        table.add_row(entry.name, "counter", entry.count, none, none, none,
+                       none, none, none);
         break;
       case MetricsSnapshot::Type::kGauge:
-        table.add_row({entry.name, "gauge", none, entry.value, none, none,
-                       none, none, none});
+        table.add_row(entry.name, "gauge", none, entry.value, none, none,
+                       none, none, none);
         break;
       case MetricsSnapshot::Type::kHistogram:
-        table.add_row({entry.name, "histogram", entry.count, entry.value,
+        table.add_row(entry.name, "histogram", entry.count, entry.value,
                        entry.mean, entry.p50, entry.p90, entry.p99,
-                       entry.max});
+                       entry.max);
         break;
     }
   }

@@ -561,7 +561,7 @@ std::string population_text(const PopulationReport& report) {
   }
   Table services;
   services.layout(1, Table::Header::kPlain);
-  services.add_column("service", Format::text(), Table::Align::kLeft, 7)
+  services.add_column("service", Format{}, Table::Align::kLeft, 7)
       .add_column("sessions", Format::integer(), kRight, 9);
   add_quantile_columns(services);
   services.add_column("mean_mbps", Format::fixed(3), kRight, 10);
@@ -589,15 +589,15 @@ std::string population_text(const PopulationReport& report) {
     text.line("cause                 blamed_s    stall_s  stall_share");
     Table causes;
     causes.layout(1, Table::Header::kNone);
-    causes.add_column("cause", Format::text(), Table::Align::kLeft, 22)
+    causes.add_column("cause", Format{}, Table::Align::kLeft, 22)
         .add_column("blamed_s", Format::fixed(2), kRight, 8)
         .add_column("stall_s", Format::fixed(2), kRight, 10)
         .add_column("stall_share", Format::fixed(3), kRight, 12);
     for (int c = 0; c < diag::kCauseCount; ++c) {
       const double share =
           d.stall_s > 0 ? d.stall_blamed_s[c] / d.stall_s : 0.0;
-      causes.add_row({diag::to_string(static_cast<diag::Cause>(c)),
-                      d.blamed_s[c], d.stall_blamed_s[c], share});
+      causes.add_row(diag::to_string(static_cast<diag::Cause>(c)),
+                      d.blamed_s[c], d.stall_blamed_s[c], share);
     }
     text.section("", std::move(causes));
     if (d.trace_dropped > 0) {
@@ -704,9 +704,9 @@ Table session_table(const PopulationReport& report) {
   table.add_column("final_state");
   for (const TowerReport& tower : report.towers) {
     for (const SessionOutcome& s : tower.outcomes) {
-      table.add_row({s.tower, tower.profile_id, s.ordinal, s.service,
+      table.add_row(s.tower, tower.profile_id, s.ordinal, s.service,
                      s.arrival, s.departure, s.startup_delay, s.stall_time,
-                     s.stall_count, s.total_bytes, s.mbps, s.final_state});
+                     s.stall_count, s.total_bytes, s.mbps, s.final_state);
     }
   }
   return table;

@@ -11,9 +11,9 @@ namespace {
 
 Report sample() {
   Table titled({"key", "n"});
-  titled.add_row({"a<b", "1"});
+  titled.add_row("a<b", "1");
   Table untitled({"x"});
-  untitled.add_row({"y&z"});
+  untitled.add_row("y&z");
   Report report;
   report.line("summary \"line\"")
       .list("warnings", {"WARNING one", "WARNING <two>"})

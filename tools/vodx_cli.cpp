@@ -167,13 +167,13 @@ int cmd_list() {
     if (s.encrypt_manifest) notes += "encrypted-mpd ";
     if (s.player.split_segment_downloads) notes += "split-dl ";
     if (!s.player.persistent_connections) notes += "non-persistent ";
-    table.add_row({s.name, to_string(s.protocol), s.video_ladder.size(),
+    table.add_row(s.name, to_string(s.protocol), s.video_ladder.size(),
                    s.segment_duration, s.separate_audio ? "separate" : "muxed",
                    format("%.0f s @%.2f M", s.player.startup_buffer,
                           s.player.startup_bitrate / 1e6),
                    format("%.0f/%.0f s", s.player.pausing_threshold,
                           s.player.resuming_threshold),
-                   notes.empty() ? Value::none() : Value(notes)});
+                   notes.empty() ? "-" : notes);
   }
   table.print();
   return 0;
@@ -322,7 +322,7 @@ template <typename Catalog>
 int print_catalog(const char* kind, const Catalog& catalog) {
   Table table({kind, "description"});
   for (const auto& entry : catalog) {
-    table.add_row({entry.name, entry.description});
+    table.add_row(entry.name, entry.description);
   }
   table.print();
   return 0;
@@ -537,16 +537,16 @@ int run_grid(batch::SweepConfig& config, const GridFlags& flags,
         // dropped from the grid summary.
         table.add(cell.service).add(cell.fault);
         table.add(cell.quarantined ? "QUARANTINED" : "FAILED");
-        for (int i = 0; i < 8; ++i) table.add(Value::none());
+        for (int i = 0; i < 8; ++i) table.add(std::nullopt);
         continue;
       }
       const core::QoeReport& q = cell.result.qoe;
       const faults::FaultInjector::Stats& f = cell.result.faults;
-      table.add_row({cell.service, cell.fault,
+      table.add_row(cell.service, cell.fault,
                      player::to_string(cell.result.final_state),
                      q.startup_delay, q.stall_count, q.total_stall,
                      f.rejected, f.errors, f.resets, f.delayed,
-                     core::qoe_score(q, cell.result.session_end)});
+                     core::qoe_score(q, cell.result.session_end));
     }
     table.print();
   }
