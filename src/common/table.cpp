@@ -72,7 +72,7 @@ Table& Table::add(double value) {
               "table number added to a text column");
   const std::size_t at = text_.size();
   append_number(text_, format, value);
-  text_ += format.suffix;
+  if (*format.suffix != '\0') text_ += format.suffix;
   return close(at, std::isfinite(value) ? Cell::Kind::kNumber
                                         : Cell::Kind::kNull);
 }
@@ -85,7 +85,7 @@ Table& Table::add_integer(Int value) {
   }
   const std::size_t at = text_.size();
   append_int(text_, value);
-  text_ += format.suffix;
+  if (*format.suffix != '\0') text_ += format.suffix;
   return close(at, Cell::Kind::kNumber);
 }
 template Table& Table::add_integer(long long);
@@ -164,9 +164,13 @@ std::string Table::csv() const {
     out += columns_[i].name;
   }
   out += '\n';
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    out += text(cells_[c]);
-    out += (c + 1) % columns_.size() == 0 ? '\n' : ',';
+  out.reserve(out.size() + text_.size() + cells_.size());
+  for (auto cell = cells_.begin(); cell != cells_.end();) {
+    for (std::size_t i = 0; i < columns_.size(); ++i, ++cell) {
+      if (i > 0) out += ',';
+      out.append(text_, cell->at, cell->size);
+    }
+    out += '\n';
   }
   return out;
 }
