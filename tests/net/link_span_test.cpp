@@ -5,13 +5,19 @@
 // with steps, outages and trickles; transfers started mid-tick and from
 // events; aborts; link byte-counter reads from events and from a client
 // on either side of the link's registration slot) run on both cores, and
-// every connection's history must match exactly. Fixed scenarios then
+// every connection's history must match exactly. A tower-shaped family
+// (24-40 connections on one link, completion callbacks that start, attach
+// and detach connections on either side of the completing one) does the
+// same, and both families must also match a reference link that ticks
+// every connection through the public demand(), max_min_shares and
+// advance() alone. Fixed scenarios then
 // drive each of the replay's paths (the closed forms of TcpConnection::coast
 // and the per-tick replay) and check that each is taken and exact, and a
 // traced one checks the link's cached trace piece against the trace on
 // every tick.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -19,6 +25,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,11 +65,67 @@ struct Outcome {
   SpanReplayCounts replay;             ///< the link's replay paths
 };
 
+/// Ticks every attached connection on every grid tick through the public
+/// interface alone: demand(), max_min_shares and advance(), in snapshot
+/// order, skipping a connection a callback detached mid-tick. It shares no
+/// code with the Link's allocation shortcuts, spans or replay, so a Link
+/// that matches it bit for bit allocates and advances exactly. Run it on the
+/// fixed-tick core: it never pokes, so it could not catch up.
+class ReferenceLink : public TickClient {
+ public:
+  ReferenceLink(Simulator& sim, BandwidthTrace trace)
+      : trace_(std::move(trace)) {
+    sim.add_tick_client(this);
+  }
+
+  void attach(TcpConnection* connection) {
+    connections_.push_back(connection);
+  }
+  void detach(TcpConnection* connection) {
+    const auto it =
+        std::find(connections_.begin(), connections_.end(), connection);
+    if (it == connections_.end()) return;
+    delivered_by_detached_ += connection->lifetime_delivered();
+    connections_.erase(it);
+  }
+  Bytes total_delivered() const {
+    Bytes total = delivered_by_detached_;
+    for (const TcpConnection* c : connections_) {
+      total += c->lifetime_delivered();
+    }
+    return total;
+  }
+
+  void tick(Seconds now, Seconds dt) override {
+    // Connections a callback attaches join on the next tick.
+    const std::vector<TcpConnection*> snapshot = connections_;
+    std::vector<Bps> demands;
+    for (const TcpConnection* c : snapshot) demands.push_back(c->demand());
+    std::vector<Bps> grants;
+    std::vector<std::size_t> scratch;
+    max_min_shares(demands, trace_.at(now), grants, scratch);
+    for (std::size_t i = 0; i < snapshot.size(); ++i) {
+      if (std::find(connections_.begin(), connections_.end(), snapshot[i]) ==
+          connections_.end()) {
+        continue;
+      }
+      snapshot[i]->advance(now, dt, grants[i], grants[i] + 1e-6 < demands[i]);
+    }
+  }
+  Seconds next_wake(Seconds now) override { return now; }
+
+ private:
+  BandwidthTrace trace_;
+  std::vector<TcpConnection*> connections_;
+  Bytes delivered_by_detached_ = 0;
+};
+
 /// A client that reads the link's byte counter on its own schedule, as the
 /// population sampler does.
+template <typename L>
 class Reader : public TickClient {
  public:
-  Reader(Link*& link, std::vector<Bytes>& reads, Seconds every)
+  Reader(L*& link, std::vector<Bytes>& reads, Seconds every)
       : link_(link), reads_(reads), every_(every) {}
 
   void tick(Seconds now, Seconds) override {
@@ -73,13 +136,15 @@ class Reader : public TickClient {
   Seconds next_wake(Seconds) override { return next_; }
 
  private:
-  Link*& link_;
+  L*& link_;
   std::vector<Bytes>& reads_;
   Seconds every_;
   Seconds next_ = 0;
 };
 
-/// One seeded scenario, rebuilt identically for each run.
+/// One seeded scenario, rebuilt identically for each run, on a Link or a
+/// ReferenceLink (untraced).
+template <typename L = Link>
 Outcome run_scenario(std::uint64_t seed, int n_conns, SimCore core,
                      bool traced) {
   Rng rng(seed * 1000 + static_cast<std::uint64_t>(n_conns));
@@ -104,14 +169,16 @@ Outcome run_scenario(std::uint64_t seed, int n_conns, SimCore core,
   obs::Observer observer;
   if (traced) sim.set_observer(&observer);
 
-  Link* link_ptr = nullptr;
+  L* link_ptr = nullptr;
   const bool reader_first = rng.uniform(0, 1) < 0.5;
   Reader reader(link_ptr, out.reads, rng.uniform(0.2, 1.5));
   if (reader_first) sim.add_tick_client(&reader);
-  Link link(sim, trace);
+  L link(sim, trace);
   link_ptr = &link;
   if (!reader_first) sim.add_tick_client(&reader);
-  if (traced) link.set_observer(&observer);
+  if constexpr (std::is_same_v<L, Link>) {
+    if (traced) link.set_observer(&observer);
+  }
 
   std::vector<std::unique_ptr<TcpConnection>> conns;
   for (int i = 0; i < n_conns; ++i) {
@@ -186,7 +253,7 @@ Outcome run_scenario(std::uint64_t seed, int n_conns, SimCore core,
     out.tcp_trace = jsonl.str();
   }
   out.counters = sim.counters();
-  out.replay = link.replay_counts();
+  if constexpr (std::is_same_v<L, Link>) out.replay = link.replay_counts();
   for (auto& c : conns) link.detach(c.get());
   return out;
 }
@@ -219,6 +286,158 @@ void expect_identical(std::uint64_t seed, int n_conns, bool traced) {
   expect_same(run_scenario(seed, n_conns, SimCore::kEvent, traced),
               run_scenario(seed, n_conns, SimCore::kFixedTickReference,
                            traced));
+}
+
+/// What a tower scenario's callbacks did, to guard the family's reach.
+struct TowerReach {
+  int starts_before = 0;  ///< transfers started on an earlier connection
+  int starts_after = 0;   ///< ... on a later one, advanced in the same tick
+  int attached = 0;       ///< connections attached and started
+  int detached = 0;       ///< connections detached, busy or not
+};
+
+/// A tower-shaped scenario: 24-40 connections share one cell-rate link, in
+/// pairs that note one DeliveryTally (a session's video and audio), a fifth
+/// of them at another rtt. Request waits carry injected first-byte latency,
+/// so waits end inside the spans of the busy rest. A completion callback
+/// chains the connection's next transfer, and may start a transfer on an
+/// idle connection before or after it in the link's snapshot, attach and
+/// start a spare connection, or detach one. Events abort, read the byte
+/// counter and start transfers, as in run_scenario.
+template <typename L = Link>
+Outcome run_tower(std::uint64_t seed, SimCore core, bool traced,
+                  TowerReach* reach = nullptr) {
+  Rng rng(seed * 7919 + 40);
+  const std::size_t initial =
+      static_cast<std::size_t>(rng.uniform_int(24, 40));
+  const std::size_t total = initial + 6;  // the rest are spares
+  std::vector<Bps> samples;
+  for (int s = 0; s < static_cast<int>(kHorizon); ++s) {
+    samples.push_back(rng.uniform(0, 1) < 0.1 ? rng.uniform(0.3e6, 3e6)
+                                              : rng.uniform(5e6, 40e6));
+  }
+  const BandwidthTrace trace = BandwidthTrace::per_second(samples);
+
+  Outcome out;
+  out.conns.resize(total);
+  std::vector<DeliveryTally> tallies((total + 1) / 2);
+  Simulator sim(kTick);
+  sim.set_core(core);
+  obs::Observer observer;
+  if (traced) sim.set_observer(&observer);
+
+  L* link_ptr = nullptr;
+  const bool reader_first = rng.uniform(0, 1) < 0.5;
+  Reader reader(link_ptr, out.reads, rng.uniform(0.2, 1.5));
+  if (reader_first) sim.add_tick_client(&reader);
+  L link(sim, trace);
+  link_ptr = &link;
+  if (!reader_first) sim.add_tick_client(&reader);
+  if constexpr (std::is_same_v<L, Link>) {
+    if (traced) link.set_observer(&observer);
+  }
+
+  // Index order is snapshot order: spares attach after every initial
+  // connection, in index order.
+  std::vector<std::unique_ptr<TcpConnection>> conns;
+  std::vector<bool> attached(total, false);
+  std::size_t next_spare = initial;
+  for (std::size_t i = 0; i < total; ++i) {
+    TcpConfig config;
+    config.persistent = rng.uniform(0, 1) < 0.8;
+    if (rng.uniform(0, 1) < 0.2) config.rtt = rng.uniform(0.03, 0.15);
+    conns.push_back(
+        std::make_unique<TcpConnection>(config, "c" + std::to_string(i)));
+    if (traced) conns.back()->set_observer(&observer);
+    conns.back()->set_delivery_tally(&tallies[i / 2]);
+    if (i < initial) {
+      link.attach(conns.back().get());
+      attached[i] = true;
+    }
+  }
+
+  std::function<void(std::size_t)> start = [&](std::size_t i) {
+    TcpConnection& c = *conns[i];
+    if (!attached[i] || c.busy() || sim.now() >= kHorizon) return;
+    const Bytes bytes =
+        static_cast<Bytes>(std::exp(rng.uniform(std::log(500), std::log(1.5e6))));
+    const Seconds extra = rng.uniform(0, 1) < 0.5 ? rng.uniform(0, 0.3) : 0;
+    c.start_transfer(sim.now(), bytes, [&, i] {
+      ConnHistory& h = out.conns[i];
+      h.completed_at.push_back(sim.now());
+      h.waits.push_back(conns[i]->transfer_wait());
+      h.cwnd_at_end.push_back(conns[i]->cwnd());
+      const double pick = rng.uniform(0, 1);
+      if (pick < 0.5) {
+        const std::size_t j =
+            static_cast<std::size_t>(rng.uniform_int(0, total - 1));
+        if (j != i && attached[j] && !conns[j]->busy()) {
+          if (reach != nullptr) ++(j < i ? reach->starts_before
+                                         : reach->starts_after);
+          start(j);
+        }
+      } else if (pick < 0.55) {
+        if (next_spare < total) {
+          const std::size_t j = next_spare++;
+          link.attach(conns[j].get());
+          attached[j] = true;
+          if (reach != nullptr) ++reach->attached;
+          start(j);
+        }
+      } else if (pick < 0.58) {
+        const std::size_t j =
+            static_cast<std::size_t>(rng.uniform_int(0, total - 1));
+        if (j != i && attached[j]) {
+          link.detach(conns[j].get());
+          attached[j] = false;
+          if (reach != nullptr) ++reach->detached;
+        }
+      }
+      if (rng.uniform(0, 1) < 0.5) {
+        start(i);
+      } else {
+        sim.schedule(rng.uniform(0, 0.6), [&, i] { start(i); });
+      }
+    }, extra);
+  };
+  for (std::size_t i = 0; i < initial; ++i) {
+    sim.schedule(rng.uniform(0, 1), [&, i] { start(i); });
+  }
+  for (int k = 0; k < 60; ++k) {
+    const Seconds at = rng.uniform(0, kHorizon);
+    const std::size_t i =
+        static_cast<std::size_t>(rng.uniform_int(0, total - 1));
+    const double kind = rng.uniform(0, 1);
+    sim.schedule(at, [&, i, kind] {
+      TcpConnection& c = *conns[i];
+      if (kind < 0.3) {
+        if (!attached[i] || !c.busy()) return;
+        c.abort_transfer();
+        out.conns[i].aborted_with.push_back(c.transfer_delivered());
+      } else if (kind < 0.6) {
+        out.reads.push_back(link.total_delivered());
+      } else {
+        start(i);
+      }
+    });
+  }
+
+  sim.run_until(kHorizon);
+  for (std::size_t i = 0; i < total; ++i) {
+    out.conns[i].lifetime = conns[i]->lifetime_delivered();
+    out.conns[i].cwnd = conns[i]->cwnd();
+  }
+  for (const DeliveryTally& t : tallies) out.tallies.push_back(t.ticks);
+  out.reads.push_back(link.total_delivered());
+  if (traced) {
+    std::ostringstream jsonl;
+    obs::write_jsonl(observer.trace, jsonl);
+    out.tcp_trace = jsonl.str();
+  }
+  out.counters = sim.counters();
+  if constexpr (std::is_same_v<L, Link>) out.replay = link.replay_counts();
+  for (auto& c : conns) link.detach(c.get());
+  return out;
 }
 
 /// A fixed scenario aimed at one replay path: each connection repeats
@@ -338,6 +557,59 @@ TEST(LinkSpans, EightConnectionsReplayExactly) {
     expect_identical(seed, 8, false);
     expect_identical(seed, 8, true);
   }
+}
+
+TEST(LinkSpans, TowersReplayExactly) {
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "tower seed " << seed);
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "traced " << traced);
+      expect_same(run_tower(seed, SimCore::kEvent, traced),
+                  run_tower(seed, SimCore::kFixedTickReference, traced));
+    }
+  }
+}
+
+TEST(LinkSpans, TowersMatchTheReferenceLinkBitForBit) {
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "tower seed " << seed);
+    const Outcome reference = run_tower<ReferenceLink>(
+        seed, SimCore::kFixedTickReference, false);
+    expect_same(run_tower(seed, SimCore::kEvent, false), reference);
+    expect_same(run_tower(seed, SimCore::kFixedTickReference, false),
+                reference);
+  }
+}
+
+TEST(LinkSpans, SmallScenariosMatchTheReferenceLinkBitForBit) {
+  for (const int n_conns : {1, 2, 8}) {
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", "
+                                        << n_conns << " connections");
+      expect_same(run_scenario(seed, n_conns, SimCore::kEvent, false),
+                  run_scenario<ReferenceLink>(
+                      seed, n_conns, SimCore::kFixedTickReference, false));
+    }
+  }
+}
+
+TEST(LinkSpans, TowersExerciseCallbacksOnBothSidesOfTheSnapshot) {
+  // Guards the tower family's reach: callbacks start transfers on earlier
+  // and later connections, attach and detach, and the link sleeps.
+  TowerReach reach;
+  std::size_t completions = 0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    const Outcome out = run_tower(seed, SimCore::kEvent, false, &reach);
+    for (const ConnHistory& h : out.conns) completions += h.completed_at.size();
+    EXPECT_GT(out.counters.fast_forwards, 0u);
+    EXPECT_GT(out.replay.closed_form(), 0u);
+    EXPECT_GT(out.replay.per_tick, 0u);
+  }
+  EXPECT_GT(completions, 2000u);
+  EXPECT_GT(reach.starts_before, 50);
+  EXPECT_GT(reach.starts_after, 50);
+  EXPECT_GT(reach.attached, 20);
+  EXPECT_GT(reach.detached, 20);
 }
 
 TEST(LinkSpans, ScenariosExerciseSpansCompletionsAndAborts) {
