@@ -10,7 +10,9 @@
 #                                          # ctest label (unit|integration|
 #                                          # golden|faults|chaos|diag|
 #                                          # simcore|pop|popobs|origin|cli|
-#                                          # lint|paper; regex accepted)
+#                                          # lint|paper; regex accepted),
+#                                          # building only the executables
+#                                          # those tests run
 #   BUILD_DIR=out ./scripts/check.sh       # custom build directory
 set -euo pipefail
 
@@ -58,6 +60,32 @@ done
 [[ -n "$NAME_FILTER" ]] && CTEST_ARGS+=(-R "$NAME_FILTER")
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
-cmake --build "$BUILD_DIR" -j "$(nproc)"
+if [[ -n "$LABELS" ]]; then
+  # Configure recorded each test site's labels and executables (see
+  # vodx_record_tests in CMakeLists.txt): build those of the matching ones.
+  matched=0
+  targets=()
+  while read -r labels needs; do
+    IFS=';' read -ra names <<<"$labels"
+    for name in "${names[@]}"; do
+      if [[ $name =~ $LABELS ]]; then
+        matched=1
+        read -ra site <<<"$needs"
+        targets+=("${site[@]}")
+        break
+      fi
+    done
+  done <"$BUILD_DIR/test_targets.txt"
+  if [[ $matched == 0 ]]; then
+    echo "error: no test label matches '$LABELS'" >&2
+    exit 2
+  fi
+  if [[ ${#targets[@]} -gt 0 ]]; then
+    mapfile -t targets < <(printf '%s\n' "${targets[@]}" | sort -u)
+    cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${targets[@]}"
+  fi
+else
+  cmake --build "$BUILD_DIR" -j "$(nproc)"
+fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   "${CTEST_ARGS[@]}"
