@@ -6,23 +6,36 @@
 // additionally capped by each connection's own cwnd/RTT (handled inside
 // TcpConnection::advance).
 //
-// The link is a TickClient that sleeps through spans it can predict. Each
-// tick, in the same pass that advances the connections, it bounds the first
-// tick at which the allocation could change: a transfer could complete, a
-// waiting connection could start streaming, a connection samples its cwnd
-// series (TcpConnection::samples_cwnd), or the bandwidth trace steps
-// (BandwidthTrace::next_change_after, which also keeps the obs capacity
-// timeline lossless; a tick inside one trace piece reads its cached
+// The link is a TickClient that sleeps through spans it can predict. At the
+// end of each tick it plans from the state the tick left: the busy
+// connections, in the order the next tick will meet them, and the
+// allocation that tick would compute from their demands. It then bounds the
+// first tick at which that allocation could change: a transfer could
+// complete, a waiting connection could start streaming, a connection
+// samples its cwnd series (TcpConnection::samples_cwnd), or the bandwidth
+// trace steps (BandwidthTrace::next_change_after, which also keeps the obs
+// capacity timeline lossless; a tick inside one trace piece reads its cached
 // capacity, capacity_at). next_wake() returns that tick, and fast_forward()
 // replays the slept ticks exactly: a connection that waits through the span,
 // or streams saturated under the span's single rate cap, in closed form
 // (TcpConnection::coast); the rest tick by tick, as advance() would have run
-// them. Whatever changes a connection from outside the link's tick
-// pokes the link first: a transfer start, an abort or close, a detach. A
-// reader that changes nothing catches it up without rescheduling it
-// (total_delivered()).
+// them. Whatever changes a connection from outside the link's tick pokes the
+// link first: a transfer start, an abort or close, a detach. A poke from
+// inside the link's own tick (a completion callback that starts, aborts or
+// detaches a connection) needs no wake: the plan at the tick's end sees its
+// outcome. A reader that changes nothing catches the link up without
+// rescheduling it (total_delivered()).
+//
+// An equal split (every active demand above capacity / active) is one
+// share for all its streamers. Its ticks, executed or replayed, advance the
+// split's connections in one loop (advance_split) from one TickGrant and
+// one saturating cwnd per rtt: the same operations advance() performs, with
+// no per-connection demand, allocation or grant. A tick whose plan is still
+// valid (no outside poke since, the same trace piece) takes the planned
+// split's share without reading a demand.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -89,10 +102,18 @@ class Link : public TickClient {
 
  private:
   friend class TcpConnection;
-  /// An attached connection is about to change outside the link's tick (a
-  /// transfer starts, or one is abandoned): catch the link up and run it
-  /// next. A transfer that starts mid-tick thus wakes it on the next tick.
-  void poke() { sim_.poke(this); }
+  /// An attached connection is about to change (a transfer starts, or one
+  /// is abandoned or detached). From outside the link's tick: the plan no
+  /// longer holds, so catch the link up and run it next. From inside its
+  /// own tick (a completion callback): nothing, the tick's plan sees it.
+  void poke() {
+    if (in_tick_) {
+      touched_ = true;
+      return;
+    }
+    plan_valid_ = false;
+    sim_.poke(this);
+  }
 
   /// trace_.at(now), from the trace piece the last lookup found. The piece
   /// holds until piece_end_ (its next_change_after); a lookup afresh runs
@@ -101,12 +122,49 @@ class Link : public TickClient {
   /// as at() does. The link's clock never runs backwards.
   Bps capacity_at(Seconds now);
 
-  /// Allocates `capacity` over `demands` into `grants`. Two shapes skip
-  /// max_min_shares with the same floats: every active demand above the
-  /// equal share (an equal split) or none above it (every demand fits).
-  /// Returns the share of an equal split, 0 for any other allocation.
+  /// Allocates `capacity` over `demands`. An equal split (every active
+  /// demand above the equal share) returns its share and leaves `grants`
+  /// alone: the caller runs advance_split. Any other allocation lands in
+  /// `grants` and returns 0; when no demand is above the share (every one
+  /// fits) it skips max_min_shares with the same floats.
   Bps allocate(const std::vector<Bps>& demands, Bps capacity,
                std::vector<Bps>& grants);
+
+  /// What plan() needs of the busy connections, folded in the order the
+  /// next tick meets them. Demand never falls as cwnd grows, nor the ticks
+  /// before streaming as a wait does, so the least cwnd (at the link's rtt)
+  /// and the shortest wait stand for all of them.
+  struct SpanFold {
+    int streamers = 0;
+    Bytes least_cwnd = std::numeric_limits<Bytes>::max();
+    Bps lowest = std::numeric_limits<double>::infinity();  ///< other rtts
+    Seconds shortest_wait = std::numeric_limits<double>::infinity();
+    Seconds shortest_rtt = std::numeric_limits<double>::infinity();
+    double nearest_end = std::numeric_limits<double>::infinity();  ///< bytes
+    Seconds sample_at = kNeverWakes;  ///< a streamer's next cwnd sample
+  };
+  /// Adds `c` to span_ and `fold` if it is busy.
+  void add_to_span(TcpConnection* c, SpanFold& fold);
+
+  /// One tick at `now` of an equal split at `share` over `conns` in order:
+  /// each streamer streams the share, each wait advances, and a connection
+  /// a callback detached mid-tick is skipped. Folds each connection it
+  /// advanced into `fold` (nullable) afterwards.
+  void advance_split(const std::vector<TcpConnection*>& conns, Seconds now,
+                     Seconds dt, Bps share, SpanFold* fold);
+
+  /// Whether `c` left the link since detach_epoch_ read `epoch`. The
+  /// liveness scan only runs once a detach has actually happened
+  /// (population-scale ticks would otherwise go quadratic on it).
+  bool detached_since(std::uint64_t epoch, const TcpConnection* c) const {
+    return detach_epoch_ != epoch &&
+           std::find(connections_.begin(), connections_.end(), c) ==
+               connections_.end();
+  }
+
+  /// Plans the span after the tick at `now` under `capacity`, from span_
+  /// and its fold.
+  void plan(Seconds now, Seconds dt, Bps capacity, const SpanFold& fold);
 
   /// Spans shorter than this replay per tick: the closed forms' checks cost
   /// more than a few advance() calls.
@@ -127,7 +185,7 @@ class Link : public TickClient {
   /// scan (quadratic at population scale) unless a completion callback
   /// actually detached something mid-tick.
   std::uint64_t detach_epoch_ = 0;
-  /// Bumped by every transfer completion (TcpConnection::advance).
+  /// Bumped by every transfer completion (TcpConnection::complete).
   std::uint64_t completions_ = 0;
 
   // Per-tick scratch (the hot path must not allocate).
@@ -137,15 +195,24 @@ class Link : public TickClient {
   std::vector<std::size_t> scratch_active_;
 
   // The span the link sleeps through, planned by the last tick(). Its busy
-  // connections keep their phase for the whole span, apart from a wait
-  // ending in streaming, so the replay walks them alone, in snapshot order.
+  // connections keep their phase for the whole span, so the replay walks
+  // them alone, in snapshot order.
   std::vector<TcpConnection*> span_;
   Bps span_capacity_ = 0;
   /// When the span's allocation reduces to one cap, each slept tick grants
   /// every connection min(demand, span_limit_): the equal share of an equal
-  /// split that holds, or the capacity for a lone streamer. -1 when the
-  /// replay allocates each tick afresh.
+  /// split that holds (span_split_), or the capacity for a lone streamer.
+  /// -1 when the replay allocates each tick afresh.
   Bps span_limit_ = -1;
+  bool span_split_ = false;
+  int span_streamers_ = 0;  ///< the connections streaming in the span
+  /// The plan still describes the connections: no poke from outside a tick
+  /// since it was made.
+  bool plan_valid_ = false;
+  bool in_tick_ = false;  ///< inside tick(), where pokes need no wake
+  /// A poke, attach or detach since the tick began: a callback may have
+  /// changed a connection the tick's loop had already folded.
+  bool touched_ = false;
   Seconds span_wake_ = kNeverWakes;  ///< what next_wake() returns
   /// The span's connections fast_forward() replays per tick.
   std::vector<TcpConnection*> replayed_;

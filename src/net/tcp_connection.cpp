@@ -17,6 +17,13 @@ constexpr double kHandshakeRtts = 1.0;    ///< 1 for TCP, 3 for TCP+TLS1.2
 constexpr Seconds kIdleRestartAfter = 0.5;
 }  // namespace
 
+TickGrant::TickGrant(Bps rate, Seconds dt, Seconds rtt)
+    : bytes(rate * dt / 8.0),
+      // Only a transfer with more than `bytes` left uses the ack, and no
+      // transfer has 2^62 bytes.
+      acked(bytes < 0x1p62 ? static_cast<Bytes>(bytes + 0.5) : 0),
+      bdp_cap(kQueueHeadroom * rate * rtt / 8.0) {}
+
 TcpConnection::TcpConnection(TcpConfig config, std::string label)
     : config_(config),
       label_(std::move(label)),
@@ -143,17 +150,11 @@ void TcpConnection::abort_transfer() {
   phase_ = Phase::kClosed;
 }
 
-Bps TcpConnection::demand() const {
-  if (phase_ != Phase::kStreaming) return 0;
-  return static_cast<double>(cwnd_) * 8.0 / config_.rtt;
-}
-
-double TcpConnection::ticks_before_streaming(Seconds dt) const {
+double TcpConnection::ticks_before_streaming(Seconds wait, Seconds dt) {
   // advance() ends a wait once wait_remaining_ <= 1e-12, and a handshake
-  // hands over to one request RTT. The 1e-6-tick margin absorbs the
-  // rounding of the per-tick subtractions, so the bound errs early.
-  const Seconds wait =
-      wait_remaining_ + (phase_ == Phase::kHandshake ? config_.rtt : 0);
+  // hands over to one request RTT (wait_left() adds it). The 1e-6-tick
+  // margin absorbs the rounding of the per-tick subtractions, so the bound
+  // errs early.
   return std::ceil((wait - 1e-12) / dt - 1e-6) - 1;
 }
 
@@ -163,9 +164,7 @@ void TcpConnection::enter_streaming(Seconds now) {
   transfer_first_byte_ = now;
 }
 
-void TcpConnection::grow_cwnd(Bytes acked, Bps granted, bool saturated) {
-  const double bdp_cap =
-      kQueueHeadroom * granted * config_.rtt / 8.0;
+void TcpConnection::grow_cwnd(Bytes acked, double bdp_cap, bool saturated) {
   if (saturated && static_cast<double>(cwnd_) > bdp_cap) {
     // Stand-in for loss-based backoff: the pipe (plus queue headroom) is
     // full, so clamp to the achievable window and leave slow start.
@@ -305,57 +304,64 @@ void TcpConnection::advance(Seconds now, Seconds dt, Bps granted,
       wait_remaining_ -= dt;
       if (wait_remaining_ <= 1e-12) enter_streaming(now);
       return;
-    case Phase::kStreaming: {
-      // Split streaming time by the binding constraint: when the link could
-      // not grant full demand the bottleneck limits us; otherwise the sender
-      // (cwnd) does. diag reads this split off the transfer end event.
-      if (saturated) {
-        link_limited_s_ += dt;
-      } else {
-        sender_limited_s_ += dt;
-      }
-      double delivered = granted * dt / 8.0;
-      delivered = std::min(delivered, transfer_remaining_);
-      transfer_remaining_ -= delivered;
-      Bytes whole =
-          transfer_size_ - static_cast<Bytes>(transfer_remaining_ + 0.5);
-      Bytes newly = whole - transfer_delivered_;
-      transfer_delivered_ = whole;
-      lifetime_delivered_ += newly;
-      if (newly > 0 && tally_ != nullptr) tally_->note(now);
-      grow_cwnd(static_cast<Bytes>(delivered + 0.5), granted, saturated);
-      if (samples_cwnd() && now - last_cwnd_emit_ >= config_.rtt) {
-        // Sampled at RTT granularity: cwnd only changes meaningfully
-        // per-RTT, and per-tick emission would swamp the ring.
-        obs_->trace.counter(now, obs::Category::kTcp, "tcp.cwnd_kb",
-                            obs_track_, static_cast<double>(cwnd_) / 1e3);
-        last_cwnd_emit_ = now;
-      }
-      if (transfer_remaining_ <= 1e-9) {
-        transfer_delivered_ = transfer_size_;
-        phase_ = config_.persistent ? Phase::kIdle : Phase::kClosed;
-        if (link_ != nullptr) ++link_->completions_;
-        idle_since_ = now;
-        if (goodput_metric_ != nullptr && now > transfer_started_) {
-          goodput_metric_->record(
-              rate_of(transfer_size_, now - transfer_started_) / 1e6);
-        }
-        if (obs::trace_on(obs_, obs::Category::kTcp)) {
-          // End the span before the callback: the HTTP layer closes its own
-          // request span (and may start a new transfer) inside `done`.
-          obs_->trace.end(now, obs::Category::kTcp, "tcp.transfer",
-                          obs_track_,
-                          transfer_end_fields(transfer_size_, false));
-        }
-        // Move the callback out first: it may immediately start a new
-        // transfer on this same connection.
-        CompletionFn done = std::move(on_complete_);
-        on_complete_ = nullptr;
-        if (done) done();
-      }
+    case Phase::kStreaming:
+      stream(now, dt, TickGrant(granted, dt, config_.rtt), saturated);
       return;
-    }
   }
+}
+
+void TcpConnection::stream(Seconds now, Seconds dt, const TickGrant& grant,
+                           bool saturated) {
+  // Split streaming time by the binding constraint: when the link could
+  // not grant full demand the bottleneck limits us; otherwise the sender
+  // (cwnd) does. diag reads this split off the transfer end event.
+  if (saturated) {
+    link_limited_s_ += dt;
+  } else {
+    sender_limited_s_ += dt;
+  }
+  const double delivered = std::min(grant.bytes, transfer_remaining_);
+  transfer_remaining_ -= delivered;
+  const Bytes whole =
+      transfer_size_ - static_cast<Bytes>(transfer_remaining_ + 0.5);
+  const Bytes newly = whole - transfer_delivered_;
+  transfer_delivered_ = whole;
+  lifetime_delivered_ += newly;
+  if (newly > 0 && tally_ != nullptr) tally_->note(now);
+  // A transfer's last tick acks what was left of it.
+  grow_cwnd(delivered < grant.bytes ? static_cast<Bytes>(delivered + 0.5)
+                                    : grant.acked,
+            grant.bdp_cap, saturated);
+  if (samples_cwnd() && now - last_cwnd_emit_ >= config_.rtt) {
+    // Sampled at RTT granularity: cwnd only changes meaningfully
+    // per-RTT, and per-tick emission would swamp the ring.
+    obs_->trace.counter(now, obs::Category::kTcp, "tcp.cwnd_kb", obs_track_,
+                        static_cast<double>(cwnd_) / 1e3);
+    last_cwnd_emit_ = now;
+  }
+  if (transfer_remaining_ <= 1e-9) complete(now);
+}
+
+void TcpConnection::complete(Seconds now) {
+  transfer_delivered_ = transfer_size_;
+  phase_ = config_.persistent ? Phase::kIdle : Phase::kClosed;
+  if (link_ != nullptr) ++link_->completions_;
+  idle_since_ = now;
+  if (goodput_metric_ != nullptr && now > transfer_started_) {
+    goodput_metric_->record(rate_of(transfer_size_, now - transfer_started_) /
+                            1e6);
+  }
+  if (obs::trace_on(obs_, obs::Category::kTcp)) {
+    // End the span before the callback: the HTTP layer closes its own
+    // request span (and may start a new transfer) inside `done`.
+    obs_->trace.end(now, obs::Category::kTcp, "tcp.transfer", obs_track_,
+                    transfer_end_fields(transfer_size_, false));
+  }
+  // Move the callback out first: it may immediately start a new transfer on
+  // this same connection.
+  CompletionFn done = std::move(on_complete_);
+  on_complete_ = nullptr;
+  if (done) done();
 }
 
 }  // namespace vodx::net

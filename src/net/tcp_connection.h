@@ -85,6 +85,17 @@ struct SpanReplayCounts {
   }
 };
 
+/// What one tick's grant of `rate` gives a streaming connection with
+/// round-trip time `rtt`, before it touches the connection's state.
+/// advance() derives it per call; the link derives it once per tick for
+/// every connection of an equal split (and rtt).
+struct TickGrant {
+  TickGrant(Bps rate, Seconds dt, Seconds rtt);
+  double bytes;    ///< rate * dt / 8: what the tick offers
+  Bytes acked;     ///< bytes rounded to a whole byte, the tick's ack
+  double bdp_cap;  ///< kQueueHeadroom x the grant's BDP: a saturated cwnd's cap
+};
+
 /// Observer for byte-level accounting (traffic logging, waste analysis).
 class TcpConnection {
  public:
@@ -158,7 +169,14 @@ class TcpConnection {
   // --- Link-facing interface -------------------------------------------
 
   /// Bandwidth this connection could consume this tick (0 unless streaming).
-  Bps demand() const;
+  Bps demand() const {
+    return phase_ == Phase::kStreaming ? cwnd_rate(cwnd_, config_.rtt) : 0;
+  }
+  /// A streaming connection's demand at `cwnd`: one window per rtt. It
+  /// never falls as cwnd grows.
+  static Bps cwnd_rate(Bytes cwnd, Seconds rtt) {
+    return static_cast<double>(cwnd) * 8.0 / rtt;
+  }
 
   /// Advances the connection by dt with the granted rate. `saturated` is true
   /// when the link could not satisfy this connection's full demand. A link
@@ -170,12 +188,23 @@ class TcpConnection {
  private:
   enum class Phase { kClosed, kHandshake, kRequestWait, kStreaming, kIdle };
 
-  /// Span planning: a lower bound on the ticks of `dt` a waiting connection
-  /// (handshake or request wait) still spends before the tick in which it
-  /// starts streaming.
-  double ticks_before_streaming(Seconds dt) const;
+  /// Span planning: the time a waiting connection (handshake or request
+  /// wait) has left before it streams.
+  Seconds wait_left() const {
+    return wait_remaining_ + (phase_ == Phase::kHandshake ? config_.rtt : 0);
+  }
+  /// Span planning: a lower bound on the ticks of `dt` a connection with
+  /// wait_left() `wait` still spends before the tick in which it starts
+  /// streaming. It never falls as the wait grows, so the shortest wait
+  /// bounds a group of them.
+  static double ticks_before_streaming(Seconds wait, Seconds dt);
   void enter_streaming(Seconds now);
-  void grow_cwnd(Bytes acked, Bps granted, bool saturated);
+  /// advance() for a streaming connection: one tick of `grant`.
+  void stream(Seconds now, Seconds dt, const TickGrant& grant,
+              bool saturated);
+  /// The last byte arrived: go idle (or closed) and fire the callback.
+  void complete(Seconds now);
+  void grow_cwnd(Bytes acked, double bdp_cap, bool saturated);
   /// Replays `ticks` slept ticks ending at `now` in closed form, exactly as
   /// that many advance() calls would. `limit` is the span's single rate cap
   /// (-1 when the link allocates per tick). Covers a wait that stays a wait,

@@ -111,6 +111,9 @@ TEST(RenderedOutputs, DiagnosedPopulationBehindTheHardenedOrigin) {
   }
   ASSERT_EQ(capped, 1) << "the fixture wants one capped tower; arrivals:"
                        << arrivals;
+  // The tower CSV and the JSONL's tower rows end in the tower's simulator
+  // work counters (ticks executed, client ticks, fast-forwards), so those
+  // two pins also move when the core does less work for the same output.
   expect_pinned(
       {{"population_text", pop::population_text(report)},
        {"population_csv", pop::population_csv(report)},
@@ -122,8 +125,8 @@ TEST(RenderedOutputs, DiagnosedPopulationBehindTheHardenedOrigin) {
       {
           {"population_text", "6ed293812a223fa9"},
           {"population_csv", "2202e179cbc4aa19"},
-          {"population_tower_csv", "00c064dbeffca14a"},
-          {"population_jsonl", "56e40ad882a960bf"},
+          {"population_tower_csv", "056de3ab109c49d8"},
+          {"population_jsonl", "cab402a9133b1ecb"},
           {"timeline_csv", "bc97515e4bb73085"},
           {"timeline_jsonl", "c5ed17c27ab811b4"},
           {"timeline_html", "22e07b40844ed4f6"},

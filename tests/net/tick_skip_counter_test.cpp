@@ -45,7 +45,7 @@ TickTotals catalog_tick_totals(net::SimCore core) {
 TEST(TickSkipCounters, EventCoreExecutesAPinnedShareOfTheCatalogTicks) {
   const TickTotals totals = catalog_tick_totals(net::SimCore::kEvent);
   EXPECT_EQ(totals.covered, 143988u);
-  EXPECT_EQ(totals.executed, 6964u);
+  EXPECT_EQ(totals.executed, 5762u);
 }
 
 TEST(TickSkipCounters, FixedTickReferenceExecutesEveryCoveredTick) {

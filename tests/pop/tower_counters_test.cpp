@@ -31,8 +31,8 @@ TEST(TowerWorkCounters, EventCorePinsAllThreeCounters) {
   const TowerReport tower = small_tower(net::SimCore::kEvent);
   EXPECT_EQ(tower.sessions, 63);
   EXPECT_EQ(tower.sim.ticks_covered, 60000u);
-  EXPECT_EQ(tower.sim.ticks_executed, 15124u);
-  EXPECT_EQ(tower.sim.client_ticks, 20057u);
+  EXPECT_EQ(tower.sim.ticks_executed, 11608u);
+  EXPECT_EQ(tower.sim.client_ticks, 16042u);
 }
 
 TEST(TowerWorkCounters, SleepingPlayersCutClientTicksFivefold) {
