@@ -11,7 +11,6 @@
 namespace vodx::net {
 
 namespace {
-constexpr Bytes kMss = 1460;              ///< segment size for CA growth
 constexpr double kHandshakeRtts = 1.0;    ///< 1 for TCP, 3 for TCP+TLS1.2
 /// A persistent connection idle for longer than this restarts slow start.
 constexpr Seconds kIdleRestartAfter = 0.5;
@@ -164,22 +163,6 @@ void TcpConnection::enter_streaming(Seconds now) {
   transfer_first_byte_ = now;
 }
 
-void TcpConnection::grow_cwnd(Bytes acked, double bdp_cap, bool saturated) {
-  if (saturated && static_cast<double>(cwnd_) > bdp_cap) {
-    // Stand-in for loss-based backoff: the pipe (plus queue headroom) is
-    // full, so clamp to the achievable window and leave slow start.
-    cwnd_ = std::max(kInitialCwnd, static_cast<Bytes>(bdp_cap));
-    ssthresh_ = static_cast<double>(cwnd_);
-    return;
-  }
-  if (static_cast<double>(cwnd_) < ssthresh_) {
-    cwnd_ += acked;  // slow start: doubles per RTT
-  } else if (cwnd_ > 0) {
-    cwnd_ += std::max<Bytes>(
-        1, kMss * acked / cwnd_);  // congestion avoidance
-  }
-}
-
 bool TcpConnection::coast(Seconds now, Seconds dt, std::uint64_t ticks,
                           Bps limit, SpanReplayCounts& counts) {
   if (phase_ == Phase::kHandshake || phase_ == Phase::kRequestWait) {
@@ -310,36 +293,12 @@ void TcpConnection::advance(Seconds now, Seconds dt, Bps granted,
   }
 }
 
-void TcpConnection::stream(Seconds now, Seconds dt, const TickGrant& grant,
-                           bool saturated) {
-  // Split streaming time by the binding constraint: when the link could
-  // not grant full demand the bottleneck limits us; otherwise the sender
-  // (cwnd) does. diag reads this split off the transfer end event.
-  if (saturated) {
-    link_limited_s_ += dt;
-  } else {
-    sender_limited_s_ += dt;
-  }
-  const double delivered = std::min(grant.bytes, transfer_remaining_);
-  transfer_remaining_ -= delivered;
-  const Bytes whole =
-      transfer_size_ - static_cast<Bytes>(transfer_remaining_ + 0.5);
-  const Bytes newly = whole - transfer_delivered_;
-  transfer_delivered_ = whole;
-  lifetime_delivered_ += newly;
-  if (newly > 0 && tally_ != nullptr) tally_->note(now);
-  // A transfer's last tick acks what was left of it.
-  grow_cwnd(delivered < grant.bytes ? static_cast<Bytes>(delivered + 0.5)
-                                    : grant.acked,
-            grant.bdp_cap, saturated);
-  if (samples_cwnd() && now - last_cwnd_emit_ >= config_.rtt) {
-    // Sampled at RTT granularity: cwnd only changes meaningfully
-    // per-RTT, and per-tick emission would swamp the ring.
-    obs_->trace.counter(now, obs::Category::kTcp, "tcp.cwnd_kb", obs_track_,
-                        static_cast<double>(cwnd_) / 1e3);
-    last_cwnd_emit_ = now;
-  }
-  if (transfer_remaining_ <= 1e-9) complete(now);
+void TcpConnection::sample_cwnd(Seconds now) {
+  // Sampled at RTT granularity: cwnd only changes meaningfully per-RTT, and
+  // per-tick emission would swamp the ring.
+  obs_->trace.counter(now, obs::Category::kTcp, "tcp.cwnd_kb", obs_track_,
+                      static_cast<double>(cwnd_) / 1e3);
+  last_cwnd_emit_ = now;
 }
 
 void TcpConnection::complete(Seconds now) {

@@ -17,6 +17,7 @@
 //    what makes on-off buffer-driven downloading re-pay the ramp-up.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -187,6 +188,7 @@ class TcpConnection {
 
  private:
   enum class Phase { kClosed, kHandshake, kRequestWait, kStreaming, kIdle };
+  static constexpr Bytes kMss = 1460;  ///< segment size for CA growth
 
   /// Span planning: the time a waiting connection (handshake or request
   /// wait) has left before it streams.
@@ -199,9 +201,12 @@ class TcpConnection {
   /// bounds a group of them.
   static double ticks_before_streaming(Seconds wait, Seconds dt);
   void enter_streaming(Seconds now);
-  /// advance() for a streaming connection: one tick of `grant`.
+  /// advance() for a streaming connection: one tick of `grant`. Inline, so
+  /// the link's equal-split loop runs it without a call per connection.
   void stream(Seconds now, Seconds dt, const TickGrant& grant,
               bool saturated);
+  /// Emits the tcp.cwnd_kb sample due at `now`.
+  void sample_cwnd(Seconds now);
   /// The last byte arrived: go idle (or closed) and fire the callback.
   void complete(Seconds now);
   void grow_cwnd(Bytes acked, double bdp_cap, bool saturated);
@@ -252,5 +257,50 @@ class TcpConnection {
   obs::Counter* transfers_metric_ = nullptr;
   obs::Histogram* goodput_metric_ = nullptr;
 };
+
+[[gnu::always_inline]] inline void TcpConnection::grow_cwnd(Bytes acked, double bdp_cap,
+                                     bool saturated) {
+  if (saturated && static_cast<double>(cwnd_) > bdp_cap) {
+    // Stand-in for loss-based backoff: the pipe (plus queue headroom) is
+    // full, so clamp to the achievable window and leave slow start.
+    cwnd_ = std::max(kInitialCwnd, static_cast<Bytes>(bdp_cap));
+    ssthresh_ = static_cast<double>(cwnd_);
+    return;
+  }
+  if (static_cast<double>(cwnd_) < ssthresh_) {
+    cwnd_ += acked;  // slow start: doubles per RTT
+  } else if (cwnd_ > 0) {
+    cwnd_ += std::max<Bytes>(
+        1, kMss * acked / cwnd_);  // congestion avoidance
+  }
+}
+
+[[gnu::always_inline]] inline void TcpConnection::stream(Seconds now, Seconds dt,
+                                  const TickGrant& grant, bool saturated) {
+  // Split streaming time by the binding constraint: when the link could
+  // not grant full demand the bottleneck limits us; otherwise the sender
+  // (cwnd) does. diag reads this split off the transfer end event.
+  if (saturated) {
+    link_limited_s_ += dt;
+  } else {
+    sender_limited_s_ += dt;
+  }
+  const double delivered = std::min(grant.bytes, transfer_remaining_);
+  transfer_remaining_ -= delivered;
+  const Bytes whole =
+      transfer_size_ - static_cast<Bytes>(transfer_remaining_ + 0.5);
+  const Bytes newly = whole - transfer_delivered_;
+  transfer_delivered_ = whole;
+  lifetime_delivered_ += newly;
+  if (newly > 0 && tally_ != nullptr) tally_->note(now);
+  // A transfer's last tick acks what was left of it.
+  grow_cwnd(delivered < grant.bytes ? static_cast<Bytes>(delivered + 0.5)
+                                    : grant.acked,
+            grant.bdp_cap, saturated);
+  if (samples_cwnd() && now - last_cwnd_emit_ >= config_.rtt) {
+    sample_cwnd(now);
+  }
+  if (transfer_remaining_ <= 1e-9) complete(now);
+}
 
 }  // namespace vodx::net
