@@ -159,7 +159,8 @@ struct SplitTick {
 
 }  // namespace
 
-[[gnu::always_inline]] inline void Link::add_to_span(TcpConnection* c, SpanFold& fold) {
+[[gnu::always_inline]] inline void Link::add_to_span(TcpConnection* c,
+                                                     SpanFold& fold) {
   if (!c->busy()) return;
   span_.push_back(c);
   if (c->phase_ != TcpConnection::Phase::kStreaming) {

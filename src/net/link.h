@@ -29,8 +29,9 @@
 // An equal split (every active demand above capacity / active) is one
 // share for all its streamers. Its ticks, executed or replayed, advance the
 // split's connections in one loop (advance_split) from one TickGrant and
-// one saturating cwnd per rtt: the same operations advance() performs, with
-// no per-connection demand, allocation or grant. A tick whose plan is still
+// one saturating cwnd per rtt: the same operations advance() performs
+// (TcpConnection::stream, inlined into the loop), with no per-connection
+// demand, allocation, grant or call. A tick whose plan is still
 // valid (no outside poke since, the same trace piece) takes the planned
 // split's share without reading a demand.
 #pragma once

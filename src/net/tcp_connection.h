@@ -258,8 +258,8 @@ class TcpConnection {
   obs::Histogram* goodput_metric_ = nullptr;
 };
 
-[[gnu::always_inline]] inline void TcpConnection::grow_cwnd(Bytes acked, double bdp_cap,
-                                     bool saturated) {
+[[gnu::always_inline]] inline void TcpConnection::grow_cwnd(
+    Bytes acked, double bdp_cap, bool saturated) {
   if (saturated && static_cast<double>(cwnd_) > bdp_cap) {
     // Stand-in for loss-based backoff: the pipe (plus queue headroom) is
     // full, so clamp to the achievable window and leave slow start.
@@ -275,8 +275,8 @@ class TcpConnection {
   }
 }
 
-[[gnu::always_inline]] inline void TcpConnection::stream(Seconds now, Seconds dt,
-                                  const TickGrant& grant, bool saturated) {
+[[gnu::always_inline]] inline void TcpConnection::stream(
+    Seconds now, Seconds dt, const TickGrant& grant, bool saturated) {
   // Split streaming time by the binding constraint: when the link could
   // not grant full demand the bottleneck limits us; otherwise the sender
   // (cwnd) does. diag reads this split off the transfer end event.
